@@ -29,22 +29,6 @@ class BiForm:
     def zero(cls, m: int, n: int) -> "BiForm":
         return cls(m, n, tuple((Fraction(0),) * (n + 1) for _ in range(m + 1)))
 
-    @classmethod
-    def from_uv_coefficients(cls, forms: list[BinaryForm]) -> "BiForm":
-        """Forms c_0..c_n in (s,t), all of one degree m; c_j multiplies
-        u^(n-j) v^j."""
-        n = len(forms) - 1
-        m = forms[0].degree
-        if any(f.degree != m for f in forms):
-            raise ValueError("uv-coefficients must share one degree")
-        grid = tuple(tuple(forms[j].coeffs[a] for j in range(n + 1)) for a in range(m + 1))
-        return cls(m, n, grid)
-
-    @classmethod
-    def from_st_form(cls, f: BinaryForm) -> "BiForm":
-        """A pure (s,t)-form viewed as a biform of (u,v)-degree 0."""
-        return cls(f.degree, 0, tuple((c,) for c in f.coeffs))
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for r in self.grid for c in r)
@@ -52,9 +36,6 @@ class BiForm:
     def uv_coefficient(self, j: int) -> BinaryForm:
         """Coefficient of u^(n-j) v^j as an (s,t)-form of degree m."""
         return BinaryForm(self.m, tuple(self.grid[a][j] for a in range(self.m + 1)))
-
-    def uv_coefficients(self) -> list[BinaryForm]:
-        return [self.uv_coefficient(j) for j in range(self.n + 1)]
 
     def __add__(self, other: "BiForm") -> "BiForm":
         if (self.m, self.n) != (other.m, other.n):
@@ -100,26 +81,3 @@ class BiForm:
                 for b, c in enumerate(row):
                     coeffs[b] += c * w
         return BinaryForm(self.n, tuple(coeffs))
-
-    def evaluate_uv(self, u0, v0) -> BinaryForm:
-        """Specialize (u,v); returns a form in (s,t)."""
-        u0, v0 = Fraction(u0), Fraction(v0)
-        coeffs = [Fraction(0)] * (self.m + 1)
-        for a, row in enumerate(self.grid):
-            for b, c in enumerate(row):
-                coeffs[a] += c * u0 ** (self.n - b) * v0**b
-        return BinaryForm(self.m, tuple(coeffs))
-
-    def derivative_u(self) -> "BiForm":
-        if self.n == 0:
-            return BiForm.zero(self.m, 0)
-        grid = tuple(
-            tuple(row[b] * (self.n - b) for b in range(self.n)) for row in self.grid
-        )
-        return BiForm(self.m, self.n - 1, grid)
-
-    def derivative_v(self) -> "BiForm":
-        if self.n == 0:
-            return BiForm.zero(self.m, 0)
-        grid = tuple(tuple(row[b] * b for b in range(1, self.n + 1)) for row in self.grid)
-        return BiForm(self.m, self.n - 1, grid)

@@ -136,19 +136,6 @@ def psquarefree_decomposition(p):
     return out
 
 
-def pcontent_primitive(p):
-    """(content, primitive) with primitive having coprime integer coefficients
-    and positive leading coefficient; content may be negative."""
-    if not p:
-        return Fraction(0), []
-    den = math.lcm(*(c.denominator for c in p))
-    nums = [c * den for c in p]
-    g = math.gcd(*(int(c) for c in nums))
-    sign = 1 if nums[-1] > 0 else -1
-    content = Fraction(sign * g, den)
-    return content, [c / content for c in p]
-
-
 # ---------------------------------------------------------------------------
 # binary forms
 

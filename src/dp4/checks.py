@@ -60,13 +60,6 @@ def check_names() -> list[str]:
     return [name for name, _, _ in _REGISTRY]
 
 
-def check_anchor(name: str) -> str:
-    for n, anchor, _ in _REGISTRY:
-        if n == name:
-            return anchor
-    raise ValueError(f"unknown check {name!r}")
-
-
 def run_check(name: str, seed=7) -> CheckResult:
     for n, anchor, fn in _REGISTRY:
         if n != name:

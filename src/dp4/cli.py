@@ -4,8 +4,9 @@ verification umbrella.
 Output is canonical JSON (sorted keys, rationals as strings) or a plain
 text rendering; results go to stdout or --out.  Exit codes: 0 all
 requested checks pass, 1 a check failed, 2 usage error, 3 malformed
-input.  All commands are byte-deterministic for a fixed seed; verify
-adds wall-clock timings only under --timings.
+input, 4 internal error (an uncaught exception in a command, reported as
+one line on stderr).  All commands are byte-deterministic for a fixed
+seed; verify adds wall-clock timings only under --timings.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ EXIT_OK = 0
 EXIT_CHECK = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class CliInputError(Exception):
@@ -497,6 +499,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     _emit(tree, args)
     return code
 

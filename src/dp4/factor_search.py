@@ -19,7 +19,6 @@ from fractions import Fraction
 import sympy
 
 from . import linalg
-from .biforms import BiForm
 from .binforms import (
     BinaryForm,
     form_gcd,
@@ -426,38 +425,7 @@ def _divides(f, g):
 
 
 # ---------------------------------------------------------------------------
-# spec-level wrappers
-
-
-def factor_search_bounded(F: BiForm, bound: int) -> BiForm | None:
-    """A nontrivial rational factor of F with (u,v)-degree <= bound, or None.
-
-    Checks, in order: (s,t)-content, pure u / v factors, then the lifted
-    bounded search.  The returned factor is primitive with integer
-    coefficients."""
-    if F.is_zero:
-        raise ValueError("factor search on the zero form")
-    coeffs = F.uv_coefficients()
-    content = BinaryForm.zero(0)
-    for c in coeffs:
-        content = form_gcd(content, c)
-    if content.degree >= 1:
-        return BiForm.from_st_form(content.integer_primitive()[1])
-    if F.n >= 1:
-        if coeffs[0].is_zero:  # every term carries v
-            return BiForm(0, 1, ((Fraction(0), Fraction(1)),))
-        if coeffs[-1].is_zero:  # every term carries u
-            return BiForm(0, 1, ((Fraction(1), Fraction(0)),))
-    w_coeffs = [coeffs[F.n - k].x_poly() for k in range(F.n + 1)]
-    found = search_w_factor(w_coeffs, bound)
-    if found is None:
-        return None
-    b = found.w_degree
-    mg = max(max(pdeg(list(c)) for c in found.w_coeffs), 0)
-    forms = []
-    for j in range(b + 1):  # coefficient of u^(b-j) v^j is w-coeff b-j
-        forms.append(BinaryForm.from_x_poly(list(found.w_coeffs[b - j]), mg))
-    return BiForm.from_uv_coefficients(forms)
+# entry point for coefficient lists
 
 
 def twisted_factor_search(coeff_forms, bound: int):
@@ -467,6 +435,8 @@ def twisted_factor_search(coeff_forms, bound: int):
     Returns None if no factor of (u,v)-degree <= bound (and no content, no
     pure u or v factor) was found, else a tag pair:
     ("content", BinaryForm), ("u", None), ("v", None), ("factor", WFactor)."""
+    if all(c.is_zero for c in coeff_forms):
+        raise ValueError("factor search on the zero form")
     n = len(coeff_forms) - 1
     content = BinaryForm.zero(0)
     for c in coeff_forms:

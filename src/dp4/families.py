@@ -19,34 +19,25 @@ relative dualizing sheaf is verified symbolically in a tiny Chow ring.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 import sympy
 
 from . import linalg
 from .binforms import BinaryForm, squarefree_profile
-from .biforms import BiForm
 from .factor_search import twisted_factor_search, uni_irreducible_factors
-
-_FORM_RING = {
-    "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
-    "neg": lambda a: -a,
-    "zero": BinaryForm.zero(0),
-    "is_zero": lambda a: a.is_zero,
-}
 
 
 def _det_forms(matrix) -> BinaryForm:
     return linalg.det_minors(
         matrix,
-        add=_FORM_RING["add"],
-        mul=_FORM_RING["mul"],
-        neg=_FORM_RING["neg"],
-        zero=_FORM_RING["zero"],
-        is_zero=_FORM_RING["is_zero"],
+        add=operator.add,
+        mul=operator.mul,
+        neg=operator.neg,
+        zero=BinaryForm.zero(0),
+        is_zero=lambda a: a.is_zero,
     )
 
 
@@ -121,31 +112,16 @@ class SpectralForm:
     def degrees(self) -> tuple[int, ...]:
         return tuple(c.degree for c in self.coefficients)
 
-    def as_biform(self) -> BiForm:
-        degs = {c.degree for c in self.coefficients}
-        if len(degs) != 1:
-            raise ValueError("twisted spectral form has no single bidegree")
-        return BiForm.from_uv_coefficients(list(self.coefficients))
-
 
 def spectral_form(spec: FamilySpec) -> SpectralForm:
     """Column-mixing expansion: the u^(5-k) v^k coefficient sums, over all
     k-subsets T of columns, the determinant taking columns T from A2 and the
     rest from A1; every summand has the same (s,t)-degree."""
     coeffs = []
-    for k in range(6):
-        total = BinaryForm.zero(max(expected_coefficient_degree(spec, k), 0))
-        for cols in combinations(range(5), k):
-            chosen = set(cols)
-            m = [
-                [
-                    (spec.A2[i][j] if j in chosen else spec.A1[i][j])
-                    for j in range(5)
-                ]
-                for i in range(5)
-            ]
-            total = total + _det_forms(m)
-        if not total.is_zero and total.degree != expected_coefficient_degree(spec, k):
+    for k, mixes in enumerate(linalg.column_mixtures(spec.A1, spec.A2)):
+        expected = expected_coefficient_degree(spec, k)
+        total = sum((_det_forms(m) for m in mixes), BinaryForm.zero(max(expected, 0)))
+        if not total.is_zero and total.degree != expected:
             raise RuntimeError("spectral coefficient degree violates bookkeeping")
         coeffs.append(total)
     form = SpectralForm(tuple(coeffs))

@@ -8,13 +8,10 @@ first-nonzero, kernel bases come out in free-column order.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 Row = list[Fraction]
 Matrix = list[Row]
-
-
-def mat(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def identity(n: int) -> Matrix:
@@ -28,10 +25,6 @@ def transpose(m: Matrix) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Matrix, v: Row) -> Row:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
@@ -147,6 +140,21 @@ def det_minors(m, add, mul, neg, zero, is_zero):
 
     out = minor((1 << n) - 1)
     return zero if out is None else out
+
+
+def column_mixtures(a, b):
+    """For k = 0..n, the list of matrices taking a k-subset of columns from b
+    and the rest from a.  Summing det over the k-th list gives the u^(n-k) v^k
+    coefficient of det(u*a + v*b), since det is linear in each column."""
+    n = len(a)
+    for k in range(n + 1):
+        mixes = []
+        for cols in combinations(range(n), k):
+            chosen = set(cols)
+            mixes.append(
+                [[(b[i][j] if j in chosen else a[i][j]) for j in range(n)] for i in range(n)]
+            )
+        yield mixes
 
 
 def charpoly(m: Matrix) -> list[Fraction]:

@@ -33,9 +33,6 @@ class LineConfiguration:
     classes: tuple[tuple[int, ...], ...]
     incidence: tuple[tuple[int, ...], ...]
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(j for j in range(16) if self.incidence[i][j] == 1)
-
 
 @lru_cache(maxsize=1)
 def lines16() -> LineConfiguration:

@@ -19,7 +19,6 @@ nonzero class matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 COMPONENT_LABELS = (

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
-from .binforms import BinaryForm, pdeg, pdivmod, pmul, pscale, psub
+from .binforms import BinaryForm, pdeg, pdivmod, pmul, pscale
 from .factor_search import _wq_xgcd, uni_irreducible_factors
 from .quintic import moduli_point, stability_classify
 
@@ -56,18 +55,10 @@ class SymmetricPencil:
 def spectral_quintic(pencil: SymmetricPencil) -> BinaryForm:
     """det(uP + vQ) as a binary quintic, by column-mixing expansion: the
     u^(5-k) v^k coefficient sums det over all ways to take k columns from Q."""
-    coeffs = [Fraction(0)] * 6
-    for k in range(6):
-        for cols in combinations(range(5), k):
-            chosen = set(cols)
-            m = [
-                [
-                    (pencil.Q[i][j] if j in chosen else pencil.P[i][j])
-                    for j in range(5)
-                ]
-                for i in range(5)
-            ]
-            coeffs[k] += linalg.det(m)
+    coeffs = [
+        sum((linalg.det(m) for m in mixes), Fraction(0))
+        for mixes in linalg.column_mixtures(pencil.P, pencil.Q)
+    ]
     f = BinaryForm(5, tuple(coeffs))
     if f.is_zero:
         raise ValueError("degenerate pencil")

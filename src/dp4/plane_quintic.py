@@ -30,7 +30,7 @@ from math import comb
 import sympy
 
 from . import linalg
-from .binforms import BinaryForm, discriminant
+from .binforms import BinaryForm, discriminant, pdivmod
 from .factor_search import sadd, sinv, smul, ssub, strunc
 
 
@@ -107,20 +107,12 @@ class PlaneQuintic:
 def restrict(curve_coeffs, degree: int, p0, p1) -> BinaryForm:
     """Restriction of a ternary form to the line s*p0 + t*p1 as a binary
     form in (s, t)."""
-    lin = [
-        BinaryForm(1, (Fraction(p0[c]), Fraction(p1[c])))
-        for c in range(3)
-    ]
-    total = BinaryForm.zero(degree)
-    for c, (i, j, k) in zip(curve_coeffs, monomials(degree)):
-        if not c:
-            continue
-        term = BinaryForm.constant(Fraction(c))
-        for power, l in ((i, lin[0]), (j, lin[1]), (k, lin[2])):
-            for _ in range(power):
-                term = term * l
-        total = total + term
-    return total
+    total = [Fraction(0)] * (degree + 1)
+    for c, mono in zip(curve_coeffs, monomials(degree)):
+        if c:
+            for i, x in enumerate(_restrict_monomial(mono, p0, p1)):
+                total[i] += c * x
+    return BinaryForm(degree, tuple(total))
 
 
 def _covector(p, q):
@@ -314,7 +306,7 @@ def h0_linear_system(curve: PlaneQuintic, plus, minus, extra_h: int = 0) -> int:
         for mono in mons:
             b = _restrict_monomial(mono, p, w)
             fpoly = [b[deg_f - i] for i in range(deg_f + 1)]
-            rem = _poly_rem(fpoly, rpoly)
+            rem = pdivmod(fpoly, rpoly)[1]
             for r in range(4):
                 cond[r].append(rem[r] if r < len(rem) else Fraction(0))
         rows.extend(cond)
@@ -358,22 +350,6 @@ def _restrict_monomial(mono, p0, p1):
             coeffs = nxt
     assert len(coeffs) == deg + 1
     return coeffs
-
-
-def _poly_rem(f, g):
-    f = f[:]
-    dg = len(g) - 1
-    while len(f) >= len(g):
-        df = len(f) - 1
-        c = f[-1] / g[-1]
-        for i in range(dg + 1):
-            f[df - dg + i] -= c * g[i]
-        while f and f[-1] == 0:
-            f.pop()
-        if not f:
-            break
-    out = f + [Fraction(0)] * (dg - len(f))
-    return out[:dg]
 
 
 def theta_quadratic_form(curve: PlaneQuintic, plus, minus) -> int:

@@ -241,19 +241,22 @@ def _is_rational_square(x: Fraction) -> bool:
     return rn * rn == x.numerator and rd * rd == x.denominator
 
 
-def _is_rational_cube(x: Fraction) -> bool:
-    def icbrt(v):
-        if v == 0:
-            return 0
-        r = round(abs(v) ** (1 / 3))
-        while r**3 > abs(v):
-            r -= 1
-        while (r + 1) ** 3 <= abs(v):
-            r += 1
-        return r if v > 0 else -r
+def _icbrt(n: int) -> int:
+    """Floor of the cube root of an integer n >= 0, by integer Newton
+    iteration from a power of two above it."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // 3)
+    while True:
+        s = (2 * r + n // (r * r)) // 3
+        if s >= r:
+            return r
+        r = s
 
-    rn, rd = icbrt(x.numerator), icbrt(x.denominator)
-    return rn**3 == x.numerator and rd**3 == x.denominator
+
+def _is_rational_cube(x: Fraction) -> bool:
+    n, d = abs(x.numerator), x.denominator
+    return _icbrt(n) ** 3 == n and _icbrt(d) ** 3 == d
 
 
 def same_point(f: BinaryForm, g: BinaryForm) -> bool:

@@ -2,12 +2,14 @@
 stability classification."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from dp4.binforms import BinaryForm, discriminant, mobius_substitute
 from dp4.quintic import (
+    _is_rational_cube,
     disc_as_invariant,
     invariants,
     moduli_point,
@@ -220,3 +222,21 @@ def test_same_point_on_scaled_forms():
     assert same_point(f, f.scale(F(7, 3)))
     g = mobius_substitute(f, ((2, 1), (1, 1)))
     assert same_point(f, g)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (F(10**399), True),
+        (F((3**70 + 1) ** 3), True),
+        (F(-(3**70 + 1) ** 3, 8), True),
+        (F(10**400), False),
+        (F((3**70 + 1) ** 3 + 1), False),
+        (F(1, (3**70 + 1) ** 3 + 1), False),
+    ],
+)
+def test_is_rational_cube_huge(value, expected):
+    # exact integer cube roots: no float overflow, no linear correction loop
+    start = time.perf_counter()
+    assert _is_rational_cube(value) == expected
+    assert time.perf_counter() - start < 1.0

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from dp4 import serialize
+from dp4 import cli, serialize
 from dp4.binforms import BinaryForm
 from dp4.cli import main
 from dp4.plane_quintic import pencil_fixture, quadrilateral_fixture
@@ -354,3 +354,15 @@ def test_data_commands_byte_deterministic(capsys):
     code3, out3, _ = run(capsys, "lines", "report")
     code4, out4, _ = run(capsys, "lines", "report")
     assert out3 == out4
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), ZeroDivisionError("x / 0")])
+def test_internal_error_exit_code(capsys, monkeypatch, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_lines_report", broken)
+    code, out, err = run(capsys, "lines", "report")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == f"error: internal: {type(exc).__name__}: {exc}\n"

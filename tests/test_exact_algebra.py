@@ -15,7 +15,7 @@ from dp4.binforms import (
     squarefree_profile,
 )
 from dp4.biforms import BiForm
-from dp4.factor_search import factor_search_bounded
+from dp4.factor_search import twisted_factor_search, wpseudo_divmod
 from dp4 import linalg
 
 F = Fraction
@@ -180,6 +180,32 @@ def test_form_gcd_basic():
     assert resultant(d, BinaryForm.from_roots([2, 3])) == 0
 
 
+def uv_coefficients(f):
+    return [f.uv_coefficient(j) for j in range(f.n + 1)]
+
+
+def assert_result_divides(coeffs, found, bound):
+    # the reported factor divides f = sum coeffs[j] u^(n-j) v^j exactly
+    assert found is not None
+    tag, factor = found
+    if tag == "content":
+        assert factor.degree >= 1
+        assert all(form_gcd(factor, c).degree == factor.degree for c in coeffs)
+    elif tag == "u":
+        assert coeffs[-1].is_zero
+    elif tag == "v":
+        assert coeffs[0].is_zero
+    else:
+        # a WFactor of w-degree in [1, bound] with zero pseudo-remainder on
+        # f(sigma, w) = sum coeffs[n - k] w^k
+        assert tag == "factor"
+        assert 1 <= factor.w_degree <= bound
+        n = len(coeffs) - 1
+        f_w = [coeffs[n - k].x_poly() for k in range(n + 1)]
+        _, rem, _ = wpseudo_divmod(f_w, [list(c) for c in factor.w_coeffs])
+        assert rem == []
+
+
 def test_factor_search_planted_linear():
     # (s u - t v) * G has a bidegree-(1,1) factor
     rng = random.Random(108)
@@ -191,11 +217,10 @@ def test_factor_search_planted_linear():
         g = BiForm(2, 4, grid)
         if g.is_zero:
             continue
-        prod = s_u_minus_t_v * g
-        found = factor_search_bounded(prod, 1)
-        assert found is not None
-        # the returned factor genuinely divides
-        assert all(fc <= 1 for fc in (found.m <= prod.m, found.n <= prod.n))
+        coeffs = uv_coefficients(s_u_minus_t_v * g)
+        found = twisted_factor_search(coeffs, 1)
+        assert found is not None and found[0] == "factor"
+        assert_result_divides(coeffs, found, 1)
 
 
 def test_factor_search_none_for_irreducible():
@@ -207,8 +232,8 @@ def test_factor_search_none_for_irreducible():
     grid_rows[0][0] = F(1)
     grid_rows[1][5] = F(-1)
     f = BiForm(1, 5, tuple(tuple(r) for r in grid_rows))
-    assert factor_search_bounded(f, 1) is None
-    assert factor_search_bounded(f, 2) is None
+    assert twisted_factor_search(uv_coefficients(f), 1) is None
+    assert twisted_factor_search(uv_coefficients(f), 2) is None
 
 
 def test_factor_search_result_divides():
@@ -223,9 +248,28 @@ def test_factor_search_result_divides():
         )
         if f1.is_zero or f2.is_zero:
             continue
-        prod = f1 * f2
-        found = factor_search_bounded(prod, 2)
-        assert found is not None
+        coeffs = uv_coefficients(f1 * f2)
+        assert_result_divides(coeffs, twisted_factor_search(coeffs, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        # (s + 2t) * (s u^2 + t u v + (s + t) v^2)
+        ([lin(1, 2) * X, lin(1, 2) * Y, lin(1, 2) * lin(1, 1)], ("content", lin(1, 2))),
+        # u * (s u + t v): no v^2 term
+        ([X, Y, BinaryForm.zero(1)], ("u", None)),
+        # v * (s u + t v): no u^2 term
+        ([BinaryForm.zero(1), X, Y], ("v", None)),
+    ],
+)
+def test_factor_search_early_returns(coeffs, expected):
+    assert twisted_factor_search(coeffs, 2) == expected
+
+
+def test_factor_search_zero_form_rejected():
+    with pytest.raises(ValueError):
+        twisted_factor_search([BinaryForm.zero(1)] * 3, 2)
 
 
 def test_kernel_basis_identity():
