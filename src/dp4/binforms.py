@@ -82,14 +82,44 @@ def pdivexact(p, q):
     return quo
 
 
+def _primitive_ints(p) -> list[int]:
+    """A nonzero rational polynomial (or integer list) scaled to coprime
+    integer coefficients, signs kept."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _int_prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of a by b times a power of lead(b): each step scales
+    by lead(b) instead of dividing, so everything stays in int."""
+    r = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    while len(r) - 1 >= db:
+        c = r[-1]
+        k = len(r) - 1 - db
+        r = [x * lead for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def pgcd(p, q):
-    """Monic gcd over Q."""
-    a, b = list(p), list(q)
+    """Monic gcd over Q, by the primitive pseudo-remainder sequence over Z:
+    the content is divided out at every step, so coefficients stay as small
+    as the gcd's own."""
+    a, b = pnorm(list(p)), pnorm(list(q))
+    if not a or not b:
+        return pmonic(a or b)
+    a, b = _primitive_ints(a), _primitive_ints(b)
     while b:
-        a, b = b, pdivmod(a, b)[1]
-    if not a:
-        return []
-    return pscale(a, 1 / a[-1])
+        r = _int_prem(a, b)
+        a, b = b, (_primitive_ints(r) if r else r)
+    return [Fraction(c, a[-1]) for c in a]
 
 
 def pderiv(p):

@@ -19,7 +19,6 @@ from .families import (
     chern_verify,
     dimension_identities_symbolic,
     dimension_report,
-    discriminant_family,
     genericity_check,
     height,
     height_bounds_scan,
@@ -187,8 +186,7 @@ def _check_family_numerics(rng: Random):
     seed = rng.randint(1, 10**6)
     conditions = {}
     for name, want_class in (("h8_ci", (0, 2, 5)), ("h10_ci", (1, 5, 5))):
-        spec = models.build_example(name, seed)
-        disc = discriminant_family(spec)
+        spec, _, disc = models._build_family(name, seed)
         sc = spectral_class(spec)
         conditions[f"{name}_delta_degree"] = disc.degree == 2 * height(spec)
         conditions[f"{name}_delta_expected"] = disc.degree == {

@@ -10,7 +10,8 @@ The spectral form det(u*A1 + v*A2) is a quintic in (u,v) whose (s,t)
 coefficient degrees vary linearly with the (u,v)-power, so it gets a
 dedicated type rather than a BiForm.  Its (u,v)-discriminant has degree
 exactly 2h whenever nonzero (every term of the determinant expansion has the
-same isobaric weight), squarefreeness is the simple-branching flag, and a
+same isobaric weight), so 2h+1 fiber discriminants determine it by
+interpolation; squarefreeness is the simple-branching flag, and a
 bounded factor search plus a fiber irreducibility witness certify the full
 Galois-group condition.  The Chern-class identity for the cube of the
 relative dualizing sheaf is verified symbolically in a tiny Chow ring.
@@ -26,7 +27,7 @@ from fractions import Fraction
 import sympy
 
 from . import linalg
-from .binforms import BinaryForm, squarefree_profile
+from .binforms import BinaryForm, discriminant, pdeg, pnorm, squarefree_profile
 from .factor_search import twisted_factor_search, uni_irreducible_factors
 
 
@@ -175,30 +176,69 @@ class DiscriminantReport:
     singular_fiber_count: int
 
 
-def discriminant_family(spec: FamilySpec) -> DiscriminantReport:
+def _forward_differences(values) -> list[Fraction]:
+    """The leading entries of the difference table of values at 0, 1, ...:
+    the k-th forward difference at 0, for k = 0..len(values)-1."""
+    out = []
+    cur = [Fraction(v) for v in values]
+    while cur:
+        out.append(cur[0])
+        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
+    return out
+
+
+def _interpolate(values) -> list[Fraction]:
+    """The polynomial through (k, values[k]), k = 0, 1, ..., as a dense
+    x-coefficient list: Newton's divided differences on the integer nodes
+    (the k-th forward difference over k!), then the Newton form expanded by
+    Horner's rule."""
+    diffs = [d / math.factorial(k) for k, d in enumerate(_forward_differences(values))]
+    poly: list[Fraction] = []
+    for k in reversed(range(len(diffs))):
+        # poly <- poly * (x - k) + diffs[k]
+        shifted = [Fraction(0)] + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= k * c
+        shifted[0] += diffs[k]
+        poly = pnorm(shifted)
+    return poly
+
+
+def discriminant_family(
+    spec: FamilySpec, sf: SpectralForm | None = None
+) -> DiscriminantReport:
     """The (u,v)-discriminant of the spectral form as an (s,t)-form of
     degree 2h, with the simple-branching flag (squarefree) and the count of
-    distinct singular fibers."""
-    sf = spectral_form(spec)
-    c = sf.coefficients
-    fu = [c[j].scale(5 - j) for j in range(5)]
-    fv = [c[j + 1].scale(j + 1) for j in range(5)]
-    size = 8
-    zero = BinaryForm.zero(0)
-    syl = [[zero] * size for _ in range(size)]
-    for r in range(4):
-        for j in range(5):
-            syl[r][r + j] = fu[j]
-            syl[4 + r][r + j] = fv[j]
-    delta = _det_forms(syl).scale(Fraction(1, 125))
-    if delta.is_zero:
+    distinct singular fibers.  Delta is interpolated from the fiber
+    discriminants Delta(k, 1) = disc(fiber over (k : 1)) at k = 0..2h+1; the
+    node beyond the 2h+1 that determine it checks the degree.  Pass the
+    spectral form ``sf`` when it is already at hand."""
+    if sf is None:
+        sf = spectral_form(spec)
+    h = height(spec)
+    if h < 0:
+        raise ValueError("non-generically-smooth")  # no nonzero form of degree 2h
+    values = [discriminant(sf.fiber(k, 1)) for k in range(2 * h + 2)]
+    poly = _interpolate(values)
+    if pdeg(poly) > 2 * h:
+        raise RuntimeError("discriminant degree violates bookkeeping")
+    if not poly:
         raise ValueError("non-generically-smooth")
+    delta = BinaryForm.from_x_poly(poly, 2 * h)
     if delta.degree == 0:
         return DiscriminantReport(delta, 0, True, 0)
     profile = squarefree_profile(delta)
     g1 = all(mult == 1 for _, mult in profile)
     count = sum(factor.degree for factor, _ in profile)
     return DiscriminantReport(delta, delta.degree, g1, count)
+
+
+def _discriminant_or_none(spec: FamilySpec, sf: SpectralForm) -> DiscriminantReport | None:
+    """discriminant_family, with None for Delta = 0 (not generically smooth)."""
+    try:
+        return discriminant_family(spec, sf)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -211,21 +251,26 @@ class GenericityReport:
     full_weyl_impossible: bool
 
 
-def genericity_check(spec: FamilySpec) -> GenericityReport:
+_COMPUTE = object()
+
+
+def genericity_check(
+    spec: FamilySpec, sf: SpectralForm | None = None, disc=_COMPUTE
+) -> GenericityReport:
     """Simple branching from the discriminant; the full-Galois-group
     condition as a certificate: no rational factor of (u,v)-degree <= 2 in
     the spectral form, plus one fiber whose quintic has an irreducible
     factor of degree >= 2 (ruling out five conjugate sections).  A found
     factor settles the question negatively; no factor and no witness leaves
-    the result inconclusive (None)."""
-    sf = spectral_form(spec)
-    try:
-        disc = discriminant_family(spec)
-        g1 = disc.g1_prime
-        degenerate = False
-    except ValueError:
-        g1 = False
-        degenerate = True
+    the result inconclusive (None).  Callers that already hold the spectral
+    form and the discriminant pass them as ``sf`` and ``disc``, with
+    ``disc=None`` for Delta = 0."""
+    if sf is None:
+        sf = spectral_form(spec)
+    if disc is _COMPUTE:
+        disc = _discriminant_or_none(spec, sf)
+    degenerate = disc is None
+    g1 = not degenerate and disc.g1_prime
     factor = twisted_factor_search(list(sf.coefficients), 2)
     witness = None
     for s0, t0 in _witness_points():
@@ -535,15 +580,10 @@ def substitute_squared(spec: FamilySpec) -> FamilySpec:
 
 def _difference_degree(values) -> int:
     """Degree of the polynomial interpolating values at 0,1,2,...: the
-    largest k whose k-th forward difference is not identically zero, or -1
-    for the zero polynomial.  Exact when len(values) > degree + 1."""
-    cur = list(values)
-    degree = -1
-    for k in range(len(values)):
-        if any(v != 0 for v in cur):
-            degree = k
-        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-    return degree
+    largest k whose k-th forward difference is nonzero, or -1 for the zero
+    polynomial.  Exact when len(values) > degree + 1."""
+    diffs = _forward_differences(values)
+    return max((k for k, d in enumerate(diffs) if d != 0), default=-1)
 
 
 def fiber_invariant_degree_audit(spec: FamilySpec) -> dict:
@@ -590,23 +630,17 @@ def family_report(spec: FamilySpec) -> FamilyReport:
     h = height(spec)
     sf = spectral_form(spec)
     sc = spectral_class(spec)
-    gen = genericity_check(spec)
-    try:
-        disc = discriminant_family(spec)
-        disc_degree: int | None = disc.degree
-        fibers: int | None = disc.singular_fiber_count
-    except ValueError:
-        disc_degree = None
-        fibers = None
+    disc = _discriminant_or_none(spec, sf)
+    gen = genericity_check(spec, sf, disc)
     return FamilyReport(
         height=h,
         coefficient_degrees=sf.degrees(),
         expected_degrees=tuple(expected_coefficient_degree(spec, j) for j in range(6)),
         spectral=sc,
         genus=arithmetic_genus(sc.cls),
-        discriminant_degree=disc_degree,
+        discriminant_degree=None if disc is None else disc.degree,
         g1_prime=gen.g1_prime,
-        singular_fiber_count=fibers,
+        singular_fiber_count=None if disc is None else disc.singular_fiber_count,
         genericity=gen,
         dimensions=dimension_report(h) if h % 2 == 0 and h >= 0 else {},
     )

@@ -34,7 +34,9 @@ from random import Random
 from .biforms import BiForm
 from .binforms import BinaryForm, squarefree_profile
 from .families import (
+    DiscriminantReport,
     FamilySpec,
+    SpectralForm,
     arithmetic_genus,
     discriminant_family,
     family_from_linear_plus_quadrics,
@@ -42,6 +44,7 @@ from .families import (
     genericity_check,
     height,
     spectral_class,
+    spectral_form,
     substitute_squared,
 )
 
@@ -306,6 +309,12 @@ def build_example(name: str, seed=1):
         )
     if name not in _FAMILY_MAKERS:
         raise ValueError(f"unknown example {name!r}")
+    return _build_family(name, seed)[0]
+
+
+def _build_family(name: str, seed) -> tuple[FamilySpec, SpectralForm, DiscriminantReport]:
+    """build_example for a bundle route, with the spectral form and the
+    discriminant its certificate was computed from."""
     make = _FAMILY_MAKERS[name]
     last = "no attempt"
     for attempt in range(RETRY_BOUND):
@@ -315,9 +324,14 @@ def build_example(name: str, seed=1):
         except ValueError as exc:
             last = str(exc)
             continue
-        rep = genericity_check(spec)
+        sf = spectral_form(spec)
+        try:
+            disc = discriminant_family(spec, sf)
+        except ValueError:
+            disc = None
+        rep = genericity_check(spec, sf, disc)
         if rep.g1_prime and rep.g2_prime is True:
-            return spec
+            return spec, sf, disc
         last = "genericity certificate failed"
     raise ValueError(
         f"{name}: no generic instance in {RETRY_BOUND} attempts ({last})"
@@ -351,9 +365,8 @@ def catalog_entry(name: str) -> ExampleCatalogEntry:
 def verify_example(name: str, seed=1) -> dict:
     """Build the named example and check it against its catalog row."""
     entry = catalog_entry(name)
-    built = build_example(name, seed)
     if entry.kind == "conic":
-        rep = conic_report(built.spec)
+        rep = conic_report(build_example(name, seed).spec)
         checks = {
             "identity": rep.identity,
             "branch_divides": rep.branch_divides,
@@ -364,9 +377,9 @@ def verify_example(name: str, seed=1) -> dict:
             "branch_squarefree": rep.branch_squarefree,
         }
     else:
-        h = height(built)
-        disc = discriminant_family(built)
-        sc = spectral_class(built)
+        spec, _, disc = _build_family(name, seed)
+        h = height(spec)
+        sc = spectral_class(spec)
         cls = (sc.cls.n, sc.cls.alpha, sc.cls.beta)
         checks = {
             "height": h == entry.expected_height,

@@ -212,6 +212,80 @@ def test_discriminant_constant_family():
     assert rep.singular_fiber_count == 0
 
 
+def negative_height_spec(rng):
+    # d = (1,1,0,0,0), e = (3,-1): A1 vanishes (every entry degree is
+    # negative), so the spectral form is det(A2) v^5 and Delta = 0
+    d, e = (1, 1, 0, 0, 0), (3, -1)
+    zero = tuple(tuple(BinaryForm.zero(0) for _ in range(5)) for _ in range(5))
+    rows = [[None] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i, 5):
+            deg = d[i] + d[j] - e[1]
+            f = BinaryForm(deg, tuple(F(rng.randint(-9, 9)) for _ in range(deg + 1)))
+            rows[i][j] = rows[j][i] = f
+    return FamilySpec(d, e, zero, tuple(tuple(r) for r in rows))
+
+
+def test_negative_height_is_not_generically_smooth():
+    spec = negative_height_spec(random.Random(411))
+    assert height(spec) == -4
+    with pytest.raises(ValueError, match="non-generically-smooth"):
+        discriminant_family(spec)
+    rep = family_report(spec)
+    assert rep.discriminant_degree is None
+    assert rep.singular_fiber_count is None
+    assert rep.g1_prime is False
+    assert rep.genericity.g2_prime is False
+
+
+def test_interpolated_delta_degree_is_checked():
+    # the squared family's Delta has degree 40; fed with the unsquared spec
+    # (2h = 20) the 22 nodes fit no form of degree 20
+    spec = build_example("h10_ci", seed=1)
+    squared_sf = spectral_form(substitute_squared(spec))
+    with pytest.raises(RuntimeError, match="violates bookkeeping"):
+        discriminant_family(spec, squared_sf)
+
+
+def counting(monkeypatch, module_names, name):
+    # count calls of families.<name> through the listed module bindings
+    import importlib
+
+    calls = []
+    original = getattr(importlib.import_module("dp4.families"), name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in module_names:
+        monkeypatch.setattr(f"dp4.{module}.{name}", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["model", "negative_height"])
+def test_family_report_computes_once(monkeypatch, kind):
+    if kind == "model":
+        spec = build_example("h8_ci", seed=1)
+    else:
+        spec = negative_height_spec(random.Random(411))
+    sf_calls = counting(monkeypatch, ["families"], "spectral_form")
+    disc_calls = counting(monkeypatch, ["families"], "discriminant_family")
+    family_report(spec)
+    assert (len(sf_calls), len(disc_calls)) == (1, 1)
+
+
+def test_verify_example_computes_once(monkeypatch):
+    from dp4.models import verify_example
+
+    sf_calls = counting(monkeypatch, ["families", "models"], "spectral_form")
+    disc_calls = counting(monkeypatch, ["families", "models"], "discriminant_family")
+    out = verify_example("h10_bundle", seed=1)
+    assert out["ok"]
+    # one build attempt at this seed: one spectral form and one Delta
+    assert (len(sf_calls), len(disc_calls)) == (1, 1)
+
+
 def test_squared_substitution_fails_g1():
     spec = squared_discriminant_example(seed=1)
     rep = discriminant_family(spec)

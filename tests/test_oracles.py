@@ -1,0 +1,200 @@
+"""The fast exact paths against the slow exact paths they replace.
+
+The discriminant of a family is interpolated from fiber discriminants, and
+polynomial gcds run as primitive pseudo-remainder sequences over Z.  The
+previous implementations live on here as oracles, unchanged: Delta as the
+8x8 Sylvester determinant over binary forms, and the gcd as the Euclidean
+algorithm over Fraction.
+"""
+
+from contextlib import contextmanager
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dp4 import binforms
+from dp4.binforms import (
+    BinaryForm,
+    pderiv,
+    pdivmod,
+    pmul,
+    pnorm,
+    pscale,
+    psquarefree_decomposition,
+    squarefree_profile,
+)
+from dp4.families import _det_forms, discriminant_family, spectral_form
+from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
+
+F = Fraction
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def sylvester_delta(sf) -> BinaryForm:
+    """Res(f_u, f_v)/125 of the spectral form, as the determinant of the
+    Sylvester matrix whose entries are (s,t)-forms."""
+    c = sf.coefficients
+    fu = [c[j].scale(5 - j) for j in range(5)]
+    fv = [c[j + 1].scale(j + 1) for j in range(5)]
+    size = 8
+    zero = BinaryForm.zero(0)
+    syl = [[zero] * size for _ in range(size)]
+    for r in range(4):
+        for j in range(5):
+            syl[r][r + j] = fu[j]
+            syl[4 + r][r + j] = fv[j]
+    return _det_forms(syl).scale(Fraction(1, 125))
+
+
+def fraction_pgcd(p, q):
+    """Monic gcd over Q."""
+    a, b = list(p), list(q)
+    while b:
+        a, b = b, pdivmod(a, b)[1]
+    if not a:
+        return []
+    return pscale(a, 1 / a[-1])
+
+
+@contextmanager
+def oracle_gcd():
+    """Route every binforms gcd (squarefree parts included) through the
+    Fraction Euclidean oracle."""
+    with mock.patch.object(binforms, "pgcd", fraction_pgcd):
+        yield
+
+
+# ---------------------------------------------------------------------------
+# Delta by interpolation
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["h8_ci", "h10_ci", "h10_bundle"])
+def test_delta_matches_sylvester_on_models(name, seed):
+    spec = build_example(name, seed)
+    sf = spectral_form(spec)
+    rep = discriminant_family(spec, sf)
+    assert rep.delta == sylvester_delta(sf)
+    assert rep.degree == rep.delta.degree
+
+
+@pytest.mark.parametrize(
+    "make, degree",
+    [(squared_discriminant_example, 40), (split_diagonal_example, 20)],
+)
+def test_delta_matches_sylvester_on_engineered(make, degree):
+    spec = make(1)
+    sf = spectral_form(spec)
+    rep = discriminant_family(spec, sf)
+    assert rep.delta == sylvester_delta(sf)
+    assert rep.degree == degree
+    with oracle_gcd():
+        assert discriminant_family(spec, sf) == rep
+
+
+# ---------------------------------------------------------------------------
+# integer gcd
+
+
+def test_pgcd_zero_and_constant_cases():
+    p = [F(2), F(-3), F(1)]  # (x - 1)(x - 2)
+    for a, b in [([], []), (p, []), ([], p), ([F(3)], p), (p, [F(-1, 2)]),
+                 ([F(0), F(0)], p), ([F(5)], [F(7)])]:
+        assert binforms.pgcd(a, b) == fraction_pgcd(pnorm(list(a)), pnorm(list(b)))
+    assert binforms.pgcd([], []) == []
+    assert binforms.pgcd(p, []) == p
+    assert binforms.pgcd([F(3)], p) == [F(1)]
+
+
+def test_pgcd_rational_coefficients():
+    # (x/2 - 1/3)(3x/7 + 5) and (x/2 - 1/3)(x^2 - 1/9): gcd x - 2/3
+    g = [F(-1, 3), F(1, 2)]
+    p = pmul(g, [F(5), F(3, 7)])
+    q = pmul(g, [F(-1, 9), F(0), F(1)])
+    assert binforms.pgcd(p, q) == [F(-2, 3), F(1)]
+    assert binforms.pgcd(p, q) == fraction_pgcd(p, q)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+polys = st.lists(rationals, max_size=6).map(lambda c: pnorm(list(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys, polys)
+def test_pgcd_matches_oracle(a, b, g):
+    p, q = pmul(a, g), pmul(b, g)
+    assert binforms.pgcd(p, q) == fraction_pgcd(p, q)
+    assert binforms.pgcd(q, p) == fraction_pgcd(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, polys)
+def test_pgcd_with_derivative_matches_oracle(a, b):
+    # repeated roots: p = a^2 b shares a with p'
+    p = pmul(pmul(a, a), b)
+    assert binforms.pgcd(p, pderiv(p)) == fraction_pgcd(p, pderiv(p))
+
+
+# ---------------------------------------------------------------------------
+# squarefree profiles
+
+
+def profile_oracle(f):
+    with oracle_gcd():
+        return squarefree_profile(f)
+
+
+def test_squarefree_decomposition_uses_patched_gcd():
+    # the oracle context really swaps the gcd that Yun's algorithm calls
+    calls = []
+
+    def spy(p, q):
+        calls.append(1)
+        return fraction_pgcd(p, q)
+
+    with mock.patch.object(binforms, "pgcd", spy):
+        psquarefree_decomposition([F(1), F(2), F(1)])
+    assert calls
+
+
+factor_st = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(factor_st, st.integers(1, 3)), max_size=4),
+    st.integers(0, 3),
+    rationals.filter(lambda c: c != 0),
+)
+def test_squarefree_profile_matches_oracle(factors, y_power, scale):
+    # products of small factors with multiplicities, a pure-y factor and a
+    # non-integral rational constant
+    f = BinaryForm.constant(scale)
+    for coeffs, mult in factors:
+        factor = BinaryForm(len(coeffs) - 1, tuple(F(c) for c in coeffs))
+        f = f * factor.power(mult)
+    f = f * BinaryForm(1, (F(0), F(1))).power(y_power)
+    assert squarefree_profile(f) == profile_oracle(f)
+
+
+def test_squarefree_profile_pure_y_and_constant():
+    y = BinaryForm(1, (F(0), F(1)))
+    x_minus_half = BinaryForm(1, (F(1), F(-1, 2)))
+    f = y.power(3) * x_minus_half.power(2)
+    prof = squarefree_profile(f)
+    assert prof == profile_oracle(f)
+    assert (y, 3) in prof
+    assert squarefree_profile(BinaryForm.constant(F(-2, 3))) == []
+    with pytest.raises(ValueError):
+        squarefree_profile(BinaryForm.zero(4))
+
+
+def test_squarefree_profile_of_delta_matches_oracle():
+    spec = build_example("h10_ci", seed=1)
+    delta = discriminant_family(spec).delta
+    assert squarefree_profile(delta) == profile_oracle(delta)
