@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from . import linalg
 from .binforms import (
     BinaryForm,
@@ -218,6 +216,8 @@ def pade(series, d, n):
 
 def uni_irreducible_factors(p) -> list[tuple[list[Fraction], int]]:
     """Monic irreducible factors of a unipoly over Q with multiplicities."""
+    import sympy
+
     x = sympy.Symbol("x")
     expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p))
     _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()

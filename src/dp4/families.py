@@ -24,8 +24,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from . import linalg
 from .binforms import BinaryForm, discriminant, pdeg, pnorm, squarefree_profile
 from .factor_search import twisted_factor_search, uni_irreducible_factors
@@ -333,6 +331,8 @@ def dimension_identities_symbolic() -> bool:
     """The Riemann-Roch identity 5h/2 - (h-4) + 1 = 3h/2 + 5 and the genus
     identity p_a = h - 4 for alpha = -5a-h, beta = 5, n = -2a-h/2, both as
     polynomial identities."""
+    import sympy
+
     h, a = sympy.symbols("h a")
     rr = sympy.expand(5 * h / 2 - (h - 4) + 1 - (3 * h / 2 + 5))
     alpha = -5 * a - h
@@ -379,6 +379,8 @@ def height_bounds_scan(h: int) -> dict:
 
 
 def _chow_reduce(cls: dict, c1):
+    import sympy
+
     out = {}
     for (i, j), v in cls.items():
         if j >= 2:
@@ -396,6 +398,8 @@ def _chow_reduce(cls: dict, c1):
 
 
 def _chow_mul(x: dict, y: dict, c1):
+    import sympy
+
     out = {}
     for (i1, j1), v1 in x.items():
         for (i2, j2), v2 in y.items():
@@ -410,6 +414,8 @@ def chern_sides(d, e):
     hyperplane H and the fiber F modulo F^2 and H^5 - c1 H^4 F with
     c1 = sum(d); the family class is 4H^2 - 2(e1+e2) HF and omega_rel is
     -H + (sum(d) - e1 - e2) F."""
+    import sympy
+
     d = [sympy.sympify(x) for x in d]
     e = [sympy.sympify(x) for x in e]
     if len(d) != 5 or len(e) != 2:
@@ -428,6 +434,8 @@ def chern_verify(d, e) -> bool:
     """Whether c1(omega_rel)^3 integrates to -2*sum(d).  The identity only
     holds modulo sum(d) = e1 + e2; symbolic inputs have one e eliminated
     through the constraint, numeric inputs must satisfy it."""
+    import sympy
+
     d = [sympy.sympify(x) for x in d]
     e = [sympy.sympify(x) for x in e]
     gap = sympy.expand(sum(d) - e[0] - e[1])

@@ -74,12 +74,11 @@ def _induces_perfect_matching(vertices, incidence) -> bool:
 
 
 @lru_cache(maxsize=1)
-def partitions5(cfg: LineConfiguration = None) -> tuple[tuple[frozenset, frozenset], ...]:
+def partitions5() -> tuple[tuple[frozenset, frozenset], ...]:
     """The five splits of the 16 lines into two 8-sets, each inducing
     exactly 4 disjoint incident pairs; found by exhaustive search over the
     6435 splits.  Each partition is returned with the conic's side first."""
-    if cfg is None:
-        cfg = lines16()
+    cfg = lines16()
     from itertools import combinations
 
     found = []
@@ -200,15 +199,14 @@ def _partition_action(line_perm, partitions) -> SignedPermutation:
 
 
 @lru_cache(maxsize=1)
-def weyl_group(cfg: LineConfiguration = None) -> WeylGroup:
+def weyl_group() -> WeylGroup:
     """The full incidence symmetry group as signed permutations of the five
     partitions; order 1920 = 2^4 * 5!, kernel of the index action of order
-    16 acting simply transitively on the lines."""
-    if cfg is None:
-        cfg = lines16()
-    partitions = partitions5(cfg)
+    16 acting simply transitively on the lines.  Built once per process:
+    the cache has a single key, so every caller shares one group."""
+    partitions = partitions5()
     elements = []
-    for line_perm in _graph_automorphisms(cfg.incidence):
+    for line_perm in _graph_automorphisms(lines16().incidence):
         elements.append(WeylElement(line_perm, _partition_action(line_perm, partitions)))
     group = WeylGroup(tuple(elements))
     if group.order != 1920:
@@ -316,8 +314,8 @@ def triangle_free() -> bool:
 def report() -> dict:
     """All line-configuration facts in serializable form."""
     cfg = lines16()
-    partitions = partitions5(cfg)
-    group = weyl_group(cfg)
+    partitions = partitions5()
+    group = weyl_group()
     kernel = group.kernel()
     orbit = {e.line_perm[0] for e in kernel}
     stabilizer_trivial = all(

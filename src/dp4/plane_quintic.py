@@ -27,8 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-import sympy
-
 from . import linalg
 from .binforms import BinaryForm, discriminant, pdivmod
 from .factor_search import sadd, sinv, smul, ssub, strunc
@@ -87,6 +85,8 @@ class PlaneQuintic:
         """No common zero of the three partials away from the origin: the
         Groebner basis of the Jacobian ideal has a pure power of each
         variable among its leading monomials."""
+        import sympy
+
         x, y, z = sympy.symbols("x y z")
         poly = sum(
             sympy.Rational(c) * x**i * y**j * z**k

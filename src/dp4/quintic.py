@@ -5,8 +5,10 @@ expressions scaled to primitive integer coefficient vectors (the scale
 factors below are the contents of the raw expressions as polynomials in the
 quintic coefficients; a slow symbolic test re-derives them).  The square of
 the odd invariant J18 is a weighted form of degree 36 in (J4, J8, J12), and
-the discriminant is a linear combination of J4^2 and J8; both identities are
-fitted at runtime by exact linear algebra on sampled quintics and cached.
+the discriminant is a linear combination of J4^2 and J8.  The coefficients of
+both identities are frozen literals, re-derived by a test oracle (an exact
+fit on sampled quintics); the J18^2 relation is checked on every
+construction of an InvariantVector.
 
 Points of the moduli space carry weights (1, 2, 3) on (J4, J8, J12).  The
 canonical representative is exact over Q: scale J4 to 1 when possible, else
@@ -18,15 +20,10 @@ integer factorization, as an independent route.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-import sympy
-
-from . import linalg
-from .binforms import BinaryForm, discriminant, resultant, squarefree_profile
+from .binforms import BinaryForm, resultant, squarefree_profile
 
 # contents of the raw transvectant expressions on the generic integer quintic
 _CONTENT_J4 = Fraction(2, 625)
@@ -88,51 +85,23 @@ def syzygy_monomials() -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1)
+# J18^2 in the syzygy_monomials() basis, and (c1, c2) with
+# disc = c1*J4^2 + c2*J8; tests/test_oracles.py re-derives both by exact fits
+_SYZYGY_COEFFICIENTS = tuple(
+    Fraction(n, 15625) for n in (0, 0, 0, 0, -64, 0, 0, -128, 16, -64, 144, -27)
+)
+_DISC_AS_INVARIANT = (Fraction(1, 125), Fraction(-4, 125))
+
+
 def syzygy_coefficients() -> tuple[Fraction, ...]:
-    """Coefficients expressing J18^2 in the weighted monomials, fitted once
-    by exact linear algebra on 300 sampled quintics."""
-    monos = syzygy_monomials()
-    rng = random.Random(36936)
-    rows, rhs = [], []
-    for _ in range(300):
-        f = BinaryForm(5, tuple(Fraction(rng.randint(-9, 9)) for _ in range(6)))
-        j4, j8, j12, j18 = _raw_invariants(f)
-        rows.append([j4**a * j8**b * j12**c for a, b, c in monos])
-        rhs.append(j18 * j18)
-    if linalg.rank([row[:] for row in rows[: len(monos) + 8]]) < len(monos):
-        raise RuntimeError("syzygy fit underdetermined")
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise RuntimeError("syzygy fit inconsistent")
-    return tuple(sol)
+    """Coefficients expressing J18^2 in the weighted monomials, in
+    syzygy_monomials() order."""
+    return _SYZYGY_COEFFICIENTS
 
 
-@lru_cache(maxsize=1)
 def disc_as_invariant() -> tuple[Fraction, Fraction]:
-    """Constants (c1, c2) with disc = c1*J4^2 + c2*J8 identically, fitted by
-    exact solve and re-verified on 100 fresh samples."""
-    rng = random.Random(80808)
-
-    def sample():
-        f = BinaryForm(5, tuple(Fraction(rng.randint(-9, 9)) for _ in range(6)))
-        j4, j8, _, _ = _raw_invariants(f)
-        return [j4 * j4, j8], discriminant(f)
-
-    rows, rhs = [], []
-    for _ in range(6):
-        row, d = sample()
-        rows.append(row)
-        rhs.append(d)
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        raise RuntimeError("discriminant fit inconsistent")
-    c1, c2 = sol
-    for _ in range(100):
-        row, d = sample()
-        if c1 * row[0] + c2 * row[1] != d:
-            raise RuntimeError("discriminant fit failed re-verification")
-    return c1, c2
+    """Constants (c1, c2) with disc = c1*J4^2 + c2*J8 identically."""
+    return _DISC_AS_INVARIANT
 
 
 @dataclass(frozen=True)
@@ -195,6 +164,8 @@ class ModuliPoint:
 def _factor_kernel(x: Fraction, power: int) -> tuple[int, int]:
     """(kernel, k) with |n*d^(power-1)| = kernel * k^power and kernel free of
     power-th prime powers, for x = n/d in lowest terms."""
+    import sympy
+
     n, d = abs(x.numerator), x.denominator
     value = n * d ** (power - 1)
     kernel, k = 1, 1

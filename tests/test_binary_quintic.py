@@ -1,14 +1,19 @@
 """Integral invariants of binary quintics, the weighted moduli point, and
 stability classification."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from dp4.binforms import BinaryForm, discriminant, mobius_substitute
 from dp4.quintic import (
+    InvariantVector,
     _is_rational_cube,
     disc_as_invariant,
     invariants,
@@ -114,6 +119,15 @@ def test_syzygy_holds_on_samples():
         assert total == j18 * j18
 
 
+def test_invariant_vector_checks_j18_relation():
+    j4, j8, j12, j18 = invariants(random_quintic(random.Random(208))).as_tuple()
+    assert InvariantVector(j4, j8, j12, -j18).J18 == -j18
+    assert j18 != 0
+    for bad in (j18 + 1, 2 * j18):
+        with pytest.raises(ValueError, match="J18"):
+            InvariantVector(j4, j8, j12, bad)
+
+
 def test_disc_as_invariant_fit():
     c1, c2 = disc_as_invariant()
     rng = random.Random(207)
@@ -180,6 +194,45 @@ def test_normalize_weighted_j4_zero():
     assert pt.coords[0] == 0
     assert pt.normalized == "J8"
     assert pt.coords[1] == F(2)
+
+
+@pytest.mark.parametrize(
+    "triple, coords, anchor",
+    [
+        # -72/5: 72*5 = 10 * 6^2, so lam = 5/6 and J12 -> 7/3 * (5/6)^3
+        ((F(0), F(-72, 5), F(7, 3)), (F(0), F(-10), F(875, 648)), "J8"),
+        ((F(0), F(792, 343), F(-5, 2)), (F(0), F(154), F(588245, 432)), "J8"),
+        ((F(0), F(0), F(-2592, 25)), (F(0), F(0), F(60)), "J12"),
+    ],
+)
+def test_normalize_weighted_factor_kernel(triple, coords, anchor):
+    # the J8 and J12 anchors factor integers (sympy, imported on first use)
+    pt = normalize_weighted(triple)
+    assert pt.coords == coords
+    assert pt.normalized == anchor
+
+
+def test_invariants_cold_start_does_not_import_sympy():
+    script = """
+import sys
+from fractions import Fraction
+import dp4.cli
+from dp4.binforms import BinaryForm
+from dp4.quintic import InvariantVector, invariants, moduli_point
+f = BinaryForm(5, tuple(Fraction(c) for c in (1, 2, 3, 4, 5, 7)))
+v = invariants(f)
+assert v.J4 != 0
+assert moduli_point(f).normalized == "J4"
+InvariantVector(*v.as_tuple())
+print("sympy" in sys.modules)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_normalize_weighted_rejects_zero_triple():

@@ -3,6 +3,7 @@ the five pair partitions, and the signed-permutation symmetry group."""
 
 import json
 
+from dp4 import lines
 from dp4.lines import (
     SignedPermutation,
     lines16,
@@ -130,6 +131,21 @@ def test_report_matches_golden():
     rep = report()
     golden = load_golden()
     assert rep == golden
+
+
+def test_report_builds_symmetry_group_once(monkeypatch):
+    calls = []
+    search = lines._graph_automorphisms
+
+    def counted(incidence):
+        calls.append(1)
+        return search(incidence)
+
+    monkeypatch.setattr(lines, "_graph_automorphisms", counted)
+    weyl_group.cache_clear()
+    rep = report()
+    assert len(calls) == 1
+    assert rep == load_golden()
 
 
 def test_golden_file_is_canonical_json(tmp_path):

@@ -1,12 +1,15 @@
 """The fast exact paths against the slow exact paths they replace.
 
-The discriminant of a family is interpolated from fiber discriminants, and
-polynomial gcds run as primitive pseudo-remainder sequences over Z.  The
-previous implementations live on here as oracles, unchanged: Delta as the
-8x8 Sylvester determinant over binary forms, and the gcd as the Euclidean
-algorithm over Fraction.
+The discriminant of a family is interpolated from fiber discriminants,
+polynomial gcds run as primitive pseudo-remainder sequences over Z, and the
+constants of the J18^2 relation and of disc in J4^2, J8 are frozen literals.
+The previous implementations live on here as oracles, unchanged: Delta as
+the 8x8 Sylvester determinant over binary forms, the gcd as the Euclidean
+algorithm over Fraction, and both invariant constants as exact fits on
+sampled quintics.
 """
 
+import random
 from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
@@ -15,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp4 import binforms
+from dp4 import binforms, linalg
 from dp4.binforms import (
     BinaryForm,
+    discriminant,
     pderiv,
     pdivmod,
     pmul,
@@ -28,6 +32,7 @@ from dp4.binforms import (
 )
 from dp4.families import _det_forms, discriminant_family, spectral_form
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
+from dp4.quintic import _raw_invariants, disc_as_invariant, syzygy_coefficients, syzygy_monomials
 
 F = Fraction
 
@@ -61,12 +66,73 @@ def fraction_pgcd(p, q):
     return pscale(a, 1 / a[-1])
 
 
+def fit_syzygy_coefficients() -> tuple[Fraction, ...]:
+    """Coefficients expressing J18^2 in the weighted monomials, fitted once
+    by exact linear algebra on 300 sampled quintics."""
+    monos = syzygy_monomials()
+    rng = random.Random(36936)
+    rows, rhs = [], []
+    for _ in range(300):
+        f = BinaryForm(5, tuple(Fraction(rng.randint(-9, 9)) for _ in range(6)))
+        j4, j8, j12, j18 = _raw_invariants(f)
+        rows.append([j4**a * j8**b * j12**c for a, b, c in monos])
+        rhs.append(j18 * j18)
+    if linalg.rank([row[:] for row in rows[: len(monos) + 8]]) < len(monos):
+        raise RuntimeError("syzygy fit underdetermined")
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        raise RuntimeError("syzygy fit inconsistent")
+    return tuple(sol)
+
+
+def fit_disc_as_invariant() -> tuple[Fraction, Fraction]:
+    """Constants (c1, c2) with disc = c1*J4^2 + c2*J8 identically, fitted by
+    exact solve and re-verified on 100 fresh samples."""
+    rng = random.Random(80808)
+
+    def sample():
+        f = BinaryForm(5, tuple(Fraction(rng.randint(-9, 9)) for _ in range(6)))
+        j4, j8, _, _ = _raw_invariants(f)
+        return [j4 * j4, j8], discriminant(f)
+
+    rows, rhs = [], []
+    for _ in range(6):
+        row, d = sample()
+        rows.append(row)
+        rhs.append(d)
+    sol = linalg.solve(rows, rhs)
+    if sol is None:
+        raise RuntimeError("discriminant fit inconsistent")
+    c1, c2 = sol
+    for _ in range(100):
+        row, d = sample()
+        if c1 * row[0] + c2 * row[1] != d:
+            raise RuntimeError("discriminant fit failed re-verification")
+    return c1, c2
+
+
 @contextmanager
 def oracle_gcd():
     """Route every binforms gcd (squarefree parts included) through the
     Fraction Euclidean oracle."""
     with mock.patch.object(binforms, "pgcd", fraction_pgcd):
         yield
+
+
+# ---------------------------------------------------------------------------
+# frozen invariant constants
+
+
+def test_syzygy_coefficients_match_fit():
+    frozen = syzygy_coefficients()
+    assert all(type(c) is Fraction for c in frozen)
+    assert fit_syzygy_coefficients() == frozen
+
+
+def test_disc_as_invariant_matches_fit():
+    frozen = disc_as_invariant()
+    assert all(type(c) is Fraction for c in frozen)
+    assert fit_disc_as_invariant() == frozen
 
 
 # ---------------------------------------------------------------------------
