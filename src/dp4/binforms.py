@@ -141,6 +141,22 @@ def pshift(p, a: Fraction):
     return out
 
 
+def pinterpolate(values) -> list[Fraction]:
+    """The polynomial through (k, values[k]), k = 0, 1, ..., as a dense
+    x-coefficient list: Newton's divided differences on the integer nodes
+    (the k-th forward difference at 0 over k!), then the Newton form
+    expanded by Horner's rule."""
+    diffs = []
+    cur = [Fraction(v) for v in values]
+    while cur:
+        diffs.append(cur[0] / math.factorial(len(diffs)))
+        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
+    poly: list[Fraction] = []
+    for k in reversed(range(len(diffs))):
+        poly = padd(pmul(poly, [Fraction(-k), Fraction(1)]), [diffs[k]])
+    return poly
+
+
 def pmonic(p):
     return pscale(p, 1 / p[-1]) if p else []
 
@@ -344,6 +360,19 @@ def mobius_substitute(f: BinaryForm, m) -> BinaryForm:
         if cf:
             out = out + (p1[f.degree - i] * p2[i]).scale(cf)
     return out
+
+
+def pencil_determinant(a, b) -> "BinaryForm":
+    """det(u*a + v*b) for square matrices a, b of size n, as a form of
+    degree n whose coefficient i sits on u^(n-i) v^i: det(a + k*b) at
+    k = 0..n, interpolated in k."""
+    n = len(a)
+    values = [
+        linalg.det([[x + k * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        for k in range(n + 1)
+    ]
+    p = pinterpolate(values)
+    return BinaryForm(n, tuple(p) + (Fraction(0),) * (n + 1 - len(p)))
 
 
 def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> linalg.Matrix:

@@ -8,9 +8,11 @@ compute the same pushforward degree).
 
 The spectral form det(u*A1 + v*A2) is a quintic in (u,v) whose (s,t)
 coefficient degrees vary linearly with the (u,v)-power, so it gets a
-dedicated type rather than a BiForm.  Its (u,v)-discriminant has degree
+dedicated type rather than a BiForm; it is interpolated from the spectral
+quintics of the fibers over (k : 1), and a zero coefficient carries the
+nominal degree max(expected, 0).  Its (u,v)-discriminant has degree
 exactly 2h whenever nonzero (every term of the determinant expansion has the
-same isobaric weight), so 2h+1 fiber discriminants determine it by
+same isobaric weight), so 2h+1 fiber discriminants determine it by the same
 interpolation; squarefreeness is the simple-branching flag, and a
 bounded factor search plus a fiber irreducibility witness certify the full
 Galois-group condition.  The Chern-class identity for the cube of the
@@ -20,24 +22,19 @@ relative dualizing sheaf is verified symbolically in a tiny Chow ring.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .binforms import BinaryForm, discriminant, pdeg, pnorm, squarefree_profile
+from .binforms import (
+    BinaryForm,
+    discriminant,
+    pdeg,
+    pencil_determinant,
+    pinterpolate,
+    squarefree_profile,
+)
 from .factor_search import twisted_factor_search, uni_irreducible_factors
-
-
-def _det_forms(matrix) -> BinaryForm:
-    return linalg.det_minors(
-        matrix,
-        add=operator.add,
-        mul=operator.mul,
-        neg=operator.neg,
-        zero=BinaryForm.zero(0),
-        is_zero=lambda a: a.is_zero,
-    )
 
 
 @dataclass(frozen=True)
@@ -113,16 +110,32 @@ class SpectralForm:
 
 
 def spectral_form(spec: FamilySpec) -> SpectralForm:
-    """Column-mixing expansion: the u^(5-k) v^k coefficient sums, over all
-    k-subsets T of columns, the determinant taking columns T from A2 and the
-    rest from A1; every summand has the same (s,t)-degree."""
+    """det(u*A1 + v*A2), each (s,t)-coefficient interpolated from the fiber
+    quintics det(u*A1(k,1) + v*A2(k,1)) at k = 0..D+1.  D is the largest
+    expected coefficient degree (at least 0), capped by the degree the
+    nonzero entries reach with one entry per row: zero entries pass
+    validation at any expected degree, and the cap keeps the node count
+    within the input's size.  The node beyond the D+1 that determine a
+    coefficient checks that coefficient j has degree at most
+    expected_coefficient_degree(spec, j), and is zero when that is negative;
+    a zero coefficient keeps the nominal degree max(expected, 0)."""
+    expected = [expected_coefficient_degree(spec, j) for j in range(6)]
+    reach = sum(
+        max((x.degree for a in (spec.A1, spec.A2) for x in a[i] if not x.is_zero), default=0)
+        for i in range(5)
+    )
+    nodes = min(max(max(expected), 0), reach) + 2
+
+    def at(a, k):
+        return [[x.evaluate(k, 1) for x in row] for row in a]
+
+    fibers = [pencil_determinant(at(spec.A1, k), at(spec.A2, k)) for k in range(nodes)]
     coeffs = []
-    for k, mixes in enumerate(linalg.column_mixtures(spec.A1, spec.A2)):
-        expected = expected_coefficient_degree(spec, k)
-        total = sum((_det_forms(m) for m in mixes), BinaryForm.zero(max(expected, 0)))
-        if not total.is_zero and total.degree != expected:
+    for j, deg in enumerate(expected):
+        p = pinterpolate([f.coeffs[j] for f in fibers])
+        if p and pdeg(p) > deg:
             raise RuntimeError("spectral coefficient degree violates bookkeeping")
-        coeffs.append(total)
+        coeffs.append(BinaryForm.from_x_poly(p, max(deg, 0)))
     form = SpectralForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
@@ -174,34 +187,6 @@ class DiscriminantReport:
     singular_fiber_count: int
 
 
-def _forward_differences(values) -> list[Fraction]:
-    """The leading entries of the difference table of values at 0, 1, ...:
-    the k-th forward difference at 0, for k = 0..len(values)-1."""
-    out = []
-    cur = [Fraction(v) for v in values]
-    while cur:
-        out.append(cur[0])
-        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-    return out
-
-
-def _interpolate(values) -> list[Fraction]:
-    """The polynomial through (k, values[k]), k = 0, 1, ..., as a dense
-    x-coefficient list: Newton's divided differences on the integer nodes
-    (the k-th forward difference over k!), then the Newton form expanded by
-    Horner's rule."""
-    diffs = [d / math.factorial(k) for k, d in enumerate(_forward_differences(values))]
-    poly: list[Fraction] = []
-    for k in reversed(range(len(diffs))):
-        # poly <- poly * (x - k) + diffs[k]
-        shifted = [Fraction(0)] + poly
-        for i, c in enumerate(poly):
-            shifted[i] -= k * c
-        shifted[0] += diffs[k]
-        poly = pnorm(shifted)
-    return poly
-
-
 def discriminant_family(
     spec: FamilySpec, sf: SpectralForm | None = None
 ) -> DiscriminantReport:
@@ -217,7 +202,7 @@ def discriminant_family(
     if h < 0:
         raise ValueError("non-generically-smooth")  # no nonzero form of degree 2h
     values = [discriminant(sf.fiber(k, 1)) for k in range(2 * h + 2)]
-    poly = _interpolate(values)
+    poly = pinterpolate(values)
     if pdeg(poly) > 2 * h:
         raise RuntimeError("discriminant degree violates bookkeeping")
     if not poly:
@@ -586,14 +571,6 @@ def substitute_squared(spec: FamilySpec) -> FamilySpec:
 # fiberwise invariant degree audit
 
 
-def _difference_degree(values) -> int:
-    """Degree of the polynomial interpolating values at 0,1,2,...: the
-    largest k whose k-th forward difference is nonzero, or -1 for the zero
-    polynomial.  Exact when len(values) > degree + 1."""
-    diffs = _forward_differences(values)
-    return max((k for k, d in enumerate(diffs) if d != 0), default=-1)
-
-
 def fiber_invariant_degree_audit(spec: FamilySpec) -> dict:
     """Degrees in the base parameter of the fiberwise invariants, versus the
     predicted d*h/4; reported, not asserted (base loci can drop degrees)."""
@@ -609,7 +586,7 @@ def fiber_invariant_degree_audit(spec: FamilySpec) -> dict:
         for x in range(bound + 1):
             fib = sf.fiber(Fraction(x), Fraction(1))
             values.append(_raw_invariants(fib)[idx])
-        degree = _difference_degree(values)
+        degree = pdeg(pinterpolate(values))
         predicted = weight * h // 4
         out[name] = {
             "degree": degree,

@@ -8,7 +8,6 @@ first-nonzero, kernel bases come out in free-column order.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 Row = list[Fraction]
 Matrix = list[Row]
@@ -140,21 +139,6 @@ def det_minors(m, add, mul, neg, zero, is_zero):
 
     out = minor((1 << n) - 1)
     return zero if out is None else out
-
-
-def column_mixtures(a, b):
-    """For k = 0..n, the list of matrices taking a k-subset of columns from b
-    and the rest from a.  Summing det over the k-th list gives the u^(n-k) v^k
-    coefficient of det(u*a + v*b), since det is linear in each column."""
-    n = len(a)
-    for k in range(n + 1):
-        mixes = []
-        for cols in combinations(range(n), k):
-            chosen = set(cols)
-            mixes.append(
-                [[(b[i][j] if j in chosen else a[i][j]) for j in range(n)] for i in range(n)]
-            )
-        yield mixes
 
 
 def charpoly(m: Matrix) -> list[Fraction]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .binforms import BinaryForm, pdeg, pdivmod, pmul, pscale
+from .binforms import BinaryForm, pdeg, pdivmod, pencil_determinant, pmul, pscale
 from .factor_search import _wq_xgcd, uni_irreducible_factors
 from .quintic import moduli_point, stability_classify
 
@@ -46,20 +46,11 @@ class SymmetricPencil:
         object.__setattr__(self, "P", p)
         object.__setattr__(self, "Q", q)
 
-    def member(self, u: Fraction, v: Fraction):
-        return [
-            [u * self.P[i][j] + v * self.Q[i][j] for j in range(5)] for i in range(5)
-        ]
-
 
 def spectral_quintic(pencil: SymmetricPencil) -> BinaryForm:
-    """det(uP + vQ) as a binary quintic, by column-mixing expansion: the
-    u^(5-k) v^k coefficient sums det over all ways to take k columns from Q."""
-    coeffs = [
-        sum((linalg.det(m) for m in mixes), Fraction(0))
-        for mixes in linalg.column_mixtures(pencil.P, pencil.Q)
-    ]
-    f = BinaryForm(5, tuple(coeffs))
+    """det(uP + vQ) as a binary quintic, coefficient k on u^(5-k) v^k:
+    interpolated from the six member determinants det(P + kQ), k = 0..5."""
+    f = pencil_determinant(pencil.P, pencil.Q)
     if f.is_zero:
         raise ValueError("degenerate pencil")
     return f

@@ -2,11 +2,13 @@
 
 Rationals travel as strings "p/q" (or "p" when q = 1) so nothing is ever
 rounded.  Encoders produce plain dict/list trees ready for json.dumps with
-sort_keys; decoders validate shape and raise ValueError on malformed input.
+sort_keys; decoders validate shape and types and raise only ValueError on
+malformed input.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .biforms import BiForm
@@ -20,15 +22,25 @@ def encode_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def decode_rational(s) -> Fraction:
-    if isinstance(s, int):
+    """A JSON int (not a bool) or a string "p" or "p/q" in decimal digits,
+    q nonzero.  Decimals and exponents are refused: Fraction("1e10000000")
+    would build a 33-million-bit integer."""
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    if not isinstance(s, str):
-        raise ValueError(f"expected rational string, got {type(s).__name__}")
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {s!r}") from exc
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise ValueError(f"malformed rational {s!r}")
+    return Fraction(s)
+
+
+def _typed(x, kind: type, what: str):
+    """x itself if it is a `kind` (int or list) and not a bool."""
+    if not isinstance(x, kind) or isinstance(x, bool):
+        raise ValueError(f"{what} must be {kind.__name__}, got {type(x).__name__}")
+    return x
 
 
 def encode_form(f: BinaryForm) -> dict:
@@ -38,8 +50,8 @@ def encode_form(f: BinaryForm) -> dict:
 def decode_form(d) -> BinaryForm:
     if not isinstance(d, dict) or "degree" not in d or "coeffs" not in d:
         raise ValueError("binary form needs 'degree' and 'coeffs'")
-    degree = d["degree"]
-    coeffs = [decode_rational(c) for c in d["coeffs"]]
+    degree = _typed(d["degree"], int, "form degree")
+    coeffs = [decode_rational(c) for c in _typed(d["coeffs"], list, "form coefficients")]
     if len(coeffs) != degree + 1:
         raise ValueError(f"degree {degree} form needs {degree + 1} coefficients")
     return BinaryForm(degree, tuple(coeffs))
@@ -55,8 +67,12 @@ def encode_biform(f: BiForm) -> dict:
 def decode_biform(d) -> BiForm:
     if not isinstance(d, dict) or "bidegree" not in d or "grid" not in d:
         raise ValueError("biform needs 'bidegree' and 'grid'")
-    m, n = d["bidegree"]
-    grid = [[decode_rational(c) for c in row] for row in d["grid"]]
+    bidegree = _typed(d["bidegree"], list, "bidegree")
+    if len(bidegree) != 2:
+        raise ValueError("bidegree must be a pair of integers")
+    m, n = (_typed(x, int, "bidegree entry") for x in bidegree)
+    grid = [[decode_rational(c) for c in _typed(row, list, "grid row")]
+            for row in _typed(d["grid"], list, "grid")]
     if len(grid) != m + 1 or any(len(row) != n + 1 for row in grid):
         raise ValueError(f"bidegree ({m},{n}) grid must be {m + 1}x{n + 1}")
     return BiForm(m, n, tuple(tuple(row) for row in grid))
@@ -69,7 +85,7 @@ def encode_matrix(m) -> list:
 def decode_matrix(d) -> list[list[Fraction]]:
     if not isinstance(d, list) or not d:
         raise ValueError("matrix must be a nonempty list of rows")
-    rows = [[decode_rational(c) for c in row] for row in d]
+    rows = [[decode_rational(c) for c in _typed(row, list, "matrix row")] for row in d]
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("matrix rows must share a length")
@@ -114,16 +130,17 @@ def decode_family(d):
         raise ValueError("family needs 'd', 'e', 'A1', 'A2'")
     try:
         mats = [
-            tuple(tuple(decode_form(x) for x in row) for row in d[key])
+            tuple(tuple(decode_form(x) for x in _typed(row, list, f"{key} row"))
+                  for row in _typed(d[key], list, key))
             for key in ("A1", "A2")
         ]
         return FamilySpec(
-            tuple(int(x) for x in d["d"]),
-            tuple(int(x) for x in d["e"]),
+            tuple(_typed(x, int, "splitting degree") for x in _typed(d["d"], list, "d")),
+            tuple(_typed(x, int, "splitting degree") for x in _typed(d["e"], list, "e")),
             mats[0],
             mats[1],
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed family: {exc}") from exc
 
 
@@ -140,11 +157,10 @@ def decode_conic(d):
     if not isinstance(d, dict) or "entries" not in d:
         raise ValueError("conic bundle needs 'entries'")
     try:
-        entries = tuple(
-            tuple(decode_biform(x) for x in row) for row in d["entries"]
-        )
+        entries = tuple(tuple(decode_biform(x) for x in _typed(row, list, "entries row"))
+                        for row in _typed(d["entries"], list, "entries"))
         return ConicBundleSpec(entries)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed conic bundle: {exc}") from exc
 
 
@@ -164,7 +180,7 @@ def decode_curve(d):
         raise ValueError("plane quintic needs 'coeffs'")
     if d.get("degree", 5) != 5:
         raise ValueError("only degree-5 plane curves are supported")
-    coeffs = [decode_rational(c) for c in d["coeffs"]]
+    coeffs = [decode_rational(c) for c in _typed(d["coeffs"], list, "plane quintic coefficients")]
     if len(coeffs) != 21:
         raise ValueError("plane quintic needs 21 coefficients")
     return PlaneQuintic(tuple(coeffs))
@@ -184,11 +200,11 @@ def decode_divisor(x) -> list:
     for item in x:
         if not isinstance(item, dict) or "point" not in item:
             raise ValueError("divisor item needs a 'point'")
-        point = tuple(decode_rational(c) for c in item["point"])
+        point = tuple(decode_rational(c) for c in _typed(item["point"], list, "divisor point"))
         if len(point) != 3 or all(c == 0 for c in point):
             raise ValueError("divisor points are nonzero projective triples")
         mult = item.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if _typed(mult, int, "divisor multiplicity") < 1:
             raise ValueError("divisor multiplicities are positive integers")
         out.append((point, mult))
     return out

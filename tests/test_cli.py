@@ -96,6 +96,24 @@ def test_quintic_invariants_wrong_degree(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"degree": "5", "coeffs": ["1", "0", "0", "0", "0", "1"]},
+        {"degree": 5.0, "coeffs": ["1", "0", "0", "0", "0", "1"]},
+        {"degree": 5, "coeffs": ["1", "0", "0", "0", "0", "1e10000000"]},
+        {"degree": 5, "coeffs": "100001"},
+    ],
+)
+def test_quintic_invariants_malformed_input(capsys, tmp_path, tree):
+    path = write_json(tmp_path / "bad.json", tree)
+    code, out, err = run(capsys, "quintic", "invariants", "--input", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "internal" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_lines_report(capsys):
     code, tree, _ = run_json(capsys, "lines", "report")
     assert code == 0

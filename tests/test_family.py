@@ -3,6 +3,7 @@ spectral form and curve class, discriminant, genericity flags, dimension
 bookkeeping, and the Chern-number identity."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,32 @@ def test_negative_height_is_not_generically_smooth():
     assert rep.singular_fiber_count is None
     assert rep.g1_prime is False
     assert rep.genericity.g2_prime is False
+
+
+def test_spectral_form_nodes_bounded_by_entries():
+    # zero entries pass validation at any expected degree: with d = (-M,)*5
+    # and e = (-3M, -2M), A1 = 0 and a constant A2, the expected coefficient
+    # degrees are 5M - M*j while no coefficient can exceed degree 0
+    m = 1000
+    zero = tuple(tuple(BinaryForm.zero(0) for _ in range(5)) for _ in range(5))
+    diag = [1, 2, 3, 4, 5]
+    for last in (5, 0):  # det(A2) = 120 v^5, then a singular A2
+        diag[4] = last
+        a2 = tuple(
+            tuple(BinaryForm.constant(diag[i] if i == j else 0) for j in range(5))
+            for i in range(5)
+        )
+        spec = FamilySpec((-m,) * 5, (-3 * m, -2 * m), zero, a2)
+        start = time.perf_counter()
+        if last:
+            sf = spectral_form(spec)
+            assert sf.degrees() == tuple(5 * m - m * j for j in range(6))
+            assert sf.coefficients[5] == BinaryForm.constant(120)
+            assert all(c.is_zero for c in sf.coefficients[:5])
+        else:
+            with pytest.raises(ValueError, match="generically degenerate"):
+                spectral_form(spec)
+        assert time.perf_counter() - start < 2
 
 
 def test_interpolated_delta_degree_is_checked():

@@ -1,17 +1,22 @@
 """The fast exact paths against the slow exact paths they replace.
 
-The discriminant of a family is interpolated from fiber discriminants,
-polynomial gcds run as primitive pseudo-remainder sequences over Z, and the
-constants of the J18^2 relation and of disc in J4^2, J8 are frozen literals.
-The previous implementations live on here as oracles, unchanged: Delta as
-the 8x8 Sylvester determinant over binary forms, the gcd as the Euclidean
+The spectral quintic of a pencil, the spectral form of a family and the
+discriminant of a family are interpolated from determinants at integer
+nodes, polynomial gcds run as primitive pseudo-remainder sequences over Z,
+and the constants of the J18^2 relation and of disc in J4^2, J8 are frozen
+literals.  The previous implementations live on here as oracles, unchanged:
+both spectral forms as the column-mixing expansion (Fraction determinants
+for a pencil, determinants over binary forms for a family), Delta as the
+8x8 Sylvester determinant over binary forms, the gcd as the Euclidean
 algorithm over Fraction, and both invariant constants as exact fits on
 sampled quintics.
 """
 
+import operator
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -22,6 +27,7 @@ from dp4 import binforms, linalg
 from dp4.binforms import (
     BinaryForm,
     discriminant,
+    pdeg,
     pderiv,
     pdivmod,
     pmul,
@@ -30,14 +36,76 @@ from dp4.binforms import (
     psquarefree_decomposition,
     squarefree_profile,
 )
-from dp4.families import _det_forms, discriminant_family, spectral_form
+from dp4.families import (
+    SpectralForm,
+    discriminant_family,
+    expected_coefficient_degree,
+    spectral_form,
+)
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
+from dp4.pencils import SymmetricPencil, spectral_quintic
 from dp4.quintic import _raw_invariants, disc_as_invariant, syzygy_coefficients, syzygy_monomials
 
 F = Fraction
 
 # ---------------------------------------------------------------------------
 # oracles
+
+
+def column_mixtures(a, b):
+    """For k = 0..n, the list of matrices taking a k-subset of columns from b
+    and the rest from a.  Summing det over the k-th list gives the u^(n-k) v^k
+    coefficient of det(u*a + v*b), since det is linear in each column."""
+    n = len(a)
+    for k in range(n + 1):
+        mixes = []
+        for cols in combinations(range(n), k):
+            chosen = set(cols)
+            mixes.append(
+                [[(b[i][j] if j in chosen else a[i][j]) for j in range(n)] for i in range(n)]
+            )
+        yield mixes
+
+
+def _det_forms(matrix) -> BinaryForm:
+    return linalg.det_minors(
+        matrix,
+        add=operator.add,
+        mul=operator.mul,
+        neg=operator.neg,
+        zero=BinaryForm.zero(0),
+        is_zero=lambda a: a.is_zero,
+    )
+
+
+def column_mixing_spectral_quintic(pencil: SymmetricPencil) -> BinaryForm:
+    """det(uP + vQ) as a binary quintic, by column-mixing expansion: the
+    u^(5-k) v^k coefficient sums det over all ways to take k columns from Q."""
+    coeffs = [
+        sum((linalg.det(m) for m in mixes), Fraction(0))
+        for mixes in column_mixtures(pencil.P, pencil.Q)
+    ]
+    f = BinaryForm(5, tuple(coeffs))
+    if f.is_zero:
+        raise ValueError("degenerate pencil")
+    return f
+
+
+def column_mixing_spectral_form(spec) -> SpectralForm:
+    """Column-mixing expansion: the u^(5-k) v^k coefficient sums, over all
+    k-subsets T of columns, the determinant taking columns T from A2 and the
+    rest from A1; every summand has the same (s,t)-degree."""
+    coeffs = []
+    for k, mixes in enumerate(column_mixtures(spec.A1, spec.A2)):
+        expected = expected_coefficient_degree(spec, k)
+        total = sum((_det_forms(m) for m in mixes), BinaryForm.zero(max(expected, 0)))
+        if not total.is_zero and total.degree != expected:
+            raise RuntimeError("spectral coefficient degree violates bookkeeping")
+        coeffs.append(total)
+    form = SpectralForm(tuple(coeffs))
+    if form.is_zero:
+        raise ValueError("generically degenerate family")
+    return form
 
 
 def sylvester_delta(sf) -> BinaryForm:
@@ -136,6 +204,116 @@ def test_disc_as_invariant_matches_fit():
 
 
 # ---------------------------------------------------------------------------
+# spectral forms by interpolation
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def pencil_pairs(draw):
+    """Symmetric rational pairs; with a shared zero row and column (so
+    det(uP + vQ) vanishes identically) when the drawn index is below 5."""
+    shared_kernel = draw(st.integers(0, 9))
+
+    def symmetric():
+        m = [[F(0)] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                if shared_kernel not in (i, j):
+                    m[i][j] = m[j][i] = draw(rationals)
+        return m
+
+    return SymmetricPencil(symmetric(), symmetric())
+
+
+@settings(max_examples=150)
+@given(pencil_pairs())
+def test_spectral_quintic_matches_column_mixing(pencil):
+    try:
+        expected = column_mixing_spectral_quintic(pencil)
+    except ValueError:
+        with pytest.raises(ValueError, match="degenerate pencil"):
+            spectral_quintic(pencil)
+        return
+    assert repr(spectral_quintic(pencil)) == repr(expected)
+
+
+def test_spectral_quintic_rank_deficient_pencil():
+    # P = E^T G E and Q = E^T H E with E merging coordinates 0 and 1: both
+    # kill (1, -1, 0, 0, 0), which is no coordinate vector
+    rng = random.Random(412)
+    e = [[F(1), F(1), F(0), F(0), F(0)]] + [[F(int(c == r + 2)) for c in range(5)] for r in range(3)]
+
+    def pulled_back():
+        g = [[F(0)] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                g[i][j] = g[j][i] = F(rng.randint(-9, 9), rng.randint(1, 4))
+        return linalg.mat_mul(linalg.transpose(e), linalg.mat_mul(g, e))
+
+    pencil = SymmetricPencil(pulled_back(), pulled_back())
+    with pytest.raises(ValueError, match="degenerate pencil"):
+        column_mixing_spectral_quintic(pencil)
+    with pytest.raises(ValueError, match="degenerate pencil"):
+        spectral_quintic(pencil)
+
+
+def model_and_engineered_specs():
+    for name in ("h8_ci", "h10_ci", "h10_bundle"):
+        for seed in (1, 2, 3):
+            yield pytest.param(lambda n=name, s=seed: build_example(n, s), id=f"{name}-{seed}")
+    yield pytest.param(lambda: squared_discriminant_example(1), id="squared")
+    yield pytest.param(lambda: split_diagonal_example(1), id="diagonal")
+
+
+@pytest.mark.parametrize("make", model_and_engineered_specs())
+def test_spectral_form_matches_column_mixing(make):
+    spec = make()
+    assert repr(spectral_form(spec)) == repr(column_mixing_spectral_form(spec))
+
+
+def test_spectral_form_zero_coefficients_take_expected_degree():
+    from test_family import negative_height_spec
+
+    spec = negative_height_spec(random.Random(411))
+    fast = spectral_form(spec)
+    slow = column_mixing_spectral_form(spec)
+    for j, (c, o) in enumerate(zip(fast.coefficients, slow.coefficients)):
+        if o.is_zero:
+            assert c.is_zero
+            assert c.degree == max(expected_coefficient_degree(spec, j), 0)
+        else:
+            assert c == o
+    # the expansion's zero sums kept nominal degrees of its summands
+    assert slow.degrees() == (0, 2, 4, 5, 7, 9)
+    assert fast.degrees() == (0, 0, 0, 1, 5, 9)
+
+
+def bump_entry(spec):
+    # entry (0,0) of A1 one degree too high, symmetric, past validation
+    f = spec.A1[0][0]
+    bumped = f * BinaryForm(1, (F(0), F(1))) + BinaryForm.from_roots([0] * (f.degree + 1))
+    assert pdeg(bumped.x_poly()) == f.degree + 1
+    rows = [list(row) for row in spec.A1]
+    rows[0][0] = bumped
+    object.__setattr__(spec, "A1", tuple(tuple(row) for row in rows))
+
+
+def shift_twists(spec):
+    # e moved by (+1, -1): sum(d) = e1 + e2 still holds, entry degrees do not
+    object.__setattr__(spec, "e", (spec.e[0] + 1, spec.e[1] - 1))
+
+
+@pytest.mark.parametrize("corrupt", [bump_entry, shift_twists])
+def test_spectral_form_bookkeeping_is_checked(corrupt):
+    spec = build_example("h8_ci", 1)
+    corrupt(spec)
+    with pytest.raises(RuntimeError, match="violates bookkeeping"):
+        spectral_form(spec)
+
+
+# ---------------------------------------------------------------------------
 # Delta by interpolation
 
 
@@ -186,7 +364,6 @@ def test_pgcd_rational_coefficients():
     assert binforms.pgcd(p, q) == fraction_pgcd(p, q)
 
 
-rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polys = st.lists(rationals, max_size=6).map(lambda c: pnorm(list(c)))
 
 

@@ -3,12 +3,16 @@ conic bundles, plane curves, divisors, canonical rendering."""
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dp4.biforms import BiForm
 from dp4.binforms import BinaryForm
+from dp4.families import FamilySpec
 from dp4.models import build_example, random_conic_bundle
 from dp4.pencils import SymmetricPencil
 from dp4.plane_quintic import pencil_fixture
@@ -48,6 +52,54 @@ def test_rational_roundtrip():
 def test_rational_decode_rejects_garbage():
     with pytest.raises(ValueError):
         decode_rational("one half")
+
+
+def test_rational_decode_accepts_only_integers_and_quotients():
+    assert decode_rational(-7) == F(-7)
+    assert decode_rational("+4/6") == F(2, 3)
+    assert decode_rational("-0012") == F(-12)
+    for bad in (True, False, 1.5, None, [], "0.5", "1e3", "1E3", " 1", "1 ", "1/",
+                "/2", "1/-2", "1_000", "\u0663", "inf", "nan", "1/0"):
+        with pytest.raises(ValueError):
+            decode_rational(bad)
+
+
+def test_rational_decode_rejects_huge_exponent_quickly():
+    # Fraction would expand this to a 3.3-billion-bit integer
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        decode_rational("1e1000000000")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"degree": "2", "coeffs": ["1", "0", "1"]},
+        {"degree": 2.0, "coeffs": ["1", "0", "1"]},
+        {"degree": True, "coeffs": ["1", "0"]},
+        {"degree": 1, "coeffs": "12"},
+        {"degree": 1, "coeffs": {"1": "2"}},
+    ],
+)
+def test_form_decode_rejects_mistyped_fields(tree):
+    with pytest.raises(ValueError):
+        decode_form(tree)
+
+
+def test_biform_and_matrix_decode_reject_mistyped_fields():
+    for tree in (
+        {"bidegree": 1, "grid": [["1"]]},
+        {"bidegree": [0], "grid": [["1"]]},
+        {"bidegree": [0, "0"], "grid": [["1"]]},
+        {"bidegree": [0, 0], "grid": ["1"]},
+        {"bidegree": [0, 0], "grid": "1"},
+    ):
+        with pytest.raises(ValueError):
+            decode_biform(tree)
+    for tree in (["1"], [["1"], "2"], [{"a": "1"}]):
+        with pytest.raises(ValueError):
+            decode_matrix(tree)
 
 
 def test_form_roundtrip():
@@ -147,6 +199,12 @@ def test_divisor_rejects_bad_multiplicity():
         decode_divisor([{"point": ["1", "0", "0"], "mult": 0}])
 
 
+@pytest.mark.parametrize("mult", [True, 1.0, "1"])
+def test_divisor_rejects_non_integer_multiplicity(mult):
+    with pytest.raises(ValueError):
+        decode_divisor([{"point": ["1", "0", "0"], "mult": mult}])
+
+
 def test_dumps_canonical_stable():
     tree = {"b": [1, 2], "a": {"y": "2", "x": "1"}}
     s1 = dumps_canonical(tree)
@@ -159,3 +217,122 @@ def test_dumps_canonical_stable():
 def test_dumps_canonical_sorted_keys():
     s = dumps_canonical({"z": 1, "a": 2})
     assert s.index('"a"') < s.index('"z"')
+
+
+# ---------------------------------------------------------------------------
+# malformed trees: every decoder returns or raises ValueError
+
+DECODERS = [
+    decode_rational,
+    decode_form,
+    decode_biform,
+    decode_matrix,
+    decode_pencil,
+    decode_family,
+    decode_conic,
+    decode_curve,
+    decode_divisor,
+]
+
+KEYS = ["degree", "coeffs", "bidegree", "grid", "type", "P", "Q", "d", "e", "A1", "A2",
+        "entries", "point", "mult"]
+
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 6)
+    | st.floats()
+    | st.sampled_from(["0", "1", "-2/3", "1/0", "0.5", "1e5", " 1", "x", ""])
+    | st.text(max_size=4)
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+def valid_trees():
+    diagonal = [[F(int(i == j) * (i + 1)) for j in range(5)] for i in range(5)]
+    constant = tuple(tuple(BinaryForm.constant(x) for x in row) for row in diagonal)
+    grid = (tuple(F(k) for k in range(3)), tuple(F(-k, 2) for k in range(3)))
+    return [
+        "-3/4",
+        encode_form(BinaryForm.from_roots([0, 1, F(1, 2)])),
+        encode_biform(BiForm(1, 2, grid)),
+        encode_matrix([[F(1), F(2)], [F(2), F(-1, 3)]]),
+        encode_pencil(SymmetricPencil(diagonal, diagonal)),
+        encode_family(FamilySpec((0,) * 5, (0, 0), constant, constant)),
+        encode_conic(random_conic_bundle(77)),
+        encode_curve(pencil_fixture().curve),
+        encode_divisor([((F(1), F(2), F(3)), 1), ((F(0), F(1), F(-1)), 2)]),
+    ]
+
+
+VALID = valid_trees()
+
+
+def subtree_paths(tree, path=()):
+    yield path
+    if isinstance(tree, (list, dict)):
+        for key in sorted(tree) if isinstance(tree, dict) else range(len(tree)):
+            yield from subtree_paths(tree[key], path + (key,))
+
+
+def paths_by_depth(tree):
+    out: dict[int, list] = {}
+    for path in subtree_paths(tree):
+        out.setdefault(len(path), []).append(path)
+    return [out[depth] for depth in sorted(out)]
+
+
+PATHS = [paths_by_depth(tree) for tree in VALID]
+
+
+def replaced(tree, path, value):
+    if not path:
+        return value
+    copy = dict(tree) if isinstance(tree, dict) else list(tree)
+    copy[path[0]] = replaced(tree[path[0]], path[1:], value)
+    return copy
+
+
+def test_valid_trees_decode():
+    for decoder, tree in zip(DECODERS, VALID):
+        decoder(tree)
+
+
+ODD_VALUES = [None, True, 1.5, float("inf"), 7, -1, "x", "1e3", "1", [], ["1"], {}, {"degree": 0}]
+
+
+@pytest.mark.parametrize("index", range(len(DECODERS)), ids=lambda i: DECODERS[i].__name__)
+def test_decoders_survive_every_subtree_swap(index):
+    # each subtree of a valid tree, swapped for each of a few values of
+    # every JSON type
+    for path in subtree_paths(VALID[index]):
+        for value in ODD_VALUES:
+            tree = replaced(VALID[index], path, value)
+            try:
+                DECODERS[index](tree)
+            except ValueError:
+                pass
+
+
+@settings(max_examples=400)
+@given(st.integers(0, len(DECODERS) - 1), st.data())
+def test_decoders_raise_only_value_error(index, data):
+    # a valid tree of the decoder's own type (or, one time in four, of
+    # another type) with one subtree, at a depth drawn first, swapped for an
+    # arbitrary JSON tree; depth 0 swaps the whole tree
+    if data.draw(st.integers(0, 3)) == 0:
+        source = data.draw(st.integers(0, len(VALID) - 1))
+    else:
+        source = index
+    level = data.draw(st.sampled_from(PATHS[source]))
+    path = data.draw(st.sampled_from(level))
+    tree = replaced(VALID[source], path, data.draw(json_trees))
+    try:
+        DECODERS[index](tree)
+    except ValueError:
+        pass
