@@ -3,7 +3,9 @@
 A form of degree d stores d+1 coefficients, coeffs[i] multiplying x^(d-i) y^i.
 The zero form keeps a nominal degree so graded matrix entries stay degree-tagged.
 Univariate helpers (prefix p-) act on dense lists with p[i] the x^i coefficient
-and no trailing zeros; [] is the zero polynomial.
+and no trailing zeros; [] is the zero polynomial.  padd, pmul and pderiv keep
+the coefficient type (int lists stay int), so they serve Z[x] as well as Q[x];
+the z- helpers are the integer-only ones.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 
@@ -29,10 +32,9 @@ def pdeg(p: list[Fraction]) -> int:
 
 
 def padd(p, q):
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
     for i, c in enumerate(q):
         out[i] += c
     return pnorm(out)
@@ -50,7 +52,7 @@ def pscale(p, c: Fraction):
 def pmul(p, q):
     if not p or not q:
         return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    out = [p[-1] * q[-1] * 0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -82,13 +84,17 @@ def pdivexact(p, q):
     return quo
 
 
+def _zprimitive(p: list[int]) -> list[int]:
+    """A nonzero integer polynomial divided by the gcd of its coefficients,
+    signs kept."""
+    g = math.gcd(*p)
+    return [c // g for c in p]
+
+
 def _primitive_ints(p) -> list[int]:
     """A nonzero rational polynomial (or integer list) scaled to coprime
     integer coefficients, signs kept."""
-    den = math.lcm(*(Fraction(c).denominator for c in p))
-    ints = [int(c * den) for c in p]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+    return _zprimitive(linalg.clear_denominators(p)[1])
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -108,18 +114,54 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def pgcd(p, q):
-    """Monic gcd over Q, by the primitive pseudo-remainder sequence over Z:
-    the content is divided out at every step, so coefficients stay as small
-    as the gcd's own."""
+def primitive_prs(a, b, prem, primitive):
+    """The last nonzero term of the primitive pseudo-remainder sequence of
+    the nonzero primitive polynomials a and b (Collins 1967, Brown-Traub
+    1971): a gcd of a and b over the fraction field, up to a unit.  Every
+    pseudo-remainder prem(a, b) is made primitive before it divides, so
+    coefficients stay as small as the gcd's own.  The one gcd algorithm of
+    the library, run over Z[x] here and over Z[sigma][w] in factor_search."""
+    while b:
+        r = prem(a, b)
+        a, b = b, (primitive(r) if r else r)
+    return a
+
+
+def zgcd(p, q) -> list[int]:
+    """Primitive gcd over Z[x] of two rational or integer polynomials, with
+    positive leading coefficient ([] when both vanish): the primitive PRS
+    over Z, blind to integer contents."""
     a, b = pnorm(list(p)), pnorm(list(q))
     if not a or not b:
-        return pmonic(a or b)
-    a, b = _primitive_ints(a), _primitive_ints(b)
-    while b:
-        r = _int_prem(a, b)
-        a, b = b, (_primitive_ints(r) if r else r)
-    return [Fraction(c, a[-1]) for c in a]
+        a = a or b
+        g = _primitive_ints(a) if a else a
+    else:
+        g = primitive_prs(_primitive_ints(a), _primitive_ints(b), _int_prem, _zprimitive)
+    return [-c for c in g] if g and g[-1] < 0 else g
+
+
+def zdivexact(p: list[int], q: list[int]) -> list[int]:
+    """Exact quotient of integer polynomials; raises unless q divides p
+    over Z."""
+    r = list(p)
+    dq = len(q) - 1
+    quo = [0] * max(len(r) - dq, 0)
+    for k in reversed(range(len(quo))):
+        c, rem = divmod(r[k + dq], q[-1])
+        if rem:
+            raise ValueError("inexact polynomial division")
+        quo[k] = c
+        for i, y in enumerate(q):
+            r[k + i] -= c * y
+    if any(r):
+        raise ValueError("inexact polynomial division")
+    return quo
+
+
+def pgcd(p, q):
+    """Monic gcd over Q: zgcd made monic."""
+    g = zgcd(p, q)
+    return [Fraction(c, g[-1]) for c in g]
 
 
 def pderiv(p):
@@ -142,19 +184,28 @@ def pshift(p, a: Fraction):
 
 
 def pinterpolate(values) -> list[Fraction]:
-    """The polynomial through (k, values[k]), k = 0, 1, ..., as a dense
+    """The polynomial through (k, values[k]), k = 0, 1, ..., n, as a dense
     x-coefficient list: Newton's divided differences on the integer nodes
     (the k-th forward difference at 0 over k!), then the Newton form
-    expanded by Horner's rule."""
+    expanded by Horner's rule.  Runs over Z: the values are scaled by the
+    lcm D of their denominators and the Newton coefficients by n!, and each
+    coefficient of the result is divided by n! D once."""
+    den, cur = linalg.clear_denominators(values)
+    n = len(cur) - 1
     diffs = []
-    cur = [Fraction(v) for v in values]
     while cur:
-        diffs.append(cur[0] / math.factorial(len(diffs)))
+        diffs.append(cur[0])
         cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-    poly: list[Fraction] = []
+    scale = math.factorial(max(n, 0))
+    poly: list[int] = []
     for k in reversed(range(len(diffs))):
-        poly = padd(pmul(poly, [Fraction(-k), Fraction(1)]), [diffs[k]])
-    return poly
+        # poly * (x - k) + diffs[k] * n!/k!
+        shifted = [0] + poly
+        for i, c in enumerate(poly):
+            shifted[i] -= k * c
+        shifted[0] += diffs[k] * (scale // math.factorial(k))
+        poly = shifted
+    return pnorm([Fraction(c, scale * den) for c in poly])
 
 
 def pmonic(p):
@@ -245,12 +296,26 @@ class BinaryForm:
                 return i
         return self.degree + 1
 
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[int, ...]]:
+        """(D, integer coefficients of D*f) for the lcm D of the
+        denominators."""
+        den, ints = linalg.clear_denominators(self.coeffs)
+        return den, tuple(ints)
+
     def evaluate(self, x0, y0) -> Fraction:
+        """f(x0, y0) by Horner's rule on the integer-scaled form at the
+        point put over one denominator L: D*L^d*f(x0, y0) = (D*f)(L*x0, L*y0)
+        runs in int, and one division ends it."""
         x0, y0 = Fraction(x0), Fraction(y0)
-        acc = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            acc += c * x0 ** (self.degree - i) * y0**i
-        return acc
+        den, ints = self._scaled
+        lx = math.lcm(x0.denominator, y0.denominator)
+        x, y = x0.numerator * (lx // x0.denominator), y0.numerator * (lx // y0.denominator)
+        acc, ypow = 0, 1
+        for c in ints:
+            acc = acc * x + c * ypow
+            ypow *= y
+        return Fraction(acc, den * lx**self.degree)
 
     # arithmetic -----------------------------------------------------------
 
@@ -363,15 +428,19 @@ def mobius_substitute(f: BinaryForm, m) -> BinaryForm:
 
 
 def pencil_determinant(a, b) -> "BinaryForm":
-    """det(u*a + v*b) for square matrices a, b of size n, as a form of
-    degree n whose coefficient i sits on u^(n-i) v^i: det(a + k*b) at
-    k = 0..n, interpolated in k."""
+    """det(u*a + v*b) for square matrices a, b of size n (Fraction or int
+    entries), as a form of degree n whose coefficient i sits on u^(n-i) v^i:
+    with a and b scaled to integers by one common denominator D, the integer
+    determinants det(D*a + k*D*b) at k = 0..n, interpolated in k and divided
+    by D^n."""
     n = len(a)
+    den, flat = linalg.clear_denominators(x for m in (a, b) for row in m for x in row)
+    rows = [flat[i * n : (i + 1) * n] for i in range(2 * n)]
     values = [
-        linalg.det([[x + k * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+        linalg.det([[x + k * y for x, y in zip(ra, rb)] for ra, rb in zip(rows[:n], rows[n:])])
         for k in range(n + 1)
     ]
-    p = pinterpolate(values)
+    p = [c / den**n for c in pinterpolate(values)]
     return BinaryForm(n, tuple(p) + (Fraction(0),) * (n + 1 - len(p)))
 
 

@@ -28,13 +28,18 @@ from .binforms import (
     pgcd,
     pmul,
     pnorm,
+    primitive_prs,
     pscale,
     pshift,
     psub,
+    zdivexact,
+    zgcd,
 )
 
 # ---------------------------------------------------------------------------
-# polynomials in w over Q[sigma]: list indexed by w-power, entries unipolys
+# polynomials in w over Z[sigma]: list indexed by w-power, entries integer
+# unipolys in sigma (wadd, wmul, wevaluate and _divides take rational
+# entries too)
 
 
 def wnorm(f):
@@ -58,7 +63,7 @@ def wadd(f, g):
 
 
 def wsub(f, g):
-    return wadd(f, [pscale(c, -1) for c in g])
+    return wadd(f, [[-x for x in c] for c in g])
 
 
 def wmul(f, g):
@@ -78,7 +83,7 @@ def wmul_poly(f, p):
 
 
 def wderiv(f):
-    return wnorm([pscale(f[i], i) for i in range(1, len(f))])
+    return wnorm([[x * i for x in f[i]] for i in range(1, len(f))])
 
 
 def wpseudo_divmod(f, g):
@@ -88,7 +93,7 @@ def wpseudo_divmod(f, g):
     lead = g[-1]
     r = [list(c) for c in f]
     wnorm(r)
-    q: list[list[Fraction]] = []
+    q: list[list[int]] = []
     k = 0
     dg = wdeg(g)
     while wdeg(r) >= dg and r:
@@ -104,44 +109,55 @@ def wpseudo_divmod(f, g):
 
 
 def wprimitive(f):
-    """Divide out the gcd of the coefficients over Q[sigma] and normalize to
-    coprime integer coefficients with a positive leading leading-coefficient."""
+    """f over Q[sigma] divided by its content: coprime integer coefficients,
+    no common factor in sigma (the content over Z[sigma] comes from zgcd),
+    and a positive leading leading-coefficient."""
     if not f:
         return f
-    g: list[Fraction] = []
+    f = _over_z(f)
+    g: list[int] = []
     for c in f:
-        g = pgcd(g, c)
-    if pdeg(g) > 0:
-        f = [pdivexact(c, g) for c in f]
-    nums = [x for c in f for x in c]
-    den = math.lcm(*(x.denominator for x in nums))
-    gg = math.gcd(*(int(x * den) for x in nums))
-    lead = f[-1][-1]
-    sign = 1 if lead > 0 else -1
-    scale = Fraction(den, sign * gg)
-    return [pscale(c, scale) for c in f]
+        g = zgcd(g, c)
+        if len(g) == 1:
+            break
+    if len(g) > 1:
+        f = [zdivexact(c, g) for c in f]
+    n = math.gcd(*(x for c in f for x in c))
+    if f[-1][-1] < 0:
+        n = -n
+    return [[x // n for x in c] for c in f]
+
+
+def _over_z(f):
+    """f over Q[sigma] times the lcm of its denominators: the same
+    polynomial up to a positive scalar, over Z[sigma]."""
+    flat = iter(linalg.clear_denominators(x for c in f for x in c)[1])
+    return [[next(flat) for _ in c] for c in f]
 
 
 def wgcd(f, g):
-    """gcd over Q(sigma), returned primitive over Q[sigma]."""
-    a = [list(c) for c in f]
-    b = [list(c) for c in g]
-    wnorm(a), wnorm(b)
-    while b:
-        _, r, _ = wpseudo_divmod(a, b)
-        a, b = b, wprimitive(r) if r else []
-    return wprimitive(a)
+    """gcd over Q(sigma), returned primitive over Z[sigma]: the primitive
+    PRS over Z[sigma][w]."""
+    a, b = wnorm([list(c) for c in f]), wnorm([list(c) for c in g])
+    if not a or not b:
+        return wprimitive(a or b)
+    return wprimitive(primitive_prs(wprimitive(a), wprimitive(b), _wprem, wprimitive))
+
+
+def _wprem(f, g):
+    return wpseudo_divmod(f, g)[1]
 
 
 def wdivexact(f, g):
-    """Exact quotient in Q[sigma][w]; raises if not divisible."""
+    """Exact quotient in Z[sigma][w]; raises unless g divides f there (as
+    it does when g is primitive and divides f over Q(sigma))."""
     q, r, k = wpseudo_divmod(f, g)
     if r:
         raise ValueError("inexact division in w")
-    lead_power: list[Fraction] = [Fraction(1)]
+    lead_power = [1]
     for _ in range(k):
         lead_power = pmul(lead_power, g[-1])
-    return [pdivexact(c, lead_power) for c in q]
+    return [zdivexact(c, lead_power) for c in q]
 
 
 def wevaluate(f, s0: Fraction):
@@ -218,9 +234,8 @@ def uni_irreducible_factors(p) -> list[tuple[list[Fraction], int]]:
     """Monic irreducible factors of a unipoly over Q with multiplicities."""
     import sympy
 
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(p))
-    _, factors = sympy.Poly(expr, x, domain="QQ").factor_list()
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)]
+    _, factors = sympy.Poly.from_list(coeffs, sympy.Symbol("x"), domain="QQ").factor_list()
     out = []
     for fac, mult in factors:
         cs = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
@@ -245,8 +260,14 @@ class WFactor:
         return len(self.w_coeffs) - 1
 
 
+def _wfactor(g) -> WFactor:
+    return WFactor(tuple(tuple(map(Fraction, c)) for c in g))
+
+
 def _shift_coeffs(f, s0):
-    return [pshift(c, s0) for c in f]
+    """The sigma-coefficients of f moved to s0 = 0, as Q-polynomials for the
+    series arithmetic."""
+    return [pshift(list(map(Fraction, c)), s0) for c in f]
 
 
 def _lift_simple_root(fw, dfw, w0: Fraction, n: int):
@@ -327,7 +348,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     nonzero).  Returns a primitive factor with 1 <= w-degree <= bound, or None.
     Completeness needs one specialization with nonzero leading coefficient and
     squarefree fiber; non-reduced inputs are peeled via the radical."""
-    f = wnorm([list(map(Fraction, c)) for c in coeff_polys])
+    f = wnorm(_over_z([list(map(Fraction, c)) for c in coeff_polys]))
     nw = wdeg(f)
     if nw < 2:
         return None
@@ -342,7 +363,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         # a proper factor here and squarefree, so recursion hits the main path
         rad = wprimitive(wdivexact(f, g))
         if 1 <= wdeg(rad) <= bound:
-            return WFactor(tuple(tuple(c) for c in rad))
+            return _wfactor(rad)
         return search_w_factor(rad, bound) if wdeg(rad) >= 2 else None
 
     dmax = max(max(pdeg(c) for c in f), 0)
@@ -381,7 +402,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         a, b = cand
         g_cand = wprimitive([pscale(pshift(a, -s0), -1), pshift(b, -s0)])
         if _divides(f, g_cand):
-            return WFactor(tuple(tuple(c) for c in g_cand))
+            return _wfactor(g_cand)
 
     # degree-2 candidates: irreducible fiber quadratics and products of two
     # distinct rational fiber roots
@@ -413,7 +434,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
             ]
             g_cand = wprimitive([pshift(c, -s0) for c in g_cand])
             if _divides(f, g_cand):
-                return WFactor(tuple(tuple(c) for c in g_cand))
+                return _wfactor(g_cand)
     return None
 
 

@@ -73,6 +73,23 @@ class FamilySpec:
                             f"entry ({i},{j}) of A{k + 1} has degree "
                             f"{entry.degree}, expected {expected}"
                         )
+        # Zero entries pass at any expected degree, so the splitting degrees
+        # alone could ask for spectral coefficients (and a Delta) of any
+        # degree.  A spectral coefficient sums products of five entries, so
+        # one of degree above five times the largest nonzero entry degree is
+        # refused; that keeps every coefficient degree, the spectral form's
+        # nodes and h <= 4 * max(expected) (the six expected degrees sum to
+        # 3h/2) within the input's size.
+        reach = 5 * max(
+            (x.degree for a in (self.A1, self.A2) for row in a for x in row if not x.is_zero),
+            default=0,
+        )
+        top = max(expected_coefficient_degree(self, j) for j in range(6))
+        if top > reach:
+            raise ValueError(
+                f"splitting degrees expect a spectral coefficient of degree {top}, "
+                f"but products of five entries reach degree {reach} at most"
+            )
 
     def matrix(self, k: int):
         return self.A1 if k == 0 else self.A2
@@ -112,19 +129,14 @@ class SpectralForm:
 def spectral_form(spec: FamilySpec) -> SpectralForm:
     """det(u*A1 + v*A2), each (s,t)-coefficient interpolated from the fiber
     quintics det(u*A1(k,1) + v*A2(k,1)) at k = 0..D+1.  D is the largest
-    expected coefficient degree (at least 0), capped by the degree the
-    nonzero entries reach with one entry per row: zero entries pass
-    validation at any expected degree, and the cap keeps the node count
-    within the input's size.  The node beyond the D+1 that determine a
-    coefficient checks that coefficient j has degree at most
-    expected_coefficient_degree(spec, j), and is zero when that is negative;
-    a zero coefficient keeps the nominal degree max(expected, 0)."""
+    expected coefficient degree (at least 0), which FamilySpec bounds by
+    the degree that products of the nonzero entries reach.  The node beyond
+    the D+1 that determine a coefficient checks that coefficient j has
+    degree at most expected_coefficient_degree(spec, j), and is zero when
+    that is negative; a zero coefficient keeps the nominal degree
+    max(expected, 0)."""
     expected = [expected_coefficient_degree(spec, j) for j in range(6)]
-    reach = sum(
-        max((x.degree for a in (spec.A1, spec.A2) for x in a[i] if not x.is_zero), default=0)
-        for i in range(5)
-    )
-    nodes = min(max(max(expected), 0), reach) + 2
+    nodes = max(max(expected), 0) + 2
 
     def at(a, k):
         return [[x.evaluate(k, 1) for x in row] for row in a]

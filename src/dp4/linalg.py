@@ -7,14 +7,20 @@ first-nonzero, kernel bases come out in free-column order.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = list[Fraction]
 Matrix = list[Row]
 
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+def clear_denominators(xs) -> tuple[int, list[int]]:
+    """(D, [D*x for x in xs]) for the lcm D of the denominators of the
+    Fractions or ints xs: the integer-scaled copy that fraction-free
+    arithmetic runs on."""
+    xs = list(xs)
+    den = math.lcm(*(x.denominator for x in xs))
+    return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -86,25 +92,37 @@ def solve(a: Matrix, b: Row) -> Row | None:
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """Determinant by Bareiss fraction-free elimination over Z (Bareiss
+    1968): each row is scaled to integers by the lcm of its denominators,
+    every elimination step divides exactly by the previous pivot, and the
+    product of the row scales is divided out once at the end.  Pivots are
+    first-nonzero; entries may be Fractions or ints."""
     n = len(m)
-    a = [row[:] for row in m]
+    scale = 1
+    a = []
+    for row in m:
+        den, ints = clear_denominators(row)
+        a.append(ints)
+        scale *= den
     sign = 1
-    res = Fraction(1)
+    prev = 1
     for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        piv = next((i for i in range(col, n) if a[i][col]), None)
         if piv is None:
             return Fraction(0)
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
-        res *= a[col][col]
-        inv = 1 / a[col][col]
+        top = a[col]
+        p = top[col]
         for i in range(col + 1, n):
-            if a[i][col] != 0:
-                c = a[i][col] * inv
-                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
-    return sign * res
+            row = a[i]
+            c = row[col]
+            a[i] = [0] * (col + 1) + [
+                (p * x - c * y) // prev for x, y in zip(row[col + 1 :], top[col + 1 :])
+            ]
+        prev = p
+    return Fraction(sign * prev, scale)
 
 
 def det_minors(m, add, mul, neg, zero, is_zero):
@@ -142,22 +160,28 @@ def det_minors(m, add, mul, neg, zero, is_zero):
 
 
 def charpoly(m: Matrix) -> list[Fraction]:
-    """Characteristic polynomial det(x I - m) by Faddeev-LeVerrier.
+    """Characteristic polynomial det(x I - m) by Faddeev-LeVerrier over Z.
 
-    Returns coefficients [c_0, ..., c_n] with c_n = 1, index = power of x.
+    m is scaled to the integer matrix s*m by the lcm s of its denominators;
+    every trace of the integer recursion is divisible by its step k, and the
+    coefficient of x^i comes back divided by s^(n-i).  Returns coefficients
+    [c_0, ..., c_n] with c_n = 1, index = power of x.
     """
     n = len(m)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = identity(n)
+    s, flat = clear_denominators(x for row in m for x in row)
+    a = [flat[i * n : (i + 1) * n] for i in range(n)]
+    coeffs = [1] * (n + 1)
+    mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = mat_mul(m, mk)
+        mk = mat_mul(a, mk)
         trace = sum(mk[i][i] for i in range(n))
-        c = -trace / k
+        if trace % k:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by its step")
+        c = -trace // k
         coeffs[n - k] = c
         for i in range(n):
             mk[i][i] += c
-    return coeffs
+    return [Fraction(c, s ** (n - i)) for i, c in enumerate(coeffs)]
 
 
 def rank_over_field(m, field) -> int:

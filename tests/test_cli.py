@@ -158,6 +158,18 @@ def test_family_analyze_malformed(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("m", [1000, 10**9])
+def test_family_analyze_oversized_degrees_rejected(capsys, tmp_path, m):
+    from test_family import oversized_family_tree
+
+    path = write_json(tmp_path / "big.json", oversized_family_tree(m, 5))
+    code, out, err = run(capsys, "family", "analyze", "--input", path)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+    assert "entries reach degree 0" in err
+
+
 def test_family_scan_heights(capsys):
     code, tree, _ = run_json(capsys, "family", "scan-heights", "--max", "12")
     assert code == 0

@@ -33,6 +33,7 @@ from dp4.families import (
     substitute_squared,
 )
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
+from dp4.serialize import decode_family
 
 F = Fraction
 
@@ -239,30 +240,57 @@ def test_negative_height_is_not_generically_smooth():
     assert rep.genericity.g2_prime is False
 
 
-def test_spectral_form_nodes_bounded_by_entries():
-    # zero entries pass validation at any expected degree: with d = (-M,)*5
-    # and e = (-3M, -2M), A1 = 0 and a constant A2, the expected coefficient
-    # degrees are 5M - M*j while no coefficient can exceed degree 0
-    m = 1000
-    zero = tuple(tuple(BinaryForm.zero(0) for _ in range(5)) for _ in range(5))
-    diag = [1, 2, 3, 4, 5]
-    for last in (5, 0):  # det(A2) = 120 v^5, then a singular A2
-        diag[4] = last
-        a2 = tuple(
-            tuple(BinaryForm.constant(diag[i] if i == j else 0) for j in range(5))
+def oversized_family_tree(m, last):
+    """The JSON of d = (-M,)*5, e = (-3M, -2M), A1 = 0 and a constant
+    diagonal A2 with last entry ``last``: a few hundred bytes whose
+    splitting degrees ask for spectral coefficients of degree 5M - M*j and
+    h = 10M, while no entry has positive degree."""
+    zero = {"degree": 0, "coeffs": ["0"]}
+    diag = [1, 2, 3, 4, last]
+    return {
+        "type": "family",
+        "d": [-m] * 5,
+        "e": [-3 * m, -2 * m],
+        "A1": [[zero] * 5 for _ in range(5)],
+        "A2": [
+            [{"degree": 0, "coeffs": [str(diag[i] if i == j else 0)]} for j in range(5)]
             for i in range(5)
-        )
-        spec = FamilySpec((-m,) * 5, (-3 * m, -2 * m), zero, a2)
-        start = time.perf_counter()
-        if last:
-            sf = spectral_form(spec)
-            assert sf.degrees() == tuple(5 * m - m * j for j in range(6))
-            assert sf.coefficients[5] == BinaryForm.constant(120)
-            assert all(c.is_zero for c in sf.coefficients[:5])
-        else:
-            with pytest.raises(ValueError, match="generically degenerate"):
-                spectral_form(spec)
-        assert time.perf_counter() - start < 2
+        ],
+    }
+
+
+def test_spectral_form_nodes_bounded_by_entries():
+    # zero entries pass the entry-degree check at any expected degree, so
+    # the spec refuses splitting degrees whose spectral coefficients no
+    # product of entries reaches (det(A2) = 120 v^5, then a singular A2)
+    zero = tuple(tuple(BinaryForm.zero(0) for _ in range(5)) for _ in range(5))
+    for m in (1000, 10**9):
+        for last in (5, 0):
+            tree = oversized_family_tree(m, last)
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"degree {5 * m}, but products of five entries"):
+                decode_family(tree)
+            a2 = tuple(
+                tuple(BinaryForm.constant(int(x["coeffs"][0])) for x in row)
+                for row in tree["A2"]
+            )
+            with pytest.raises(ValueError, match="entries reach degree 0 at most"):
+                FamilySpec((-m,) * 5, (-3 * m, -2 * m), zero, a2)
+            assert time.perf_counter() - start < 1
+
+
+def test_forced_zero_coefficient_within_entry_reach_is_accepted():
+    # seed 94 draws a zero diagonal entry for A2: det(A2), the v^5
+    # coefficient of expected degree 5, vanishes, and the rows' largest
+    # entry degrees sum to 4 only; the spec stays valid and the zero keeps
+    # its nominal degree
+    spec = split_diagonal_example(94)
+    assert spec.A2[4][4].is_zero
+    sf = spectral_form(spec)
+    assert sf.coefficients[5].is_zero and sf.degrees()[5] == 5
+    rep = family_report(spec)
+    assert rep.genericity.g2_prime is False
+    assert rep.genericity.bounded_factor is not None
 
 
 def test_interpolated_delta_degree_is_checked():

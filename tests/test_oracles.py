@@ -2,16 +2,21 @@
 
 The spectral quintic of a pencil, the spectral form of a family and the
 discriminant of a family are interpolated from determinants at integer
-nodes, polynomial gcds run as primitive pseudo-remainder sequences over Z,
-and the constants of the J18^2 relation and of disc in J4^2, J8 are frozen
-literals.  The previous implementations live on here as oracles, unchanged:
-both spectral forms as the column-mixing expansion (Fraction determinants
-for a pencil, determinants over binary forms for a family), Delta as the
-8x8 Sylvester determinant over binary forms, the gcd as the Euclidean
-algorithm over Fraction, and both invariant constants as exact fits on
-sampled quintics.
+nodes, determinants and characteristic polynomials run fraction-free over
+Z, polynomial gcds run as primitive pseudo-remainder sequences over Z[x]
+and Z[sigma][w], and the constants of the J18^2 relation and of disc in
+J4^2, J8 are frozen literals.  The previous implementations live on here as
+oracles, unchanged: both spectral forms as the column-mixing expansion
+(Fraction determinants for a pencil, determinants over binary forms for a
+family), Delta as the 8x8 Sylvester determinant over binary forms, the
+determinant as Gaussian elimination over Fraction, the characteristic
+polynomial as Faddeev-LeVerrier over Fraction, the gcd over Q as the
+Euclidean algorithm over Fraction, the gcd over Q(sigma) as the pseudo-
+remainder sequence on Fraction coefficients, and both invariant constants
+as exact fits on sampled quintics.
 """
 
+import math
 import operator
 import random
 from contextlib import contextmanager
@@ -23,18 +28,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp4 import binforms, linalg
+from dp4 import binforms, factor_search, linalg
 from dp4.binforms import (
     BinaryForm,
     discriminant,
     pdeg,
     pderiv,
+    pdivexact,
     pdivmod,
     pmul,
     pnorm,
     pscale,
     psquarefree_decomposition,
     squarefree_profile,
+)
+from dp4.factor_search import (
+    twisted_factor_search,
+    wadd,
+    wdeg,
+    wmul,
+    wmul_poly,
+    wnorm,
+    wsub,
 )
 from dp4.families import (
     SpectralForm,
@@ -132,6 +147,110 @@ def fraction_pgcd(p, q):
     if not a:
         return []
     return pscale(a, 1 / a[-1])
+
+
+def fraction_det(m) -> Fraction:
+    """Determinant by fraction-exact Gaussian elimination."""
+    n = len(m)
+    a = [row[:] for row in m]
+    sign = 1
+    res = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        res *= a[col][col]
+        inv = 1 / a[col][col]
+        for i in range(col + 1, n):
+            if a[i][col] != 0:
+                c = a[i][col] * inv
+                a[i] = [x - c * y for x, y in zip(a[i], a[col])]
+    return sign * res
+
+
+def fraction_charpoly(m) -> list[Fraction]:
+    """Characteristic polynomial det(x I - m) by Faddeev-LeVerrier.
+
+    Returns coefficients [c_0, ..., c_n] with c_n = 1, index = power of x.
+    """
+    n = len(m)
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        mk = linalg.mat_mul(m, mk)
+        trace = sum(mk[i][i] for i in range(n))
+        c = -trace / k
+        coeffs[n - k] = c
+        for i in range(n):
+            mk[i][i] += c
+    return coeffs
+
+
+def fraction_wpseudo_divmod(f, g):
+    """(q, r, k) with lc(g)^k * f = q*g + r and deg_w r < deg_w g."""
+    if not g:
+        raise ZeroDivisionError("pseudo-division by zero")
+    lead = g[-1]
+    r = [list(c) for c in f]
+    wnorm(r)
+    q: list[list[Fraction]] = []
+    k = 0
+    dg = wdeg(g)
+    while wdeg(r) >= dg and r:
+        k += 1
+        shift = wdeg(r) - dg
+        top = r[-1]
+        r = wmul_poly(r, lead)
+        q = wmul_poly(q, lead)
+        term = [[] for _ in range(shift)] + [top]
+        q = wadd(q, term)
+        r = wsub(r, wmul(term, g))
+    return q, r, k
+
+
+def fraction_wprimitive(f):
+    """Divide out the gcd of the coefficients over Q[sigma] and normalize to
+    coprime integer coefficients with a positive leading leading-coefficient."""
+    if not f:
+        return f
+    g: list[Fraction] = []
+    for c in f:
+        g = fraction_pgcd(g, c)
+    if pdeg(g) > 0:
+        f = [pdivexact(c, g) for c in f]
+    nums = [x for c in f for x in c]
+    den = math.lcm(*(x.denominator for x in nums))
+    gg = math.gcd(*(int(x * den) for x in nums))
+    lead = f[-1][-1]
+    sign = 1 if lead > 0 else -1
+    scale = Fraction(den, sign * gg)
+    return [pscale(c, scale) for c in f]
+
+
+def fraction_wgcd(f, g):
+    """gcd over Q(sigma), returned primitive over Q[sigma]."""
+    a = [list(c) for c in f]
+    b = [list(c) for c in g]
+    wnorm(a), wnorm(b)
+    while b:
+        _, r, _ = fraction_wpseudo_divmod(a, b)
+        a, b = b, fraction_wprimitive(r) if r else []
+    return fraction_wprimitive(a)
+
+
+def fraction_wdivexact(f, g):
+    """Exact quotient in Q[sigma][w]; raises if not divisible."""
+    q, r, k = fraction_wpseudo_divmod(f, g)
+    if r:
+        raise ValueError("inexact division in w")
+    lead_power: list[Fraction] = [Fraction(1)]
+    for _ in range(k):
+        lead_power = pmul(lead_power, g[-1])
+    return [pdivexact(c, lead_power) for c in q]
 
 
 def fit_syzygy_coefficients() -> tuple[Fraction, ...]:
@@ -441,3 +560,140 @@ def test_squarefree_profile_of_delta_matches_oracle():
     spec = build_example("h10_ci", seed=1)
     delta = discriminant_family(spec).delta
     assert squarefree_profile(delta) == profile_oracle(delta)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free determinant and characteristic polynomial
+
+
+@st.composite
+def rational_matrices(draw, max_size=8):
+    """Square matrices of size 0..max_size with non-integral rational
+    entries; some made singular by a zero row or a row that combines two
+    others."""
+    n = draw(st.integers(0, max_size))
+    flat = draw(st.lists(rationals, min_size=n * n, max_size=n * n))
+    m = [flat[i * n : (i + 1) * n] for i in range(n)]
+    kind = draw(st.sampled_from(["generic", "zero row", "dependent row"]))
+    if n and kind == "zero row":
+        m[draw(st.integers(0, n - 1))] = [F(0)] * n
+    elif n >= 3 and kind == "dependent row":
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        a, b = draw(rationals), draw(rationals)
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@settings(max_examples=100)
+@given(rational_matrices())
+def test_det_matches_oracle(m):
+    fast = linalg.det([row[:] for row in m])
+    assert type(fast) is Fraction
+    assert fast == fraction_det([row[:] for row in m])
+
+
+def test_det_small_cases():
+    assert linalg.det([]) == 1
+    assert linalg.det([[F(3, 4)]]) == F(3, 4)
+    assert linalg.det([[F(0), F(1)], [F(1), F(0)]]) == -1  # one row swap
+    assert linalg.det([[1, 2], [2, 4]]) == 0  # int entries, singular
+    assert linalg.det([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]) == F(1, 14) - F(1, 15)
+
+
+@settings(max_examples=60)
+@given(rational_matrices())
+def test_charpoly_matches_oracle(m):
+    fast = linalg.charpoly([row[:] for row in m])
+    assert all(type(c) is Fraction for c in fast)
+    assert fast == fraction_charpoly([row[:] for row in m])
+
+
+# ---------------------------------------------------------------------------
+# primitive PRS over Z[sigma][w]
+
+sigma_polys = st.lists(st.integers(-6, 6), max_size=3).map(lambda c: pnorm(list(c)))
+w_polys = st.lists(sigma_polys, max_size=4).map(lambda f: wnorm(list(f)))
+
+
+def to_fractions(f):
+    return [[F(x) for x in c] for c in f]
+
+
+@st.composite
+def w_gcd_inputs(draw):
+    """f = a*g and h = b*g over Z[sigma][w]; the common factor g has
+    sigma-content c(sigma) and any of a, b, g may be zero or constant in w."""
+    a, b, g = draw(w_polys), draw(w_polys), draw(w_polys)
+    content = draw(sigma_polys.filter(bool))
+    g = wmul_poly(g, content)
+    return wmul(a, g), wmul(b, g)
+
+
+@settings(max_examples=200)
+@given(w_gcd_inputs())
+def test_wgcd_matches_oracle(pair):
+    f, h = pair
+    for x, y in ((f, h), (h, f)):
+        fast = factor_search.wgcd(x, y)
+        assert all(type(v) is int for c in fast for v in c)
+        assert fast == fraction_wgcd(to_fractions(x), to_fractions(y))
+
+
+@settings(max_examples=200)
+@given(w_polys, w_polys.filter(bool))
+def test_wpseudo_divmod_matches_oracle(f, g):
+    q, r, k = factor_search.wpseudo_divmod(f, g)
+    assert all(type(v) is int for p in (q, r) for c in p for v in c)
+    assert (q, r, k) == fraction_wpseudo_divmod(to_fractions(f), to_fractions(g))
+
+
+@settings(max_examples=200)
+@given(w_polys.filter(bool), st.integers(1, 12), sigma_polys.filter(bool))
+def test_wprimitive_matches_oracle(f, den, content):
+    # non-integral rational input with a sigma-content
+    f = [[F(x, den) for x in c] for c in wmul_poly(f, content)]
+    assert factor_search.wprimitive(f) == fraction_wprimitive(f)
+
+
+@settings(max_examples=200)
+@given(w_polys, w_polys.filter(bool))
+def test_wdivexact_matches_oracle(a, g):
+    g = factor_search.wprimitive(g)
+    f = wmul(a, g)
+    fast = factor_search.wdivexact(f, g)
+    assert fast == fraction_wdivexact(to_fractions(f), to_fractions(g))
+    assert wmul(fast, g) == f
+
+
+def test_wgcd_zero_and_constant_cases():
+    f = [[1, 2], [0, 0, 3], [5]]
+    assert factor_search.wgcd([], []) == []
+    assert factor_search.wgcd(f, []) == fraction_wgcd(to_fractions(f), [])
+    assert factor_search.wgcd([[7]], f) == [[1]]
+    # a common sigma-content is a unit over Q(sigma)
+    assert factor_search.wgcd([[0, 2]], [[0, -4], [0, 6]]) == [[1]]
+    g = [[0, 1], [0, 2]]  # sigma * (1 + 2w)
+    assert factor_search.wgcd(wmul(g, [[1], [3]]), wmul(g, [[2, 1]])) == [[1], [2]]
+
+
+@contextmanager
+def oracle_w_gcd():
+    """Route the factor search's gcd, pseudo-division, primitive part and
+    exact division through the Fraction oracles."""
+    with mock.patch.multiple(
+        factor_search,
+        wgcd=fraction_wgcd,
+        wpseudo_divmod=fraction_wpseudo_divmod,
+        wprimitive=fraction_wprimitive,
+        wdivexact=fraction_wdivexact,
+    ):
+        yield
+
+
+@pytest.mark.parametrize("make", model_and_engineered_specs())
+def test_factor_search_matches_fraction_oracle(make):
+    sf = spectral_form(make())
+    fast = twisted_factor_search(list(sf.coefficients), 2)
+    with oracle_w_gcd():
+        slow = twisted_factor_search(list(sf.coefficients), 2)
+    assert repr(fast) == repr(slow)

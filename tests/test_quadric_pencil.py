@@ -5,9 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dp4.binforms import BinaryForm, mobius_substitute
-from dp4.linalg import identity, mat_mul, transpose
+from dp4.linalg import det, mat_mul, transpose
 from dp4.pencils import (
     SymmetricPencil,
     blowup_from_quintic,
@@ -52,8 +54,6 @@ def test_spectral_quintic_equal_members():
 
 
 def test_spectral_quintic_evaluation_oracle():
-    from dp4.linalg import det
-
     rng = random.Random(301)
     for _ in range(3):
         P = random_symmetric(rng)
@@ -71,45 +71,65 @@ def test_spectral_quintic_evaluation_oracle():
             assert f.evaluate(u0, v0) == det(member)
 
 
-def test_spectral_quintic_congruence_covariance():
-    rng = random.Random(302)
-    P = diag([1, 2, 3, 4, 5])
-    Q = random_symmetric(rng)
-    pencil = SymmetricPencil(P, Q)
-    f = spectral_quintic(pencil)
-    g = [[F(rng.randint(-3, 3)) for _ in range(5)] for _ in range(5)]
-    from dp4.linalg import det
+# non-integral rationals: every denominator from 1 to 6
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+squares = st.lists(rationals, min_size=25, max_size=25).map(
+    lambda flat: [flat[5 * i : 5 * i + 5] for i in range(5)]
+)
 
-    dg = det([row[:] for row in g])
-    if dg == 0:
-        g[0][0] += 7
-        dg = det([row[:] for row in g])
-    gP = mat_mul(mat_mul(g, [list(r) for r in P]), transpose(g))
-    gQ = mat_mul(mat_mul(g, [list(r) for r in Q]), transpose(g))
-    pencil2 = SymmetricPencil(
-        tuple(tuple(r) for r in gP), tuple(tuple(r) for r in gQ)
+
+@st.composite
+def symmetric_matrices(draw):
+    entries = iter(draw(st.lists(rationals, min_size=15, max_size=15)))
+    m = [[F(0)] * 5 for _ in range(5)]
+    for i in range(5):
+        for j in range(i, 5):
+            m[i][j] = m[j][i] = next(entries)
+    return m
+
+
+def spectral_quintic_or_none(p, q):
+    try:
+        return spectral_quintic(SymmetricPencil(p, q))
+    except ValueError:
+        return None
+
+
+@settings(max_examples=60)
+@given(symmetric_matrices(), symmetric_matrices(), squares)
+def test_spectral_quintic_congruence_covariance(P, Q, M):
+    # P, Q -> M P M^T, M Q M^T scales det(uP + vQ) by det(M)^2
+    dm = det([row[:] for row in M])
+    assume(dm != 0)
+    f = spectral_quintic_or_none(P, Q)
+    g = spectral_quintic_or_none(
+        mat_mul(mat_mul(M, P), transpose(M)), mat_mul(mat_mul(M, Q), transpose(M))
     )
-    assert spectral_quintic(pencil2) == f.scale(dg * dg)
+    if f is None:
+        assert g is None
+    else:
+        assert g == f.scale(dm * dm)
 
 
-def test_spectral_quintic_basis_change_is_mobius():
-    rng = random.Random(303)
-    P = diag([1, 2, 3, 4, 5])
-    Q = random_symmetric(rng)
-    f = spectral_quintic(SymmetricPencil(P, Q))
+@settings(max_examples=30)
+@given(symmetric_matrices(), symmetric_matrices(), st.tuples(*[rationals] * 4))
+def test_spectral_quintic_basis_change_is_mobius(P, Q, abcd):
     # (u, v) -> (a u + b v, c u + d v) replaces the pencil members
-    a, b, c, d = 2, 1, 1, 1
-    P2 = tuple(
-        tuple(a * P[i][j] + c * Q[i][j] for j in range(5)) for i in range(5)
-    )
-    Q2 = tuple(
-        tuple(b * P[i][j] + d * Q[i][j] for j in range(5)) for i in range(5)
-    )
-    f2 = spectral_quintic(SymmetricPencil(P2, Q2))
+    a, b, c, d = abcd
+    assume(a * d - b * c != 0)
+    P2 = [[a * x + c * y for x, y in zip(rp, rq)] for rp, rq in zip(P, Q)]
+    Q2 = [[b * x + d * y for x, y in zip(rp, rq)] for rp, rq in zip(P, Q)]
+    f = spectral_quintic_or_none(P, Q)
+    f2 = spectral_quintic_or_none(P2, Q2)
+    if f is None:
+        assert f2 is None
+        return
     assert f2 == mobius_substitute(f, ((a, b), (c, d)))
-    prof1 = sorted((m, r.corank) for r in degeneracy_profile(SymmetricPencil(P, Q)) for m in [r.multiplicity])
-    prof2 = sorted((m, r.corank) for r in degeneracy_profile(SymmetricPencil(P2, Q2)) for m in [r.multiplicity])
-    assert prof1 == prof2
+
+    def coranks(p, q):
+        return sorted((r.multiplicity, r.corank) for r in degeneracy_profile(SymmetricPencil(p, q)))
+
+    assert coranks(P, Q) == coranks(P2, Q2)
 
 
 def test_degenerate_pencil_rejected():
