@@ -164,6 +164,21 @@ def pgcd(p, q):
     return [Fraction(c, g[-1]) for c in g]
 
 
+def pxgcd(a, b):
+    """(g, s, t) with s*a + t*b = g, a gcd over Q (not made monic): the
+    Euclidean algorithm over Q[x], which carries the cofactors the primitive
+    PRS does not."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, r = pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(s0, pmul(q, s1))
+        t0, t1 = t1, psub(t0, pmul(q, t1))
+    return r0, s0, t0
+
+
 def pderiv(p):
     return pnorm([p[i] * i for i in range(1, len(p))])
 

@@ -2,12 +2,15 @@
 
 Finds a nontrivial factor whose (u,v)-degree is at most a small bound (1 or 2
 in practice: a degree-5 cover splits only as 1+4 or 2+3 at coarsest).  The
-search is not general factorization: candidate fiber factors at one good
-rational specialization are lifted by exact power-series arithmetic, the
-series coefficients are turned back into rational functions by Pade
-approximation (a kernel computation), and every candidate is confirmed by
-exact division.  (s,t)-degrees of coefficients may vary with the (u,v)-power,
-so twisted spectral forms are searchable too.
+search is not general factorization.  It picks one rational specialization
+sigma = s0 with nonzero leading coefficient and squarefree fiber, which also
+proves the form squarefree in w (a form with no such point is replaced by its
+radical).  Each candidate fiber factor (a rational root, an irreducible
+quadratic, or a product of two rational roots) is Hensel-lifted to a factor
+of f(s0 + eps, w) mod a power of eps, its coefficient series are turned back
+into rational functions by Pade approximation (a kernel computation), and the
+candidate is confirmed by exact division.  (s,t)-degrees of coefficients may
+vary with the (u,v)-power, so twisted spectral forms are searchable too.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .binforms import (
@@ -22,6 +26,7 @@ from .binforms import (
     form_gcd,
     padd,
     pdeg,
+    pderiv,
     pdivexact,
     pdivmod,
     peval,
@@ -32,6 +37,7 @@ from .binforms import (
     pscale,
     pshift,
     psub,
+    pxgcd,
     zdivexact,
     zgcd,
 )
@@ -165,45 +171,7 @@ def wevaluate(f, s0: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# truncated power series over Q (dense lists of fixed length)
-
-
-def strunc(a, n):
-    out = list(a[:n])
-    out += [Fraction(0)] * (n - len(out))
-    return out
-
-
-def sadd(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def ssub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def smul(a, b, n):
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[: n - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def sinv(a, n):
-    if a[0] == 0:
-        raise ZeroDivisionError("series not invertible")
-    out = [Fraction(0)] * n
-    out[0] = 1 / a[0]
-    for k in range(1, n):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            if i < len(a) and a[i]:
-                acc += a[i] * out[k - i]
-        out[k] = -acc * out[0]
-    return out
+# Pade approximation over Q
 
 
 def pade(series, d, n):
@@ -264,90 +232,32 @@ def _wfactor(g) -> WFactor:
     return WFactor(tuple(tuple(map(Fraction, c)) for c in g))
 
 
-def _shift_coeffs(f, s0):
-    """The sigma-coefficients of f moved to s0 = 0, as Q-polynomials for the
-    series arithmetic."""
-    return [pshift(list(map(Fraction, c)), s0) for c in f]
-
-
-def _lift_simple_root(fw, dfw, w0: Fraction, n: int):
-    """Power-series root of f(eps, w) near a simple fiber root w0, mod eps^n."""
-    w = [Fraction(w0)]
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        w = strunc(w, prec)
-        val = _eval_series_poly(fw, w, prec)
-        der = _eval_series_poly(dfw, w, prec)
-        w = ssub(w, smul(val, sinv(der, prec), prec))
-    return strunc(w, n)
-
-
-def _eval_series_poly(fw, w, prec):
-    """Evaluate a w-polynomial with series coefficients at a series w."""
-    acc = strunc(fw[-1], prec)
-    for k in range(len(fw) - 2, -1, -1):
-        acc = sadd(smul(acc, w, prec), strunc(fw[k], prec))
-    return acc
-
-
-def _hensel_quadratic(fser, g0, h0, n_prec):
-    """Lift f = g*h from eps-order 1 to n_prec, g monic quadratic over Q at
-    order 0.  fser: list over w-power of series.  Returns (g, h) as lists over
-    w-power of series."""
-    # Bezout cofactors over Q[w] for the coprime fiber factors
-    gcd, s0, t0 = _wq_xgcd(g0, h0)
-    inv = 1 / gcd[0]
-    s0, t0 = pscale(s0, inv), pscale(t0, inv)
-    nw = len(fser) - 1
-    g = [strunc([c], n_prec) for c in g0]
-    h = [strunc([c], n_prec) for c in h0] + [
-        [Fraction(0)] * n_prec for _ in range(nw - 2 - pdeg(h0))
-    ]
-    for k in range(1, n_prec):
-        # defect at order k
-        prod = _bv_mul(g, h, n_prec)
-        delta = pnorm([fser[i][k] - prod[i][k] if i < len(prod) else fser[i][k] for i in range(len(fser))])
-        if not delta:
-            continue
-        u = pdivmod(pmul(t0, delta), g0)[1]
-        v = pdivexact(psub(delta, pmul(u, h0)), g0)
-        for i, c in enumerate(u):
-            g[i][k] += c
-        for i, c in enumerate(v):
-            h[i][k] += c
-    return g, h
-
-
-def _bv_mul(a, b, prec):
-    out = [[Fraction(0)] * prec for _ in range(len(a) + len(b) - 1)]
-    for i, sa in enumerate(a):
-        for j, sb in enumerate(b):
-            prod = smul(sa, sb, prec)
-            tgt = out[i + j]
-            for k, c in enumerate(prod):
-                tgt[k] += c
-    return out
-
-
-def _wq_xgcd(a, b):
-    """Extended gcd over Q[w] on unipoly representations."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1))
-        t0, t1 = t1, psub(t0, pmul(q, t1))
-    return r0, s0, t0
+def _hensel_lift(f_eps, g0, h0, n: int):
+    """Linear eps-adic lift of the fiber factorization f_0 = g0*h0, g0 monic
+    and coprime to h0, to f(s0 + eps, w) = g*h mod eps^n with g monic of the
+    degree of g0.  f_eps[k] is the w-polynomial f_k, the coefficient of
+    eps^k; each order solves g0*h_k + g_k*h0 = f_k - sum_{0<i<k} g_i*h_{k-i}
+    with deg g_k < deg g0.  Returns the eps-series of g's non-leading
+    coefficients, one per w-power below deg g0."""
+    gcd, _, t = pxgcd(g0, h0)
+    t = pscale(t, 1 / gcd[0])  # t*h0 = 1 mod g0
+    g, h = [g0], [h0]
+    for k in range(1, n):
+        rhs = f_eps[k]
+        for i in range(1, k):
+            rhs = psub(rhs, pmul(g[i], h[k - i]))
+        gk = pdivmod(pmul(t, rhs), g0)[1]
+        g.append(gk)
+        h.append(pdivexact(psub(rhs, pmul(gk, h0)), g0))
+    return [[gk[j] if j < len(gk) else Fraction(0) for gk in g] for j in range(pdeg(g0))]
 
 
 def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     """Core search on f(sigma, w) = sum coeff_polys[k] w^k (top coefficient
     nonzero).  Returns a primitive factor with 1 <= w-degree <= bound, or None.
     Completeness needs one specialization with nonzero leading coefficient and
-    squarefree fiber; non-reduced inputs are peeled via the radical."""
+    squarefree fiber; non-reduced inputs, which have none, are peeled via the
+    radical."""
     f = wnorm(_over_z([list(map(Fraction, c)) for c in coeff_polys]))
     nw = wdeg(f)
     if nw < 2:
@@ -355,84 +265,58 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     bound = min(bound, nw - 1)
     if bound < 1:
         return None
+    dmax = max(max(pdeg(c) for c in f), 0)
+    prec = 2 * dmax + 2
 
-    df = wderiv(f)
-    g = wgcd(f, df)
-    if wdeg(g) >= 1:
-        # non-reduced: every irreducible factor divides the radical, which is
-        # a proper factor here and squarefree, so recursion hits the main path
+    # one good specialization suffices when f is squarefree in w: the leading
+    # coefficient and the fiber discriminant vanish at finitely many points
+    for k in range(10 * (dmax + 2) + 20):
+        s0 = Fraction((-1) ** k * ((k + 1) // 2))
+        if peval(f[-1], s0) == 0:
+            continue
+        fib = wevaluate(f, s0)
+        if pdeg(pgcd(fib, pderiv(fib))) == 0:
+            break
+    else:
+        # a repeated factor of f stays repeated in every fiber where the
+        # leading coefficient survives, so f is non-reduced unless the
+        # points ran out; every irreducible factor divides the radical,
+        # which is proper and squarefree, so recursion takes the main path
+        g = wgcd(f, wderiv(f))
+        if wdeg(g) < 1:
+            raise RuntimeError("no squarefree specialization found")
         rad = wprimitive(wdivexact(f, g))
         if 1 <= wdeg(rad) <= bound:
             return _wfactor(rad)
         return search_w_factor(rad, bound) if wdeg(rad) >= 2 else None
 
-    dmax = max(max(pdeg(c) for c in f), 0)
-    prec = 2 * dmax + 2
+    # f_eps[k]: the coefficient of eps^k in f(s0 + eps, w), f_eps[0] = fib
+    shifted = [pshift(list(map(Fraction, c)), s0) for c in f]
+    f_eps = [
+        pnorm([c[k] if k < len(c) else Fraction(0) for c in shifted]) for k in range(prec)
+    ]
 
-    # one good specialization suffices: the leading coefficient and the fiber
-    # discriminant vanish at finitely many points only
-    s0 = None
-    for k in range(10 * (dmax + 2) + 20):
-        cand = Fraction((-1) ** k * ((k + 1) // 2))
-        if peval(f[-1], cand) == 0:
-            continue
-        fib = wevaluate(f, cand)
-        dfib = pnorm([fib[i] * i for i in range(1, len(fib))])
-        if pdeg(pgcd(fib, dfib)) > 0:
-            continue
-        s0 = cand
-        break
-    if s0 is None:
-        raise RuntimeError("no squarefree specialization found")
-
-    fib = wevaluate(f, s0)
+    # candidates: rational fiber roots, then irreducible fiber quadratics and
+    # products of two distinct rational fiber roots
     fib_factors = [fac for fac, _ in uni_irreducible_factors(fib)]
-    fser = [strunc(c, prec) for c in _shift_coeffs(f, s0)]
-    dser = [strunc(c, prec) for c in _shift_coeffs(df, s0)]
-
-    # degree-1 candidates: rational fiber roots
-    for fac in fib_factors:
-        if pdeg(fac) != 1:
-            continue
-        w0 = -fac[0]
-        series = _lift_simple_root(fser, dser, w0, prec)
-        cand = pade(series, dmax, prec)
-        if cand is None:
-            continue
-        a, b = cand
-        g_cand = wprimitive([pscale(pshift(a, -s0), -1), pshift(b, -s0)])
-        if _divides(f, g_cand):
-            return _wfactor(g_cand)
-
-    # degree-2 candidates: irreducible fiber quadratics and products of two
-    # distinct rational fiber roots
+    lins = [fac for fac in fib_factors if pdeg(fac) == 1]
+    candidates = list(lins)
     if bound >= 2:
-        quads = [fac for fac in fib_factors if pdeg(fac) == 2]
-        lins = [fac for fac in fib_factors if pdeg(fac) == 1]
-        for i in range(len(lins)):
-            for j in range(i + 1, len(lins)):
-                quads.append(pmul(lins[i], lins[j]))
-        for g0 in quads:
-            h0 = pdivexact(fib, g0)
-            gser, _ = _hensel_quadratic(fser, g0, h0, prec)
-            rats = []
-            ok = True
-            for idx in range(2):
-                cand = pade(gser[idx], dmax, prec)
-                if cand is None:
-                    ok = False
-                    break
-                rats.append(cand)
-            if not ok:
-                continue
-            (a0, b0), (a1, b1) = rats
-            den = pmul(b0, pdivexact(b1, pgcd(b0, b1)))
-            g_cand = [
-                pdivexact(pmul(a0, den), b0),
-                pdivexact(pmul(a1, den), b1),
-                den,
-            ]
-            g_cand = wprimitive([pshift(c, -s0) for c in g_cand])
+        candidates += [fac for fac in fib_factors if pdeg(fac) == 2]
+        candidates += [pmul(a, b) for a, b in combinations(lins, 2)]
+    for g0 in candidates:
+        rats = []
+        for series in _hensel_lift(f_eps, g0, pdivexact(fib, g0), prec):
+            rat = pade(series, dmax, prec)
+            if rat is None:
+                break
+            rats.append(rat)
+        else:
+            den = [Fraction(1)]
+            for _, b in rats:
+                den = pmul(den, pdivexact(b, pgcd(den, b)))
+            coeffs = [pdivexact(pmul(a, den), b) for a, b in rats] + [den]
+            g_cand = wprimitive([pshift(c, -s0) for c in coeffs])
             if _divides(f, g_cand):
                 return _wfactor(g_cand)
     return None

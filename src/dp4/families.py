@@ -256,10 +256,11 @@ def genericity_check(
     condition as a certificate: no rational factor of (u,v)-degree <= 2 in
     the spectral form, plus one fiber whose quintic has an irreducible
     factor of degree >= 2 (ruling out five conjugate sections).  A found
-    factor settles the question negatively; no factor and no witness leaves
-    the result inconclusive (None).  Callers that already hold the spectral
-    form and the discriminant pass them as ``sf`` and ``disc``, with
-    ``disc=None`` for Delta = 0."""
+    factor settles the question negatively and no witness is sought, so
+    ``witness`` is None whenever ``bounded_factor`` is set; no factor and no
+    witness leaves the result inconclusive (None).  Callers that already
+    hold the spectral form and the discriminant pass them as ``sf`` and
+    ``disc``, with ``disc=None`` for Delta = 0."""
     if sf is None:
         sf = spectral_form(spec)
     if disc is _COMPUTE:
@@ -268,18 +269,19 @@ def genericity_check(
     g1 = not degenerate and disc.g1_prime
     factor = twisted_factor_search(list(sf.coefficients), 2)
     witness = None
-    for s0, t0 in _witness_points():
-        fiber = sf.fiber(s0, t0)
-        if fiber.is_zero:
-            continue
-        x_part = list(fiber.x_poly())
-        degs = [
-            len(p) - 1 for p, _ in uni_irreducible_factors(x_part)
-        ] if len(x_part) > 1 else []
-        if any(deg >= 2 for deg in degs):
-            witness = (s0, t0)
-            break
-    certified = factor is None and witness is not None
+    if factor is None:
+        for s0, t0 in _witness_points():
+            fiber = sf.fiber(s0, t0)
+            if fiber.is_zero:
+                continue
+            x_part = list(fiber.x_poly())
+            degs = [
+                len(p) - 1 for p, _ in uni_irreducible_factors(x_part)
+            ] if len(x_part) > 1 else []
+            if any(deg >= 2 for deg in degs):
+                witness = (s0, t0)
+                break
+    certified = witness is not None
     if factor is not None or degenerate or not g1:
         g2 = False
     elif certified:

@@ -17,8 +17,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .binforms import BinaryForm, pdeg, pdivmod, pencil_determinant, pmul, pscale
-from .factor_search import _wq_xgcd, uni_irreducible_factors
+from .binforms import (
+    BinaryForm,
+    padd,
+    pdeg,
+    pdivmod,
+    pencil_determinant,
+    pmul,
+    pscale,
+    pxgcd,
+)
+from .factor_search import uni_irreducible_factors
 from .quintic import moduli_point, stability_classify
 
 
@@ -82,8 +91,6 @@ class _QuotientField:
         return pdivmod(list(p), self.phi)[1]
 
     def add(self, a, b):
-        from .binforms import padd
-
         return self.reduce(padd(a, b))
 
     def mul(self, a, b):
@@ -93,7 +100,7 @@ class _QuotientField:
         return pscale(a, -1)
 
     def inv(self, a):
-        g, s, _ = _wq_xgcd(a, self.phi)
+        g, s, _ = pxgcd(a, self.phi)
         if pdeg(g) != 0:
             raise ZeroDivisionError("not invertible in the quotient field")
         return self.reduce(pscale(s, 1 / g[0]))

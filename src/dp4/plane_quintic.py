@@ -29,7 +29,6 @@ from math import comb
 
 from . import linalg
 from .binforms import BinaryForm, discriminant, pdivmod
-from .factor_search import sadd, sinv, smul, ssub, strunc
 
 
 def monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -123,12 +122,62 @@ def _covector(p, q):
     )
 
 
-def _meet(l1, l2):
-    return _covector(l1, l2)
-
-
 def _on_line(covector, point) -> bool:
     return sum(a * b for a, b in zip(covector, point)) == 0
+
+
+# ---------------------------------------------------------------------------
+# truncated power series over Q (dense lists of fixed length)
+
+
+def strunc(a, n):
+    out = list(a[:n])
+    out += [Fraction(0)] * (n - len(out))
+    return out
+
+
+def sadd(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def ssub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def smul(a, b, n):
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def sinv(a, n):
+    if a[0] == 0:
+        raise ZeroDivisionError("series not invertible")
+    out = [Fraction(0)] * n
+    out[0] = 1 / a[0]
+    for k in range(1, n):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            if i < len(a) and a[i]:
+                acc += a[i] * out[k - i]
+        out[k] = -acc * out[0]
+    return out
+
+
+def _series_powers(series, degree: int, n: int):
+    """powers[v][e]: the truncated series of coordinate v to the power e,
+    for e up to degree."""
+    powers = []
+    for s in series:
+        row = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
+        for _ in range(degree):
+            row.append(smul(row[-1], s, n))
+        powers.append(row)
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +231,12 @@ def _partial(coeffs, var: int):
 
 def _eval_series(coeffs, degree: int, series, n: int):
     total = [Fraction(0)] * n
-    powers = []
-    for s in series:
-        row = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
-        for _ in range(degree):
-            row.append(smul(row[-1], s, n))
-        powers.append(row)
+    powers = _series_powers(series, degree, n)
     for c, (i, j, k) in zip(coeffs, monomials(degree)):
-        if not c:
-            continue
-        term = smul(powers[0][i], powers[1][j], n)
-        term = smul(term, powers[2][k], n)
-        total = sadd(total, [c * v for v in term])
-    return strunc(total, n)
+        if c:
+            term = smul(smul(powers[0][i], powers[1][j], n), powers[2][k], n)
+            total = sadd(total, [c * v for v in term])
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +281,7 @@ def _pick_lines(curve: PlaneQuintic, plus, special_points):
                 for p2, _, cov2, _ in chosen:
                     if tuple(p2) == tuple(p):
                         continue
-                    cross = _meet(cov, cov2)
+                    cross = _covector(cov, cov2)
                     if cross == (0, 0, 0) or curve.evaluate(cross) == 0:
                         bad = True
                         break
@@ -313,20 +355,9 @@ def h0_linear_system(curve: PlaneQuintic, plus, minus, extra_h: int = 0) -> int:
 
     for q, mult in minus:
         n = mult + 2
-        series = _branch_series(curve, q, n)
-        powers = []
-        for s in series:
-            row = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
-            for _ in range(deg_f):
-                row.append(smul(row[-1], s, n))
-            powers.append(row)
-        cond = [[] for _ in range(mult)]
-        for (i, j, k) in mons:
-            term = smul(powers[0][i], powers[1][j], n)
-            term = smul(term, powers[2][k], n)
-            for r in range(mult):
-                cond[r].append(term[r])
-        rows.extend(cond)
+        powers = _series_powers(_branch_series(curve, q, n), deg_f, n)
+        terms = [smul(smul(powers[0][i], powers[1][j], n), powers[2][k], n) for i, j, k in mons]
+        rows.extend([term[r] for term in terms] for r in range(mult))
 
     rank = linalg.rank([r[:] for r in rows]) if rows else 0
     v1 = len(mons) - rank

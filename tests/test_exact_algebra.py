@@ -3,6 +3,7 @@ discriminants, squarefree structure, bounded factor search, kernels."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -15,8 +16,8 @@ from dp4.binforms import (
     squarefree_profile,
 )
 from dp4.biforms import BiForm
-from dp4.factor_search import twisted_factor_search, wpseudo_divmod
-from dp4 import linalg
+from dp4.factor_search import WFactor, twisted_factor_search, wpseudo_divmod
+from dp4 import factor_search, linalg
 
 F = Fraction
 
@@ -206,24 +207,27 @@ def assert_result_divides(coeffs, found, bound):
         assert rem == []
 
 
-def test_factor_search_planted_linear():
-    # (s u - t v) * G has a bidegree-(1,1) factor
+def random_biform(rng, m, n, size):
+    return BiForm(
+        m, n, tuple(tuple(F(rng.randint(-size, size)) for _ in range(n + 1)) for _ in range(m + 1))
+    )
+
+
+L = BiForm(1, 1, ((F(1), F(0)), (F(0), F(-1))))  # s u - t v
+M = BiForm(1, 1, ((F(2), F(1)), (F(1), F(3))))  # 2 s u + s v + t u + 3 t v
+U = BiForm(0, 1, ((F(1), F(0)),))
+
+
+def planted_linear_cases():
+    # L * G has a bidegree-(1,1) factor
     rng = random.Random(108)
-    s_u_minus_t_v = BiForm(1, 1, ((F(1), F(0)), (F(0), F(-1))))
     for _ in range(3):
-        grid = tuple(
-            tuple(F(rng.randint(-4, 4)) for _ in range(5)) for _ in range(3)
-        )
-        g = BiForm(2, 4, grid)
-        if g.is_zero:
-            continue
-        coeffs = uv_coefficients(s_u_minus_t_v * g)
-        found = twisted_factor_search(coeffs, 1)
-        assert found is not None and found[0] == "factor"
-        assert_result_divides(coeffs, found, 1)
+        g = random_biform(rng, 2, 4, 4)
+        if not g.is_zero:
+            yield uv_coefficients(L * g)
 
 
-def test_factor_search_none_for_irreducible():
+def irreducible_case():
     # s u^5 - t v^5 has no factor of (u,v)-degree <= 2
     grid_rows = []
     for a in range(2):
@@ -231,40 +235,78 @@ def test_factor_search_none_for_irreducible():
         grid_rows.append(row)
     grid_rows[0][0] = F(1)
     grid_rows[1][5] = F(-1)
-    f = BiForm(1, 5, tuple(tuple(r) for r in grid_rows))
-    assert twisted_factor_search(uv_coefficients(f), 1) is None
-    assert twisted_factor_search(uv_coefficients(f), 2) is None
+    return uv_coefficients(BiForm(1, 5, tuple(tuple(r) for r in grid_rows)))
+
+
+def product_cases():
+    # products of a (1,1) and a (1,2) biform
+    rng = random.Random(109)
+    for _ in range(4):
+        f1, f2 = random_biform(rng, 1, 1, 3), random_biform(rng, 1, 2, 3)
+        if not (f1.is_zero or f2.is_zero):
+            yield uv_coefficients(f1 * f2)
+
+
+EARLY_RETURNS = [
+    # (s + 2t) * (s u^2 + t u v + (s + t) v^2)
+    ([lin(1, 2) * X, lin(1, 2) * Y, lin(1, 2) * lin(1, 1)], ("content", lin(1, 2))),
+    # u * (s u + t v): no v^2 term
+    ([X, Y, BinaryForm.zero(1)], ("u", None)),
+    # v * (s u + t v): no u^2 term
+    ([BinaryForm.zero(1), X, Y], ("v", None)),
+]
+
+
+def test_factor_search_planted_linear():
+    for coeffs in planted_linear_cases():
+        found = twisted_factor_search(coeffs, 1)
+        assert found is not None and found[0] == "factor"
+        assert_result_divides(coeffs, found, 1)
+
+
+def test_factor_search_none_for_irreducible():
+    assert twisted_factor_search(irreducible_case(), 1) is None
+    assert twisted_factor_search(irreducible_case(), 2) is None
 
 
 def test_factor_search_result_divides():
     # whenever a factor is reported it must divide exactly
-    rng = random.Random(109)
-    for _ in range(4):
-        f1 = BiForm(
-            1, 1, tuple(tuple(F(rng.randint(-3, 3)) for _ in range(2)) for _ in range(2))
-        )
-        f2 = BiForm(
-            1, 2, tuple(tuple(F(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2))
-        )
-        if f1.is_zero or f2.is_zero:
-            continue
-        coeffs = uv_coefficients(f1 * f2)
+    for coeffs in product_cases():
         assert_result_divides(coeffs, twisted_factor_search(coeffs, 2), 2)
 
 
-@pytest.mark.parametrize(
-    "coeffs, expected",
-    [
-        # (s + 2t) * (s u^2 + t u v + (s + t) v^2)
-        ([lin(1, 2) * X, lin(1, 2) * Y, lin(1, 2) * lin(1, 1)], ("content", lin(1, 2))),
-        # u * (s u + t v): no v^2 term
-        ([X, Y, BinaryForm.zero(1)], ("u", None)),
-        # v * (s u + t v): no u^2 term
-        ([BinaryForm.zero(1), X, Y], ("v", None)),
-    ],
-)
+@pytest.mark.parametrize("coeffs, expected", EARLY_RETURNS)
 def test_factor_search_early_returns(coeffs, expected):
     assert twisted_factor_search(coeffs, 2) == expected
+
+
+def wfactor(*w_coeffs):
+    return ("factor", WFactor(tuple(tuple(F(x) for x in c) for c in w_coeffs)))
+
+
+# Non-reduced forms, which have no squarefree fiber, so the search takes the
+# radical; G is a random (2,3) biform.  The expected results are those of the
+# gcd-first search that ran before the Hensel lift was unified.
+G = random_biform(random.Random(7), 2, 3, 4)
+NON_REDUCED = [
+    pytest.param(L * L * G, 1, wfactor([-1], [0, 1]), id="L2G-1"),
+    pytest.param(L * L * G, 2, wfactor([-1], [0, 1]), id="L2G-2"),
+    pytest.param(L * L * L * M * M, 1, wfactor([3, 1], [1, 2]), id="L3M2-1"),
+    pytest.param(L * L * L * M * M, 2, wfactor([-3, -1], [-1, 1, 1], [0, 1, 2]), id="L3M2-2"),
+    pytest.param(L * L * M * M * U, 1, ("u", None), id="L2M2u-1"),
+    pytest.param(L * L * M * M * U, 2, ("u", None), id="L2M2u-2"),
+]
+
+
+@pytest.mark.parametrize("f, bound, expected", NON_REDUCED)
+def test_factor_search_non_reduced(f, bound, expected):
+    coeffs = uv_coefficients(f)
+    with mock.patch.object(factor_search, "wgcd", wraps=factor_search.wgcd) as spy:
+        found = twisted_factor_search(coeffs, bound)
+    assert_result_divides(coeffs, found, bound)
+    assert repr(found) == repr(expected)
+    # every case but the early return reaches the radical
+    assert spy.called == (found[0] == "factor")
 
 
 def test_factor_search_zero_form_rejected():

@@ -5,10 +5,12 @@ bookkeeping, and the Chern-number identity."""
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
 
+from dp4 import families
 from dp4.binforms import BinaryForm
 from dp4.families import (
     FamilySpec,
@@ -367,6 +369,18 @@ def test_split_diagonal_fails_g2():
     assert gen.bounded_factor is not None
     assert gen.g2_prime is False
     assert gen.irreducible_certified is False
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_split_diagonal_skips_witness_search(seed):
+    # a found factor settles g2; the fiber witness would go unused
+    with mock.patch.object(
+        families, "uni_irreducible_factors", wraps=families.uni_irreducible_factors
+    ) as spy:
+        gen = genericity_check(split_diagonal_example(seed))
+    assert gen.bounded_factor is not None
+    assert gen.witness is None
+    assert spy.call_count == 0
 
 
 def test_generic_h10_certifies_g2():

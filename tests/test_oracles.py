@@ -4,7 +4,9 @@ The spectral quintic of a pencil, the spectral form of a family and the
 discriminant of a family are interpolated from determinants at integer
 nodes, determinants and characteristic polynomials run fraction-free over
 Z, polynomial gcds run as primitive pseudo-remainder sequences over Z[x]
-and Z[sigma][w], and the constants of the J18^2 relation and of disc in
+and Z[sigma][w], the bounded factor search lifts every candidate fiber
+factor by one linear Hensel lift and takes a gcd only on non-reduced forms,
+and the constants of the J18^2 relation and of disc in
 J4^2, J8 are frozen literals.  The previous implementations live on here as
 oracles, unchanged: both spectral forms as the column-mixing expansion
 (Fraction determinants for a pencil, determinants over binary forms for a
@@ -12,8 +14,9 @@ family), Delta as the 8x8 Sylvester determinant over binary forms, the
 determinant as Gaussian elimination over Fraction, the characteristic
 polynomial as Faddeev-LeVerrier over Fraction, the gcd over Q as the
 Euclidean algorithm over Fraction, the gcd over Q(sigma) as the pseudo-
-remainder sequence on Fraction coefficients, and both invariant constants
-as exact fits on sampled quintics.
+remainder sequence on Fraction coefficients, the bounded factor search as
+the gcd-first search with Newton iteration for roots and a quadratic Hensel
+lift, and both invariant constants as exact fits on sampled quintics.
 """
 
 import math
@@ -36,19 +39,34 @@ from dp4.binforms import (
     pderiv,
     pdivexact,
     pdivmod,
+    peval,
+    pgcd,
     pmul,
     pnorm,
     pscale,
+    pshift,
     psquarefree_decomposition,
+    psub,
     squarefree_profile,
 )
 from dp4.factor_search import (
+    WFactor,
+    _divides,
+    _over_z,
+    _wfactor,
+    pade,
     twisted_factor_search,
+    uni_irreducible_factors,
     wadd,
     wdeg,
+    wderiv,
+    wdivexact,
+    wevaluate,
+    wgcd,
     wmul,
     wmul_poly,
     wnorm,
+    wprimitive,
     wsub,
 )
 from dp4.families import (
@@ -59,6 +77,7 @@ from dp4.families import (
 )
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
 from dp4.pencils import SymmetricPencil, spectral_quintic
+from dp4.plane_quintic import sadd, sinv, smul, ssub, strunc
 from dp4.quintic import _raw_invariants, disc_as_invariant, syzygy_coefficients, syzygy_monomials
 
 F = Fraction
@@ -251,6 +270,170 @@ def fraction_wdivexact(f, g):
     for _ in range(k):
         lead_power = pmul(lead_power, g[-1])
     return [pdivexact(c, lead_power) for c in q]
+
+
+def _shift_coeffs(f, s0):
+    """The sigma-coefficients of f moved to s0 = 0, as Q-polynomials for the
+    series arithmetic."""
+    return [pshift(list(map(Fraction, c)), s0) for c in f]
+
+
+def _lift_simple_root(fw, dfw, w0: Fraction, n: int):
+    """Power-series root of f(eps, w) near a simple fiber root w0, mod eps^n."""
+    w = [Fraction(w0)]
+    prec = 1
+    while prec < n:
+        prec = min(2 * prec, n)
+        w = strunc(w, prec)
+        val = _eval_series_poly(fw, w, prec)
+        der = _eval_series_poly(dfw, w, prec)
+        w = ssub(w, smul(val, sinv(der, prec), prec))
+    return strunc(w, n)
+
+
+def _eval_series_poly(fw, w, prec):
+    """Evaluate a w-polynomial with series coefficients at a series w."""
+    acc = strunc(fw[-1], prec)
+    for k in range(len(fw) - 2, -1, -1):
+        acc = sadd(smul(acc, w, prec), strunc(fw[k], prec))
+    return acc
+
+
+def _hensel_quadratic(fser, g0, h0, n_prec):
+    """Lift f = g*h from eps-order 1 to n_prec, g monic quadratic over Q at
+    order 0.  fser: list over w-power of series.  Returns (g, h) as lists over
+    w-power of series."""
+    # Bezout cofactors over Q[w] for the coprime fiber factors
+    gcd, s0, t0 = _wq_xgcd(g0, h0)
+    inv = 1 / gcd[0]
+    s0, t0 = pscale(s0, inv), pscale(t0, inv)
+    nw = len(fser) - 1
+    g = [strunc([c], n_prec) for c in g0]
+    h = [strunc([c], n_prec) for c in h0] + [
+        [Fraction(0)] * n_prec for _ in range(nw - 2 - pdeg(h0))
+    ]
+    for k in range(1, n_prec):
+        # defect at order k
+        prod = _bv_mul(g, h, n_prec)
+        delta = pnorm([fser[i][k] - prod[i][k] if i < len(prod) else fser[i][k] for i in range(len(fser))])
+        if not delta:
+            continue
+        u = pdivmod(pmul(t0, delta), g0)[1]
+        v = pdivexact(psub(delta, pmul(u, h0)), g0)
+        for i, c in enumerate(u):
+            g[i][k] += c
+        for i, c in enumerate(v):
+            h[i][k] += c
+    return g, h
+
+
+def _bv_mul(a, b, prec):
+    out = [[Fraction(0)] * prec for _ in range(len(a) + len(b) - 1)]
+    for i, sa in enumerate(a):
+        for j, sb in enumerate(b):
+            prod = smul(sa, sb, prec)
+            tgt = out[i + j]
+            for k, c in enumerate(prod):
+                tgt[k] += c
+    return out
+
+
+_wq_xgcd = binforms.pxgcd
+
+
+def gcd_first_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
+    """Core search on f(sigma, w) = sum coeff_polys[k] w^k (top coefficient
+    nonzero).  Returns a primitive factor with 1 <= w-degree <= bound, or None.
+    Completeness needs one specialization with nonzero leading coefficient and
+    squarefree fiber; non-reduced inputs are peeled via the radical."""
+    f = wnorm(_over_z([list(map(Fraction, c)) for c in coeff_polys]))
+    nw = wdeg(f)
+    if nw < 2:
+        return None
+    bound = min(bound, nw - 1)
+    if bound < 1:
+        return None
+
+    df = wderiv(f)
+    g = wgcd(f, df)
+    if wdeg(g) >= 1:
+        # non-reduced: every irreducible factor divides the radical, which is
+        # a proper factor here and squarefree, so recursion hits the main path
+        rad = wprimitive(wdivexact(f, g))
+        if 1 <= wdeg(rad) <= bound:
+            return _wfactor(rad)
+        return gcd_first_search_w_factor(rad, bound) if wdeg(rad) >= 2 else None
+
+    dmax = max(max(pdeg(c) for c in f), 0)
+    prec = 2 * dmax + 2
+
+    # one good specialization suffices: the leading coefficient and the fiber
+    # discriminant vanish at finitely many points only
+    s0 = None
+    for k in range(10 * (dmax + 2) + 20):
+        cand = Fraction((-1) ** k * ((k + 1) // 2))
+        if peval(f[-1], cand) == 0:
+            continue
+        fib = wevaluate(f, cand)
+        dfib = pnorm([fib[i] * i for i in range(1, len(fib))])
+        if pdeg(pgcd(fib, dfib)) > 0:
+            continue
+        s0 = cand
+        break
+    if s0 is None:
+        raise RuntimeError("no squarefree specialization found")
+
+    fib = wevaluate(f, s0)
+    fib_factors = [fac for fac, _ in uni_irreducible_factors(fib)]
+    fser = [strunc(c, prec) for c in _shift_coeffs(f, s0)]
+    dser = [strunc(c, prec) for c in _shift_coeffs(df, s0)]
+
+    # degree-1 candidates: rational fiber roots
+    for fac in fib_factors:
+        if pdeg(fac) != 1:
+            continue
+        w0 = -fac[0]
+        series = _lift_simple_root(fser, dser, w0, prec)
+        cand = pade(series, dmax, prec)
+        if cand is None:
+            continue
+        a, b = cand
+        g_cand = wprimitive([pscale(pshift(a, -s0), -1), pshift(b, -s0)])
+        if _divides(f, g_cand):
+            return _wfactor(g_cand)
+
+    # degree-2 candidates: irreducible fiber quadratics and products of two
+    # distinct rational fiber roots
+    if bound >= 2:
+        quads = [fac for fac in fib_factors if pdeg(fac) == 2]
+        lins = [fac for fac in fib_factors if pdeg(fac) == 1]
+        for i in range(len(lins)):
+            for j in range(i + 1, len(lins)):
+                quads.append(pmul(lins[i], lins[j]))
+        for g0 in quads:
+            h0 = pdivexact(fib, g0)
+            gser, _ = _hensel_quadratic(fser, g0, h0, prec)
+            rats = []
+            ok = True
+            for idx in range(2):
+                cand = pade(gser[idx], dmax, prec)
+                if cand is None:
+                    ok = False
+                    break
+                rats.append(cand)
+            if not ok:
+                continue
+            (a0, b0), (a1, b1) = rats
+            den = pmul(b0, pdivexact(b1, pgcd(b0, b1)))
+            g_cand = [
+                pdivexact(pmul(a0, den), b0),
+                pdivexact(pmul(a1, den), b1),
+                den,
+            ]
+            g_cand = wprimitive([pshift(c, -s0) for c in g_cand])
+            if _divides(f, g_cand):
+                return _wfactor(g_cand)
+    return None
 
 
 def fit_syzygy_coefficients() -> tuple[Fraction, ...]:
@@ -697,3 +880,60 @@ def test_factor_search_matches_fraction_oracle(make):
     with oracle_w_gcd():
         slow = twisted_factor_search(list(sf.coefficients), 2)
     assert repr(fast) == repr(slow)
+
+
+# ---------------------------------------------------------------------------
+# one Hensel lift and one candidate loop
+
+
+@contextmanager
+def gcd_first_search():
+    """Route the factor search through the search it replaces: a gcd over
+    Z[sigma][w] first, Newton iteration on a series root for degree-1
+    candidates and a quadratic Hensel lift for degree-2 ones."""
+    with mock.patch.object(factor_search, "search_w_factor", gcd_first_search_w_factor):
+        yield
+
+
+def factor_search_inputs():
+    from test_exact_algebra import (
+        EARLY_RETURNS,
+        NON_REDUCED,
+        irreducible_case,
+        planted_linear_cases,
+        product_cases,
+        uv_coefficients,
+    )
+
+    for make in model_and_engineered_specs():
+        (mk,) = make.values
+        yield pytest.param(lambda mk=mk: list(spectral_form(mk()).coefficients), 2, id=make.id)
+    for case in NON_REDUCED:
+        f, bound, _ = case.values
+        yield pytest.param(lambda f=f: uv_coefficients(f), bound, id=case.id)
+    for k, coeffs in enumerate(planted_linear_cases()):
+        yield pytest.param(lambda c=coeffs: c, 1, id=f"planted-linear-{k}")
+    for bound in (1, 2):
+        yield pytest.param(irreducible_case, bound, id=f"irreducible-{bound}")
+    for k, coeffs in enumerate(product_cases()):
+        yield pytest.param(lambda c=coeffs: c, 2, id=f"product-{k}")
+    for k, (coeffs, _) in enumerate(EARLY_RETURNS):
+        yield pytest.param(lambda c=coeffs: c, 2, id=f"early-return-{k}")
+
+
+@pytest.mark.parametrize("make, bound", factor_search_inputs())
+def test_factor_search_matches_gcd_first_oracle(make, bound):
+    coeffs = make()
+    fast = twisted_factor_search(coeffs, bound)
+    with gcd_first_search():
+        slow = twisted_factor_search(coeffs, bound)
+    assert repr(fast) == repr(slow)
+
+
+@pytest.mark.parametrize("make", model_and_engineered_specs())
+def test_factor_search_skips_gcd_on_reduced_spectral_forms(make):
+    # a squarefree fiber proves the spectral form squarefree in w
+    sf = spectral_form(make())
+    with mock.patch.object(factor_search, "wgcd", wraps=factor_search.wgcd) as spy:
+        twisted_factor_search(list(sf.coefficients), 2)
+    assert spy.call_count == 0
