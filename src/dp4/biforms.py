@@ -70,14 +70,3 @@ class BiForm:
     def scale(self, c) -> "BiForm":
         c = Fraction(c)
         return BiForm(self.m, self.n, tuple(tuple(x * c for x in r) for r in self.grid))
-
-    def evaluate_st(self, s0, t0) -> BinaryForm:
-        """Specialize (s,t); returns a form in (u,v)."""
-        s0, t0 = Fraction(s0), Fraction(t0)
-        coeffs = [Fraction(0)] * (self.n + 1)
-        for a, row in enumerate(self.grid):
-            w = s0 ** (self.m - a) * t0**a
-            if w:
-                for b, c in enumerate(row):
-                    coeffs[b] += c * w
-        return BinaryForm(self.n, tuple(coeffs))

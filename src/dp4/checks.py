@@ -19,6 +19,7 @@ from .families import (
     chern_verify,
     dimension_identities_symbolic,
     dimension_report,
+    discriminant_family,
     genericity_check,
     height,
     height_bounds_scan,
@@ -186,7 +187,8 @@ def _check_family_numerics(rng: Random):
     seed = rng.randint(1, 10**6)
     conditions = {}
     for name, want_class in (("h8_ci", (0, 2, 5)), ("h10_ci", (1, 5, 5))):
-        spec, _, disc = models._build_family(name, seed)
+        spec = models.build_example(name, seed)
+        disc = discriminant_family(spec)
         sc = spectral_class(spec)
         conditions[f"{name}_delta_degree"] = disc.degree == 2 * height(spec)
         conditions[f"{name}_delta_expected"] = disc.degree == {
@@ -255,8 +257,7 @@ def _check_conic_identity(rng: Random):
     failures = []
     for k in range(20):
         spec = models.random_conic_bundle(rng.randint(1, 10**9))
-        rep = models.conic_report(spec)
-        if not (rep.identity and rep.branch_divides):
+        if not models.conic_identity_check(spec):
             failures.append(k)
     return not failures, {"instances": 20, "failures": failures}
 

@@ -200,6 +200,16 @@ def _cmd_family_analyze(args):
     return _family_tree(spec), EXIT_OK
 
 
+def _scan_row(r) -> dict:
+    return {
+        "a": r.a,
+        "n": r.n,
+        "alpha": r.alpha,
+        "genus": r.genus,
+        "full_weyl_impossible": r.full_weyl_impossible,
+    }
+
+
 def _cmd_family_scan(args):
     if args.max < 0 or args.max > 200:
         raise UsageError("--max must lie in 0..200")
@@ -209,26 +219,8 @@ def _cmd_family_scan(args):
         heights.append(
             {
                 "height": h,
-                "reduced": [
-                    {
-                        "a": r.a,
-                        "n": r.n,
-                        "alpha": r.alpha,
-                        "genus": r.genus,
-                        "full_weyl_impossible": r.full_weyl_impossible,
-                    }
-                    for r in scan["reduced"]
-                ],
-                "irreducible": [
-                    {
-                        "a": r.a,
-                        "n": r.n,
-                        "alpha": r.alpha,
-                        "genus": r.genus,
-                        "full_weyl_impossible": r.full_weyl_impossible,
-                    }
-                    for r in scan["irreducible"]
-                ],
+                "reduced": [_scan_row(r) for r in scan["reduced"]],
+                "irreducible": [_scan_row(r) for r in scan["irreducible"]],
             }
         )
     return {"max": args.max, "heights": heights}, EXIT_OK

@@ -17,12 +17,17 @@ interpolation; squarefreeness is the simple-branching flag, and a
 bounded factor search plus a fiber irreducibility witness certify the full
 Galois-group condition.  The Chern-class identity for the cube of the
 relative dualizing sheaf is verified symbolically in a tiny Chow ring.
+
+The spectral form, Delta and the certificate are functions of the frozen
+FamilySpec alone, each memoized per spec (CACHE_BOUND entries), so a spec
+is analyzed once however many reports, builds and checks ask about it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from . import linalg
@@ -35,6 +40,11 @@ from .binforms import (
     squarefree_profile,
 )
 from .factor_search import twisted_factor_search, uni_irreducible_factors
+
+# Entries kept by each per-spec memo (spectral form, Delta, certificate).  At
+# least models.RETRY_BOUND, so that every attempt of one seeded build stays
+# cached when the build is repeated.
+CACHE_BOUND = 32
 
 
 @dataclass(frozen=True)
@@ -126,6 +136,7 @@ class SpectralForm:
         return tuple(c.degree for c in self.coefficients)
 
 
+@lru_cache(maxsize=CACHE_BOUND)
 def spectral_form(spec: FamilySpec) -> SpectralForm:
     """det(u*A1 + v*A2), each (s,t)-coefficient interpolated from the fiber
     quintics det(u*A1(k,1) + v*A2(k,1)) at k = 0..D+1.  D is the largest
@@ -199,26 +210,21 @@ class DiscriminantReport:
     singular_fiber_count: int
 
 
-def discriminant_family(
-    spec: FamilySpec, sf: SpectralForm | None = None
-) -> DiscriminantReport:
-    """The (u,v)-discriminant of the spectral form as an (s,t)-form of
-    degree 2h, with the simple-branching flag (squarefree) and the count of
-    distinct singular fibers.  Delta is interpolated from the fiber
-    discriminants Delta(k, 1) = disc(fiber over (k : 1)) at k = 0..2h+1; the
-    node beyond the 2h+1 that determine it checks the degree.  Pass the
-    spectral form ``sf`` when it is already at hand."""
-    if sf is None:
-        sf = spectral_form(spec)
+@lru_cache(maxsize=CACHE_BOUND)
+def _discriminant_or_none(spec: FamilySpec) -> DiscriminantReport | None:
+    """discriminant_family, with None where Delta = 0 (h < 0 included).
+    The memoized Delta step: lru_cache keeps no exception, so returning None
+    is what lets a family that is not generically smooth be analyzed once."""
+    sf = spectral_form(spec)
     h = height(spec)
     if h < 0:
-        raise ValueError("non-generically-smooth")  # no nonzero form of degree 2h
+        return None  # no nonzero form of degree 2h
     values = [discriminant(sf.fiber(k, 1)) for k in range(2 * h + 2)]
     poly = pinterpolate(values)
     if pdeg(poly) > 2 * h:
         raise RuntimeError("discriminant degree violates bookkeeping")
     if not poly:
-        raise ValueError("non-generically-smooth")
+        return None
     delta = BinaryForm.from_x_poly(poly, 2 * h)
     if delta.degree == 0:
         return DiscriminantReport(delta, 0, True, 0)
@@ -228,12 +234,16 @@ def discriminant_family(
     return DiscriminantReport(delta, delta.degree, g1, count)
 
 
-def _discriminant_or_none(spec: FamilySpec, sf: SpectralForm) -> DiscriminantReport | None:
-    """discriminant_family, with None for Delta = 0 (not generically smooth)."""
-    try:
-        return discriminant_family(spec, sf)
-    except ValueError:
-        return None
+def discriminant_family(spec: FamilySpec) -> DiscriminantReport:
+    """The (u,v)-discriminant of the spectral form as an (s,t)-form of
+    degree 2h, with the simple-branching flag (squarefree) and the count of
+    distinct singular fibers.  Delta is interpolated from the fiber
+    discriminants Delta(k, 1) = disc(fiber over (k : 1)) at k = 0..2h+1; the
+    node beyond the 2h+1 that determine it checks the degree."""
+    disc = _discriminant_or_none(spec)
+    if disc is None:
+        raise ValueError("non-generically-smooth")
+    return disc
 
 
 @dataclass(frozen=True)
@@ -246,25 +256,20 @@ class GenericityReport:
     full_weyl_impossible: bool
 
 
-_COMPUTE = object()
-
-
-def genericity_check(
-    spec: FamilySpec, sf: SpectralForm | None = None, disc=_COMPUTE
-) -> GenericityReport:
+@lru_cache(maxsize=CACHE_BOUND)
+def genericity_check(spec: FamilySpec) -> GenericityReport:
     """Simple branching from the discriminant; the full-Galois-group
     condition as a certificate: no rational factor of (u,v)-degree <= 2 in
     the spectral form, plus one fiber whose quintic has an irreducible
     factor of degree >= 2 (ruling out five conjugate sections).  A found
     factor settles the question negatively and no witness is sought, so
     ``witness`` is None whenever ``bounded_factor`` is set; no factor and no
-    witness leaves the result inconclusive (None).  Callers that already
-    hold the spectral form and the discriminant pass them as ``sf`` and
-    ``disc``, with ``disc=None`` for Delta = 0."""
-    if sf is None:
-        sf = spectral_form(spec)
-    if disc is _COMPUTE:
-        disc = _discriminant_or_none(spec, sf)
+    witness leaves the result inconclusive (None)."""
+    sf = spectral_form(spec)
+    try:
+        disc = discriminant_family(spec)
+    except ValueError:  # Delta = 0
+        disc = None
     degenerate = disc is None
     g1 = not degenerate and disc.g1_prime
     factor = twisted_factor_search(list(sf.coefficients), 2)
@@ -535,35 +540,6 @@ def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
     return FamilySpec(d, e, restrict(q1), restrict(q2))
 
 
-def family_from_ci(presentation: dict) -> FamilySpec:
-    """Dispatch a complete-intersection presentation dict (see the JSON
-    formats in serialize) to the typed constructors."""
-    kind = presentation.get("presentation")
-    if kind == "ci_p1xp4":
-        from .serialize import decode_form
-
-        pairs = []
-        for item in presentation["forms"]:
-            m = item["st_degree"]
-            gram = [[decode_form(x) for x in row] for row in item["gram"]]
-            pairs.append((m, tuple(tuple(row) for row in gram)))
-        return family_from_quadric_pair(pairs)
-    if kind == "ci_p1xp5":
-        from .serialize import decode_rational
-
-        linear = presentation["forms"][0]
-        alpha = [decode_rational(x) for x in linear["alpha"]]
-        beta = [decode_rational(x) for x in linear["beta"]]
-        grams = [
-            [[decode_rational(x) for x in row] for row in item["gram"]]
-            for item in presentation["forms"][1:]
-        ]
-        if len(grams) != 2:
-            raise ValueError("ci_p1xp5 needs two quadric grams")
-        return family_from_linear_plus_quadrics(alpha, beta, grams[0], grams[1])
-    raise ValueError(f"unknown presentation {kind!r}")
-
-
 def substitute_squared(spec: FamilySpec) -> FamilySpec:
     """Pull the family back along (s,t) -> (s^2, t^2); splitting degrees
     double and the discriminant becomes the old one in (s^2, t^2)."""
@@ -579,35 +555,6 @@ def substitute_squared(spec: FamilySpec) -> FamilySpec:
     a1 = tuple(tuple(sq(x) for x in row) for row in spec.A1)
     a2 = tuple(tuple(sq(x) for x in row) for row in spec.A2)
     return FamilySpec(d, e, a1, a2)
-
-
-# ---------------------------------------------------------------------------
-# fiberwise invariant degree audit
-
-
-def fiber_invariant_degree_audit(spec: FamilySpec) -> dict:
-    """Degrees in the base parameter of the fiberwise invariants, versus the
-    predicted d*h/4; reported, not asserted (base loci can drop degrees)."""
-    from .quintic import _raw_invariants
-
-    h = height(spec)
-    sf = spectral_form(spec)
-    maxdeg = max(c.degree for c in sf.coefficients)
-    out = {}
-    for name, weight, idx in (("J4", 4, 0), ("J8", 8, 1), ("J12", 12, 2), ("J18", 18, 3)):
-        bound = weight * maxdeg + 1
-        values = []
-        for x in range(bound + 1):
-            fib = sf.fiber(Fraction(x), Fraction(1))
-            values.append(_raw_invariants(fib)[idx])
-        degree = pdeg(pinterpolate(values))
-        predicted = weight * h // 4
-        out[name] = {
-            "degree": degree,
-            "predicted": predicted,
-            "matches": degree == predicted,
-        }
-    return out
 
 
 @dataclass(frozen=True)
@@ -629,8 +576,8 @@ def family_report(spec: FamilySpec) -> FamilyReport:
     h = height(spec)
     sf = spectral_form(spec)
     sc = spectral_class(spec)
-    disc = _discriminant_or_none(spec, sf)
-    gen = genericity_check(spec, sf, disc)
+    gen = genericity_check(spec)
+    disc = _discriminant_or_none(spec)
     return FamilyReport(
         height=h,
         coefficient_degrees=sf.degrees(),

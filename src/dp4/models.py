@@ -34,9 +34,7 @@ from random import Random
 from .biforms import BiForm
 from .binforms import BinaryForm, squarefree_profile
 from .families import (
-    DiscriminantReport,
     FamilySpec,
-    SpectralForm,
     arithmetic_genus,
     discriminant_family,
     family_from_linear_plus_quadrics,
@@ -44,7 +42,6 @@ from .families import (
     genericity_check,
     height,
     spectral_class,
-    spectral_form,
     substitute_squared,
 )
 
@@ -309,12 +306,6 @@ def build_example(name: str, seed=1):
         )
     if name not in _FAMILY_MAKERS:
         raise ValueError(f"unknown example {name!r}")
-    return _build_family(name, seed)[0]
-
-
-def _build_family(name: str, seed) -> tuple[FamilySpec, SpectralForm, DiscriminantReport]:
-    """build_example for a bundle route, with the spectral form and the
-    discriminant its certificate was computed from."""
     make = _FAMILY_MAKERS[name]
     last = "no attempt"
     for attempt in range(RETRY_BOUND):
@@ -324,14 +315,9 @@ def _build_family(name: str, seed) -> tuple[FamilySpec, SpectralForm, Discrimina
         except ValueError as exc:
             last = str(exc)
             continue
-        sf = spectral_form(spec)
-        try:
-            disc = discriminant_family(spec, sf)
-        except ValueError:
-            disc = None
-        rep = genericity_check(spec, sf, disc)
+        rep = genericity_check(spec)
         if rep.g1_prime and rep.g2_prime is True:
-            return spec, sf, disc
+            return spec
         last = "genericity certificate failed"
     raise ValueError(
         f"{name}: no generic instance in {RETRY_BOUND} attempts ({last})"
@@ -377,7 +363,8 @@ def verify_example(name: str, seed=1) -> dict:
             "branch_squarefree": rep.branch_squarefree,
         }
     else:
-        spec, _, disc = _build_family(name, seed)
+        spec = build_example(name, seed)
+        disc = discriminant_family(spec)
         h = height(spec)
         sc = spectral_class(spec)
         cls = (sc.cls.n, sc.cls.alpha, sc.cls.beta)
@@ -441,7 +428,6 @@ def split_diagonal_example(seed=1) -> FamilySpec:
         spec = family_from_quadric_pair(
             ((0, gram0), (1, tuple(tuple(r) for r in rows)))
         )
-        rep = genericity_check(spec)
-        if rep.g2_prime is False and rep.bounded_factor is not None:
+        if genericity_check(spec).bounded_factor is not None:
             return spec
     raise ValueError(f"no usable diagonal instance in {RETRY_BOUND} attempts")

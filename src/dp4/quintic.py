@@ -202,50 +202,3 @@ def moduli_point(f: BinaryForm) -> ModuliPoint:
         raise ValueError("not in U")
     j4, j8, j12, _ = invariants(f).as_tuple()
     return normalize_weighted((j4, j8, j12))
-
-
-def _is_rational_square(x: Fraction) -> bool:
-    if x < 0:
-        return False
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    return rn * rn == x.numerator and rd * rd == x.denominator
-
-
-def _icbrt(n: int) -> int:
-    """Floor of the cube root of an integer n >= 0, by integer Newton
-    iteration from a power of two above it."""
-    if n < 2:
-        return n
-    r = 1 << -(-n.bit_length() // 3)
-    while True:
-        s = (2 * r + n // (r * r)) // 3
-        if s >= r:
-            return r
-        r = s
-
-
-def _is_rational_cube(x: Fraction) -> bool:
-    n, d = abs(x.numerator), x.denominator
-    return _icbrt(n) ** 3 == n and _icbrt(d) ** 3 == d
-
-
-def same_point(f: BinaryForm, g: BinaryForm) -> bool:
-    """Whether two quintics in U have equal weighted moduli points; decided
-    by cross-ratios and rational square/cube tests, no factorization."""
-    x, y, z, _ = invariants(f).as_tuple()
-    x2, y2, z2, _ = invariants(g).as_tuple()
-    if (x, y, z) == (0, 0, 0) or (x2, y2, z2) == (0, 0, 0):
-        raise ValueError("degenerate invariant triple")
-    if (x == 0) != (x2 == 0) or (y == 0) != (y2 == 0) or (z == 0) != (z2 == 0):
-        return False
-    if x != 0:
-        lam = x2 / x
-        return y2 == y * lam**2 and z2 == z * lam**3
-    if y != 0:
-        if not _is_rational_square(y2 / y):
-            return False
-        if z == 0:
-            return True
-        return (z2 / z) ** 2 == (y2 / y) ** 3
-    return _is_rational_cube(z2 / z)

@@ -10,8 +10,9 @@ from unittest import mock
 import pytest
 import sympy
 
+from conftest import FAMILY_CACHES, clear_family_caches
 from dp4 import families
-from dp4.binforms import BinaryForm
+from dp4.binforms import BinaryForm, discriminant
 from dp4.families import (
     FamilySpec,
     HirzebruchClass,
@@ -22,11 +23,9 @@ from dp4.families import (
     dimension_report,
     discriminant_family,
     expected_coefficient_degree,
-    family_from_ci,
     family_from_linear_plus_quadrics,
     family_from_quadric_pair,
     family_report,
-    fiber_invariant_degree_audit,
     genericity_check,
     height,
     height_bounds_scan,
@@ -295,52 +294,79 @@ def test_forced_zero_coefficient_within_entry_reach_is_accepted():
     assert rep.genericity.bounded_factor is not None
 
 
-def test_interpolated_delta_degree_is_checked():
+def test_interpolated_delta_degree_is_checked(monkeypatch):
     # the squared family's Delta has degree 40; fed with the unsquared spec
     # (2h = 20) the 22 nodes fit no form of degree 20
     spec = build_example("h10_ci", seed=1)
     squared_sf = spectral_form(substitute_squared(spec))
+    monkeypatch.setattr(families, "spectral_form", lambda _: squared_sf)
     with pytest.raises(RuntimeError, match="violates bookkeeping"):
-        discriminant_family(spec, squared_sf)
+        families._discriminant_or_none.__wrapped__(spec)
 
 
-def counting(monkeypatch, module_names, name):
-    # count calls of families.<name> through the listed module bindings
-    import importlib
-
-    calls = []
-    original = getattr(importlib.import_module("dp4.families"), name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for module in module_names:
-        monkeypatch.setattr(f"dp4.{module}.{name}", counted)
-    return calls
+def computations():
+    """(spectral forms, Deltas) computed since the family caches were
+    cleared: the misses of the two memoized steps."""
+    return (
+        families.spectral_form.cache_info().misses,
+        families._discriminant_or_none.cache_info().misses,
+    )
 
 
 @pytest.mark.parametrize("kind", ["model", "negative_height"])
-def test_family_report_computes_once(monkeypatch, kind):
+def test_family_report_computes_once(kind):
     if kind == "model":
         spec = build_example("h8_ci", seed=1)
     else:
         spec = negative_height_spec(random.Random(411))
-    sf_calls = counting(monkeypatch, ["families"], "spectral_form")
-    disc_calls = counting(monkeypatch, ["families"], "discriminant_family")
+    clear_family_caches()
     family_report(spec)
-    assert (len(sf_calls), len(disc_calls)) == (1, 1)
+    assert computations() == (1, 1)
 
 
-def test_verify_example_computes_once(monkeypatch):
+def test_family_caches_hold_every_attempt_of_a_build():
+    from dp4.models import RETRY_BOUND
+
+    assert families.CACHE_BOUND >= RETRY_BOUND
+    for step in FAMILY_CACHES:
+        assert step.cache_parameters()["maxsize"] == families.CACHE_BOUND
+
+
+def test_verify_example_computes_once():
     from dp4.models import verify_example
 
-    sf_calls = counting(monkeypatch, ["families", "models"], "spectral_form")
-    disc_calls = counting(monkeypatch, ["families", "models"], "discriminant_family")
     out = verify_example("h10_bundle", seed=1)
     assert out["ok"]
     # one build attempt at this seed: one spectral form and one Delta
-    assert (len(sf_calls), len(disc_calls)) == (1, 1)
+    assert computations() == (1, 1)
+
+
+@pytest.mark.parametrize("name, seed, tries", [("h8_ci", 1, 1), ("h10_bundle", 62, 3)])
+def test_pipeline_item_interpolates_delta_once_per_attempt(monkeypatch, name, seed, tries):
+    # build -> report -> verify, as one family_pipeline item runs them:
+    # each attempt's Delta is interpolated from 2h+2 fiber discriminants
+    # once, however often the item asks for it
+    from dp4 import models
+
+    fibers = []
+    attempts = set()
+    check = models.genericity_check
+
+    def counted_discriminant(f):
+        fibers.append(1)
+        return discriminant(f)
+
+    def recorded_check(spec):
+        attempts.add(spec)
+        return check(spec)
+
+    monkeypatch.setattr(families, "discriminant", counted_discriminant)
+    monkeypatch.setattr(models, "genericity_check", recorded_check)
+    spec = build_example(name, seed)
+    family_report(spec)
+    models.verify_example(name, seed)
+    assert len(attempts) == tries
+    assert len(fibers) == tries * (2 * height(spec) + 2)
 
 
 def test_squared_substitution_fails_g1():
@@ -374,10 +400,11 @@ def test_split_diagonal_fails_g2():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_split_diagonal_skips_witness_search(seed):
     # a found factor settles g2; the fiber witness would go unused
+    spec = split_diagonal_example(seed)
     with mock.patch.object(
         families, "uni_irreducible_factors", wraps=families.uni_irreducible_factors
     ) as spy:
-        gen = genericity_check(split_diagonal_example(seed))
+        gen = genericity_check.__wrapped__(spec)
     assert gen.bounded_factor is not None
     assert gen.witness is None
     assert spy.call_count == 0
@@ -480,56 +507,12 @@ def test_chern_rejects_unbalanced():
         chern_verify((0, 0, 0, 0, 0), (-1, 0))
 
 
-def test_family_from_ci_dispatch():
-    rng = random.Random(409)
-    from dp4.serialize import encode_form
-
-    gram0 = constant_gram(rng)
-    gram1 = form_gram(rng, 5, 1)
-    pres = {
-        "presentation": "ci_p1xp4",
-        "forms": [
-            {"st_degree": 0, "gram": [[encode_form(BinaryForm.constant(x)) for x in row] for row in gram0]},
-            {"st_degree": 1, "gram": [[encode_form(x) for x in row] for row in gram1]},
-        ],
-    }
-    spec = family_from_ci(pres)
-    assert height(spec) == 10
-
-    pres5 = {
-        "presentation": "ci_p1xp5",
-        "forms": [
-            {"alpha": ["1", "0", "0", "0", "0", "1"], "beta": ["0", "1", "0", "0", "1", "0"]},
-            {"gram": [[str(x) for x in row] for row in constant_gram(rng, 6)]},
-            {"gram": [[str(x) for x in row] for row in constant_gram(rng, 6)]},
-        ],
-    }
-    spec8 = family_from_ci(pres5)
-    assert height(spec8) == 8
-    assert discriminant_family(spec8).degree == 16
-
-
-def test_family_from_ci_unknown_presentation():
-    with pytest.raises(ValueError):
-        family_from_ci({"presentation": "mystery"})
-
-
 def test_elimination_impossible_rejected():
     rng = random.Random(410)
     with pytest.raises(ValueError, match="elimination impossible"):
         family_from_linear_plus_quadrics(
             [0] * 6, [0] * 6, constant_gram(rng, 6), constant_gram(rng, 6)
         )
-
-
-def test_fiber_invariant_degree_audit():
-    spec = build_example("h10_ci", seed=1)
-    audit = fiber_invariant_degree_audit(spec)
-    # reported, not asserted: on a generic family deg_t J_d = d*h/4
-    assert audit["J4"]["predicted"] == 10
-    assert audit["J12"]["predicted"] == 30
-    if audit["J4"]["matches"] and audit["J12"]["matches"]:
-        assert audit["J12"]["degree"] == 3 * audit["J4"]["degree"]
 
 
 def test_family_report_shape():
