@@ -96,8 +96,11 @@ def _emit(tree, args) -> None:
     else:
         text = "\n".join(_render_text(tree)) + "\n"
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
@@ -316,15 +319,16 @@ def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            seeds = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(p) for p in text.split(".."))
+            seeds = range(lo, hi + 1)
         else:
             seeds = [int(p) for p in text.split(",")]
     except ValueError:
         raise UsageError(f"malformed seed range {text!r}")
-    if not seeds or len(seeds) > 500:
+    # sized by slicing, so a huge range is refused before any list is built
+    if not seeds or seeds[500:]:
         raise UsageError("seed range must contain 1..500 seeds")
-    return seeds
+    return list(seeds)
 
 
 def _cmd_examples_verify(args):
@@ -485,6 +489,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         tree, code = args.func(args)
+        _emit(tree, args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -494,7 +499,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit(tree, args)
     return code
 
 

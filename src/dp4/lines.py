@@ -5,10 +5,12 @@ Classes live in the rank-6 lattice with form diag(+1,-1,...,-1), written
 through two points, and the conic through all five.  Incidence is the lattice
 pairing; the incidence graph is 5-regular and triangle-free on 16 vertices.
 Five distinguished partitions split the lines into two 8-sets of four
-incident pairs; the full incidence symmetry group has order 1920 and is
-handled as signed permutations of the five partition indices with an even
-number of sign flips.  Everything is computed by exhaustive search and
-checked against frozen reference data.
+incident pairs.  The full incidence symmetry group has order 1920: its
+elements are permutations of the 16 lines, found by exhaustive search, and
+each carries its signed action on the five partition indices (an even number
+of side swaps).  Subgroup closures compose the line permutations; the
+signed actions are data, checked once when the group is built.  Everything
+is checked against frozen reference data.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 from . import linalg
 
@@ -99,31 +102,14 @@ def partitions5() -> tuple[tuple[frozenset, frozenset], ...]:
     return tuple(ordered)
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
-    """perm maps index i -> perm[i] (0-based); signs[i] is the side behavior
-    at source index i.  The number of -1 entries is even."""
+class SignedPermutation(NamedTuple):
+    """The action of a symmetry on the five partitions: index i goes to
+    perm[i], and signs[i] is -1 when the conic's side of partition i lands on
+    the far side of partition perm[i].  A record only; weyl_group() checks
+    every action once."""
 
     perm: tuple[int, ...]
     signs: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != [0, 1, 2, 3, 4]:
-            raise ValueError("not a permutation of 5 indices")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be +-1")
-        if sum(1 for s in self.signs if s == -1) % 2 != 0:
-            raise ValueError("odd number of sign flips")
-
-    def compose(self, other: "SignedPermutation") -> "SignedPermutation":
-        """self after other."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(5))
-        signs = tuple(other.signs[i] * self.signs[other.perm[i]] for i in range(5))
-        return SignedPermutation(perm, signs)
-
-    @staticmethod
-    def identity() -> "SignedPermutation":
-        return SignedPermutation((0, 1, 2, 3, 4), (1, 1, 1, 1, 1))
 
 
 @dataclass(frozen=True)
@@ -153,10 +139,14 @@ class WeylGroup:
         )
 
 
+def _compose(a, b) -> tuple[int, ...]:
+    """The line permutation a after b."""
+    return tuple(a[i] for i in b)
+
+
 def _graph_automorphisms(incidence):
     """All adjacency-preserving permutations, by backtracking."""
     n = len(incidence)
-    degree = [sum(row) for row in incidence]
     results = []
     image = [-1] * n
     used = [False] * n
@@ -166,9 +156,7 @@ def _graph_automorphisms(incidence):
             results.append(tuple(image))
             return
         for c in range(n):
-            if used[c] or degree[c] != degree[d]:
-                continue
-            if all(
+            if not used[c] and all(
                 incidence[d][e] == incidence[c][image[e]] for e in range(d)
             ):
                 image[d] = c
@@ -181,36 +169,48 @@ def _graph_automorphisms(incidence):
     return results
 
 
-def _partition_action(line_perm, partitions) -> SignedPermutation:
-    perm = [-1] * 5
-    signs = [0] * 5
-    for i, (side_a, side_b) in enumerate(partitions):
-        image = frozenset(line_perm[v] for v in side_a)
-        for j, (ta, tb) in enumerate(partitions):
-            if image == ta:
-                perm[i], signs[i] = j, 1
-                break
-            if image == tb:
-                perm[i], signs[i] = j, -1
-                break
-        else:
-            raise RuntimeError("line permutation does not preserve partitions")
-    return SignedPermutation(tuple(perm), tuple(signs))
+@lru_cache(maxsize=1)
+def _side_index() -> dict:
+    """Each of the ten partition sides -> (partition index, +1 for the
+    conic's side, -1 for the other)."""
+    return {
+        side: (j, sign)
+        for j, sides in enumerate(partitions5())
+        for side, sign in zip(sides, (1, -1))
+    }
+
+
+def _partition_action(line_perm) -> SignedPermutation:
+    sides = _side_index()
+    try:
+        images = [
+            sides[frozenset(line_perm[v] for v in side_a)]
+            for side_a, _ in partitions5()
+        ]
+    except KeyError:
+        raise RuntimeError("line permutation does not preserve partitions")
+    return SignedPermutation(*zip(*images))
 
 
 @lru_cache(maxsize=1)
 def weyl_group() -> WeylGroup:
-    """The full incidence symmetry group as signed permutations of the five
-    partitions; order 1920 = 2^4 * 5!, kernel of the index action of order
-    16 acting simply transitively on the lines.  Built once per process:
-    the cache has a single key, so every caller shares one group."""
-    partitions = partitions5()
-    elements = []
-    for line_perm in _graph_automorphisms(lines16().incidence):
-        elements.append(WeylElement(line_perm, _partition_action(line_perm, partitions)))
-    group = WeylGroup(tuple(elements))
+    """The full incidence symmetry group: every line permutation with its
+    signed action on the five partitions; order 1920 = 2^4 * 5!, kernel of
+    the index action of order 16 acting simply transitively on the lines.
+    Built and checked once per process: the cache has a single key, so every
+    caller shares one group."""
+    elements = tuple(
+        WeylElement(line_perm, _partition_action(line_perm))
+        for line_perm in _graph_automorphisms(lines16().incidence)
+    )
+    group = WeylGroup(elements)
     if group.order != 1920:
         raise RuntimeError(f"symmetry group order {group.order}, expected 1920")
+    for e in elements:
+        if sorted(e.signed.perm) != [0, 1, 2, 3, 4]:
+            raise RuntimeError("partition action is not a permutation of 0..4")
+        if e.signed.signs.count(-1) % 2:
+            raise RuntimeError("odd number of side swaps")
     if len({e.signed for e in elements}) != 1920:
         raise RuntimeError("signed-permutation action is not faithful")
     if len(group.kernel()) != 16:
@@ -222,52 +222,48 @@ def no_intermediate_subgroup() -> bool:
     """No proper subgroup strictly between the index-relabeling copy of S5
     and the full group: adjoining any outside element generates everything.
 
-    Verified by closure computation, one representative per S5-conjugacy
-    class of outside elements; any subgroup containing S5 has order 120*k
-    with k dividing 16, so exceeding order 960 forces the full group.
+    Verified by closure computation on line permutations, one representative
+    per S5-conjugacy class of outside elements, with S5 generated by the
+    elements acting as (1 0 2 3 4) and (1 2 3 4 0); any subgroup containing
+    S5 has order 120*k with k dividing 16, so exceeding order 960 forces the
+    full group.
     """
     group = weyl_group()
-    s5 = {e.signed for e in group.index_copy()}
+    s5 = group.index_copy()
     if len(s5) != 120:
         raise RuntimeError("index-relabeling subgroup must have order 120")
-    outside = [e.signed for e in group.elements if e.signed not in s5]
-    seen = set()
-    gens_s5 = _s5_generators(s5)
-    for g in outside:
+    gens_s5 = [
+        e.line_perm
+        for e in s5
+        if e.signed.perm in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
+    ]
+    if len(gens_s5) != 2:
+        raise RuntimeError("index copy lacks the S5 generators")
+    conjugators = [
+        (e.line_perm, tuple(sorted(range(16), key=e.line_perm.__getitem__)))
+        for e in s5
+    ]
+    seen = {s for s, _ in conjugators}
+    for e in group.elements:
+        g = e.line_perm
         if g in seen:
             continue
-        for s in s5:
-            s_inv = _inverse(s)
-            seen.add(s.compose(g).compose(s_inv))
+        for s, s_inv in conjugators:
+            seen.add(_compose(_compose(s, g), s_inv))
         if not _closure_is_full(gens_s5 + [g]):
             return False
     return True
 
 
-def _inverse(sp: SignedPermutation) -> SignedPermutation:
-    perm = [0] * 5
-    signs = [0] * 5
-    for i in range(5):
-        perm[sp.perm[i]] = i
-        signs[sp.perm[i]] = sp.signs[i]
-    return SignedPermutation(tuple(perm), tuple(signs))
-
-
-def _s5_generators(s5) -> list[SignedPermutation]:
-    swap = SignedPermutation((1, 0, 2, 3, 4), (1, 1, 1, 1, 1))
-    cycle = SignedPermutation((1, 2, 3, 4, 0), (1, 1, 1, 1, 1))
-    assert swap in s5 and cycle in s5
-    return [swap, cycle]
-
-
 def _closure_is_full(generators) -> bool:
-    seen = {SignedPermutation.identity()}
-    frontier = list(seen)
+    identity = tuple(range(16))
+    seen = {identity}
+    frontier = [identity]
     while frontier:
         nxt = []
         for h in frontier:
             for g in generators:
-                p = g.compose(h)
+                p = _compose(g, h)
                 if p not in seen:
                     seen.add(p)
                     nxt.append(p)
@@ -291,11 +287,7 @@ def golden_path() -> Path:
 def spectrum_charpoly() -> list[int]:
     """Coefficients of the characteristic polynomial of the incidence
     matrix, low degree first."""
-    cfg = lines16()
-    from fractions import Fraction
-
-    m = [[Fraction(x) for x in row] for row in cfg.incidence]
-    return [int(c) for c in linalg.charpoly(m)]
+    return [int(c) for c in linalg.charpoly(lines16().incidence)]
 
 
 def triangle_free() -> bool:

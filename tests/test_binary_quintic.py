@@ -271,6 +271,8 @@ v = invariants(f)
 assert v.J4 != 0
 assert moduli_point(f).normalized == "J4"
 InvariantVector(*v.as_tuple())
+from dp4 import lines
+assert lines.report() == lines.load_golden()
 print("sympy" in sys.modules)
 """
     src = Path(__file__).resolve().parents[1] / "src"

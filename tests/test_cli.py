@@ -326,6 +326,14 @@ def test_examples_verify_bad_seed_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("seeds", ["1..1000000000000", "1..10" + "0" * 30])
+def test_examples_verify_huge_seed_range_is_usage_error(capsys, seeds):
+    code, out, err = run(capsys, "examples", "verify-all", "--seeds", seeds)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: seed range must contain 1..500 seeds"]
+
+
 def test_verify_subset(capsys):
     code, tree, _ = run_json(
         capsys, "verify", "paper-checks", "--only", "height-bounds", "chern-identity",
@@ -367,6 +375,19 @@ def test_output_to_file(capsys, tmp_path, quintic_file):
     assert stdout == ""
     tree = json.loads(out.read_text())
     assert tree["stability"] == "all-simple"
+
+
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "family", "scan-heights", "--max", "4", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
 
 
 def test_text_format(capsys, quintic_file):

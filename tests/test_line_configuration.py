@@ -3,6 +3,8 @@ the five pair partitions, and the signed-permutation symmetry group."""
 
 import json
 
+import pytest
+
 from dp4 import lines
 from dp4.lines import (
     SignedPermutation,
@@ -109,13 +111,24 @@ def test_signed_permutations_have_even_sign_count():
         assert sum(1 for s in e.signed.signs if s == -1) % 2 == 0
 
 
-def test_signed_permutation_compose():
-    a = SignedPermutation((1, 0, 2, 3, 4), (-1, -1, 1, 1, 1))
-    ident = SignedPermutation.identity()
-    assert a.compose(ident) == a
-    assert ident.compose(a) == a
-    sq = a.compose(a)
-    assert sq.perm == (0, 1, 2, 3, 4)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (SignedPermutation((0, 0, 2, 3, 4), (1, 1, 1, 1, 1)), "permutation of 0..4"),
+        (SignedPermutation((0, 1, 2, 3, 4), (-1, 1, 1, 1, 1)), "odd number"),
+    ],
+)
+def test_weyl_group_checks_every_action(monkeypatch, request, bad, message):
+    # one corrupted action, on the identity, is enough to refuse the group
+    request.addfinalizer(weyl_group.cache_clear)
+    action = lines._partition_action
+    identity = tuple(range(16))
+    monkeypatch.setattr(
+        lines, "_partition_action", lambda p: bad if p == identity else action(p)
+    )
+    weyl_group.cache_clear()
+    with pytest.raises(RuntimeError, match=message):
+        weyl_group()
 
 
 def test_no_intermediate_subgroup():

@@ -16,7 +16,10 @@ polynomial as Faddeev-LeVerrier over Fraction, the gcd over Q as the
 Euclidean algorithm over Fraction, the gcd over Q(sigma) as the pseudo-
 remainder sequence on Fraction coefficients, the bounded factor search as
 the gcd-first search with Newton iteration for roots and a quadratic Hensel
-lift, and both invariant constants as exact fits on sampled quintics.
+lift, both invariant constants as exact fits on sampled quintics, and the
+subgroup closure of the 16-line symmetry group as composition of signed
+permutations of the five partition indices (it now composes permutations of
+the 16 lines).
 """
 
 import math
@@ -31,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp4 import binforms, factor_search, families, linalg
+from dp4 import binforms, factor_search, families, linalg, lines
 from dp4.binforms import (
     BinaryForm,
     discriminant,
@@ -75,6 +78,7 @@ from dp4.families import (
     expected_coefficient_degree,
     spectral_form,
 )
+from dp4.lines import SignedPermutation
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
 from dp4.pencils import SymmetricPencil, spectral_quintic
 from dp4.plane_quintic import sadd, sinv, smul, ssub, strunc
@@ -492,6 +496,63 @@ def oracle_gcd():
     Fraction Euclidean oracle."""
     with mock.patch.object(binforms, "pgcd", fraction_pgcd):
         yield
+
+
+S5_SWAP = SignedPermutation((1, 0, 2, 3, 4), (1, 1, 1, 1, 1))
+S5_CYCLE = SignedPermutation((1, 2, 3, 4, 0), (1, 1, 1, 1, 1))
+
+
+def signed_compose(a, b) -> SignedPermutation:
+    """a after b."""
+    perm = tuple(a.perm[b.perm[i]] for i in range(5))
+    signs = tuple(b.signs[i] * a.signs[b.perm[i]] for i in range(5))
+    return SignedPermutation(perm, signs)
+
+
+def signed_inverse(sp) -> SignedPermutation:
+    perm = [0] * 5
+    signs = [0] * 5
+    for i in range(5):
+        perm[sp.perm[i]] = i
+        signs[sp.perm[i]] = sp.signs[i]
+    return SignedPermutation(tuple(perm), tuple(signs))
+
+
+def signed_closure_is_full(generators) -> bool:
+    identity = SignedPermutation((0, 1, 2, 3, 4), (1, 1, 1, 1, 1))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in generators:
+                p = signed_compose(g, h)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        if len(seen) > 960:
+            return True
+        frontier = nxt
+    return len(seen) == 1920
+
+
+def signed_no_intermediate_subgroup() -> tuple[bool, list[SignedPermutation]]:
+    """The verdict of the signed-permutation closure and its representatives,
+    one per S5-conjugacy class of outside elements in group order; every
+    class is closed, where the library stops at the first failure."""
+    group = lines.weyl_group()
+    s5 = {e.signed for e in group.index_copy()}
+    outside = [e.signed for e in group.elements if e.signed not in s5]
+    seen = set()
+    reps = []
+    for g in outside:
+        if g in seen:
+            continue
+        for s in s5:
+            seen.add(signed_compose(signed_compose(s, g), signed_inverse(s)))
+        reps.append(g)
+    verdict = all(signed_closure_is_full([S5_SWAP, S5_CYCLE, g]) for g in reps)
+    return verdict, reps
 
 
 # ---------------------------------------------------------------------------
@@ -940,3 +1001,61 @@ def test_factor_search_skips_gcd_on_reduced_spectral_forms(make):
     with mock.patch.object(factor_search, "wgcd", wraps=factor_search.wgcd) as spy:
         twisted_factor_search(list(sf.coefficients), 2)
     assert spy.call_count == 0
+
+
+# ---------------------------------------------------------------------------
+# the symmetry-group closure on line permutations
+
+
+@pytest.fixture(scope="module")
+def closure_runs():
+    """The verdict of one no_intermediate_subgroup() and the generator list
+    of each _closure_is_full run it makes."""
+    runs = []
+    closure = lines._closure_is_full
+
+    def spy(generators):
+        runs.append(list(generators))
+        return closure(generators)
+
+    with mock.patch.object(lines, "_closure_is_full", spy):
+        verdict = lines.no_intermediate_subgroup()
+    return verdict, runs
+
+
+def signed_actions():
+    return {e.line_perm: e.signed for e in lines.weyl_group().elements}
+
+
+def test_closure_runs_once_per_conjugacy_class(closure_runs):
+    _, runs = closure_runs
+    assert len(runs) == 30
+
+
+def test_line_closure_matches_signed_oracle(closure_runs):
+    verdict, runs = closure_runs
+    signed = signed_actions()
+    oracle_verdict, oracle_reps = signed_no_intermediate_subgroup()
+    assert verdict is True and oracle_verdict is True
+    assert [signed[gens[-1]] for gens in runs] == oracle_reps
+    for gens in runs:
+        assert sorted(signed[g] for g in gens[:-1]) == sorted([S5_SWAP, S5_CYCLE])
+
+
+def test_partition_action_is_a_homomorphism(closure_runs):
+    # the signed action of a line composition is the signed composition
+    _, runs = closure_runs
+    signed = signed_actions()
+    generators = {g for gens in runs for g in gens}
+    assert len(generators) == 32
+    for a, sa in signed.items():
+        for g in generators:
+            assert lines._partition_action(lines._compose(a, g)) == signed_compose(
+                sa, signed[g]
+            )
+
+
+def test_closure_of_s5_alone_is_not_full(closure_runs):
+    _, runs = closure_runs
+    assert lines._closure_is_full(runs[0][:-1]) is False
+    assert signed_closure_is_full([S5_SWAP, S5_CYCLE]) is False
