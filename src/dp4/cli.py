@@ -120,7 +120,10 @@ def _invariant_tree(f):
         "stability": stability_classify(f),
     }
     if tree["stability"] != "unstable" and (j.J4, j.J8, j.J12) != (0, 0, 0):
-        point = normalize_weighted((j.J4, j.J8, j.J12))
+        try:
+            point = normalize_weighted((j.J4, j.J8, j.J12))
+        except ValueError as exc:  # a kernel beyond the trial-division bound
+            raise CliInputError(str(exc))
         tree["moduli_point"] = {
             "coords": [serialize.encode_rational(c) for c in point.coords],
             "normalized": point.normalized,

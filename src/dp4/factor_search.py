@@ -11,6 +11,11 @@ of f(s0 + eps, w) mod a power of eps, its coefficient series are turned back
 into rational functions by Pade approximation (a kernel computation), and the
 candidate is confirmed by exact division.  (s,t)-degrees of coefficients may
 vary with the (u,v)-power, so twisted spectral forms are searchable too.
+
+The fiber factors come from uni_irreducible_factors, which also serves the
+spectral quintics of pencils and the genericity witnesses of families: an
+exact factorizer over Q for degree at most 5, Zassenhaus's method over Z
+(factor modulo a small prime, Hensel-lift, recombine by trial division).
 """
 
 from __future__ import annotations
@@ -18,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from . import linalg
 from .binforms import (
     BinaryForm,
+    _primitive_ints,
+    _zprimitive,
     form_gcd,
     padd,
     pdeg,
@@ -36,6 +43,7 @@ from .binforms import (
     primitive_prs,
     pscale,
     pshift,
+    psquarefree_decomposition,
     psub,
     pxgcd,
     zdivexact,
@@ -195,20 +203,186 @@ def pade(series, d, n):
 
 
 # ---------------------------------------------------------------------------
-# fiber factorization over Q (exact, via sympy)
+# fiber factorization over Q (exact, over Z and Z/p^k): Zassenhaus's method
+# (J. Number Theory 1, 1969) with Cantor-Zassenhaus splitting mod p (Math.
+# Comp. 36, 1981); von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14-15.
+# The m- helpers act on int unipolys modulo m, remainders in [0, m).
+
+MAX_FACTOR_DEGREE = 5
 
 
 def uni_irreducible_factors(p) -> list[tuple[list[Fraction], int]]:
-    """Monic irreducible factors of a unipoly over Q with multiplicities."""
-    import sympy
+    """Monic irreducible factors of a unipoly over Q with multiplicities, in
+    sympy's factor_list order: degree, then multiplicity, then the primitive
+    integer coefficients from the top down.  Recombination tries every
+    subset of the factors mod p, so a degree above MAX_FACTOR_DEGREE raises
+    ValueError."""
+    p = pnorm([Fraction(c) for c in p])
+    if pdeg(p) > MAX_FACTOR_DEGREE:
+        raise ValueError(f"factoring over Q needs degree <= {MAX_FACTOR_DEGREE}, got {pdeg(p)}")
+    found = [
+        (g, mult)
+        for part, mult in psquarefree_decomposition(p)
+        for g in _zfactor_squarefree(_primitive_ints(part))
+    ]
+    found.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
+    return [([Fraction(c, g[-1]) for c in g], mult) for g, mult in found]
 
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)]
-    _, factors = sympy.Poly.from_list(coeffs, sympy.Symbol("x"), domain="QQ").factor_list()
+
+def _zfactor_squarefree(f: list[int]) -> list[list[int]]:
+    """Irreducible factors over Z of a primitive squarefree f with positive
+    leading coefficient: factor mod the smallest good odd prime p, lift the
+    factors past twice lc(f) times the Mignotte bound 2^n |f|_2 on the
+    coefficients of a factor, and recombine them by trial division."""
+    if len(f) == 2:
+        return [f]
+    lead, p = f[-1], 3
+    while not (
+        all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+        and lead % p
+        and len(_mgcd(f, pderiv(f), p)) == 1
+    ):
+        p += 2
+    modular = _factor_mod_p(_mmonic(f, p), p)
+    if len(modular) == 1:
+        return [f]
+    bound = 2 * lead * 2 ** (len(f) - 1) * (math.isqrt(sum(c * c for c in f)) + 1)
+    m = p
+    while m <= bound:
+        m *= m
+    lifted, cofactor = [], f
+    for u in modular[:-1]:  # peel one factor at a time off lc(f) * prod
+        cofactor, u = _hensel_lift_mod(cofactor, u, p, m)
+        lifted.append(u)
+    lifted.append(_mmonic(cofactor, m))
+    factors, rest, size = [], list(range(len(lifted))), 1
+    while 2 * size <= len(rest):
+        for subset in combinations(rest, size):
+            g = [f[-1]]
+            for i in subset:
+                g = _mmod(pmul(g, lifted[i]), m)
+            g = _zprimitive([c - m if 2 * c > m else c for c in g])
+            try:
+                f = zdivexact(f, g)
+            except ValueError:
+                continue
+            factors.append(g)
+            rest = [i for i in rest if i not in subset]
+            break
+        else:
+            size += 1
+    return factors + [f]
+
+
+def _factor_mod_p(f, p):
+    """Monic irreducible factors of a monic squarefree f over F_p:
+    distinct-degree factorization, then an equal-degree split of each part."""
     out = []
-    for fac, mult in factors:
-        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
-        lead = cs[-1]
-        out.append(([c / lead for c in cs], int(mult)))
+    h, d = [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _mpowmod(h, p, f, p)  # x^(p^d) mod f
+        g = _mgcd(f, psub(h, [0, 1]), p)
+        if len(g) > 1:
+            out += _split_equal_degree(g, d, p)
+            f = _mdivmod(f, g, p)[0]
+            h = _mdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append(f)
+    return out
+
+
+def _split_equal_degree(f, d, p):
+    """Cantor-Zassenhaus for a product of irreducibles of degree d mod an
+    odd p: gcd(f, a^((p^d - 1)/2) - 1) over the monic a of degree < deg f in
+    a fixed order (x + a first).  A split exists among them, so the search
+    is deterministic and ends."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    e = (p**d - 1) // 2
+    for k in range(1, n):
+        for low in product(range(p), repeat=k):
+            g = _mgcd(f, psub(_mpowmod([*low, 1], e, f, p), [1]), p)
+            if 1 < len(g) < len(f):
+                rest = _mdivmod(f, g, p)[0]
+                return _split_equal_degree(g, d, p) + _split_equal_degree(rest, d, p)
+    raise AssertionError("no splitting polynomial")
+
+
+def _hensel_lift_mod(f, u, p, m):
+    """(w, u) with f = w*u mod m (a power p^(2^k)) and u monic, lifting the
+    factor u mod p, coprime to its cofactor: the quadratic Hensel step on
+    s*w + t*u = 1 (von zur Gathen-Gerhard, Algorithm 15.10)."""
+    w = _mdivmod(f, u, p)[0]
+    s, t = _mxgcd(w, u, p)
+    q = p
+    while q < m:
+        q *= q
+        e = _mmod(psub(f, pmul(w, u)), q)
+        c, r = _mdivmod(pmul(s, e), u, q)
+        w = _mmod(padd(w, padd(pmul(t, e), pmul(c, w))), q)
+        u = _mmod(padd(u, r), q)
+        if q < m:
+            b = _mmod(psub(padd(pmul(s, w), pmul(t, u)), [1]), q)
+            c, r = _mdivmod(pmul(s, b), u, q)
+            s = _mmod(psub(s, r), q)
+            t = _mmod(psub(t, padd(pmul(t, b), pmul(c, w))), q)
+    return w, u
+
+
+def _mmod(a, m):
+    return pnorm([c % m for c in a])
+
+
+def _mmonic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _mdivmod(a, b, m):
+    """Quotient and remainder mod m; lc(b) must be a unit mod m."""
+    inv = pow(b[-1], -1, m)
+    r = _mmod(a, m)
+    quo = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c = r[-1] * inv % m
+        k = len(r) - len(b)
+        quo[k] = c
+        for i, y in enumerate(b):
+            r[k + i] = (r[k + i] - c * y) % m
+        pnorm(r)
+    return pnorm(quo), r
+
+
+def _mgcd(a, b, p):
+    """Monic gcd over F_p of a nonzero a and any b."""
+    a, b = _mmod(a, p), _mmod(b, p)
+    while b:
+        a, b = b, _mdivmod(a, b, p)[1]
+    return _mmonic(a, p)
+
+
+def _mxgcd(a, b, p):
+    """(s, t) with s*a + t*b = 1 over F_p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        quo, r = _mdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _mmod(psub(s0, pmul(quo, s1)), p)
+        t0, t1 = t1, _mmod(psub(t0, pmul(quo, t1)), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _mpowmod(a, e, f, p):
+    """a^e mod (f, p) by repeated squaring."""
+    out, a = [1], _mdivmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _mdivmod(pmul(out, a), f, p)[1]
+        a = _mdivmod(pmul(a, a), f, p)[1]
+        e >>= 1
     return out
 
 

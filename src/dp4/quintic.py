@@ -13,8 +13,9 @@ construction of an InvariantVector.
 Points of the moduli space carry weights (1, 2, 3) on (J4, J8, J12).  The
 canonical representative is exact over Q: scale J4 to 1 when possible, else
 J8 to its signed squarefree integer kernel, else J12 to its positive
-cubefree kernel.  Orbit equality is also offered directly, without any
-integer factorization, as an independent route.
+cubefree kernel (both by trial division up to KERNEL_TRIAL_BOUND).  Orbit
+equality is also offered directly, without any integer factorization, as an
+independent route.
 """
 
 from __future__ import annotations
@@ -161,15 +162,42 @@ class ModuliPoint:
     normalized: str
 
 
+# The square and cube kernels of J8 and J12 come from trial division by 2
+# and every odd number up to this bound (about 0.1 s at worst).  A cofactor
+# left below its square is 1 or a prime; a larger one, which may have two
+# or more prime factors above the bound, is refused with ValueError.
+KERNEL_TRIAL_BOUND = 10**6
+
+
+def _prime_powers(n: int, what: str) -> dict[int, int]:
+    """{prime: exponent} of a positive integer by trial division up to
+    KERNEL_TRIAL_BOUND."""
+    out: dict[int, int] = {}
+    q = 2
+    while q <= KERNEL_TRIAL_BOUND and q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1 if q == 2 else 2
+    if n >= KERNEL_TRIAL_BOUND**2:
+        raise ValueError(
+            f"cannot compute the {what} kernel: a cofactor of {n.bit_length()} bits "
+            f"has no prime factor up to {KERNEL_TRIAL_BOUND}"
+        )
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def _factor_kernel(x: Fraction, power: int) -> tuple[int, int]:
     """(kernel, k) with |n*d^(power-1)| = kernel * k^power and kernel free of
     power-th prime powers, for x = n/d in lowest terms."""
-    import sympy
-
-    n, d = abs(x.numerator), x.denominator
-    value = n * d ** (power - 1)
+    what = {2: "square", 3: "cube"}[power]
+    exponents = _prime_powers(abs(x.numerator), what)
+    for p, e in _prime_powers(x.denominator, what).items():
+        exponents[p] = e * (power - 1)  # n and d are coprime
     kernel, k = 1, 1
-    for p, e in sympy.factorint(value).items():
+    for p, e in exponents.items():
         kernel *= p ** (e % power)
         k *= p ** (e // power)
     return kernel, k

@@ -14,6 +14,7 @@ import pytest
 
 from dp4.binforms import BinaryForm, discriminant, mobius_substitute
 from dp4.quintic import (
+    KERNEL_TRIAL_BOUND,
     InvariantVector,
     disc_as_invariant,
     invariants,
@@ -253,7 +254,7 @@ def test_normalize_weighted_j4_zero():
     ],
 )
 def test_normalize_weighted_factor_kernel(triple, coords, anchor):
-    # the J8 and J12 anchors factor integers (sympy, imported on first use)
+    # the J8 and J12 anchors factor integers by trial division
     pt = normalize_weighted(triple)
     assert pt.coords == coords
     assert pt.normalized == anchor
@@ -282,6 +283,23 @@ print("sympy" in sys.modules)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# two primes above the trial-division bound
+BIG_PRIMES = (1000003, 10000019)
+
+
+def test_normalize_weighted_refuses_kernel_beyond_bound():
+    assert min(BIG_PRIMES) > KERNEL_TRIAL_BOUND
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cannot compute the square kernel"):
+        normalize_weighted((F(0), F(BIG_PRIMES[0] * BIG_PRIMES[1]), F(1)))
+    with pytest.raises(ValueError, match="cannot compute the cube kernel"):
+        normalize_weighted((F(0), F(0), F(1, BIG_PRIMES[0] * BIG_PRIMES[1])))
+    assert time.perf_counter() - start < 5
+    # one prime above the bound is below its square, so it is accepted
+    pt = normalize_weighted((F(0), F(4 * BIG_PRIMES[0]), F(0)))
+    assert pt.coords == (F(0), F(BIG_PRIMES[0]), F(0))
 
 
 def test_normalize_weighted_rejects_zero_triple():

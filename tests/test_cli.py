@@ -2,13 +2,19 @@
 validation, and the golden-file override."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from dp4 import cli, serialize
+from dp4 import cli, models, serialize
 from dp4.binforms import BinaryForm
 from dp4.cli import main
+from dp4.pencils import blowup_from_quintic
 from dp4.plane_quintic import pencil_fixture, quadrilateral_fixture
 
 F = Fraction
@@ -87,6 +93,20 @@ def test_quintic_invariants(capsys, quintic_file):
     assert code == 0
     assert set(tree) >= {"J4", "J8", "J12", "J18", "discriminant", "stability", "moduli_point"}
     assert tree["stability"] == "all-simple"
+
+
+def test_quintic_invariants_kernel_beyond_bound_exits_3(capsys, tmp_path):
+    # x^5 + a x y^4 has J4 = 0 and J8 = -8000 a^5; with a the product of two
+    # primes above the trial-division bound the square kernel is refused
+    a = 1000003 * 10000019
+    f = BinaryForm(5, tuple(F(c) for c in (1, 0, 0, 0, a, 0)))
+    path = write_json(tmp_path / "quintic.json", serialize.encode_form(f))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "quintic", "invariants", "--input", path)
+    assert time.perf_counter() - start < 5
+    assert code == cli.EXIT_INPUT == 3
+    assert out == ""
+    assert "cannot compute the square kernel" in err
 
 
 def test_quintic_invariants_wrong_degree(capsys, tmp_path):
@@ -417,3 +437,51 @@ def test_internal_error_exit_code(capsys, monkeypatch, exc):
     assert code == cli.EXIT_INTERNAL == 4
     assert out == ""
     assert err == f"error: internal: {type(exc).__name__}: {exc}\n"
+
+
+SYMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None  # any import of sympy now fails
+from dp4.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+loaded = [k for k, v in sys.modules.items() if k.split(".")[0] == "sympy" and v is not None]
+print(json.dumps([codes, loaded]))
+"""
+
+
+def test_pipeline_commands_run_without_sympy(tmp_path):
+    # examples build, family analyze, pencil analyze and examples verify-all
+    # factor over Q natively and never import sympy
+    random_pencil = {
+        "type": "pencil",
+        "P": [["1" if i == j else "0" for j in range(5)] for i in range(5)],
+        # an irreducible spectral quintic
+        "Q": [
+            [str(c) for c in row]
+            for row in [[-2, 1, 3, 3, 3], [1, -3, -1, -3, 0], [3, -1, 3, 0, 0],
+                        [3, -3, 0, 2, 0], [3, 0, 0, 0, 3]]
+        ],
+    }
+    _, double_root = blowup_from_quintic([F(0), F(0), F(1), F(2), F(3)])
+    pencils = [
+        write_json(tmp_path / "random.json", random_pencil),
+        write_json(tmp_path / "double.json", serialize.encode_pencil(double_root)),
+    ]
+    builds = {name: str(tmp_path / f"{name}.json") for name in models.EXAMPLE_NAMES}
+    argvs = [["examples", "build", name, "--out", out] for name, out in builds.items()]
+    argvs.append(["family", "analyze", "--input", builds["h10_ci"]])
+    argvs += [["pencil", "analyze", "--input", p] for p in pencils]
+    argvs.append(["examples", "verify-all", "--seeds", "1..2"])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", SYMPY_FREE_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(argvs), proc.stderr
+    assert loaded == []

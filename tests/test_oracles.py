@@ -19,7 +19,9 @@ the gcd-first search with Newton iteration for roots and a quadratic Hensel
 lift, both invariant constants as exact fits on sampled quintics, and the
 subgroup closure of the 16-line symmetry group as composition of signed
 permutations of the five partition indices (it now composes permutations of
-the 16 lines).
+the 16 lines), factorization over Q as sympy's factor_list (it is now
+Zassenhaus's method over Z) and the square and cube kernels of the moduli
+point as sympy's factorint (they now come from bounded trial division).
 """
 
 import math
@@ -31,10 +33,10 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dp4 import binforms, factor_search, families, linalg, lines
+from dp4 import binforms, factor_search, families, linalg, lines, quintic
 from dp4.binforms import (
     BinaryForm,
     discriminant,
@@ -1001,6 +1003,142 @@ def test_factor_search_skips_gcd_on_reduced_spectral_forms(make):
     with mock.patch.object(factor_search, "wgcd", wraps=factor_search.wgcd) as spy:
         twisted_factor_search(list(sf.coefficients), 2)
     assert spy.call_count == 0
+
+
+# ---------------------------------------------------------------------------
+# factoring over Q: Zassenhaus over Z against sympy's factor_list
+
+
+def sympy_irreducible_factors(p):
+    """The factorizer uni_irreducible_factors replaces: sympy's factor_list
+    over QQ, factors made monic, in sympy's order."""
+    import sympy
+
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)]
+    _, factors = sympy.Poly.from_list(coeffs, sympy.Symbol("x"), domain="QQ").factor_list()
+    out = []
+    for fac, mult in factors:
+        cs = [F(int(c.p), int(c.q)) for c in reversed(fac.all_coeffs())]
+        out.append(([c / cs[-1] for c in cs], int(mult)))
+    return out
+
+
+def assert_factors_match(p):
+    p = [F(c) for c in p]
+    got = uni_irreducible_factors(p)
+    assert got == sympy_irreducible_factors(p)
+    product = [F(p[-1])]
+    for g, mult in got:
+        for _ in range(mult):
+            product = pmul(product, g)
+    assert product == p
+
+
+small_factors = st.lists(rationals, min_size=2, max_size=4).filter(lambda c: c[-1] != 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small_factors, st.integers(1, 3)), min_size=1, max_size=4), rationals)
+def test_uni_irreducible_factors_matches_sympy(factors, scale):
+    # products of rational factors of degree 1-3 with repeats, up to degree 5
+    p = [scale or F(1)]
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            if pdeg(p) + len(coeffs) - 1 <= 5:
+                p = pmul(p, coeffs)
+    assume(pdeg(p) >= 1)
+    assert_factors_match(p)
+
+
+PLANTED_FACTORINGS = {
+    # irreducible over Q but split mod every prime: recombination must reject
+    "x4+1": [1, 0, 0, 0, 1],
+    "x4-10x2+1": [1, 0, -10, 0, 1],
+    "(x2+1)(x2+2)(x-3)": pmul(pmul([1, 0, 1], [2, 0, 1]), [-3, 1]),
+    # lead 3*5*7 and a discriminant with small prime factors: p is not 3
+    "lead105": pmul(pmul([1, 105], [-2, 1]), [3, 1, 7]),
+    "disc-small-primes": pmul(pmul([0, 1], [-3, 1]), pmul([-6, 1], [-15, 1])),
+    "non-integral": [F(-1, 3), F(5, 2), F(0), F(7, 4)],
+    "zero-constant": [0, 0, 2, -1, 3],
+    "negative-lead": [4, -1, 0, 0, -2],
+    "degree-1": [F(3, 7), F(-2, 5)],
+    "(x-1)^5": [-1, 5, -10, 10, -5, 1],
+    "(x3+1)(x2+1/2)": pmul([1, 0, 0, 1], [F(1, 2), 0, 1]),
+    "quintic-irreducible": [-1, -1, 0, 0, 0, 1],
+    "x5-x": [0, -1, 0, 0, 0, 1],
+    "(2x2+3)(5x3-x+7)": pmul([3, 0, 2], [7, -1, 0, 5]),
+}
+
+
+@pytest.mark.parametrize("p", PLANTED_FACTORINGS.values(), ids=PLANTED_FACTORINGS.keys())
+def test_uni_irreducible_factors_planted(p):
+    assert_factors_match(p)
+
+
+def test_uni_irreducible_factors_prime_choice():
+    # 3 divides the lead and 5, 7 divide the discriminant of x(x - 5)(x - 7)
+    # (3x - 1): the modular step runs mod 11
+    p = pmul(pmul([0, 3], [-5, 1]), pmul([-7, 1], [-1, 3]))
+    with mock.patch.object(
+        factor_search, "_factor_mod_p", wraps=factor_search._factor_mod_p
+    ) as spy:
+        assert_factors_match(p)
+    assert [call.args[1] for call in spy.call_args_list] == [11]
+
+
+def test_uni_irreducible_factors_rejects_degree_6():
+    with pytest.raises(ValueError):
+        uni_irreducible_factors([F(1)] * 7)
+    assert uni_irreducible_factors([F(5)]) == []
+
+
+@pytest.mark.parametrize("make", model_and_engineered_specs())
+def test_factor_search_matches_sympy_factorizer(make):
+    # the first candidate that lifts wins, so the fiber factors' order counts
+    coeffs = list(spectral_form(make()).coefficients)
+    fast = twisted_factor_search(coeffs, 2)
+    with mock.patch.object(factor_search, "uni_irreducible_factors", sympy_irreducible_factors):
+        slow = twisted_factor_search(coeffs, 2)
+    assert repr(fast) == repr(slow)
+
+
+# ---------------------------------------------------------------------------
+# square and cube kernels: trial division against sympy's factorint
+
+
+def factorint_kernel(x, power):
+    """The kernel _factor_kernel replaces: sympy's factorint of n*d^(power-1)."""
+    import sympy
+
+    kernel, k = 1, 1
+    for p, e in sympy.factorint(abs(x.numerator) * x.denominator ** (power - 1)).items():
+        kernel *= p ** (e % power)
+        k *= p ** (e // power)
+    return kernel, k
+
+
+@pytest.mark.parametrize(
+    "x, power", [(F(-72, 5), 2), (F(792, 343), 2), (F(-2592, 25), 3)]
+)
+def test_factor_kernel_matches_factorint(x, power):
+    assert quintic._factor_kernel(x, power) == factorint_kernel(x, power)
+
+
+# below the limit: every prime factor but at most one is at most the bound,
+# and the one left over is below its square
+kernel_numbers = st.builds(
+    lambda a, b, c: a * b * b * c**3,
+    st.integers(1, quintic.KERNEL_TRIAL_BOUND**2 - 1),
+    st.integers(1, 10**4),
+    st.integers(1, 100),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_numbers, st.integers(1, 10**6), st.sampled_from([2, 3]))
+def test_factor_kernel_matches_factorint_below_limit(n, d, power):
+    x = F(n, d)
+    assert quintic._factor_kernel(x, power) == factorint_kernel(x, power)
 
 
 # ---------------------------------------------------------------------------
