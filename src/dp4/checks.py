@@ -16,6 +16,7 @@ from random import Random
 from . import lines, models
 from .binforms import BinaryForm, discriminant, mobius_substitute
 from .families import (
+    Poly,
     chern_verify,
     dimension_identities_symbolic,
     dimension_report,
@@ -268,11 +269,8 @@ def _check_conic_identity(rng: Random):
     "identity in fully symbolic splitting degrees",
 )
 def _check_chern(rng: Random):
-    import sympy
-
-    d = sympy.symbols("d1:6")
-    e1, e2 = sympy.symbols("e1 e2")
-    symbolic = chern_verify(list(d), [e1, e2])
+    d = [Poly.var(f"d{i}") for i in range(1, 6)]
+    symbolic = chern_verify(d, [Poly.var("e1"), Poly.var("e2")])
     numeric = all(
         chern_verify(list(ds), list(es))
         for ds, es in (

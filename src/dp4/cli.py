@@ -248,21 +248,6 @@ def _cmd_classify(args):
         raise CliInputError("height must be even and non-negative")
     if h <= 6:
         return {"height": h, "label": classify_component(h, None)}, EXIT_OK
-    if h == 8:
-        if args.torsion is None:
-            raise UsageError("height 8 needs --torsion (possibly empty)")
-        subset = _parse_subset(args.torsion)
-        try:
-            cls = TwoTorsionClass(10, subset)
-        except ValueError as exc:
-            raise CliInputError(str(exc))
-        n = torsion_orbit_label(cls)
-        return {
-            "height": 8,
-            "torsion_subset": sorted(cls.subset),
-            "orbit_label": n,
-            "label": classify_component(8, cls),
-        }, EXIT_OK
     if h == 10:
         if not args.quintic or not args.eta:
             raise UsageError("height 10 needs --quintic and --eta")
@@ -272,31 +257,33 @@ def _cmd_classify(args):
             raise CliInputError("eta file needs 'plus' and 'minus' divisors")
         plus = _decode(serialize.decode_divisor, eta["plus"])
         minus = _decode(serialize.decode_divisor, eta["minus"])
+        if not curve.is_smooth():
+            raise CliInputError("cannot certify that the curve is smooth")
         try:
-            if is_principal(curve, plus, minus):
-                return {
-                    "height": 10,
-                    "principal": True,
-                    "theta_parity": None,
-                    "label": classify_component(10, None),
-                }, EXIT_OK
-            q = theta_quadratic_form(curve, plus, minus)
+            principal = is_principal(curve, plus, minus)
+            q = None if principal else theta_quadratic_form(curve, plus, minus)
         except ValueError as exc:
             raise CliInputError(str(exc))
         return {
             "height": 10,
-            "principal": False,
+            "principal": principal,
             "theta_parity": q,
             "label": classify_component(10, q),
         }, EXIT_OK
     if args.torsion is None:
         raise UsageError(f"height {h} needs --torsion (possibly empty)")
     subset = _parse_subset(args.torsion)
-    branch = 2 * (h - 4) + 2
     try:
-        cls = TwoTorsionClass(branch, subset)
+        cls = TwoTorsionClass(2 * (h - 4) + 2, subset)
     except ValueError as exc:
         raise CliInputError(str(exc))
+    if h == 8:
+        return {
+            "height": 8,
+            "torsion_subset": sorted(cls.subset),
+            "orbit_label": torsion_orbit_label(cls),
+            "label": classify_component(8, cls),
+        }, EXIT_OK
     return {
         "height": h,
         "torsion_nonzero": not cls.is_zero(),

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from fractions import Fraction
 
 from . import linalg
@@ -335,13 +336,11 @@ def dimension_identities_symbolic() -> bool:
     """The Riemann-Roch identity 5h/2 - (h-4) + 1 = 3h/2 + 5 and the genus
     identity p_a = h - 4 for alpha = -5a-h, beta = 5, n = -2a-h/2, both as
     polynomial identities."""
-    import sympy
-
-    h, a = sympy.symbols("h a")
-    rr = sympy.expand(5 * h / 2 - (h - 4) + 1 - (3 * h / 2 + 5))
+    h, a, half = Poly.var("h"), Poly.var("a"), Fraction(1, 2)
+    rr = 5 * half * h - (h - 4) + 1 - (3 * half * h + 5)
     alpha = -5 * a - h
-    n = -2 * a - h / 2
-    genus = sympy.expand((alpha - 1) * (5 - 1) - n * 5 * (5 - 1) / 2 - (h - 4))
+    n = -2 * a - half * h
+    genus = (alpha - 1) * (5 - 1) - n * 5 * (5 - 1) * half - (h - 4)
     return rr == 0 and genus == 0
 
 
@@ -382,9 +381,53 @@ def height_bounds_scan(h: int) -> dict:
 # Chern-class identity in the Chow ring of the ambient bundle
 
 
-def _chow_reduce(cls: dict, c1):
-    import sympy
+class Poly:
+    """A polynomial over Q in named variables: a dict from sorted tuples of
+    variable names (a monomial, one name per factor) to nonzero Fractions.
+    It mixes with ints and Fractions under + - * == !=, so the Chow-ring code
+    below runs unchanged on numbers and on symbols."""
 
+    def __init__(self, terms):
+        self.terms = {m: Fraction(c) for m, c in terms.items() if c}
+
+    @classmethod
+    def var(cls, name: str) -> "Poly":
+        return cls({(name,): 1})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in _poly(other).terms.items():
+            out[m] = out.get(m, 0) + c
+        return Poly(out)
+
+    def __mul__(self, other):
+        out = {}
+        for (m1, c1), (m2, c2) in product(self.terms.items(), _poly(other).terms.items()):
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, 0) + c1 * c2
+        return Poly(out)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+    def __eq__(self, other):
+        return self.terms == _poly(other).terms
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _poly(x) -> Poly:
+    return x if isinstance(x, Poly) else Poly({(): x})
+
+
+def _is_variable(x) -> bool:
+    return isinstance(x, Poly) and [(len(m), c) for m, c in x.terms.items()] == [(1, 1)]
+
+
+def _chow_reduce(cls: dict, c1):
     out = {}
     for (i, j), v in cls.items():
         if j >= 2:
@@ -392,66 +435,54 @@ def _chow_reduce(cls: dict, c1):
         if j == 0 and i >= 5:
             if i == 5:
                 key = (4, 1)
-                out[key] = sympy.expand(out.get(key, 0) + v * c1)
+                out[key] = out.get(key, 0) + v * c1
             # i > 5 lands in H^(i-1) F with i-1 >= 5, which dies against F
             continue
         if j == 1 and i >= 5:
             continue
-        out[(i, j)] = sympy.expand(out.get((i, j), 0) + v)
+        out[(i, j)] = out.get((i, j), 0) + v
     return {k: v for k, v in out.items() if v != 0}
 
 
 def _chow_mul(x: dict, y: dict, c1):
-    import sympy
-
     out = {}
     for (i1, j1), v1 in x.items():
         for (i2, j2), v2 in y.items():
             key = (i1 + i2, j1 + j2)
-            out[key] = sympy.expand(out.get(key, 0) + v1 * v2)
+            out[key] = out.get(key, 0) + v1 * v2
     return _chow_reduce(out, c1)
 
 
 def chern_sides(d, e):
-    """(integral of c1(omega_rel)^3 over the family, -2*sum(d)); symbolic or
-    numeric inputs.  The ambient Chow ring is generated by the relative
+    """(integral of c1(omega_rel)^3 over the family, -2*sum(d)) for numeric
+    or Poly inputs.  The ambient Chow ring is generated by the relative
     hyperplane H and the fiber F modulo F^2 and H^5 - c1 H^4 F with
     c1 = sum(d); the family class is 4H^2 - 2(e1+e2) HF and omega_rel is
     -H + (sum(d) - e1 - e2) F."""
-    import sympy
-
-    d = [sympy.sympify(x) for x in d]
-    e = [sympy.sympify(x) for x in e]
     if len(d) != 5 or len(e) != 2:
         raise ValueError("need 5 degrees d and 2 degrees e")
-    c1 = sympy.expand(sum(d))
-    se = sympy.expand(e[0] + e[1])
-    x_class = {(2, 0): sympy.Integer(4), (1, 1): -2 * se}
-    omega = {(1, 0): sympy.Integer(-1), (0, 1): sympy.expand(c1 - se)}
+    c1 = sum(d)
+    se = e[0] + e[1]
+    x_class = {(2, 0): 4, (1, 1): -2 * se}
+    omega = {(1, 0): -1, (0, 1): c1 - se}
     cube = _chow_mul(_chow_mul(omega, omega, c1), omega, c1)
     total = _chow_mul(cube, x_class, c1)
-    lhs = total.get((4, 1), sympy.Integer(0)) + c1 * total.get((5, 0), sympy.Integer(0))
-    return sympy.expand(lhs), sympy.expand(-2 * c1)
+    return total.get((4, 1), 0) + c1 * total.get((5, 0), 0), -2 * c1
 
 
 def chern_verify(d, e) -> bool:
     """Whether c1(omega_rel)^3 integrates to -2*sum(d).  The identity only
-    holds modulo sum(d) = e1 + e2; symbolic inputs have one e eliminated
-    through the constraint, numeric inputs must satisfy it."""
-    import sympy
-
-    d = [sympy.sympify(x) for x in d]
-    e = [sympy.sympify(x) for x in e]
-    gap = sympy.expand(sum(d) - e[0] - e[1])
-    if gap != 0:
-        if isinstance(e[1], sympy.Symbol):
-            e = [e[0], sympy.expand(sum(d) - e[0])]
-        elif isinstance(e[0], sympy.Symbol):
-            e = [sympy.expand(sum(d) - e[1]), e[1]]
+    holds modulo sum(d) = e1 + e2; where it fails, a Poly variable e2 (else
+    e1) is eliminated through it, and numeric inputs must satisfy it."""
+    if sum(d) - e[0] - e[1] != 0:
+        if _is_variable(e[1]):
+            e = [e[0], sum(d) - e[0]]
+        elif _is_variable(e[0]):
+            e = [sum(d) - e[1], e[1]]
         else:
             raise ValueError("sum(d) = e1 + e2 violated")
     lhs, rhs = chern_sides(d, e)
-    return bool(sympy.simplify(lhs - rhs) == 0)
+    return bool(lhs == rhs)
 
 
 # ---------------------------------------------------------------------------

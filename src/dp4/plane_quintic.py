@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .binforms import BinaryForm, discriminant, pdivmod
+from .binforms import BinaryForm, discriminant, form_gcd, pdivmod, pinterpolate, resultant
 
 
 def monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -56,62 +56,61 @@ class PlaneQuintic:
         object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     def evaluate(self, point) -> Fraction:
-        x, y, z = (Fraction(v) for v in point)
-        total = Fraction(0)
-        for c, (i, j, k) in zip(self.coeffs, _QUINTIC_MONOMIALS):
-            if c:
-                total += c * x**i * y**j * z**k
-        return total
+        return _evaluate(self.coeffs, 5, point)
 
     def gradient(self, point) -> tuple[Fraction, Fraction, Fraction]:
-        x, y, z = (Fraction(v) for v in point)
-        gx = gy = gz = Fraction(0)
-        for c, (i, j, k) in zip(self.coeffs, _QUINTIC_MONOMIALS):
-            if not c:
-                continue
-            if i:
-                gx += c * i * x ** (i - 1) * y**j * z**k
-            if j:
-                gy += c * j * x**i * y ** (j - 1) * z**k
-            if k:
-                gz += c * k * x**i * y**j * z ** (k - 1)
-        return (gx, gy, gz)
+        return tuple(_evaluate(_partial(self.coeffs, v), 4, point) for v in range(3))
 
     def contains(self, point) -> bool:
         return self.evaluate(point) == 0
 
     def is_smooth(self) -> bool:
-        """No common zero of the three partials away from the origin: the
-        Groebner basis of the Jacobian ideal has a pure power of each
-        variable among its leading monomials."""
-        import sympy
+        """Certified smoothness (resultants as elimination, Cox-Little-O'Shea
+        ch. 3).  A singular point Q off the centre P = (a, a^2 + 1, 1) lies on
+        the line L through P and some (x : y : 0), where F_x, F_y and F_z
+        vanish; so R_x = Res(F_x|L, F_z|L) and R_y = Res(F_y|L, F_z|L), forms
+        of degree 16 in (x : y) interpolated from 17 nodes, share a root.  A
+        constant gcd proves smoothness; False means no centre certified."""
+        partials = [_partial(self.coeffs, v) for v in range(3)]
+        for a in SMOOTHNESS_CENTRES:
+            centre = (a, a * a + 1, 1)
+            if self.evaluate(centre) == 0:
+                continue
+            rows = [[restrict(g, 4, (k, 1, 0), centre) for g in partials] for k in range(17)]
+            rx, ry = (
+                BinaryForm.from_x_poly(pinterpolate([resultant(r[i], r[2]) for r in rows]), 16)
+                for i in (0, 1)
+            )
+            if form_gcd(rx, ry).degree == 0:
+                return True
+        return False
 
-        x, y, z = sympy.symbols("x y z")
-        poly = sum(
-            sympy.Rational(c) * x**i * y**j * z**k
-            for c, (i, j, k) in zip(self.coeffs, _QUINTIC_MONOMIALS)
-        )
-        basis = sympy.groebner(
-            [poly.diff(x), poly.diff(y), poly.diff(z)],
-            x,
-            y,
-            z,
-            order="grevlex",
-            domain=sympy.QQ,
-        )
-        lms = [sympy.LT(g, order="grevlex") for g in basis.exprs]
-        return all(any(lm.free_symbols == {v} for lm in lms) for v in (x, y, z))
+
+SMOOTHNESS_CENTRES = range(1, 7)
+
+
+def _evaluate(coeffs, degree: int, point) -> Fraction:
+    x, y, z = (Fraction(v) for v in point)
+    terms = (c * x**i * y**j * z**k for c, (i, j, k) in zip(coeffs, monomials(degree)) if c)
+    return sum(terms, Fraction(0))
 
 
 def restrict(curve_coeffs, degree: int, p0, p1) -> BinaryForm:
     """Restriction of a ternary form to the line s*p0 + t*p1 as a binary
-    form in (s, t)."""
-    total = [Fraction(0)] * (degree + 1)
-    for c, mono in zip(curve_coeffs, monomials(degree)):
+    form in (s, t), computed over Z on the form and the points scaled by
+    the lcms D, d0, d1 of their denominators: coefficient i (on
+    s^(degree-i) t^i) is divided by D * d0^(degree-i) * d1^i once."""
+    den, coeffs = linalg.clear_denominators(curve_coeffs)
+    (d0, q0), (d1, q1) = linalg.clear_denominators(p0), linalg.clear_denominators(p1)
+    total = [0] * (degree + 1)
+    for c, mono in zip(coeffs, monomials(degree)):
         if c:
-            for i, x in enumerate(_restrict_monomial(mono, p0, p1)):
+            for i, x in enumerate(_restrict_monomial(mono, q0, q1)):
                 total[i] += c * x
-    return BinaryForm(degree, tuple(total))
+    return BinaryForm(
+        degree,
+        tuple(Fraction(c, den * d0 ** (degree - i) * d1**i) for i, c in enumerate(total)),
+    )
 
 
 def _covector(p, q):
@@ -266,26 +265,17 @@ def _pick_lines(curve: PlaneQuintic, plus, special_points):
         for _ in range(mult):
             found = False
             for w in _direction_candidates():
-                if _covector(p, w) == (0, 0, 0):
-                    continue
                 cov = _covector(p, w)
-                if any(
+                if cov == (0, 0, 0) or any(
                     _on_line(cov, q) for q in special_points if tuple(q) != tuple(p)
                 ):
                     continue
+                # a new line, meeting the lines through other points off the curve
+                crossings = [(p2, _covector(cov, cov2)) for p2, _, cov2, _ in chosen]
                 if any(
-                    _same_line(cov, cov2) for _, _, cov2, _ in chosen
+                    x == (0, 0, 0) or (tuple(p2) != tuple(p) and curve.evaluate(x) == 0)
+                    for p2, x in crossings
                 ):
-                    continue
-                bad = False
-                for p2, _, cov2, _ in chosen:
-                    if tuple(p2) == tuple(p):
-                        continue
-                    cross = _covector(cov, cov2)
-                    if cross == (0, 0, 0) or curve.evaluate(cross) == 0:
-                        bad = True
-                        break
-                if bad:
                     continue
                 b = restrict(curve.coeffs, 5, p, w)
                 if b.coeffs[0] != 0:
@@ -308,14 +298,6 @@ def _direction_candidates():
         yield (Fraction(1), Fraction(k), Fraction(k * k + 1))
         yield (Fraction(0), Fraction(1), Fraction(k))
         yield (Fraction(1), Fraction(-k - 1), Fraction(k + 2))
-
-
-def _same_line(c1, c2):
-    return (
-        c1[0] * c2[1] == c1[1] * c2[0]
-        and c1[0] * c2[2] == c1[2] * c2[0]
-        and c1[1] * c2[2] == c1[2] * c2[1]
-    )
 
 
 def h0_linear_system(curve: PlaneQuintic, plus, minus, extra_h: int = 0) -> int:
@@ -368,18 +350,15 @@ def h0_linear_system(curve: PlaneQuintic, plus, minus, extra_h: int = 0) -> int:
 
 
 def _restrict_monomial(mono, p0, p1):
-    i, j, k = mono
-    deg = i + j + k
-    lin = [(Fraction(p0[c]), Fraction(p1[c])) for c in range(3)]
-    coeffs = [Fraction(1)]
-    for power, (a, b) in ((i, lin[0]), (j, lin[1]), (k, lin[2])):
+    coeffs = [1]
+    for power, a, b in zip(mono, p0, p1):
         for _ in range(power):
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
+            nxt = [0] * (len(coeffs) + 1)
             for idx, c in enumerate(coeffs):
                 nxt[idx] += c * a
                 nxt[idx + 1] += c * b
             coeffs = nxt
-    assert len(coeffs) == deg + 1
+    assert len(coeffs) == sum(mono) + 1
     return coeffs
 
 

@@ -13,9 +13,7 @@ construction of an InvariantVector.
 Points of the moduli space carry weights (1, 2, 3) on (J4, J8, J12).  The
 canonical representative is exact over Q: scale J4 to 1 when possible, else
 J8 to its signed squarefree integer kernel, else J12 to its positive
-cubefree kernel (both by trial division up to KERNEL_TRIAL_BOUND).  Orbit
-equality is also offered directly, without any integer factorization, as an
-independent route.
+cubefree kernel (both by trial division up to KERNEL_TRIAL_BOUND).
 """
 
 from __future__ import annotations
@@ -164,14 +162,15 @@ class ModuliPoint:
 
 # The square and cube kernels of J8 and J12 come from trial division by 2
 # and every odd number up to this bound (about 0.1 s at worst).  A cofactor
-# left below its square is 1 or a prime; a larger one, which may have two
-# or more prime factors above the bound, is refused with ValueError.
+# left below its square is 1 or a prime, and so is the root r of a larger
+# cofactor r^e with r below the square; any other cofactor, which has two or
+# more distinct prime factors above the bound, is refused with ValueError.
 KERNEL_TRIAL_BOUND = 10**6
 
 
 def _prime_powers(n: int, what: str) -> dict[int, int]:
     """{prime: exponent} of a positive integer by trial division up to
-    KERNEL_TRIAL_BOUND."""
+    KERNEL_TRIAL_BOUND, then a perfect-power test on the cofactor."""
     out: dict[int, int] = {}
     q = 2
     while q <= KERNEL_TRIAL_BOUND and q * q <= n:
@@ -179,13 +178,26 @@ def _prime_powers(n: int, what: str) -> dict[int, int]:
             out[q] = out.get(q, 0) + 1
             n //= q
         q += 1 if q == 2 else 2
-    if n >= KERNEL_TRIAL_BOUND**2:
-        raise ValueError(
-            f"cannot compute the {what} kernel: a cofactor of {n.bit_length()} bits "
-            f"has no prime factor up to {KERNEL_TRIAL_BOUND}"
-        )
+    cofactor, top, e = n, KERNEL_TRIAL_BOUND**2, 1
+    while n >= top and math.isqrt(n) ** 2 == n:
+        n, e = math.isqrt(n), 2 * e
+    if n >= top:
+        # n is odd and no square, so n = r^f with r < top needs f odd; then r
+        # is the one f-th root of n modulo m = 2^40 > r, f being prime to the
+        # exponent m/4 of (Z/m)^*.  r > KERNEL_TRIAL_BOUND >= 2^b bounds f.
+        m, b = 1 << top.bit_length(), KERNEL_TRIAL_BOUND.bit_length() - 1
+        for f in range(3, n.bit_length() // b + 1, 2):
+            r = pow(n, pow(f, -1, m >> 2), m)
+            if r < top and r**f == n:
+                n, e = r, e * f
+                break
+        else:
+            raise ValueError(
+                f"cannot compute the {what} kernel: a cofactor of {cofactor.bit_length()} "
+                f"bits has no prime factor up to {KERNEL_TRIAL_BOUND}"
+            )
     if n > 1:
-        out[n] = 1
+        out[n] = e
     return out
 
 

@@ -151,19 +151,6 @@ def encode_conic(spec) -> dict:
     }
 
 
-def decode_conic(d):
-    from .models import ConicBundleSpec
-
-    if not isinstance(d, dict) or "entries" not in d:
-        raise ValueError("conic bundle needs 'entries'")
-    try:
-        entries = tuple(tuple(decode_biform(x) for x in _typed(row, list, "entries row"))
-                        for row in _typed(d["entries"], list, "entries"))
-        return ConicBundleSpec(entries)
-    except ValueError as exc:
-        raise ValueError(f"malformed conic bundle: {exc}") from exc
-
-
 def encode_curve(curve) -> dict:
     """Plane quintic against the monomial order of monomials(5)."""
     return {

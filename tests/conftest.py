@@ -4,7 +4,7 @@ written to an example database, so every run tries the same examples.
 
 The family steps are memoized per spec; every test starts with empty caches,
 so a spy or an oracle context sees the computation rather than a cached
-result left by an earlier test."""
+result left by an earlier test.  BIG_PRIMES are shared by the kernel tests."""
 
 import pytest
 from hypothesis import settings
@@ -13,6 +13,9 @@ from dp4 import families
 
 settings.register_profile("dp4", derandomize=True, database=None, deadline=None)
 settings.load_profile("dp4")
+
+# two primes above quintic.KERNEL_TRIAL_BOUND
+BIG_PRIMES = (1000003, 10000019)
 
 FAMILY_CACHES = (
     families.spectral_form,

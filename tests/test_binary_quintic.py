@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import BIG_PRIMES
 from dp4.binforms import BinaryForm, discriminant, mobius_substitute
 from dp4.quintic import (
     KERNEL_TRIAL_BOUND,
@@ -285,10 +286,6 @@ print("sympy" in sys.modules)
     assert proc.stdout.strip() == "False"
 
 
-# two primes above the trial-division bound
-BIG_PRIMES = (1000003, 10000019)
-
-
 def test_normalize_weighted_refuses_kernel_beyond_bound():
     assert min(BIG_PRIMES) > KERNEL_TRIAL_BOUND
     start = time.perf_counter()
@@ -300,6 +297,19 @@ def test_normalize_weighted_refuses_kernel_beyond_bound():
     # one prime above the bound is below its square, so it is accepted
     pt = normalize_weighted((F(0), F(4 * BIG_PRIMES[0]), F(0)))
     assert pt.coords == (F(0), F(BIG_PRIMES[0]), F(0))
+
+
+@pytest.mark.parametrize("e1, e2", [(1, 1), (2, 1), (2, 2), (3, 3), (5, 5)])
+@pytest.mark.parametrize("q", [BIG_PRIMES[1], 1000033])
+def test_normalize_weighted_refuses_two_primes_beyond_bound(q, e1, e2):
+    # a power of one prime above the bound is accepted, a product of powers
+    # of two such primes is not, even when their product lies between 10^12
+    # and 2^40 (1000003 * 1000033)
+    n = BIG_PRIMES[0] ** e1 * q**e2
+    with pytest.raises(ValueError, match="cannot compute the square kernel"):
+        normalize_weighted((F(0), F(n), F(1)))
+    pt = normalize_weighted((F(0), F(-(q ** (e1 + e2))), F(0)))
+    assert pt.coords == (F(0), F(-(q ** ((e1 + e2) % 2))), F(0))
 
 
 def test_normalize_weighted_rejects_zero_triple():

@@ -15,7 +15,7 @@ from dp4 import cli, models, serialize
 from dp4.binforms import BinaryForm
 from dp4.cli import main
 from dp4.pencils import blowup_from_quintic
-from dp4.plane_quintic import pencil_fixture, quadrilateral_fixture
+from dp4.plane_quintic import PlaneQuintic, monomials, pencil_fixture, quadrilateral_fixture
 
 F = Fraction
 
@@ -107,6 +107,16 @@ def test_quintic_invariants_kernel_beyond_bound_exits_3(capsys, tmp_path):
     assert code == cli.EXIT_INPUT == 3
     assert out == ""
     assert "cannot compute the square kernel" in err
+
+
+def test_quintic_invariants_prime_power_kernel(capsys, tmp_path):
+    # with a = 1000003, a prime above the trial-division bound, J8 = -8000 a^5
+    # leaves the cofactor a^5, a prime power, so the square kernel is 5a
+    f = BinaryForm(5, tuple(F(c) for c in (1, 0, 0, 0, 1000003, 0)))
+    path = write_json(tmp_path / "quintic.json", serialize.encode_form(f))
+    code, tree, _ = run_json(capsys, "quintic", "invariants", "--input", path)
+    assert code == 0
+    assert tree["moduli_point"] == {"coords": ["0", "-5000015", "0"], "normalized": "J8"}
 
 
 def test_quintic_invariants_wrong_degree(capsys, tmp_path):
@@ -293,6 +303,20 @@ def test_classify_h10_non_torsion_rejected(capsys, tmp_path):
     assert "not 2-torsion" in err
 
 
+def test_classify_h10_uncertified_curve_exits_3(capsys, tmp_path):
+    # x y z^3 + x^5 + y^5 has a node at (0 : 0 : 1): no parity is reported
+    terms = {(1, 1, 3): 1, (5, 0, 0): 1, (0, 5, 0): 1}
+    node = PlaneQuintic(tuple(F(terms.get(m, 0)) for m in monomials(5)))
+    curve = write_json(tmp_path / "curve.json", serialize.encode_curve(node))
+    eta = write_json(tmp_path / "eta.json", {"plus": [], "minus": []})
+    code, out, err = run(
+        capsys, "classify", "--height", "10", "--quintic", curve, "--eta", eta
+    )
+    assert code == cli.EXIT_INPUT == 3
+    assert out == ""
+    assert err == "error: cannot certify that the curve is smooth\n"
+
+
 def test_classify_h10_requires_files(capsys):
     code, _, _ = run(capsys, "classify", "--height", "10")
     assert code == 2
@@ -453,8 +477,9 @@ print(json.dumps([codes, loaded]))
 
 
 def test_pipeline_commands_run_without_sympy(tmp_path):
-    # examples build, family analyze, pencil analyze and examples verify-all
-    # factor over Q natively and never import sympy
+    # every command runs on dp4's own arithmetic: factoring over Q, the
+    # symbolic identities of verify paper-checks and the smoothness
+    # certificate of classify --height 10 never import sympy
     random_pencil = {
         "type": "pencil",
         "P": [["1" if i == j else "0" for j in range(5)] for i in range(5)],
@@ -475,6 +500,23 @@ def test_pipeline_commands_run_without_sympy(tmp_path):
     argvs.append(["family", "analyze", "--input", builds["h10_ci"]])
     argvs += [["pencil", "analyze", "--input", p] for p in pencils]
     argvs.append(["examples", "verify-all", "--seeds", "1..2"])
+    argvs += [["verify", "paper-checks"], ["lines", "report"],
+              ["family", "scan-heights", "--max", "20"],
+              ["classify", "--height", "8", "--torsion", "1,2"],
+              ["classify", "--height", "12", "--torsion", ""]]
+    for name, fx, (plus, minus) in (
+        ("pencil", pencil_fixture(), pencil_fixture().eta(0, 1)),
+        ("quadrilateral", quadrilateral_fixture(), quadrilateral_fixture().eta("12|34")),
+    ):
+        curve = write_json(tmp_path / f"{name}_curve.json", serialize.encode_curve(fx.curve))
+        eta = write_json(tmp_path / f"{name}_eta.json", {
+            "plus": serialize.encode_divisor(plus),
+            "minus": serialize.encode_divisor(minus),
+        })
+        argvs.append(["classify", "--height", "10", "--quintic", curve, "--eta", eta])
+    quintic = BinaryForm(5, tuple(F(c) for c in (1, 0, 0, 0, 1000003, 0)))
+    argvs.append(["quintic", "invariants", "--input",
+                  write_json(tmp_path / "quintic.json", serialize.encode_form(quintic))])
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run(

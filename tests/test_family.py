@@ -8,7 +8,6 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-import sympy
 
 from conftest import FAMILY_CACHES, clear_family_caches
 from dp4 import families
@@ -16,6 +15,7 @@ from dp4.binforms import BinaryForm, discriminant
 from dp4.families import (
     FamilySpec,
     HirzebruchClass,
+    Poly,
     arithmetic_genus,
     chern_sides,
     chern_verify,
@@ -486,8 +486,8 @@ def test_dimension_report_rejects_odd():
 
 
 def test_chern_identity_symbolic():
-    d = sympy.symbols("d1:6")
-    e1 = sympy.symbols("e1")
+    d = [Poly.var(f"d{i}") for i in range(1, 6)]
+    e1 = Poly.var("e1")
     e2 = sum(d) - e1
     assert chern_verify(d, (e1, e2)) is True
 

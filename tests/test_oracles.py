@@ -20,8 +20,12 @@ lift, both invariant constants as exact fits on sampled quintics, and the
 subgroup closure of the 16-line symmetry group as composition of signed
 permutations of the five partition indices (it now composes permutations of
 the 16 lines), factorization over Q as sympy's factor_list (it is now
-Zassenhaus's method over Z) and the square and cube kernels of the moduli
-point as sympy's factorint (they now come from bounded trial division).
+Zassenhaus's method over Z), the square and cube kernels of the moduli
+point as sympy's factorint (they now come from bounded trial division and
+an integer root for a prime power), smoothness of a plane quintic as a
+sympy Groebner basis of the Jacobian ideal (it is now a resultant
+certificate), and the Chern and dimension identities on sympy symbols (they
+now run on families.Poly).
 """
 
 import math
@@ -35,6 +39,8 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from conftest import BIG_PRIMES
 
 from dp4 import binforms, factor_search, families, linalg, lines, quintic
 from dp4.binforms import (
@@ -75,6 +81,7 @@ from dp4.factor_search import (
     wsub,
 )
 from dp4.families import (
+    Poly,
     SpectralForm,
     discriminant_family,
     expected_coefficient_degree,
@@ -83,7 +90,17 @@ from dp4.families import (
 from dp4.lines import SignedPermutation
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
 from dp4.pencils import SymmetricPencil, spectral_quintic
-from dp4.plane_quintic import sadd, sinv, smul, ssub, strunc
+from dp4.plane_quintic import (
+    PlaneQuintic,
+    monomials,
+    pencil_fixture,
+    quadrilateral_fixture,
+    sadd,
+    sinv,
+    smul,
+    ssub,
+    strunc,
+)
 from dp4.quintic import _raw_invariants, disc_as_invariant, syzygy_coefficients, syzygy_monomials
 
 F = Fraction
@@ -1197,3 +1214,263 @@ def test_closure_of_s5_alone_is_not_full(closure_runs):
     _, runs = closure_runs
     assert lines._closure_is_full(runs[0][:-1]) is False
     assert signed_closure_is_full([S5_SWAP, S5_CYCLE]) is False
+
+
+# ---------------------------------------------------------------------------
+# square and cube kernels of prime powers above the trial-division bound
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5, 12, 21])
+@pytest.mark.parametrize("p", BIG_PRIMES + (999999999989,))
+def test_prime_power_kernel_matches_factorint(p, e):
+    # 12 takes two square roots and a cube root, 21 an odd root of
+    # composite degree; 999999999989 is the largest prime below 10^12
+    for x in (F(p**e), F(-12 * p**e, 5), F(7, p**e)):
+        for power in (2, 3):
+            assert quintic._factor_kernel(x, power) == factorint_kernel(x, power)
+
+
+# ---------------------------------------------------------------------------
+# smoothness: the resultant certificate against a Groebner basis
+
+
+def groebner_is_smooth(curve) -> bool:
+    """The PlaneQuintic.is_smooth the certificate replaces: no common zero
+    of the three partials away from the origin: the Groebner basis of the
+    Jacobian ideal has a pure power of each variable among its leading
+    monomials."""
+    import sympy
+
+    x, y, z = sympy.symbols("x y z")
+    poly = sum(
+        sympy.Rational(c) * x**i * y**j * z**k
+        for c, (i, j, k) in zip(curve.coeffs, monomials(5))
+    )
+    basis = sympy.groebner(
+        [poly.diff(x), poly.diff(y), poly.diff(z)],
+        x,
+        y,
+        z,
+        order="grevlex",
+        domain=sympy.QQ,
+    )
+    lms = [sympy.LT(g, order="grevlex") for g in basis.exprs]
+    return all(any(lm.free_symbols == {v} for lm in lms) for v in (x, y, z))
+
+
+def sympy_curve(make):
+    """The PlaneQuintic of a sympy quintic make(x, y, z)."""
+    import sympy
+
+    x, y, z = sympy.symbols("x y z")
+    poly = sympy.Poly(sympy.expand(make(x, y, z)), x, y, z)
+    return PlaneQuintic(
+        tuple(F(int(poly.coeff_monomial(x**i * y**j * z**k))) for i, j, k in monomials(5))
+    )
+
+
+def planted_singular(seed):
+    """A random quintic singular at a random point Q = (q0, q1, 1): every
+    monomial vanishes to order at least 2 at Q."""
+    rng = random.Random(seed)
+    q0, q1 = rng.randint(-3, 3), rng.randint(-3, 3)
+
+    def make(x, y, z):
+        u, v = x - q0 * z, y - q1 * z
+        return sum(
+            rng.randint(-4, 4) * u**i * v**j * z**k
+            for i, j, k in monomials(5)
+            if i + j >= 2
+        )
+
+    return sympy_curve(make)
+
+
+def random_curve(seed):
+    rng = random.Random(seed)
+    return PlaneQuintic(tuple(F(rng.randint(-3, 3)) for _ in range(21)))
+
+
+PLANE_CURVES = {
+    "pencil-fixture": lambda: pencil_fixture().curve,
+    "quadrilateral-fixture": lambda: quadrilateral_fixture().curve,
+    "fermat": lambda: sympy_curve(lambda x, y, z: x**5 + y**5 + z**5),
+    "cone-point": lambda: sympy_curve(lambda x, y, z: x**5 + x**2 * y**3 + y**5),
+    "node": lambda: sympy_curve(lambda x, y, z: x * y * z**3 + x**5 + y**5),
+    "cusp": lambda: sympy_curve(lambda x, y, z: y**2 * z**3 - x**3 * z**2 + x**5 + y**5),
+    "line-times-quartic": lambda: sympy_curve(lambda x, y, z: x * (x**4 + y**4 + z**4)),
+    # singular at a point with no zero coordinate
+    "node-at-1-2-1": lambda: sympy_curve(
+        lambda x, y, z: (x - z) * (y - 2 * z) * z**3 + (x - z) ** 5 + (y - 2 * z) ** 5
+    ),
+    **{f"planted-{seed}": (lambda seed=seed: planted_singular(seed)) for seed in range(3)},
+    **{f"random-{seed}": (lambda seed=seed: random_curve(seed)) for seed in range(2)},
+}
+
+
+@pytest.mark.parametrize("make", PLANE_CURVES.values(), ids=PLANE_CURVES.keys())
+def test_smoothness_certificate_matches_groebner(make):
+    curve = make()
+    assert curve.is_smooth() == groebner_is_smooth(curve)
+
+
+CERTIFIED = {"pencil-fixture", "quadrilateral-fixture", "fermat"}
+
+
+def test_smoothness_certificate_verdicts():
+    # the fixtures and the Fermat curve are certified, every planted
+    # singular curve is refused; Groebner alone decides the random curves
+    for name, make in PLANE_CURVES.items():
+        if not name.startswith("random"):
+            assert make().is_smooth() == (name in CERTIFIED), name
+
+
+# ---------------------------------------------------------------------------
+# the symbolic identities: Poly against sympy
+
+
+def sympy_dimension_identities_symbolic() -> bool:
+    """The sympy version of families.dimension_identities_symbolic."""
+    import sympy
+
+    h, a = sympy.symbols("h a")
+    rr = sympy.expand(5 * h / 2 - (h - 4) + 1 - (3 * h / 2 + 5))
+    alpha = -5 * a - h
+    n = -2 * a - h / 2
+    genus = sympy.expand((alpha - 1) * (5 - 1) - n * 5 * (5 - 1) / 2 - (h - 4))
+    return rr == 0 and genus == 0
+
+
+def sympy_chow_reduce(cls: dict, c1):
+    import sympy
+
+    out = {}
+    for (i, j), v in cls.items():
+        if j >= 2:
+            continue
+        if j == 0 and i >= 5:
+            if i == 5:
+                key = (4, 1)
+                out[key] = sympy.expand(out.get(key, 0) + v * c1)
+            # i > 5 lands in H^(i-1) F with i-1 >= 5, which dies against F
+            continue
+        if j == 1 and i >= 5:
+            continue
+        out[(i, j)] = sympy.expand(out.get((i, j), 0) + v)
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def sympy_chow_mul(x: dict, y: dict, c1):
+    import sympy
+
+    out = {}
+    for (i1, j1), v1 in x.items():
+        for (i2, j2), v2 in y.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = sympy.expand(out.get(key, 0) + v1 * v2)
+    return sympy_chow_reduce(out, c1)
+
+
+def sympy_chern_sides(d, e):
+    """(integral of c1(omega_rel)^3 over the family, -2*sum(d)); symbolic or
+    numeric inputs.  The ambient Chow ring is generated by the relative
+    hyperplane H and the fiber F modulo F^2 and H^5 - c1 H^4 F with
+    c1 = sum(d); the family class is 4H^2 - 2(e1+e2) HF and omega_rel is
+    -H + (sum(d) - e1 - e2) F."""
+    import sympy
+
+    d = [sympy.sympify(x) for x in d]
+    e = [sympy.sympify(x) for x in e]
+    if len(d) != 5 or len(e) != 2:
+        raise ValueError("need 5 degrees d and 2 degrees e")
+    c1 = sympy.expand(sum(d))
+    se = sympy.expand(e[0] + e[1])
+    x_class = {(2, 0): sympy.Integer(4), (1, 1): -2 * se}
+    omega = {(1, 0): sympy.Integer(-1), (0, 1): sympy.expand(c1 - se)}
+    cube = sympy_chow_mul(sympy_chow_mul(omega, omega, c1), omega, c1)
+    total = sympy_chow_mul(cube, x_class, c1)
+    lhs = total.get((4, 1), sympy.Integer(0)) + c1 * total.get((5, 0), sympy.Integer(0))
+    return sympy.expand(lhs), sympy.expand(-2 * c1)
+
+
+def sympy_chern_verify(d, e) -> bool:
+    """Whether c1(omega_rel)^3 integrates to -2*sum(d).  The identity only
+    holds modulo sum(d) = e1 + e2; symbolic inputs have one e eliminated
+    through the constraint, numeric inputs must satisfy it."""
+    import sympy
+
+    d = [sympy.sympify(x) for x in d]
+    e = [sympy.sympify(x) for x in e]
+    gap = sympy.expand(sum(d) - e[0] - e[1])
+    if gap != 0:
+        if isinstance(e[1], sympy.Symbol):
+            e = [e[0], sympy.expand(sum(d) - e[0])]
+        elif isinstance(e[0], sympy.Symbol):
+            e = [sympy.expand(sum(d) - e[1]), e[1]]
+        else:
+            raise ValueError("sum(d) = e1 + e2 violated")
+    lhs, rhs = sympy_chern_sides(d, e)
+    return bool(sympy.simplify(lhs - rhs) == 0)
+
+
+def as_sympy(p):
+    """A Poly, an int or a Fraction as a sympy expression."""
+    import sympy
+
+    terms = p.terms.items() if isinstance(p, Poly) else [((), F(p))]
+    return sympy.Add(
+        *(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*map(sympy.Symbol, m))
+          for m, c in terms)
+    )
+
+
+def symbolic_degrees(poly_class):
+    names = [f"d{i}" for i in range(1, 6)] + ["e1", "e2"]
+    return [poly_class(name) for name in names]
+
+
+def test_dimension_identities_match_sympy():
+    assert families.dimension_identities_symbolic() is True
+    assert sympy_dimension_identities_symbolic() is True
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+def test_chern_sides_match_sympy_symbolic(constrained):
+    import sympy
+
+    *d, e1, e2 = symbolic_degrees(Poly.var)
+    *sd, se1, se2 = symbolic_degrees(sympy.Symbol)
+    if constrained:
+        e2, se2 = sum(d) - e1, sum(sd) - se1
+    lhs, rhs = families.chern_sides(d, (e1, e2))
+    slhs, srhs = sympy_chern_sides(sd, (se1, se2))
+    assert sympy.expand(as_sympy(lhs) - slhs) == 0
+    assert sympy.expand(as_sympy(rhs) - srhs) == 0
+    # the identity holds exactly on the constraint; an unconstrained e2 is
+    # the negative control
+    assert (lhs - rhs == 0) is constrained
+    assert (sympy.expand(slhs - srhs) == 0) is constrained
+
+
+def test_chern_verify_matches_sympy_symbolic():
+    import sympy
+
+    *d, e1, e2 = symbolic_degrees(Poly.var)
+    *sd, se1, se2 = symbolic_degrees(sympy.Symbol)
+    assert families.chern_verify(d, [e1, e2]) is sympy_chern_verify(sd, [se1, se2]) is True
+    assert families.chern_verify(d, [e1 * 2, e2]) is sympy_chern_verify(sd, [se1 * 2, se2]) is True
+    with pytest.raises(ValueError):
+        families.chern_verify(d, [e1 * 2, e2 * 2])
+    with pytest.raises(ValueError):
+        sympy_chern_verify(sd, [se1 * 2, se2 * 2])
+
+
+def test_chern_sides_match_sympy_numeric():
+    rng = random.Random(1201)
+    for _ in range(50):
+        d = [rng.randint(-6, 2) for _ in range(5)]
+        e1 = rng.randint(-8, 2)
+        e = (e1, rng.choice([sum(d) - e1, rng.randint(-8, 2)]))
+        assert families.chern_sides(d, e) == sympy_chern_sides(d, e)
+        if sum(d) == sum(e):
+            assert families.chern_verify(d, e) is sympy_chern_verify(d, e) is True

@@ -1,5 +1,5 @@
 """JSON codecs: rationals as strings, forms, matrices, pencils, families,
-conic bundles, plane curves, divisors, canonical rendering."""
+plane curves, divisors, canonical rendering."""
 
 import json
 import random
@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 from dp4.biforms import BiForm
 from dp4.binforms import BinaryForm
 from dp4.families import FamilySpec
-from dp4.models import build_example, random_conic_bundle
+from dp4.models import build_example
 from dp4.pencils import SymmetricPencil
 from dp4.plane_quintic import pencil_fixture
 from dp4.serialize import (
     decode_biform,
-    decode_conic,
     decode_curve,
     decode_divisor,
     decode_family,
@@ -28,7 +27,6 @@ from dp4.serialize import (
     decode_rational,
     dumps_canonical,
     encode_biform,
-    encode_conic,
     encode_curve,
     encode_divisor,
     encode_family,
@@ -164,14 +162,6 @@ def test_family_roundtrip_h8():
     assert back == spec
 
 
-def test_conic_roundtrip():
-    spec = random_conic_bundle(77)
-    tree = encode_conic(spec)
-    assert tree["type"] == "conic-bundle"
-    back = decode_conic(tree)
-    assert back == spec
-
-
 def test_curve_roundtrip():
     fx = pencil_fixture()
     tree = encode_curve(fx.curve)
@@ -229,13 +219,12 @@ DECODERS = [
     decode_matrix,
     decode_pencil,
     decode_family,
-    decode_conic,
     decode_curve,
     decode_divisor,
 ]
 
 KEYS = ["degree", "coeffs", "bidegree", "grid", "type", "P", "Q", "d", "e", "A1", "A2",
-        "entries", "point", "mult"]
+        "point", "mult"]
 
 json_leaves = (
     st.none()
@@ -264,7 +253,6 @@ def valid_trees():
         encode_matrix([[F(1), F(2)], [F(2), F(-1, 3)]]),
         encode_pencil(SymmetricPencil(diagonal, diagonal)),
         encode_family(FamilySpec((0,) * 5, (0, 0), constant, constant)),
-        encode_conic(random_conic_bundle(77)),
         encode_curve(pencil_fixture().curve),
         encode_divisor([((F(1), F(2), F(3)), 1), ((F(0), F(1), F(-1)), 2)]),
     ]
