@@ -158,6 +158,32 @@ def zdivexact(p: list[int], q: list[int]) -> list[int]:
     return quo
 
 
+def squarefree_mod(f: "BinaryForm", primes) -> bool:
+    """A one-sided squarefreeness proof for a nonzero form (the lucky-prime
+    test, von zur Gathen-Gerhard ch. 14).  True when y^2 does not divide f
+    and, for the first of the primes p that does not divide the leading
+    coefficient of the primitive integer f(x, 1), gcd(f, f') = 1 over F_p:
+    the reduction keeps the degree, so disc(f(x, 1)) is nonzero mod p and
+    hence nonzero.  False decides nothing."""
+    if f.y_valuation() > 1:
+        return False
+    x = _primitive_ints(f.x_poly())
+    p = next((q for q in primes if x[-1] % q), None)
+    if p is None:
+        return False
+    a = [c % p for c in x]
+    b = pnorm([i * c % p for i, c in enumerate(x)][1:])
+    while b:  # Euclid over F_p
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            c, k = a[-1] * inv % p, len(a) - len(b)
+            for i, y in enumerate(b):
+                a[k + i] = (a[k + i] - c * y) % p
+            pnorm(a)
+        a, b = b, a
+    return len(a) == 1
+
+
 def pgcd(p, q):
     """Monic gcd over Q: zgcd made monic."""
     g = zgcd(p, q)
@@ -459,20 +485,17 @@ def pencil_determinant(a, b) -> "BinaryForm":
     return BinaryForm(n, tuple(p) + (Fraction(0),) * (n + 1 - len(p)))
 
 
-def sylvester_matrix(f: BinaryForm, g: BinaryForm) -> linalg.Matrix:
-    m, n = f.degree, g.degree
+def sylvester_matrix(f, g) -> linalg.Matrix:
+    """The Sylvester matrix of two coefficient sequences, highest power of x
+    first (the order of BinaryForm.coeffs), at their formal degrees."""
+    m, n = len(f) - 1, len(g) - 1
     size = m + n
     rows = []
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(f.coeffs):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(g.coeffs):
-            row[i + j] = c
-        rows.append(row)
+    for coeffs, shifts in ((f, n), (g, m)):
+        for i in range(shifts):
+            row = [0] * size
+            row[i : i + len(coeffs)] = coeffs
+            rows.append(row)
     return rows
 
 
@@ -483,17 +506,22 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
         return f.coeffs[0] ** g.degree
     if g.degree == 0:
         return g.coeffs[0] ** f.degree
-    return linalg.det(sylvester_matrix(f, g))
+    return linalg.det(sylvester_matrix(f.coeffs, g.coeffs))
 
 
 def discriminant(f: BinaryForm) -> Fraction:
     """Discriminant normalized so a monic split form gives the product of
-    squared root differences: disc = (-1)^(d(d-1)/2) Res(f_x, f_y) / d^(d-2)."""
+    squared root differences: disc = (-1)^(d(d-1)/2) Res(f_x, f_y) / d^(d-2).
+    The resultant is taken over Z, of the partials of the integer-scaled form
+    D*f: it is D^(2d-2) Res(f_x, f_y), divided out once at the end."""
     d = f.degree
     if d <= 1:
         return Fraction(1)
+    den, c = f._scaled
+    fx = [c[i] * (d - i) for i in range(d)]
+    fy = [c[i] * i for i in range(1, d + 1)]
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * resultant(f.derivative_x(), f.derivative_y()) / Fraction(d) ** (d - 2)
+    return sign * linalg.det(sylvester_matrix(fx, fy)) / (den ** (2 * d - 2) * d ** (d - 2))
 
 
 def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:

@@ -13,7 +13,8 @@ quintics of the fibers over (k : 1), and a zero coefficient carries the
 nominal degree max(expected, 0).  Its (u,v)-discriminant has degree
 exactly 2h whenever nonzero (every term of the determinant expansion has the
 same isobaric weight), so 2h+1 fiber discriminants determine it by the same
-interpolation; squarefreeness is the simple-branching flag, and a
+interpolation; squarefreeness is the simple-branching flag (proved modulo
+a prime, with Yun's algorithm when that proof fails), and a
 bounded factor search plus a fiber irreducibility witness certify the full
 Galois-group condition.  The Chern-class identity for the cube of the
 relative dualizing sheaf is verified symbolically in a tiny Chow ring.
@@ -38,6 +39,7 @@ from .binforms import (
     pdeg,
     pencil_determinant,
     pinterpolate,
+    squarefree_mod,
     squarefree_profile,
 )
 from .factor_search import twisted_factor_search, uni_irreducible_factors
@@ -46,6 +48,10 @@ from .factor_search import twisted_factor_search, uni_irreducible_factors
 # least models.RETRY_BOUND, so that every attempt of one seeded build stays
 # cached when the build is repeated.
 CACHE_BOUND = 32
+
+# The primes that the squarefree test of Delta reduces modulo: the first one
+# not dividing Delta's leading coefficient is used.
+DELTA_PRIMES = (1000003, 1000033, 1000037)
 
 
 @dataclass(frozen=True)
@@ -229,10 +235,18 @@ def _discriminant_or_none(spec: FamilySpec) -> DiscriminantReport | None:
     delta = BinaryForm.from_x_poly(poly, 2 * h)
     if delta.degree == 0:
         return DiscriminantReport(delta, 0, True, 0)
+    return DiscriminantReport(delta, delta.degree, *_branching(delta))
+
+
+def _branching(delta: BinaryForm) -> tuple[bool, int]:
+    """(whether Delta is squarefree, its number of distinct roots) for a
+    nonconstant Delta.  A squarefree Delta has deg Delta distinct roots, so
+    Yun's algorithm runs only when the test modulo a prime does not prove
+    Delta squarefree."""
+    if squarefree_mod(delta, DELTA_PRIMES):
+        return True, delta.degree
     profile = squarefree_profile(delta)
-    g1 = all(mult == 1 for _, mult in profile)
-    count = sum(factor.degree for factor, _ in profile)
-    return DiscriminantReport(delta, delta.degree, g1, count)
+    return all(mult == 1 for _, mult in profile), sum(f.degree for f, _ in profile)
 
 
 def discriminant_family(spec: FamilySpec) -> DiscriminantReport:
@@ -517,11 +531,11 @@ def _as_form_matrix(g, degree: int):
     return tuple(rows)
 
 
-def _integer_primitive_vector(vec):
+def _integer_primitive_vector(vec) -> list[int]:
     den = math.lcm(*(x.denominator for x in vec)) if vec else 1
     ints = [int(x * den) for x in vec]
     g = math.gcd(*ints) if any(ints) else 1
-    return [Fraction(x, g) for x in ints]
+    return [x // g for x in ints]
 
 
 def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
@@ -544,27 +558,36 @@ def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
     # s*(alpha.z) + t*(beta.z) vanishes on w for every (s,t)
     joint = _integer_primitive_vector(list(p) + list(q))
     p, q = joint[:6], joint[6:]
-    columns = []
-    columns.append([BinaryForm(1, (-q[i], p[i])) for i in range(6)])
+    # the columns of C as integer (s,t)-coefficient lists, one per coordinate
+    columns = [[(-q[i], p[i]) for i in range(6)]]
     for v in kern:
-        v = _integer_primitive_vector(list(v))
-        columns.append([BinaryForm(0, (x,)) for x in v])
+        columns.append([(x,) for x in _integer_primitive_vector(list(v))])
 
     def restrict(quad):
+        """C^T quad C over Z, with quad scaled by the lcm of its
+        denominators.  Entry (i,j) has degree deg c_i + deg c_j once a term
+        contributes to it, even if the terms cancel, and is
+        BinaryForm.zero(0) otherwise."""
         quad = [[Fraction(x) for x in row] for row in quad]
-        a = [[None] * 5 for _ in range(5)]
-        for i in range(5):
-            for j in range(5):
-                acc = BinaryForm.zero(0)
-                for r in range(6):
-                    if columns[i][r].is_zero:
-                        continue
-                    for c in range(6):
-                        if quad[r][c] == 0 or columns[j][c].is_zero:
-                            continue
-                        acc = acc + (columns[i][r] * columns[j][c]).scale(quad[r][c])
-                a[i][j] = acc
-        return tuple(tuple(row) for row in a)
+        den = math.lcm(*(x.denominator for row in quad for x in row))
+        quad = [[int(x * den) for x in row] for row in quad]
+
+        def entry(ci, cj):
+            terms = [
+                (quad[r][c], u, w)
+                for r, u in enumerate(ci) if any(u)
+                for c, w in enumerate(cj) if quad[r][c] and any(w)
+            ]
+            if not terms:
+                return BinaryForm.zero(0)
+            acc = [0] * (len(ci[0]) + len(cj[0]) - 1)
+            for a, u, w in terms:
+                for k, x in enumerate(u):
+                    for n, y in enumerate(w):
+                        acc[k + n] += a * x * y
+            return BinaryForm(len(acc) - 1, tuple(Fraction(x, den) for x in acc))
+
+        return tuple(tuple(entry(ci, cj) for cj in columns) for ci in columns)
 
     d = (0, -1, -1, -1, -1)
     e = (-2, -2)

@@ -161,10 +161,16 @@ class ModuliPoint:
 
 
 # The square and cube kernels of J8 and J12 come from trial division by 2
-# and every odd number up to this bound (about 0.1 s at worst).  A cofactor
-# left below its square is 1 or a prime, and so is the root r of a larger
-# cofactor r^e with r below the square; any other cofactor, which has two or
-# more distinct prime factors above the bound, is refused with ValueError.
+# and every odd number up to this bound.  Each n % q runs on the whole
+# cofactor, so the time grows linearly with its size.  Measured with CPython
+# 3.11 on one core of a 2-core x86-64 VM, a cofactor with no prime factor up
+# to the bound takes about 0.2 s at 500 bits, 1.4 s at 8300 bits (J8 of
+# x^5 + a*x*y^4 with a = 10^500 + 961), 4 s at 26 000 bits and 13 s at
+# 71 000 bits (a of 4300 digits, the most the parser accepts in one
+# coefficient).  A cofactor left below its square is 1 or a prime, and so
+# is the root r of a larger cofactor r^e with r below the square; any other
+# cofactor, which has two or more distinct prime factors above the bound, is
+# refused with ValueError.
 KERNEL_TRIAL_BOUND = 10**6
 
 

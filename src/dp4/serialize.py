@@ -15,11 +15,25 @@ from .biforms import BiForm
 from .binforms import BinaryForm
 
 
+def _decimal(n: int) -> str:
+    """str(n) in full.  CPython refuses str() of an int above 4300 digits
+    (sys.get_int_max_str_digits), so larger ones are split at a power of ten
+    into halves below it.  Only computed values are printed this way; parsing
+    keeps the interpreter's limit."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    if n.bit_length() <= 10_000:  # at most 3011 digits
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the digits (log10(2) > 0.3)
+    hi, lo = divmod(n, 10**half)
+    return _decimal(hi) + _decimal(lo).zfill(half)
+
+
 def encode_rational(x: Fraction) -> str:
     x = Fraction(x)
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _decimal(x.numerator)
+    return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")

@@ -119,6 +119,24 @@ def test_quintic_invariants_prime_power_kernel(capsys, tmp_path):
     assert tree["moduli_point"] == {"coords": ["0", "-5000015", "0"], "normalized": "J8"}
 
 
+def test_quintic_invariants_prints_huge_values_in_full(capsys, tmp_path):
+    # a = 10^1000 gives J8 = -8000 a^5 = -8 * 10^5003, above CPython's limit
+    # of 4300 digits for str() of an int; an input coefficient above that
+    # limit is still refused
+    f = BinaryForm(5, tuple(F(c) for c in (1, 0, 0, 0, 10**1000, 0)))
+    path = write_json(tmp_path / "quintic.json", serialize.encode_form(f))
+    code, tree, err = run_json(capsys, "quintic", "invariants", "--input", path)
+    assert code == 0, err
+    assert tree["J8"] == "-8" + "0" * 5003
+    assert tree["moduli_point"] == {"coords": ["0", "-5", "0"], "normalized": "J8"}
+    huge = {"degree": 5, "coeffs": ["1", "0", "0", "0", "1" + "0" * 4400, "0"]}
+    path = write_json(tmp_path / "huge.json", huge)
+    code, out, err = run(capsys, "quintic", "invariants", "--input", path)
+    assert code == cli.EXIT_INPUT == 3
+    assert out == ""
+    assert err.startswith("error: ") and "internal" not in err
+
+
 def test_quintic_invariants_wrong_degree(capsys, tmp_path):
     f = BinaryForm.from_roots([0, 1, 2])
     path = write_json(tmp_path / "cubic.json", serialize.encode_form(f))

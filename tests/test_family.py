@@ -11,7 +11,7 @@ import pytest
 
 from conftest import FAMILY_CACHES, clear_family_caches
 from dp4 import families
-from dp4.binforms import BinaryForm, discriminant
+from dp4.binforms import BinaryForm, discriminant, squarefree_profile
 from dp4.families import (
     FamilySpec,
     HirzebruchClass,
@@ -367,6 +367,31 @@ def test_pipeline_item_interpolates_delta_once_per_attempt(monkeypatch, name, se
     models.verify_example(name, seed)
     assert len(attempts) == tries
     assert len(fibers) == tries * (2 * height(spec) + 2)
+
+
+@pytest.mark.parametrize("kind", ["h8_ci", "h10_ci", "h10_bundle", "squared", "diagonal"])
+def test_pipeline_item_runs_yun_only_on_non_squarefree_delta(monkeypatch, kind):
+    # one family_pipeline item each: the reference models' Delta is proved
+    # squarefree modulo a prime, and the engineered failures run Yun's
+    # algorithm once per distinct Delta
+    from dp4 import models
+
+    profiled = []
+
+    def spy(f):
+        profiled.append(f)
+        return squarefree_profile(f)
+
+    monkeypatch.setattr(families, "squarefree_profile", spy)
+    if kind in ("squared", "diagonal"):
+        make = squared_discriminant_example if kind == "squared" else split_diagonal_example
+        family_report(make(1))
+        assert profiled
+        assert len(set(profiled)) == len(profiled) == computations()[1]
+    else:
+        family_report(build_example(kind, 1))
+        models.verify_example(kind, 1)
+        assert profiled == []
 
 
 def test_squared_substitution_fails_g1():

@@ -24,8 +24,12 @@ Zassenhaus's method over Z), the square and cube kernels of the moduli
 point as sympy's factorint (they now come from bounded trial division and
 an integer root for a prime power), smoothness of a plane quintic as a
 sympy Groebner basis of the Jacobian ideal (it is now a resultant
-certificate), and the Chern and dimension identities on sympy symbols (they
-now run on families.Poly).
+certificate), the Chern and dimension identities on sympy symbols (they
+now run on families.Poly), the discriminant of a binary form as the Sylvester
+determinant over Fraction (it now runs on the integer-scaled form), the
+simple-branching flag of Delta as Yun's algorithm alone (Delta is now first
+proved squarefree modulo a prime), and the h8_ci congruence C^T Q C as sums
+of BinaryForm products (it now runs on integer coefficient lists).
 """
 
 import math
@@ -42,7 +46,7 @@ from hypothesis import strategies as st
 
 from conftest import BIG_PRIMES
 
-from dp4 import binforms, factor_search, families, linalg, lines, quintic
+from dp4 import binforms, factor_search, families, linalg, lines, models, quintic
 from dp4.binforms import (
     BinaryForm,
     discriminant,
@@ -81,6 +85,7 @@ from dp4.factor_search import (
     wsub,
 )
 from dp4.families import (
+    FamilySpec,
     Poly,
     SpectralForm,
     discriminant_family,
@@ -211,6 +216,68 @@ def fraction_det(m) -> Fraction:
                 c = a[i][col] * inv
                 a[i] = [x - c * y for x, y in zip(a[i], a[col])]
     return sign * res
+
+
+def fraction_discriminant(f: BinaryForm) -> Fraction:
+    """(-1)^(d(d-1)/2) Res(f_x, f_y) / d^(d-2) with the resultant the
+    determinant of the Sylvester matrix over Fraction."""
+    d = f.degree
+    if d <= 1:
+        return F(1)
+    size = 2 * d - 2
+    rows = [
+        [F(0)] * i + list(part.coeffs) + [F(0)] * (size - i - d)
+        for part in (f.derivative_x(), f.derivative_y())
+        for i in range(d - 1)
+    ]
+    sign = -1 if (d * (d - 1) // 2) % 2 else 1
+    return sign * fraction_det(rows) / F(d) ** (d - 2)
+
+
+def yun_branching(delta: BinaryForm) -> tuple[bool, int]:
+    """(squarefree, number of distinct roots) of a nonconstant Delta from its
+    squarefree profile by Yun's algorithm."""
+    profile = squarefree_profile(delta)
+    return all(mult == 1 for _, mult in profile), sum(f.degree for f, _ in profile)
+
+
+def binaryform_family_from_linear_plus_quadrics(alpha, beta, q1, q2):
+    """families.family_from_linear_plus_quadrics with the congruence C^T Q C
+    summed from BinaryForm products over Fraction."""
+    alpha = [Fraction(x) for x in alpha]
+    beta = [Fraction(x) for x in beta]
+    if len(alpha) != 6 or len(beta) != 6:
+        raise ValueError("need 6 coefficients in each of alpha, beta")
+    m = [alpha, beta]
+    if linalg.rank([row[:] for row in m]) < 2:
+        raise ValueError("elimination impossible: bilinear form has rank < 2")
+    kern = linalg.kernel_basis([row[:] for row in m])
+    p = linalg.solve([row[:] for row in m], [Fraction(1), Fraction(0)])
+    q = linalg.solve([row[:] for row in m], [Fraction(0), Fraction(1)])
+    joint = families._integer_primitive_vector(list(p) + list(q))
+    p, q = joint[:6], joint[6:]
+    columns = [[BinaryForm(1, (-q[i], p[i])) for i in range(6)]]
+    for v in kern:
+        v = families._integer_primitive_vector(list(v))
+        columns.append([BinaryForm(0, (x,)) for x in v])
+
+    def restrict(quad):
+        quad = [[Fraction(x) for x in row] for row in quad]
+        a = [[None] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(5):
+                acc = BinaryForm.zero(0)
+                for r in range(6):
+                    if columns[i][r].is_zero:
+                        continue
+                    for c in range(6):
+                        if quad[r][c] == 0 or columns[j][c].is_zero:
+                            continue
+                        acc = acc + (columns[i][r] * columns[j][c]).scale(quad[r][c])
+                a[i][j] = acc
+        return tuple(tuple(row) for row in a)
+
+    return FamilySpec((0, -1, -1, -1, -1), (-2, -2), restrict(q1), restrict(q2))
 
 
 def fraction_charpoly(m) -> list[Fraction]:
@@ -726,6 +793,70 @@ def test_delta_matches_sylvester_on_engineered(make, degree):
         assert uncached_delta(spec) == rep
 
 
+@pytest.mark.parametrize("make", model_and_engineered_specs())
+def test_delta_branching_matches_yun(make):
+    rep = uncached_delta(make())
+    assert (rep.g1_prime, rep.singular_fiber_count) == yun_branching(rep.delta)
+
+
+def lin(a, b) -> BinaryForm:
+    return BinaryForm(1, (F(a), F(b)))
+
+
+Y = lin(0, 1)
+P0 = families.DELTA_PRIMES[0]
+
+
+@pytest.mark.parametrize(
+    "delta, squarefree",
+    [
+        (lin(1, -2).power(2) * lin(3, 1) * lin(2, 5), False),  # a repeated factor
+        (Y.power(2) * lin(1, -1) * lin(1, 1), False),  # y^2
+        (Y * lin(F(1, 2), -3) * lin(1, 4), True),  # a simple root at y = 0
+        (lin(P0, -1) * lin(1, -2) * lin(1, 3), True),  # P0 divides the lead
+        (lin(1, 0) * lin(1, -P0) * lin(1, 1), True),  # not squarefree mod P0
+        (lin(P0, 1).power(2) * lin(1, 1), False),
+    ],
+)
+def test_branching_planted_deltas(monkeypatch, delta, squarefree):
+    profiled = []
+
+    def spy(f):
+        profiled.append(f)
+        return squarefree_profile(f)
+
+    monkeypatch.setattr(families, "squarefree_profile", spy)
+    assert families._branching(delta) == yun_branching(delta)
+    assert families._branching(delta)[0] is squarefree
+    # the test modulo a prime decides nothing, so Yun's algorithm decides
+    assert bool(profiled) is not binforms.squarefree_mod(delta, families.DELTA_PRIMES)
+
+
+def test_branching_takes_the_next_prime_past_the_lead():
+    delta = lin(P0, -1) * lin(1, -2) * lin(1, 3)
+    assert binforms.squarefree_mod(delta, families.DELTA_PRIMES)
+    assert not binforms.squarefree_mod(delta, families.DELTA_PRIMES[:1])
+    # an unlucky prime: x (x - P0) is not squarefree mod P0
+    unlucky = lin(1, 0) * lin(1, -P0) * lin(1, 1)
+    assert not binforms.squarefree_mod(unlucky, families.DELTA_PRIMES)
+    assert binforms.squarefree_mod(unlucky, families.DELTA_PRIMES[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(any),
+                       st.integers(1, 3)), min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(lambda c: c != 0),
+)
+def test_branching_matches_yun(factors, y_power, scale):
+    f = BinaryForm.constant(scale) * Y.power(y_power)
+    for coeffs, mult in factors:
+        f = f * BinaryForm(len(coeffs) - 1, tuple(F(c) for c in coeffs)).power(mult)
+    assume(f.degree > 0)
+    assert families._branching(f) == yun_branching(f)
+
+
 # ---------------------------------------------------------------------------
 # integer gcd
 
@@ -872,6 +1003,76 @@ def test_charpoly_matches_oracle(m):
     fast = linalg.charpoly([row[:] for row in m])
     assert all(type(c) is Fraction for c in fast)
     assert fast == fraction_charpoly([row[:] for row in m])
+
+
+# ---------------------------------------------------------------------------
+# the discriminant over Z against the Sylvester determinant over Fraction
+
+
+@st.composite
+def forms_up_to_degree_8(draw):
+    """Binary forms of degree 0..8 with non-integral rational coefficients,
+    the first or last sometimes zero (a root at y = 0 or at x = 0)."""
+    d = draw(st.integers(0, 8))
+    coeffs = draw(st.lists(rationals, min_size=d + 1, max_size=d + 1))
+    if draw(st.booleans()):
+        coeffs[0] = F(0)
+    if draw(st.booleans()):
+        coeffs[-1] = F(0)
+    return BinaryForm(d, tuple(coeffs))
+
+
+@settings(max_examples=200)
+@given(forms_up_to_degree_8())
+def test_discriminant_matches_sylvester_over_fraction(f):
+    fast = discriminant(f)
+    assert type(fast) is Fraction
+    assert fast == fraction_discriminant(f)
+
+
+def test_discriminant_small_cases():
+    x2_y2 = lin(1, -1) * lin(1, 1)
+    assert discriminant(x2_y2) == fraction_discriminant(x2_y2) == 4
+    assert discriminant(BinaryForm.zero(5)) == 0
+    assert discriminant(lin(F(1, 2), F(3, 7))) == 1
+    f = BinaryForm.from_roots([F(1, 2), F(-3, 5), 4, 0], scale=F(7, 9))
+    assert discriminant(f) == fraction_discriminant(f) != 0
+
+
+# ---------------------------------------------------------------------------
+# the h8_ci congruence over Z against BinaryForm products
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_integer_congruence_matches_binary_forms(monkeypatch, seed):
+    fast = models._make_h8_ci(models._seeded("h8_ci", seed, 0))
+    monkeypatch.setattr(
+        models, "family_from_linear_plus_quadrics", binaryform_family_from_linear_plus_quadrics
+    )
+    slow = models._make_h8_ci(models._seeded("h8_ci", seed, 0))
+    assert fast == slow
+    assert repr(fast) == repr(slow)
+
+
+def test_integer_congruence_keeps_degree_tags():
+    # alpha = e4 and beta = e5: C has the columns t*e4 - s*e5, e0, .., e3.
+    # Entry (0,0) sums s*t - s*t from the antisymmetric part of quad, so it
+    # is a zero of degree 2; (0,1) is t*e4.quad.e0; entries that no term
+    # reaches are zeros of degree 0.
+    alpha = [0, 0, 0, 0, 1, 0]
+    beta = [0, 0, 0, 0, 0, 1]
+    quad = [[F(0)] * 6 for _ in range(6)]
+    quad[5][4], quad[4][5] = F(1, 3), F(-1, 3)
+    quad[4][0] = quad[0][4] = F(2, 5)
+    quad[1][1] = F(-7)
+    ident = [[F(int(i == j)) for j in range(6)] for i in range(6)]
+    fast = families.family_from_linear_plus_quadrics(alpha, beta, quad, ident)
+    slow = binaryform_family_from_linear_plus_quadrics(alpha, beta, quad, ident)
+    assert repr(fast) == repr(slow)
+    assert fast.A1[0][0] == BinaryForm.zero(2)
+    assert fast.A1[0][1] == BinaryForm(1, (F(0), F(2, 5)))
+    assert fast.A1[0][2] == BinaryForm.zero(0)
+    assert fast.A1[1][2] == BinaryForm.zero(0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ plane curves, divisors, canonical rendering."""
 
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -45,6 +46,22 @@ def test_rational_roundtrip():
     assert encode_rational(F(1, 2)) == "1/2"
     assert encode_rational(F(3)) == "3"
     assert decode_rational("4") == F(4)
+
+
+@pytest.mark.parametrize("digits", [1, 3011, 3012, 4300, 4301, 9000, 30000])
+def test_rational_encode_has_no_digit_limit(digits):
+    # str() of an int above 4300 digits raises; computed values print in full
+    rng = random.Random(digits)
+    num = rng.randrange(10 ** (digits - 1), 10**digits)
+    den = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+    x = F(-num, den)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(x.numerator) + (f"/{x.denominator}" if x.denominator > 1 else ""), str(num)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (encode_rational(x), encode_rational(F(num))) == expected
 
 
 def test_rational_decode_rejects_garbage():
