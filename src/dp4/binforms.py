@@ -2,10 +2,14 @@
 
 A form of degree d stores d+1 coefficients, coeffs[i] multiplying x^(d-i) y^i.
 The zero form keeps a nominal degree so graded matrix entries stay degree-tagged.
-Univariate helpers (prefix p-) act on dense lists with p[i] the x^i coefficient
-and no trailing zeros; [] is the zero polynomial.  padd, pmul and pderiv keep
-the coefficient type (int lists stay int), so they serve Z[x] as well as Q[x];
-the z- helpers are the integer-only ones.
+Univariate helpers act on dense lists with p[i] the x^i coefficient and no
+trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
+- p- helpers run over Q.  padd, pmul and pderiv keep the coefficient type
+  (int lists stay int), so they serve Z[x] as well;
+- z- helpers run over Z, and Yun's squarefree decomposition runs on them;
+- m- helpers act on int lists modulo m, remainders in [0, m): the one
+  Euclid over F_p, which the squarefreeness test modulo a prime and the
+  factorizer over Z (factor_search) share.
 """
 
 from __future__ import annotations
@@ -158,30 +162,55 @@ def zdivexact(p: list[int], q: list[int]) -> list[int]:
     return quo
 
 
+def _mmod(a, m):
+    return pnorm([c % m for c in a])
+
+
+def _mmonic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _mdivmod(a, b, m):
+    """Quotient and remainder mod m; lc(b) must be a unit mod m."""
+    inv = pow(b[-1], -1, m)
+    r = _mmod(a, m)
+    quo = [0] * max(len(r) - len(b) + 1, 0)
+    while len(r) >= len(b):
+        c = r[-1] * inv % m
+        k = len(r) - len(b)
+        quo[k] = c
+        for i, y in enumerate(b):
+            r[k + i] = (r[k + i] - c * y) % m
+        pnorm(r)
+    return pnorm(quo), r
+
+
+def _mgcd(a, b, p):
+    """Monic gcd over F_p of a nonzero a and any b."""
+    a, b = _mmod(a, p), _mmod(b, p)
+    while b:
+        a, b = b, _mdivmod(a, b, p)[1]
+    return _mmonic(a, p)
+
+
+def _msquarefree(x: list[int], p: int) -> bool:
+    """Whether p does not divide lc(x) and gcd(x, x') = 1 over F_p.  Then the
+    reduction keeps the degree, so disc(x) is nonzero mod p, and x is
+    squarefree over Q (the lucky-prime test, von zur Gathen-Gerhard ch. 14)."""
+    return x[-1] % p != 0 and len(_mgcd(x, pderiv(x), p)) == 1
+
+
 def squarefree_mod(f: "BinaryForm", primes) -> bool:
-    """A one-sided squarefreeness proof for a nonzero form (the lucky-prime
-    test, von zur Gathen-Gerhard ch. 14).  True when y^2 does not divide f
-    and, for the first of the primes p that does not divide the leading
-    coefficient of the primitive integer f(x, 1), gcd(f, f') = 1 over F_p:
-    the reduction keeps the degree, so disc(f(x, 1)) is nonzero mod p and
-    hence nonzero.  False decides nothing."""
+    """A one-sided squarefreeness proof for a nonzero form: True when y^2
+    does not divide f and the primitive integer f(x, 1) passes _msquarefree
+    for the first of the primes that does not divide its leading
+    coefficient.  False decides nothing."""
     if f.y_valuation() > 1:
         return False
     x = _primitive_ints(f.x_poly())
     p = next((q for q in primes if x[-1] % q), None)
-    if p is None:
-        return False
-    a = [c % p for c in x]
-    b = pnorm([i * c % p for i, c in enumerate(x)][1:])
-    while b:  # Euclid over F_p
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            c, k = a[-1] * inv % p, len(a) - len(b)
-            for i, y in enumerate(b):
-                a[k + i] = (a[k + i] - c * y) % p
-            pnorm(a)
-        a, b = b, a
-    return len(a) == 1
+    return p is not None and _msquarefree(x, p)
 
 
 def pgcd(p, q):
@@ -249,27 +278,25 @@ def pinterpolate(values) -> list[Fraction]:
     return pnorm([Fraction(c, scale * den) for c in poly])
 
 
-def pmonic(p):
-    return pscale(p, 1 / p[-1]) if p else []
-
-
-def psquarefree_decomposition(p):
-    """Yun's algorithm: [(g, k)] with p = c * prod g^k, g squarefree monic,
-    pairwise coprime, k ascending."""
-    if pdeg(p) < 1:
+def psquarefree_decomposition(p: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's algorithm over Z (Yun 1976): [(g, k)] with p = c * prod g^k for
+    a primitive integer p, the g primitive, squarefree and pairwise coprime
+    with positive leading coefficient, k ascending.  Every gcd is primitive,
+    so each division is exact over Z by Gauss's lemma."""
+    if len(p) < 2:
         return []
-    a = pgcd(p, pderiv(p))
-    b = pdivexact(p, a)
-    c = pdivexact(pderiv(p), a)
+    a = zgcd(p, pderiv(p))
+    b = zdivexact(p, a)
+    c = zdivexact(pderiv(p), a)
     out = []
     k = 1
-    while pdeg(b) > 0:
+    while len(b) > 1:
         d = psub(c, pderiv(b))
-        g = pgcd(b, d)
-        if pdeg(g) > 0:
-            out.append((pmonic(g), k))
-        b = pdivexact(b, g)
-        c = pdivexact(d, g)
+        g = zgcd(b, d)
+        if len(g) > 1:
+            out.append((g, k))
+        b = zdivexact(b, g)
+        c = zdivexact(d, g)
         k += 1
     return out
 
@@ -537,6 +564,6 @@ def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
     v = f.y_valuation()
     if v > 0:
         out.append((BinaryForm(1, (Fraction(0), Fraction(1))), v))
-    for g, k in psquarefree_decomposition(f.x_poly()):
-        out.append((BinaryForm.from_x_poly(g, pdeg(g)), k))
+    for g, k in psquarefree_decomposition(_primitive_ints(f.x_poly())):
+        out.append((BinaryForm.from_x_poly([Fraction(c, g[-1]) for c in g], len(g) - 1), k))
     return sorted(out, key=lambda t: (t[1], t[0].degree, t[0].coeffs))

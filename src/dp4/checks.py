@@ -187,20 +187,14 @@ def _check_lines(rng: Random):
 def _check_family_numerics(rng: Random):
     seed = rng.randint(1, 10**6)
     conditions = {}
-    for name, want_class in (("h8_ci", (0, 2, 5)), ("h10_ci", (1, 5, 5))):
+    for name in ("h8_ci", "h10_ci"):
+        entry = models.catalog_entry(name)
         spec = models.build_example(name, seed)
         disc = discriminant_family(spec)
-        sc = spectral_class(spec)
+        cls = spectral_class(spec).cls
         conditions[f"{name}_delta_degree"] = disc.degree == 2 * height(spec)
-        conditions[f"{name}_delta_expected"] = disc.degree == {
-            "h8_ci": 16,
-            "h10_ci": 20,
-        }[name]
-        conditions[f"{name}_class"] = (
-            sc.cls.n,
-            sc.cls.alpha,
-            sc.cls.beta,
-        ) == want_class
+        conditions[f"{name}_delta_expected"] = disc.degree == entry.expected_delta_degree
+        conditions[f"{name}_class"] = (cls.n, cls.alpha, cls.beta) == entry.expected_class
     scan12 = height_bounds_scan(12)["reduced"]
     conditions["h12_class"] = any(
         (row.n, row.alpha) == (0, 3) and row.genus == 8 for row in scan12

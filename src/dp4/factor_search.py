@@ -28,6 +28,11 @@ from itertools import combinations, product
 from . import linalg
 from .binforms import (
     BinaryForm,
+    _mdivmod,
+    _mgcd,
+    _mmod,
+    _mmonic,
+    _msquarefree,
     _primitive_ints,
     _zprimitive,
     form_gcd,
@@ -206,7 +211,7 @@ def pade(series, d, n):
 # fiber factorization over Q (exact, over Z and Z/p^k): Zassenhaus's method
 # (J. Number Theory 1, 1969) with Cantor-Zassenhaus splitting mod p (Math.
 # Comp. 36, 1981); von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14-15.
-# The m- helpers act on int unipolys modulo m, remainders in [0, m).
+# The m- helpers (binforms) act on int unipolys modulo m.
 
 MAX_FACTOR_DEGREE = 5
 
@@ -217,13 +222,11 @@ def uni_irreducible_factors(p) -> list[tuple[list[Fraction], int]]:
     integer coefficients from the top down.  Recombination tries every
     subset of the factors mod p, so a degree above MAX_FACTOR_DEGREE raises
     ValueError."""
-    p = pnorm([Fraction(c) for c in p])
+    p = _primitive_ints(pnorm(list(p)))
     if pdeg(p) > MAX_FACTOR_DEGREE:
         raise ValueError(f"factoring over Q needs degree <= {MAX_FACTOR_DEGREE}, got {pdeg(p)}")
     found = [
-        (g, mult)
-        for part, mult in psquarefree_decomposition(p)
-        for g in _zfactor_squarefree(_primitive_ints(part))
+        (g, mult) for part, mult in psquarefree_decomposition(p) for g in _zfactor_squarefree(part)
     ]
     found.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
     return [([Fraction(c, g[-1]) for c in g], mult) for g, mult in found]
@@ -237,11 +240,7 @@ def _zfactor_squarefree(f: list[int]) -> list[list[int]]:
     if len(f) == 2:
         return [f]
     lead, p = f[-1], 3
-    while not (
-        all(p % q for q in range(3, math.isqrt(p) + 1, 2))
-        and lead % p
-        and len(_mgcd(f, pderiv(f), p)) == 1
-    ):
+    while not (all(p % q for q in range(3, math.isqrt(p) + 1, 2)) and _msquarefree(f, p)):
         p += 2
     modular = _factor_mod_p(_mmonic(f, p), p)
     if len(modular) == 1:
@@ -329,38 +328,6 @@ def _hensel_lift_mod(f, u, p, m):
             s = _mmod(psub(s, r), q)
             t = _mmod(psub(t, padd(pmul(t, b), pmul(c, w))), q)
     return w, u
-
-
-def _mmod(a, m):
-    return pnorm([c % m for c in a])
-
-
-def _mmonic(a, m):
-    inv = pow(a[-1], -1, m)
-    return [c * inv % m for c in a]
-
-
-def _mdivmod(a, b, m):
-    """Quotient and remainder mod m; lc(b) must be a unit mod m."""
-    inv = pow(b[-1], -1, m)
-    r = _mmod(a, m)
-    quo = [0] * max(len(r) - len(b) + 1, 0)
-    while len(r) >= len(b):
-        c = r[-1] * inv % m
-        k = len(r) - len(b)
-        quo[k] = c
-        for i, y in enumerate(b):
-            r[k + i] = (r[k + i] - c * y) % m
-        pnorm(r)
-    return pnorm(quo), r
-
-
-def _mgcd(a, b, p):
-    """Monic gcd over F_p of a nonzero a and any b."""
-    a, b = _mmod(a, p), _mmod(b, p)
-    while b:
-        a, b = b, _mdivmod(a, b, p)[1]
-    return _mmonic(a, p)
 
 
 def _mxgcd(a, b, p):

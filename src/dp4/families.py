@@ -35,6 +35,7 @@ from fractions import Fraction
 from . import linalg
 from .binforms import (
     BinaryForm,
+    _primitive_ints,
     discriminant,
     pdeg,
     pencil_determinant,
@@ -531,13 +532,6 @@ def _as_form_matrix(g, degree: int):
     return tuple(rows)
 
 
-def _integer_primitive_vector(vec) -> list[int]:
-    den = math.lcm(*(x.denominator for x in vec)) if vec else 1
-    ints = [int(x * den) for x in vec]
-    g = math.gcd(*ints) if any(ints) else 1
-    return [x // g for x in ints]
-
-
 def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
     """Eliminate one of six coordinates using the bilinear form with
     coefficient vectors alpha (s-part) and beta (t-part): restrict the two
@@ -556,12 +550,12 @@ def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
     q = linalg.solve([row[:] for row in m], [Fraction(0), Fraction(1)])
     # w = t*p - s*q: alpha.w = t, beta.w = -s, so the constraint
     # s*(alpha.z) + t*(beta.z) vanishes on w for every (s,t)
-    joint = _integer_primitive_vector(list(p) + list(q))
+    joint = _primitive_ints([*p, *q])
     p, q = joint[:6], joint[6:]
     # the columns of C as integer (s,t)-coefficient lists, one per coordinate
     columns = [[(-q[i], p[i]) for i in range(6)]]
     for v in kern:
-        columns.append([(x,) for x in _integer_primitive_vector(list(v))])
+        columns.append([(x,) for x in _primitive_ints(v)])
 
     def restrict(quad):
         """C^T quad C over Z, with quad scaled by the lcm of its

@@ -78,20 +78,6 @@ def encode_biform(f: BiForm) -> dict:
     }
 
 
-def decode_biform(d) -> BiForm:
-    if not isinstance(d, dict) or "bidegree" not in d or "grid" not in d:
-        raise ValueError("biform needs 'bidegree' and 'grid'")
-    bidegree = _typed(d["bidegree"], list, "bidegree")
-    if len(bidegree) != 2:
-        raise ValueError("bidegree must be a pair of integers")
-    m, n = (_typed(x, int, "bidegree entry") for x in bidegree)
-    grid = [[decode_rational(c) for c in _typed(row, list, "grid row")]
-            for row in _typed(d["grid"], list, "grid")]
-    if len(grid) != m + 1 or any(len(row) != n + 1 for row in grid):
-        raise ValueError(f"bidegree ({m},{n}) grid must be {m + 1}x{n + 1}")
-    return BiForm(m, n, tuple(tuple(row) for row in grid))
-
-
 def encode_matrix(m) -> list:
     return [[encode_rational(c) for c in row] for row in m]
 

@@ -28,8 +28,9 @@ certificate), the Chern and dimension identities on sympy symbols (they
 now run on families.Poly), the discriminant of a binary form as the Sylvester
 determinant over Fraction (it now runs on the integer-scaled form), the
 simple-branching flag of Delta as Yun's algorithm alone (Delta is now first
-proved squarefree modulo a prime), and the h8_ci congruence C^T Q C as sums
-of BinaryForm products (it now runs on integer coefficient lists).
+proved squarefree modulo a prime), Yun's algorithm itself over Fraction (it
+now runs over Z), and the h8_ci congruence C^T Q C as sums of BinaryForm
+products (it now runs on integer coefficient lists).
 """
 
 import math
@@ -196,6 +197,28 @@ def fraction_pgcd(p, q):
     return pscale(a, 1 / a[-1])
 
 
+def fraction_squarefree_decomposition(p):
+    """Yun's algorithm over Q: [(g, k)] with p = c * prod g^k, g squarefree
+    monic, pairwise coprime, k ascending."""
+    p = [F(c) for c in p]
+    if pdeg(p) < 1:
+        return []
+    a = fraction_pgcd(p, pderiv(p))
+    b = pdivexact(p, a)
+    c = pdivexact(pderiv(p), a)
+    out = []
+    k = 1
+    while pdeg(b) > 0:
+        d = psub(c, pderiv(b))
+        g = fraction_pgcd(b, d)
+        if pdeg(g) > 0:
+            out.append((g, k))
+        b = pdivexact(b, g)
+        c = pdivexact(d, g)
+        k += 1
+    return out
+
+
 def fraction_det(m) -> Fraction:
     """Determinant by fraction-exact Gaussian elimination."""
     n = len(m)
@@ -254,11 +277,11 @@ def binaryform_family_from_linear_plus_quadrics(alpha, beta, q1, q2):
     kern = linalg.kernel_basis([row[:] for row in m])
     p = linalg.solve([row[:] for row in m], [Fraction(1), Fraction(0)])
     q = linalg.solve([row[:] for row in m], [Fraction(0), Fraction(1)])
-    joint = families._integer_primitive_vector(list(p) + list(q))
+    joint = binforms._primitive_ints([*p, *q])
     p, q = joint[:6], joint[6:]
     columns = [[BinaryForm(1, (-q[i], p[i])) for i in range(6)]]
     for v in kern:
-        v = families._integer_primitive_vector(list(v))
+        v = binforms._primitive_ints(v)
         columns.append([BinaryForm(0, (x,)) for x in v])
 
     def restrict(quad):
@@ -578,9 +601,11 @@ def uncached_delta(spec):
 
 @contextmanager
 def oracle_gcd():
-    """Route every binforms gcd (squarefree parts included) through the
-    Fraction Euclidean oracle."""
-    with mock.patch.object(binforms, "pgcd", fraction_pgcd):
+    """Route every binforms gcd through the Fraction Euclidean oracle, and
+    squarefree parts through Yun's algorithm over Q on it."""
+    with mock.patch.object(binforms, "pgcd", fraction_pgcd), mock.patch.object(
+        binforms, "psquarefree_decomposition", fraction_squarefree_decomposition
+    ):
         yield
 
 
@@ -908,17 +933,50 @@ def profile_oracle(f):
         return squarefree_profile(f)
 
 
-def test_squarefree_decomposition_uses_patched_gcd():
-    # the oracle context really swaps the gcd that Yun's algorithm calls
+def monic_parts(decomposition):
+    return [([F(c, g[-1]) for c in g], k) for g, k in decomposition]
+
+
+def assert_yun_over_z_matches_oracle(p):
+    parts = psquarefree_decomposition(binforms._primitive_ints(p))
+    for g, _ in parts:
+        assert all(type(c) is int for c in g) and math.gcd(*g) == 1 and g[-1] > 0
+    assert monic_parts(parts) == fraction_squarefree_decomposition(p)
+
+
+rational_factor = st.lists(rationals, min_size=2, max_size=4).map(pnorm).filter(lambda g: g[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(rational_factor, st.integers(1, 4)), max_size=3),
+    st.integers(0, 3),
+    rationals.filter(lambda c: c != 0),
+)
+def test_yun_over_z_matches_fraction_yun(factors, x_power, scale):
+    # non-integral rational factors with multiplicities up to 4, a zero
+    # constant term (x^x_power) and a rational constant
+    p = pmul([scale], [F(0)] * x_power + [F(1)])
+    for g, mult in factors:
+        for _ in range(mult):
+            p = pmul(p, g)
+    assert_yun_over_z_matches_oracle(p)
+
+
+def test_yun_over_z_on_the_squared_delta():
+    delta = uncached_delta(squared_discriminant_example(1)).delta
+    assert delta.degree == 40
+    assert_yun_over_z_matches_oracle(delta.x_poly())
+    # the oracle context reaches the Yun that squarefree_profile calls
     calls = []
 
-    def spy(p, q):
-        calls.append(1)
-        return fraction_pgcd(p, q)
+    def spy(p):
+        calls.append(p)
+        return fraction_squarefree_decomposition(p)
 
-    with mock.patch.object(binforms, "pgcd", spy):
-        psquarefree_decomposition([F(1), F(2), F(1)])
-    assert calls
+    with mock.patch.object(binforms, "psquarefree_decomposition", spy):
+        oracle = squarefree_profile(delta)
+    assert calls and squarefree_profile(delta) == oracle
 
 
 factor_st = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(any)

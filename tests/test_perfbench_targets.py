@@ -1,8 +1,8 @@
 """The benchmark's hooks into dp4.  The traced benchmark run wraps dp4
 functions by name (perfbench/tracer.py TARGETS); every target must exist and
 every listed binding must be that same object, or the traced run exits with
-a missing target.  The seed-1 family items must keep the output digests
-frozen in perfbench/digests.json."""
+a missing target.  The first seed-1 family_pipeline and quintic_pencil items
+must keep the output digests frozen in perfbench/digests.json."""
 
 import importlib
 import json
@@ -27,20 +27,32 @@ def test_tracer_targets_are_bound(monkeypatch):
                 assert _resolve(binding) is fn, f"{binding} is not {target}"
 
 
-def test_family_pipeline_seed_1_digests(monkeypatch):
-    # the first seed-1 items, run and hashed as the benchmark does
+def replay_seed_1(monkeypatch, workload, count=None):
+    """(digests, frozen digests) of the first seed-1 items of a workload,
+    run, checked and hashed as the benchmark does."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     wl = importlib.import_module("workloads")
     frozen = json.loads((PERFBENCH / "digests.json").read_text())
     assert frozen["seed"] == wl.DEFAULT_SEED
-    expected = frozen["family_pipeline"]
-    rng = wl.rng_for("family_pipeline", wl.DEFAULT_SEED)
+    expected = frozen[workload][:count]
+    rng = wl.rng_for(workload, wl.DEFAULT_SEED)
     items = []
     while len(items) < len(expected):
-        items.extend(wl.make_round("family_pipeline", rng))
+        items.extend(wl.make_round(workload, rng))
     got = []
     for item in items[: len(expected)]:
-        result = wl.run_item("family_pipeline", item, wl.prepare("family_pipeline", item))
-        assert wl.check("family_pipeline", item, result) == []
-        got.append(wl.digest(wl.canonical("family_pipeline", item, result))[:16])
+        result = wl.run_item(workload, item, wl.prepare(workload, item))
+        assert wl.check(workload, item, result) == []
+        got.append(wl.digest(wl.canonical(workload, item, result))[:16])
+    return got, expected
+
+
+def test_family_pipeline_seed_1_digests(monkeypatch):
+    got, expected = replay_seed_1(monkeypatch, "family_pipeline")
+    assert got == expected
+
+
+def test_quintic_pencil_seed_1_digests(monkeypatch):
+    # the stability, squarefree-profile and factorization paths
+    got, expected = replay_seed_1(monkeypatch, "quintic_pencil", 30)
     assert got == expected

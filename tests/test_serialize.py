@@ -18,7 +18,6 @@ from dp4.models import build_example
 from dp4.pencils import SymmetricPencil
 from dp4.plane_quintic import pencil_fixture
 from dp4.serialize import (
-    decode_biform,
     decode_curve,
     decode_divisor,
     decode_family,
@@ -102,16 +101,7 @@ def test_form_decode_rejects_mistyped_fields(tree):
         decode_form(tree)
 
 
-def test_biform_and_matrix_decode_reject_mistyped_fields():
-    for tree in (
-        {"bidegree": 1, "grid": [["1"]]},
-        {"bidegree": [0], "grid": [["1"]]},
-        {"bidegree": [0, "0"], "grid": [["1"]]},
-        {"bidegree": [0, 0], "grid": ["1"]},
-        {"bidegree": [0, 0], "grid": "1"},
-    ):
-        with pytest.raises(ValueError):
-            decode_biform(tree)
+def test_matrix_decode_rejects_mistyped_fields():
     for tree in (["1"], [["1"], "2"], [{"a": "1"}]):
         with pytest.raises(ValueError):
             decode_matrix(tree)
@@ -125,15 +115,13 @@ def test_form_roundtrip():
         assert decode_form(encode_form(f)) == f
 
 
-def test_biform_roundtrip():
-    rng = random.Random(502)
-    for _ in range(10):
-        m, n = rng.randint(0, 3), rng.randint(0, 3)
-        grid = tuple(
-            tuple(F(rng.randint(-9, 9)) for _ in range(n + 1)) for _ in range(m + 1)
-        )
-        f = BiForm(m, n, grid)
-        assert decode_biform(encode_biform(f)) == f
+def test_encode_biform_tree():
+    # the discriminant tree that `examples build h8_conic` prints
+    f = BiForm(1, 2, ((F(0), F(1), F(-2)), (F(1, 3), F(0), F(5))))
+    assert encode_biform(f) == {
+        "bidegree": [1, 2],
+        "grid": [["0", "1", "-2"], ["1/3", "0", "5"]],
+    }
 
 
 def test_matrix_roundtrip():
@@ -232,7 +220,6 @@ def test_dumps_canonical_sorted_keys():
 DECODERS = [
     decode_rational,
     decode_form,
-    decode_biform,
     decode_matrix,
     decode_pencil,
     decode_family,
@@ -240,8 +227,7 @@ DECODERS = [
     decode_divisor,
 ]
 
-KEYS = ["degree", "coeffs", "bidegree", "grid", "type", "P", "Q", "d", "e", "A1", "A2",
-        "point", "mult"]
+KEYS = ["degree", "coeffs", "type", "P", "Q", "d", "e", "A1", "A2", "point", "mult"]
 
 json_leaves = (
     st.none()
@@ -262,11 +248,9 @@ json_trees = st.recursive(
 def valid_trees():
     diagonal = [[F(int(i == j) * (i + 1)) for j in range(5)] for i in range(5)]
     constant = tuple(tuple(BinaryForm.constant(x) for x in row) for row in diagonal)
-    grid = (tuple(F(k) for k in range(3)), tuple(F(-k, 2) for k in range(3)))
     return [
         "-3/4",
         encode_form(BinaryForm.from_roots([0, 1, F(1, 2)])),
-        encode_biform(BiForm(1, 2, grid)),
         encode_matrix([[F(1), F(2)], [F(2), F(-1, 3)]]),
         encode_pencil(SymmetricPencil(diagonal, diagonal)),
         encode_family(FamilySpec((0,) * 5, (0, 0), constant, constant)),
