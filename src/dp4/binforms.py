@@ -4,9 +4,10 @@ A form of degree d stores d+1 coefficients, coeffs[i] multiplying x^(d-i) y^i.
 The zero form keeps a nominal degree so graded matrix entries stay degree-tagged.
 Univariate helpers act on dense lists with p[i] the x^i coefficient and no
 trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
-- p- helpers run over Q.  padd, pmul and pderiv keep the coefficient type
-  (int lists stay int), so they serve Z[x] as well;
-- z- helpers run over Z, and Yun's squarefree decomposition runs on them;
+- p- helpers run over Q.  padd, pmul, pderiv and peval keep the coefficient
+  type (int lists stay int), so they serve Z[x] as well;
+- z- helpers run over Z: Yun's squarefree decomposition, and the kernels
+  that pinterpolate, pencil_determinant and discriminant wrap;
 - m- helpers act on int lists modulo m, remainders in [0, m): the one
   Euclid over F_p, which the squarefreeness test modulo a prime and the
   factorizer over Z (factor_search) share.
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 
@@ -238,8 +238,8 @@ def pderiv(p):
     return pnorm([p[i] * i for i in range(1, len(p))])
 
 
-def peval(p, x0: Fraction) -> Fraction:
-    acc = Fraction(0)
+def peval(p, x0):
+    acc = x0 * 0
     for c in reversed(p):
         acc = acc * x0 + c
     return acc
@@ -253,29 +253,36 @@ def pshift(p, a: Fraction):
     return out
 
 
-def pinterpolate(values) -> list[Fraction]:
-    """The polynomial through (k, values[k]), k = 0, 1, ..., n, as a dense
-    x-coefficient list: Newton's divided differences on the integer nodes
-    (the k-th forward difference at 0 over k!), then the Newton form
-    expanded by Horner's rule.  Runs over Z: the values are scaled by the
-    lcm D of their denominators and the Newton coefficients by n!, and each
-    coefficient of the result is divided by n! D once."""
-    den, cur = linalg.clear_denominators(values)
-    n = len(cur) - 1
-    diffs = []
+def zinterpolate(values: list[int]) -> list[int]:
+    """The polynomial through (k, values[k]), k = 0..n, for integer values of
+    a polynomial in Z[x]: the Newton form on the integer nodes, whose k-th
+    coefficient, the k-th forward difference at 0 over k!, is an integer,
+    expanded by Horner's rule."""
+    cur, newton = list(values), []
     while cur:
-        diffs.append(cur[0])
-        cur = [cur[i + 1] - cur[i] for i in range(len(cur) - 1)]
-    scale = math.factorial(max(n, 0))
+        newton.append(_zexact(cur[0], math.factorial(len(newton))))
+        cur = [y - x for x, y in zip(cur, cur[1:])]
     poly: list[int] = []
-    for k in reversed(range(len(diffs))):
-        # poly * (x - k) + diffs[k] * n!/k!
-        shifted = [0] + poly
-        for i, c in enumerate(poly):
-            shifted[i] -= k * c
-        shifted[0] += diffs[k] * (scale // math.factorial(k))
-        poly = shifted
-    return pnorm([Fraction(c, scale * den) for c in poly])
+    for k in reversed(range(len(newton))):
+        poly = padd(pmul(poly, [-k, 1]), [newton[k]])
+    return poly
+
+
+def pinterpolate(values) -> list[Fraction]:
+    """The polynomial through (k, values[k]), k = 0..n, for Fraction or int
+    values: zinterpolate of the values times n! D, D the lcm of their
+    denominators (n! p lies in Z[x] for integer values), over n! D."""
+    den, ints = linalg.clear_denominators(values)
+    scale = math.factorial(max(len(ints) - 1, 0))
+    return [Fraction(c, scale * den) for c in zinterpolate([v * scale for v in ints])]
+
+
+def _zexact(n: int, d: int) -> int:
+    """n / d where d divides n; RuntimeError, never a floored quotient."""
+    q, r = divmod(n, d)
+    if r:
+        raise RuntimeError(f"inexact integer division by {d}")
+    return q
 
 
 def psquarefree_decomposition(p: list[int]) -> list[tuple[list[int], int]]:
@@ -364,21 +371,12 @@ class BinaryForm:
                 return i
         return self.degree + 1
 
-    @cached_property
-    def _scaled(self) -> tuple[int, tuple[int, ...]]:
-        """(D, integer coefficients of D*f) for the lcm D of the
-        denominators."""
-        den, ints = linalg.clear_denominators(self.coeffs)
-        return den, tuple(ints)
-
     def evaluate(self, x0, y0) -> Fraction:
-        """f(x0, y0) by Horner's rule on the integer-scaled form at the
-        point put over one denominator L: D*L^d*f(x0, y0) = (D*f)(L*x0, L*y0)
-        runs in int, and one division ends it."""
-        x0, y0 = Fraction(x0), Fraction(y0)
-        den, ints = self._scaled
-        lx = math.lcm(x0.denominator, y0.denominator)
-        x, y = x0.numerator * (lx // x0.denominator), y0.numerator * (lx // y0.denominator)
+        """f(x0, y0) by Horner's rule in int: with the coefficients over one
+        denominator D and the point over one denominator L,
+        D*L^d*f(x0, y0) = (D*f)(L*x0, L*y0), and one division ends it."""
+        den, ints = linalg.clear_denominators(self.coeffs)
+        lx, (x, y) = linalg.clear_denominators((Fraction(x0), Fraction(y0)))
         acc, ypow = 0, 1
         for c in ints:
             acc = acc * x + c * ypow
@@ -496,20 +494,24 @@ def mobius_substitute(f: BinaryForm, m) -> BinaryForm:
 
 
 def pencil_determinant(a, b) -> "BinaryForm":
-    """det(u*a + v*b) for square matrices a, b of size n (Fraction or int
-    entries), as a form of degree n whose coefficient i sits on u^(n-i) v^i:
-    with a and b scaled to integers by one common denominator D, the integer
-    determinants det(D*a + k*D*b) at k = 0..n, interpolated in k and divided
-    by D^n."""
+    """det(u*a + v*b) for n x n matrices of Fractions or ints, as a form of
+    degree n with coefficient i on u^(n-i) v^i: zpencil_determinant of a and
+    b over one common denominator D, divided by D^n."""
     n = len(a)
-    den, flat = linalg.clear_denominators(x for m in (a, b) for row in m for x in row)
-    rows = [flat[i * n : (i + 1) * n] for i in range(2 * n)]
-    values = [
-        linalg.det([[x + k * y for x, y in zip(ra, rb)] for ra, rb in zip(rows[:n], rows[n:])])
+    den, rows = linalg.clear_row_denominators([*a, *b])
+    p = zpencil_determinant(rows[:n], rows[n:])
+    return BinaryForm(n, tuple(Fraction(x, den**n) for x in p))
+
+
+def zpencil_determinant(a: list[list[int]], b: list[list[int]]) -> list[int]:
+    """The n+1 coefficients of det(u*a + v*b), on u^n, u^(n-1) v, ..., for
+    integer n x n matrices: det(a + k*b) at k = 0..n, interpolated over Z."""
+    n = len(a)
+    p = zinterpolate([
+        linalg.zdet([[x + k * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
         for k in range(n + 1)
-    ]
-    p = [c / den**n for c in pinterpolate(values)]
-    return BinaryForm(n, tuple(p) + (Fraction(0),) * (n + 1 - len(p)))
+    ])
+    return p + [0] * (n + 1 - len(p))
 
 
 def sylvester_matrix(f, g) -> linalg.Matrix:
@@ -538,17 +540,24 @@ def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
 
 def discriminant(f: BinaryForm) -> Fraction:
     """Discriminant normalized so a monic split form gives the product of
-    squared root differences: disc = (-1)^(d(d-1)/2) Res(f_x, f_y) / d^(d-2).
-    The resultant is taken over Z, of the partials of the integer-scaled form
-    D*f: it is D^(2d-2) Res(f_x, f_y), divided out once at the end."""
+    squared root differences: zdiscriminant of the integer-scaled form D*f,
+    which is D^(2d-2) disc(f), divided out once."""
     d = f.degree
     if d <= 1:
         return Fraction(1)
-    den, c = f._scaled
+    den, c = linalg.clear_denominators(f.coeffs)
+    return Fraction(zdiscriminant(c), den ** (2 * d - 2))
+
+
+def zdiscriminant(c) -> int:
+    """(-1)^(d(d-1)/2) Res(f_x, f_y) / d^(d-2) for the integer form of degree
+    d >= 2 with coefficients c (as in BinaryForm.coeffs): one Sylvester
+    determinant over Z, and an exact division by d^(d-2)."""
+    d = len(c) - 1
     fx = [c[i] * (d - i) for i in range(d)]
     fy = [c[i] * i for i in range(1, d + 1)]
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * linalg.det(sylvester_matrix(fx, fy)) / (den ** (2 * d - 2) * d ** (d - 2))
+    return sign * _zexact(linalg.zdet(sylvester_matrix(fx, fy)), d ** (d - 2))
 
 
 def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:

@@ -17,7 +17,7 @@ import sys
 
 from . import checks, lines, models, serialize
 from .binforms import discriminant
-from .families import family_report, height_bounds_scan
+from .families import family_report, height_bounds_scan, spectral_form
 from .monodromy import TwoTorsionClass, classify_component, torsion_orbit_label
 from .pencils import classify_surface, spectral_quintic
 from .plane_quintic import is_principal, theta_quadratic_form
@@ -203,6 +203,10 @@ def _cmd_family_analyze(args):
     if isinstance(data, dict) and "family" in data:
         data = data["family"]  # accept `examples build` output unchanged
     spec = _decode(serialize.decode_family, data)
+    try:
+        spectral_form(spec)
+    except ValueError:
+        return {"error": "generically degenerate family"}, EXIT_CHECK
     return _family_tree(spec), EXIT_OK
 
 

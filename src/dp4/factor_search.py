@@ -150,8 +150,7 @@ def wprimitive(f):
 def _over_z(f):
     """f over Q[sigma] times the lcm of its denominators: the same
     polynomial up to a positive scalar, over Z[sigma]."""
-    flat = iter(linalg.clear_denominators(x for c in f for x in c)[1])
-    return [[next(flat) for _ in c] for c in f]
+    return linalg.clear_row_denominators(f)[1]
 
 
 def wgcd(f, g):

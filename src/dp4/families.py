@@ -13,7 +13,8 @@ quintics of the fibers over (k : 1), and a zero coefficient carries the
 nominal degree max(expected, 0).  Its (u,v)-discriminant has degree
 exactly 2h whenever nonzero (every term of the determinant expansion has the
 same isobaric weight), so 2h+1 fiber discriminants determine it by the same
-interpolation; squarefreeness is the simple-branching flag (proved modulo
+interpolation (both in int, at integer nodes, with one division per output
+coefficient); squarefreeness is the simple-branching flag (proved modulo
 a prime, with Yun's algorithm when that proof fails), and a
 bounded factor search plus a fiber irreducibility witness certify the full
 Galois-group condition.  The Chern-class identity for the cube of the
@@ -36,12 +37,13 @@ from . import linalg
 from .binforms import (
     BinaryForm,
     _primitive_ints,
-    discriminant,
     pdeg,
-    pencil_determinant,
-    pinterpolate,
+    peval,
     squarefree_mod,
     squarefree_profile,
+    zdiscriminant,
+    zinterpolate,
+    zpencil_determinant,
 )
 from .factor_search import twisted_factor_search, uni_irreducible_factors
 
@@ -136,9 +138,7 @@ class SpectralForm:
 
     def fiber(self, s0, t0) -> BinaryForm:
         """The quintic in (u,v) over the base point (s0 : t0)."""
-        return BinaryForm(
-            5, tuple(c.evaluate(Fraction(s0), Fraction(t0)) for c in self.coefficients)
-        )
+        return BinaryForm(5, tuple(c.evaluate(s0, t0) for c in self.coefficients))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(c.degree for c in self.coefficients)
@@ -146,27 +146,27 @@ class SpectralForm:
 
 @lru_cache(maxsize=CACHE_BOUND)
 def spectral_form(spec: FamilySpec) -> SpectralForm:
-    """det(u*A1 + v*A2), each (s,t)-coefficient interpolated from the fiber
-    quintics det(u*A1(k,1) + v*A2(k,1)) at k = 0..D+1.  D is the largest
-    expected coefficient degree (at least 0), which FamilySpec bounds by
-    the degree that products of the nonzero entries reach.  The node beyond
-    the D+1 that determine a coefficient checks that coefficient j has
-    degree at most expected_coefficient_degree(spec, j), and is zero when
-    that is negative; a zero coefficient keeps the nominal degree
-    max(expected, 0)."""
+    """det(u*A1 + v*A2), each (s,t)-coefficient interpolated over Z from the
+    fiber quintics det(u*L*A1(k,1) + v*L*A2(k,1)) at k = 0..D+1 and divided
+    by L^5 once, L the common denominator of the entries.  D is the largest
+    expected coefficient degree (at least 0), which FamilySpec bounds by the
+    degree that products of the nonzero entries reach.  The node beyond the
+    D+1 that determine a coefficient checks that coefficient j has degree at
+    most expected_coefficient_degree(spec, j), and is zero when that is
+    negative; a zero coefficient keeps the nominal degree max(expected, 0)."""
     expected = [expected_coefficient_degree(spec, j) for j in range(6)]
-    nodes = max(max(expected), 0) + 2
-
-    def at(a, k):
-        return [[x.evaluate(k, 1) for x in row] for row in a]
-
-    fibers = [pencil_determinant(at(spec.A1, k), at(spec.A2, k)) for k in range(nodes)]
+    forms = [x.coeffs[::-1] for a in (spec.A1, spec.A2) for row in a for x in row]
+    den, entries = linalg.clear_row_denominators(forms)  # times L, x^i at index i
+    fibers = []
+    for k in range(max(max(expected), 0) + 2):
+        rows = [[peval(c, k) for c in entries[i : i + 5]] for i in range(0, 50, 5)]
+        fibers.append(zpencil_determinant(rows[:5], rows[5:]))
     coeffs = []
     for j, deg in enumerate(expected):
-        p = pinterpolate([f.coeffs[j] for f in fibers])
+        p = zinterpolate([f[j] for f in fibers])
         if p and pdeg(p) > deg:
             raise RuntimeError("spectral coefficient degree violates bookkeeping")
-        coeffs.append(BinaryForm.from_x_poly(p, max(deg, 0)))
+        coeffs.append(BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0)))
     form = SpectralForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
@@ -227,13 +227,13 @@ def _discriminant_or_none(spec: FamilySpec) -> DiscriminantReport | None:
     h = height(spec)
     if h < 0:
         return None  # no nonzero form of degree 2h
-    values = [discriminant(sf.fiber(k, 1)) for k in range(2 * h + 2)]
-    poly = pinterpolate(values)
+    den, coeffs = linalg.clear_row_denominators([c.coeffs[::-1] for c in sf.coefficients])
+    poly = zinterpolate([zdiscriminant([peval(c, k) for c in coeffs]) for k in range(2 * h + 2)])
     if pdeg(poly) > 2 * h:
         raise RuntimeError("discriminant degree violates bookkeeping")
     if not poly:
         return None
-    delta = BinaryForm.from_x_poly(poly, 2 * h)
+    delta = BinaryForm.from_x_poly([Fraction(c, den**8) for c in poly], 2 * h)
     if delta.degree == 0:
         return DiscriminantReport(delta, 0, True, 0)
     return DiscriminantReport(delta, delta.degree, *_branching(delta))
@@ -255,7 +255,8 @@ def discriminant_family(spec: FamilySpec) -> DiscriminantReport:
     degree 2h, with the simple-branching flag (squarefree) and the count of
     distinct singular fibers.  Delta is interpolated from the fiber
     discriminants Delta(k, 1) = disc(fiber over (k : 1)) at k = 0..2h+1; the
-    node beyond the 2h+1 that determine it checks the degree."""
+    node beyond the 2h+1 that determine it checks the degree.  It runs over
+    Z on L times the spectral form, L its denominator, and divides by L^8."""
     disc = _discriminant_or_none(spec)
     if disc is None:
         raise ValueError("non-generically-smooth")
@@ -562,9 +563,7 @@ def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
         denominators.  Entry (i,j) has degree deg c_i + deg c_j once a term
         contributes to it, even if the terms cancel, and is
         BinaryForm.zero(0) otherwise."""
-        quad = [[Fraction(x) for x in row] for row in quad]
-        den = math.lcm(*(x.denominator for row in quad for x in row))
-        quad = [[int(x * den) for x in row] for row in quad]
+        den, quad = linalg.clear_row_denominators([[Fraction(x) for x in row] for row in quad])
 
         def entry(ci, cj):
             terms = [

@@ -23,6 +23,13 @@ def clear_denominators(xs) -> tuple[int, list[int]]:
     return den, [x.numerator * (den // x.denominator) for x in xs]
 
 
+def clear_row_denominators(rows) -> tuple[int, list[list[int]]]:
+    """clear_denominators over all entries of the rows, in the rows' shape."""
+    den, flat = clear_denominators(x for row in rows for x in row)
+    flat = iter(flat)
+    return den, [[next(flat) for _ in row] for row in rows]
+
+
 def transpose(m: Matrix) -> Matrix:
     return [list(col) for col in zip(*m)] if m else []
 
@@ -92,24 +99,23 @@ def solve(a: Matrix, b: Row) -> Row | None:
 
 
 def det(m: Matrix) -> Fraction:
-    """Determinant by Bareiss fraction-free elimination over Z (Bareiss
-    1968): each row is scaled to integers by the lcm of its denominators,
-    every elimination step divides exactly by the previous pivot, and the
-    product of the row scales is divided out once at the end.  Pivots are
-    first-nonzero; entries may be Fractions or ints."""
+    """Determinant of Fractions or ints: zdet of the rows, each scaled to
+    integers by the lcm of its denominators, over the product of those."""
+    rows = [clear_denominators(row) for row in m]
+    return Fraction(zdet([ints for _, ints in rows]), math.prod(den for den, _ in rows))
+
+
+def zdet(m: list[list[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss elimination (Bareiss 1968):
+    each step divides exactly by the previous pivot; pivots first-nonzero."""
     n = len(m)
-    scale = 1
-    a = []
-    for row in m:
-        den, ints = clear_denominators(row)
-        a.append(ints)
-        scale *= den
+    a = list(m)
     sign = 1
     prev = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if a[i][col]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             a[col], a[piv] = a[piv], a[col]
             sign = -sign
@@ -122,7 +128,7 @@ def det(m: Matrix) -> Fraction:
                 (p * x - c * y) // prev for x, y in zip(row[col + 1 :], top[col + 1 :])
             ]
         prev = p
-    return Fraction(sign * prev, scale)
+    return sign * prev
 
 
 def det_minors(m, add, mul, neg, zero, is_zero):
@@ -168,8 +174,7 @@ def charpoly(m: Matrix) -> list[Fraction]:
     [c_0, ..., c_n] with c_n = 1, index = power of x.
     """
     n = len(m)
-    s, flat = clear_denominators(x for row in m for x in row)
-    a = [flat[i * n : (i + 1) * n] for i in range(n)]
+    s, a = clear_row_denominators(m)
     coeffs = [1] * (n + 1)
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):

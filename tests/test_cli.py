@@ -200,6 +200,22 @@ def test_family_analyze_bare_family(capsys, tmp_path):
     assert tree["discriminant_degree"] == 16
 
 
+def test_family_analyze_degenerate(capsys, tmp_path):
+    # row and column 4 of both matrices zeroed: the file still decodes, but
+    # det(u*A1 + v*A2) vanishes identically
+    code, built, _ = run_json(capsys, "examples", "build", "h8_ci", "--seed", "3")
+    assert code == 0
+    zero = {"coeffs": ["0"], "degree": 0}
+    for name in ("A1", "A2"):
+        a = built["family"][name]
+        for i in range(5):
+            a[i][4] = a[4][i] = zero
+    path = write_json(tmp_path / "degenerate.json", built)
+    code, out, _ = run(capsys, "family", "analyze", "--input", path)
+    assert code == 1
+    assert json.loads(out) == {"error": "generically degenerate family"}
+
+
 def test_family_analyze_malformed(capsys, tmp_path):
     path = write_json(tmp_path / "bad.json", {"type": "family", "d": [0]})
     code, _, err = run(capsys, "family", "analyze", "--input", path)

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import FAMILY_CACHES, clear_family_caches
 from dp4 import families
-from dp4.binforms import BinaryForm, discriminant, squarefree_profile
+from dp4.binforms import BinaryForm, squarefree_profile, zdiscriminant
 from dp4.families import (
     FamilySpec,
     HirzebruchClass,
@@ -352,15 +352,15 @@ def test_pipeline_item_interpolates_delta_once_per_attempt(monkeypatch, name, se
     attempts = set()
     check = models.genericity_check
 
-    def counted_discriminant(f):
+    def counted_discriminant(c):
         fibers.append(1)
-        return discriminant(f)
+        return zdiscriminant(c)
 
     def recorded_check(spec):
         attempts.add(spec)
         return check(spec)
 
-    monkeypatch.setattr(families, "discriminant", counted_discriminant)
+    monkeypatch.setattr(families, "zdiscriminant", counted_discriminant)
     monkeypatch.setattr(models, "genericity_check", recorded_check)
     spec = build_example(name, seed)
     family_report(spec)

@@ -29,8 +29,11 @@ now run on families.Poly), the discriminant of a binary form as the Sylvester
 determinant over Fraction (it now runs on the integer-scaled form), the
 simple-branching flag of Delta as Yun's algorithm alone (Delta is now first
 proved squarefree modulo a prime), Yun's algorithm itself over Fraction (it
-now runs over Z), and the h8_ci congruence C^T Q C as sums of BinaryForm
-products (it now runs on integer coefficient lists).
+now runs over Z), the h8_ci congruence C^T Q C as sums of BinaryForm
+products (it now runs on integer coefficient lists), and the spectral form
+and Delta of a family interpolated from Fraction fibers, BinaryForm.evaluate
+into pencil_determinant and SpectralForm.fiber into discriminant (both now
+run on integer-scaled entries at integer nodes and divide once).
 """
 
 import math
@@ -56,7 +59,9 @@ from dp4.binforms import (
     pdivexact,
     pdivmod,
     peval,
+    pencil_determinant,
     pgcd,
+    pinterpolate,
     pmul,
     pnorm,
     pscale,
@@ -91,6 +96,7 @@ from dp4.families import (
     SpectralForm,
     discriminant_family,
     expected_coefficient_degree,
+    height,
     spectral_form,
 )
 from dp4.lines import SignedPermutation
@@ -185,6 +191,46 @@ def sylvester_delta(sf) -> BinaryForm:
             syl[r][r + j] = fu[j]
             syl[4 + r][r + j] = fv[j]
     return _det_forms(syl).scale(Fraction(1, 125))
+
+
+def fraction_spectral_form(spec) -> SpectralForm:
+    """det(u*A1 + v*A2) interpolated from Fraction fibers: every entry
+    evaluated at (k, 1) by BinaryForm.evaluate, each fiber quintic the
+    pencil_determinant of the two Fraction matrices."""
+    expected = [expected_coefficient_degree(spec, j) for j in range(6)]
+    nodes = max(max(expected), 0) + 2
+
+    def at(a, k):
+        return [[x.evaluate(k, 1) for x in row] for row in a]
+
+    fibers = [pencil_determinant(at(spec.A1, k), at(spec.A2, k)) for k in range(nodes)]
+    coeffs = []
+    for j, deg in enumerate(expected):
+        p = pinterpolate([f.coeffs[j] for f in fibers])
+        if p and pdeg(p) > deg:
+            raise RuntimeError("spectral coefficient degree violates bookkeeping")
+        coeffs.append(BinaryForm.from_x_poly(p, max(deg, 0)))
+    form = SpectralForm(tuple(coeffs))
+    if form.is_zero:
+        raise ValueError("generically degenerate family")
+    return form
+
+
+def fraction_delta(spec) -> BinaryForm | None:
+    """Delta interpolated from the discriminants of the Fraction fibers
+    SpectralForm.fiber(k, 1) of fraction_spectral_form; None where Delta = 0
+    (h < 0 included)."""
+    sf = fraction_spectral_form(spec)
+    h = height(spec)
+    if h < 0:
+        return None  # no nonzero form of degree 2h
+    values = [discriminant(sf.fiber(k, 1)) for k in range(2 * h + 2)]
+    poly = pinterpolate(values)
+    if pdeg(poly) > 2 * h:
+        raise RuntimeError("discriminant degree violates bookkeeping")
+    if not poly:
+        return None
+    return BinaryForm.from_x_poly(poly, 2 * h)
 
 
 def fraction_pgcd(p, q):
@@ -746,10 +792,109 @@ def model_and_engineered_specs():
     yield pytest.param(lambda: split_diagonal_example(1), id="diagonal")
 
 
-@pytest.mark.parametrize("make", model_and_engineered_specs())
+def rescaled(spec, r1, r2) -> FamilySpec:
+    """spec with A1 scaled by r1 and A2 by r2: still symmetric, with the
+    same entry degrees."""
+
+    def scale(a, r):
+        return tuple(tuple(x.scale(r) for x in row) for row in a)
+
+    return FamilySpec(spec.d, spec.e, scale(spec.A1, r1), scale(spec.A2, r2))
+
+
+def non_integral_specs():
+    """The seed-1 models and the engineered specs with A1 scaled by 1/3 and
+    A2 by 7/2, so the entries and the spectral coefficients have
+    denominators."""
+    makes = {f"{n}-1": lambda n=n: build_example(n, 1) for n in ("h8_ci", "h10_ci", "h10_bundle")}
+    makes["squared"] = lambda: squared_discriminant_example(1)
+    makes["diagonal"] = lambda: split_diagonal_example(1)
+    for name, make in makes.items():
+        yield pytest.param(lambda m=make: rescaled(m(), F(1, 3), F(7, 2)), id=f"{name}-rescaled")
+
+
+def equal_matrices_spec():
+    """A2 = A1 = A1 of h8_ci scaled by 1/3 (e1 = e2): the spectral form is
+    (u + v)^5 det(A1), so every fiber has a fivefold root and Delta = 0."""
+    spec = rescaled(build_example("h8_ci", 1), F(1, 3), 1)
+    return FamilySpec(spec.d, spec.e, spec.A1, spec.A1)
+
+
+def negative_height():
+    from test_family import negative_height_spec
+
+    return negative_height_spec(random.Random(411))
+
+
+def all_specs():
+    yield from model_and_engineered_specs()
+    yield from non_integral_specs()
+    yield pytest.param(equal_matrices_spec, id="equal-matrices")
+    yield pytest.param(negative_height, id="negative-height")
+
+
+rescalings = st.fractions(min_value=-9, max_value=9, max_denominator=10).filter(bool)
+
+
+@pytest.mark.parametrize("make", [*model_and_engineered_specs(), *non_integral_specs()])
 def test_spectral_form_matches_column_mixing(make):
     spec = make()
     assert repr(spectral_form.__wrapped__(spec)) == repr(column_mixing_spectral_form(spec))
+
+
+@pytest.mark.parametrize("make", all_specs())
+def test_integer_path_matches_fraction_path(make):
+    spec = make()
+    assert repr(spectral_form.__wrapped__(spec)) == repr(fraction_spectral_form(spec))
+    rep = uncached_delta(spec)
+    assert repr(None if rep is None else rep.delta) == repr(fraction_delta(spec))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rescalings, rescalings)
+def test_integer_path_matches_fraction_path_rescaled(r1, r2):
+    spec = rescaled(build_example("h8_ci", 1), r1, r2)
+    sf = spectral_form.__wrapped__(spec)
+    assert repr(sf) == repr(fraction_spectral_form(spec))
+    assert repr(uncached_delta(spec).delta) == repr(fraction_delta(spec))
+    # det(u*r1*A1 + v*r2*A2) scales the u^(5-j) v^j coefficient by r1^(5-j) r2^j
+    base = spectral_form(build_example("h8_ci", 1))
+    for j, (c, b) in enumerate(zip(sf.coefficients, base.coefficients)):
+        assert c == b.scale(r1 ** (5 - j) * r2**j)
+
+
+def test_integer_path_builds_nothing_per_fiber(monkeypatch):
+    # the spectral form and Delta run on int from the entries to the output
+    # coefficients: no BinaryForm.evaluate, no SpectralForm.fiber, and at
+    # most three Fractions per output coefficient (the Fraction path builds
+    # more than fifty per fiber)
+    calls = []
+    built = [0]
+    specs = [build_example("h10_ci", 1), squared_discriminant_example(1)]
+    sfs = [spectral_form(spec) for spec in specs]
+    evaluate, fiber, new = BinaryForm.evaluate, SpectralForm.fiber, Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(BinaryForm, "evaluate", lambda *a: calls.append("evaluate") or evaluate(*a))
+    monkeypatch.setattr(SpectralForm, "fiber", lambda *a: calls.append("fiber") or fiber(*a))
+    # Delta's squarefree test is not part of the interpolation
+    monkeypatch.setattr(families, "_branching", lambda delta: (True, delta.degree))
+    for spec, sf in zip(specs, sfs):
+        monkeypatch.setattr(Fraction, "__new__", counted_new)
+        built[0] = 0
+        assert spectral_form.__wrapped__(spec) == sf
+        assert built[0] <= 3 * sum(c.degree + 1 for c in sf.coefficients)
+        built[0] = 0
+        assert uncached_delta(spec).degree == 2 * height(spec)
+        assert built[0] <= 3 * (2 * height(spec) + 1)
+        monkeypatch.setattr(Fraction, "__new__", new)
+    assert calls == []
+    # the genericity witness still evaluates fibers
+    families.genericity_check.__wrapped__(specs[0])
+    assert "fiber" in calls
 
 
 def test_spectral_form_zero_coefficients_take_expected_degree():
@@ -816,6 +961,23 @@ def test_delta_matches_sylvester_on_engineered(make, degree):
     assert rep.degree == degree
     with oracle_gcd():
         assert uncached_delta(spec) == rep
+
+
+@pytest.mark.parametrize(
+    "make",
+    [*non_integral_specs(), pytest.param(equal_matrices_spec, id="equal-matrices"),
+     pytest.param(negative_height, id="negative-height")],
+)
+def test_delta_matches_sylvester_on_rational_and_zero_delta_specs(make):
+    spec = make()
+    rep = uncached_delta(spec)
+    expected = sylvester_delta(spectral_form(spec))
+    if rep is None:  # Delta = 0: the equal matrices and h < 0
+        assert expected.is_zero
+        assert make in (equal_matrices_spec, negative_height)
+    else:
+        assert rep.delta == expected
+        assert rep.degree == 2 * height(spec)
 
 
 @pytest.mark.parametrize("make", model_and_engineered_specs())
@@ -1095,6 +1257,21 @@ def test_discriminant_small_cases():
     assert discriminant(lin(F(1, 2), F(3, 7))) == 1
     f = BinaryForm.from_roots([F(1, 2), F(-3, 5), 4, 0], scale=F(7, 9))
     assert discriminant(f) == fraction_discriminant(f) != 0
+
+
+def test_integer_kernels_check_their_exact_divisions():
+    # each Fraction entry point clears denominators and calls an int kernel;
+    # a division the kernel takes as exact raises rather than floors
+    assert binforms.zinterpolate([1, 3, 7]) == [1, 1, 1]
+    with pytest.raises(RuntimeError, match="inexact integer division by 2"):
+        binforms.zinterpolate([0, 0, 1])  # x(x - 1)/2
+    assert binforms.pinterpolate([0, 0, 1]) == [0, F(-1, 2), F(1, 2)]
+    with pytest.raises(RuntimeError, match="inexact integer division by 125"):
+        binforms._zexact(124, 125)
+    assert linalg.zdet([[0, 1], [1, 0]]) == -1 and linalg.zdet([]) == 1
+    assert binforms.zdiscriminant([1, 0, -1]) == 4  # x^2 - y^2
+    # det([[u, v], [v, u]]) = u^2 - v^2
+    assert binforms.zpencil_determinant([[1, 0], [0, 1]], [[0, 1], [1, 0]]) == [1, 0, -1]
 
 
 # ---------------------------------------------------------------------------
