@@ -363,10 +363,6 @@ class WFactor:
 
     w_coeffs: tuple[tuple[Fraction, ...], ...]
 
-    @property
-    def w_degree(self) -> int:
-        return len(self.w_coeffs) - 1
-
 
 def _wfactor(g) -> WFactor:
     return WFactor(tuple(tuple(map(Fraction, c)) for c in g))

@@ -5,17 +5,21 @@ Classes live in the rank-6 lattice with form diag(+1,-1,...,-1), written
 through two points, and the conic through all five.  Incidence is the lattice
 pairing; the incidence graph is 5-regular and triangle-free on 16 vertices.
 Five distinguished partitions split the lines into two 8-sets of four
-incident pairs.  The full incidence symmetry group has order 1920: its
-elements are permutations of the 16 lines, found by exhaustive search, and
-each carries its signed action on the five partition indices (an even number
-of side swaps).  Subgroup closures compose the line permutations; the
-signed actions are data, checked once when the group is built.  Everything
-is checked against frozen reference data.
+incident pairs.  The full incidence symmetry group has order 1920: it is
+W(D5), generated by the reflections in the five simple roots of the lattice
+orthogonal to K, each acting as a permutation of the 16 lines.  No symmetry
+is missing: a symmetry is fixed by the images of line 0 and of its five
+neighbours, which allows at most 16 * 5! = 1920.  Each element carries
+its signed action on the five partition indices (an even number of side
+swaps).  Subgroup closures compose the line permutations; the signed actions
+are data, checked once when the group is built.  Everything is checked
+against frozen reference data.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,6 +29,16 @@ from typing import NamedTuple
 from . import linalg
 
 CANONICAL = (-3, -1, -1, -1, -1, -1)
+
+# the simple roots of D5 in K-perp: e_i - e_{i+1} (e_i is (0; -delta_i)) and
+# h - e1 - e2 - e3; each has square -2 and pairs to 0 with K
+SIMPLE_ROOTS = (
+    (0, -1, 1, 0, 0, 0),
+    (0, 0, -1, 1, 0, 0),
+    (0, 0, 0, -1, 1, 0),
+    (0, 0, 0, 0, -1, 1),
+    (1, 1, 1, 1, 0, 0),
+)
 
 
 def pairing(v, w) -> int:
@@ -141,32 +155,65 @@ class WeylGroup:
 
 def _compose(a, b) -> tuple[int, ...]:
     """The line permutation a after b."""
-    return tuple(a[i] for i in b)
+    return operator.itemgetter(*b)(a)
 
 
-def _graph_automorphisms(incidence):
-    """All adjacency-preserving permutations, by backtracking."""
-    n = len(incidence)
-    results = []
-    image = [-1] * n
-    used = [False] * n
+def _closure(generators, limit: int) -> set[tuple[int, ...]]:
+    """The line permutations generated by `generators`, by breadth-first
+    products; stops once more than `limit` are found."""
+    identity = tuple(range(16))
+    seen = {identity}
+    frontier = [identity]
+    while frontier and len(seen) <= limit:
+        nxt = []
+        for h in frontier:
+            for g in generators:
+                p = _compose(g, h)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return seen
 
-    def extend(d):
-        if d == n:
-            results.append(tuple(image))
-            return
-        for c in range(n):
-            if not used[c] and all(
-                incidence[d][e] == incidence[c][image[e]] for e in range(d)
-            ):
-                image[d] = c
-                used[c] = True
-                extend(d + 1)
-                used[c] = False
-        image[d] = -1
 
-    extend(0)
-    return results
+def _simple_reflections(cfg: LineConfiguration) -> list[tuple[int, ...]]:
+    """The reflections s(v) = v + (v.alpha) alpha in SIMPLE_ROOTS as line
+    permutations, each checked to permute the classes and keep incidence."""
+    index = {c: i for i, c in enumerate(cfg.classes)}
+    reflections = []
+    for root in SIMPLE_ROOTS:
+        perm = tuple(
+            index.get(tuple(x + pairing(c, root) * r for x, r in zip(c, root)))
+            for c in cfg.classes
+        )
+        if None in perm or len(set(perm)) != 16:
+            raise RuntimeError(f"reflection in {root} does not permute the 16 lines")
+        if any(
+            cfg.incidence[perm[i]][perm[j]] != cfg.incidence[i][j]
+            for i in range(16)
+            for j in range(16)
+        ):
+            raise RuntimeError(f"reflection in {root} does not preserve incidence")
+        reflections.append(perm)
+    return reflections
+
+
+def _check_symmetry_bound(incidence) -> None:
+    """Each of the ten lines off line 0 meets a different subset of line 0's
+    five neighbours.  A symmetry fixing line 0 and each neighbour then fixes
+    every line, so a symmetry is fixed by the image of line 0 and its
+    bijection on the neighbours: at most 16 * 5! = 1920 symmetries."""
+    star = [v for v in range(16) if incidence[0][v]]
+    traces = [
+        tuple(incidence[v][w] for w in star)
+        for v in range(1, 16)
+        if not incidence[0][v]
+    ]
+    if len(star) != 5 or len(set(traces)) != len(traces):
+        raise RuntimeError(
+            "two lines off line 0 meet the same neighbours of line 0: "
+            "16 * 5! does not bound the symmetry group"
+        )
 
 
 @lru_cache(maxsize=1)
@@ -194,14 +241,18 @@ def _partition_action(line_perm) -> SignedPermutation:
 
 @lru_cache(maxsize=1)
 def weyl_group() -> WeylGroup:
-    """The full incidence symmetry group: every line permutation with its
-    signed action on the five partitions; order 1920 = 2^4 * 5!, kernel of
-    the index action of order 16 acting simply transitively on the lines.
+    """The full incidence symmetry group W(D5), generated by the five simple
+    reflections: every line permutation, in increasing order, with its signed
+    action on the five partitions; order 1920 = 2^4 * 5!, which is also the
+    bound 16 * 5! on all symmetries, so none is missing.  The kernel of the
+    index action has order 16 and acts simply transitively on the lines.
     Built and checked once per process: the cache has a single key, so every
     caller shares one group."""
+    cfg = lines16()
+    _check_symmetry_bound(cfg.incidence)
     elements = tuple(
         WeylElement(line_perm, _partition_action(line_perm))
-        for line_perm in _graph_automorphisms(lines16().incidence)
+        for line_perm in sorted(_closure(_simple_reflections(cfg), 1920))
     )
     group = WeylGroup(elements)
     if group.order != 1920:
@@ -256,21 +307,7 @@ def no_intermediate_subgroup() -> bool:
 
 
 def _closure_is_full(generators) -> bool:
-    identity = tuple(range(16))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for g in generators:
-                p = _compose(g, h)
-                if p not in seen:
-                    seen.add(p)
-                    nxt.append(p)
-        if len(seen) > 960:
-            return True
-        frontier = nxt
-    return len(seen) == 1920
+    return len(_closure(generators, 960)) > 960
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def assert_result_divides(coeffs, found, bound):
         # a WFactor of w-degree in [1, bound] with zero pseudo-remainder on
         # f(sigma, w) = sum coeffs[n - k] w^k
         assert tag == "factor"
-        assert 1 <= factor.w_degree <= bound
+        assert 1 <= len(factor.w_coeffs) - 1 <= bound
         n = len(coeffs) - 1
         f_w = [coeffs[n - k].x_poly() for k in range(n + 1)]
         _, rem, _ = wpseudo_divmod(f_w, [list(c) for c in factor.w_coeffs])

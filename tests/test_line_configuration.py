@@ -148,17 +148,71 @@ def test_report_matches_golden():
 
 def test_report_builds_symmetry_group_once(monkeypatch):
     calls = []
-    search = lines._graph_automorphisms
+    closure = lines._closure
 
-    def counted(incidence):
-        calls.append(1)
-        return search(incidence)
+    def counted(generators, limit):
+        calls.append(len(generators))
+        return closure(generators, limit)
 
-    monkeypatch.setattr(lines, "_graph_automorphisms", counted)
+    monkeypatch.setattr(lines, "_closure", counted)
     weyl_group.cache_clear()
     rep = report()
-    assert len(calls) == 1
+    # one closure of the five simple reflections; the subgroup closures of
+    # no_intermediate_subgroup take three generators each
+    assert calls.count(5) == 1
     assert rep == load_golden()
+
+
+def _refused(request, message):
+    request.addfinalizer(weyl_group.cache_clear)
+    weyl_group.cache_clear()
+    with pytest.raises(RuntimeError, match=message):
+        weyl_group()
+
+
+def test_weyl_group_refuses_a_reflection_leaving_the_lines(monkeypatch, request):
+    # (1; 1, 1, 0, 0, 0) has square -1: its reflection sends E_1 to the
+    # class (1; 0, 1, 0, 0, 0) of square 0, which is not a line
+    monkeypatch.setattr(
+        lines, "SIMPLE_ROOTS", lines.SIMPLE_ROOTS + ((1, 1, 1, 0, 0, 0),)
+    )
+    _refused(request, "does not permute the 16 lines")
+
+
+def test_weyl_group_refuses_a_reflection_breaking_incidence(monkeypatch, request):
+    # a relabeled line configuration: the reflections still permute the
+    # classes, but lines 0 and 1 have swapped their incidence rows
+    cfg = lines16()
+    swap = [1, 0] + list(range(2, 16))
+    incidence = tuple(
+        tuple(cfg.incidence[swap[i]][swap[j]] for j in range(16)) for i in range(16)
+    )
+    monkeypatch.setattr(
+        lines, "lines16", lambda: lines.LineConfiguration(cfg.classes, incidence)
+    )
+    _refused(request, "does not preserve incidence")
+
+
+def test_weyl_group_refuses_a_missing_simple_root(monkeypatch, request):
+    # without h - e1 - e2 - e3 the reflections generate only S5
+    monkeypatch.setattr(lines, "SIMPLE_ROOTS", lines.SIMPLE_ROOTS[:-1])
+    _refused(request, "order 120, expected 1920")
+
+
+def test_weyl_group_refuses_an_unbounded_incidence(monkeypatch, request):
+    # two lines off line 0 made to meet the same neighbours of line 0, so a
+    # symmetry is no longer fixed by line 0 and its neighbours
+    cfg = lines16()
+    star = [v for v in range(16) if cfg.incidence[0][v]]
+    u, w = [v for v in range(1, 16) if not cfg.incidence[0][v]][:2]
+    rows = [list(r) for r in cfg.incidence]
+    for v in star:
+        rows[w][v] = rows[v][w] = rows[u][v]
+    incidence = tuple(tuple(r) for r in rows)
+    monkeypatch.setattr(
+        lines, "lines16", lambda: lines.LineConfiguration(cfg.classes, incidence)
+    )
+    _refused(request, "same neighbours of line 0")
 
 
 def test_golden_file_is_canonical_json(tmp_path):
@@ -172,7 +226,5 @@ def test_golden_file_is_canonical_json(tmp_path):
 def test_spectrum_and_triangles_frozen():
     cp = spectrum_charpoly()
     assert len(cp) == 17
-    assert triangle_free() in (True, False)
-    golden = load_golden()
-    assert golden["charpoly"] == cp
-    assert golden["triangle_free"] == triangle_free()
+    assert triangle_free() is True
+    assert cp == load_golden()["charpoly"]

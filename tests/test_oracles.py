@@ -33,7 +33,10 @@ now runs over Z), the h8_ci congruence C^T Q C as sums of BinaryForm
 products (it now runs on integer coefficient lists), and the spectral form
 and Delta of a family interpolated from Fraction fibers, BinaryForm.evaluate
 into pencil_determinant and SpectralForm.fiber into discriminant (both now
-run on integer-scaled entries at integer nodes and divide once).
+run on integer-scaled entries at integer nodes and divide once), and the
+16-line symmetry group as a backtracking search over all incidence-preserving
+permutations of the lines (it is now generated by the five simple
+reflections of W(D5)).
 """
 
 import math
@@ -1650,6 +1653,37 @@ def test_closure_of_s5_alone_is_not_full(closure_runs):
     _, runs = closure_runs
     assert lines._closure_is_full(runs[0][:-1]) is False
     assert signed_closure_is_full([S5_SWAP, S5_CYCLE]) is False
+
+
+def _graph_automorphisms(incidence):
+    """All adjacency-preserving permutations, by backtracking."""
+    n = len(incidence)
+    results = []
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(d):
+        if d == n:
+            results.append(tuple(image))
+            return
+        for c in range(n):
+            if not used[c] and all(
+                incidence[d][e] == incidence[c][image[e]] for e in range(d)
+            ):
+                image[d] = c
+                used[c] = True
+                extend(d + 1)
+                used[c] = False
+        image[d] = -1
+
+    extend(0)
+    return results
+
+
+def test_reflection_group_matches_backtracking_search():
+    # the same elements in the same order
+    oracle = _graph_automorphisms(lines.lines16().incidence)
+    assert [e.line_perm for e in lines.weyl_group().elements] == oracle
 
 
 # ---------------------------------------------------------------------------
