@@ -7,6 +7,13 @@ requested checks pass, 1 a check failed, 2 usage error, 3 malformed
 input, 4 internal error (an uncaught exception in a command, reported as
 one line on stderr).  All commands are byte-deterministic for a fixed
 seed; verify adds wall-clock timings only under --timings.
+
+A fresh process loads only what its command uses.  The module-level
+imports are the functions the benchmark's tracer wraps as cli.* bindings
+(perfbench/tracer.py TARGETS), which must stay bound here, plus serialize,
+which every command prints with, and two more names from families, which
+family_report loads anyway.  checks, models, lines and monodromy are
+imported by the handlers that use them.
 """
 
 from __future__ import annotations
@@ -15,13 +22,16 @@ import argparse
 import json
 import sys
 
-from . import checks, lines, models, serialize
+from . import serialize
 from .binforms import discriminant
 from .families import family_report, height_bounds_scan, spectral_form
-from .monodromy import TwoTorsionClass, classify_component, torsion_orbit_label
 from .pencils import classify_surface, spectral_quintic
 from .plane_quintic import is_principal, theta_quadratic_form
 from .quintic import invariants, normalize_weighted, stability_classify
+
+# models.EXAMPLE_NAMES, spelled out so that building the parser does not
+# import models (tests/test_cli.py pins the two together)
+EXAMPLE_NAMES = ("h8_ci", "h8_conic", "h10_ci", "h10_bundle")
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -164,11 +174,10 @@ def _cmd_quintic_invariants(args):
 
 
 def _cmd_lines_report(args):
+    from . import lines
+
     rep = lines.report()
-    try:
-        golden = lines.load_golden()
-    except OSError as exc:
-        raise CliInputError(f"golden data unavailable: {exc}")
+    golden = _load_json(lines.golden_path())
     rep["matches_golden"] = rep == golden
     return rep, EXIT_OK if rep["matches_golden"] else EXIT_CHECK
 
@@ -247,6 +256,8 @@ def _parse_subset(text: str) -> frozenset:
 
 
 def _cmd_classify(args):
+    from .monodromy import TwoTorsionClass, classify_component, torsion_orbit_label
+
     h = args.height
     if h % 2 != 0 or h < 0:
         raise CliInputError("height must be even and non-negative")
@@ -296,6 +307,8 @@ def _cmd_classify(args):
 
 
 def _cmd_examples_build(args):
+    from . import models
+
     try:
         built = models.build_example(args.name, args.seed)
     except ValueError as exc:
@@ -326,6 +339,8 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _cmd_examples_verify(args):
+    from . import models
+
     seeds = _parse_seeds(args.seeds)
     results = []
     for name in models.EXAMPLE_NAMES:
@@ -341,6 +356,8 @@ def _cmd_examples_verify(args):
 
 
 def _cmd_verify(args):
+    from . import checks
+
     names = None
     if args.only:
         unknown = [n for n in args.only if n not in checks.check_names()]
@@ -449,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     examples = sub.add_parser("examples", help="seeded model constructions")
     examples_sub = examples.add_subparsers(dest="action", required=True)
     eb = examples_sub.add_parser("build", help="build one verified instance")
-    eb.add_argument("name", choices=models.EXAMPLE_NAMES)
+    eb.add_argument("name", choices=EXAMPLE_NAMES)
     _output_flags(eb, seed=1)
     eb.set_defaults(func=_cmd_examples_build)
     ev = examples_sub.add_parser(

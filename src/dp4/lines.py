@@ -11,9 +11,11 @@ orthogonal to K, each acting as a permutation of the 16 lines.  No symmetry
 is missing: a symmetry is fixed by the images of line 0 and of its five
 neighbours, which allows at most 16 * 5! = 1920.  Each element carries
 its signed action on the five partition indices (an even number of side
-swaps).  Subgroup closures compose the line permutations; the signed actions
-are data, checked once when the group is built.  Everything is checked
-against frozen reference data.
+swaps).  Closures compose the line permutations; the signed actions are
+data, checked once when the group is built.  No subgroup lies strictly
+between the index-relabeling S5 and W because the (Z/2)^4 kernel has no
+proper nontrivial S5-invariant subgroup.  Everything is checked against
+frozen reference data.
 """
 
 from __future__ import annotations
@@ -271,43 +273,50 @@ def weyl_group() -> WeylGroup:
 
 def no_intermediate_subgroup() -> bool:
     """No proper subgroup strictly between the index-relabeling copy of S5
-    and the full group: adjoining any outside element generates everything.
+    and the full group W.
 
-    Verified by closure computation on line permutations, one representative
-    per S5-conjugacy class of outside elements, with S5 generated by the
-    elements acting as (1 0 2 3 4) and (1 2 3 4 0); any subgroup containing
-    S5 has order 120*k with k dividing 16, so exceeding order 960 forces the
-    full group.
+    The kernel K of the index action is (Z/2)^4, the automorphism group of
+    a general quartic Del Pezzo surface, and W = K x| S5.  Checked here: K
+    and S5 meet in the identity and |K| * |S5| = |W|, so W = K S5.  By
+    Dedekind's law a subgroup H with S5 <= H <= W is (H n K) S5, and H n K is
+    invariant under conjugation by S5.  So H is S5 or W exactly when K has
+    no proper nontrivial S5-invariant subgroup.  _no_invariant_subgroup
+    checks that S5 normalizes K and that, for one element of each S5-class
+    of K minus the identity (the side swaps of two partitions and those of
+    four), its S5-conjugates generate all of K.
     """
     group = weyl_group()
-    s5 = group.index_copy()
+    kernel = {e.line_perm for e in group.kernel()}
+    s5 = [e.line_perm for e in group.index_copy()]
     if len(s5) != 120:
         raise RuntimeError("index-relabeling subgroup must have order 120")
-    gens_s5 = [
-        e.line_perm
-        for e in s5
-        if e.signed.perm in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
-    ]
-    if len(gens_s5) != 2:
-        raise RuntimeError("index copy lacks the S5 generators")
-    conjugators = [
-        (e.line_perm, tuple(sorted(range(16), key=e.line_perm.__getitem__)))
-        for e in s5
-    ]
-    seen = {s for s, _ in conjugators}
-    for e in group.elements:
-        g = e.line_perm
-        if g in seen:
+    if kernel & set(s5) != {tuple(range(16))}:
+        raise RuntimeError("kernel and index copy meet beyond the identity")
+    if len(kernel) * len(s5) != group.order:
+        raise RuntimeError("kernel and index copy do not generate the group")
+    return _no_invariant_subgroup(kernel, s5)
+
+
+def _no_invariant_subgroup(kernel: set, acting) -> bool:
+    """Whether the line permutations `kernel`, a group, have no proper
+    nontrivial subgroup invariant under conjugation by `acting`.  The
+    conjugates of one element of each class of kernel minus the identity
+    must lie in the kernel (they are then all the conjugates of every
+    element, so `acting` normalizes it) and must generate all of it: an
+    invariant subgroup holding an element holds the group its conjugates
+    generate."""
+    acting = [(s, tuple(sorted(range(16), key=s.__getitem__))) for s in acting]
+    seen = {tuple(range(16))}
+    for k in sorted(kernel):
+        if k in seen:
             continue
-        for s, s_inv in conjugators:
-            seen.add(_compose(_compose(s, g), s_inv))
-        if not _closure_is_full(gens_s5 + [g]):
+        conjugates = {_compose(_compose(s, k), s_inv) for s, s_inv in acting}
+        if not conjugates <= kernel:
+            raise RuntimeError("a conjugate of a kernel element leaves the kernel")
+        seen |= conjugates
+        if _closure(sorted(conjugates), len(kernel)) != kernel:
             return False
     return True
-
-
-def _closure_is_full(generators) -> bool:
-    return len(_closure(generators, 960)) > 960
 
 
 # ---------------------------------------------------------------------------

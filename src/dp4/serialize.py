@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .biforms import BiForm
 from .binforms import BinaryForm
 
 
@@ -71,7 +70,7 @@ def decode_form(d) -> BinaryForm:
     return BinaryForm(degree, tuple(coeffs))
 
 
-def encode_biform(f: BiForm) -> dict:
+def encode_biform(f) -> dict:
     return {
         "bidegree": [f.m, f.n],
         "grid": [[encode_rational(c) for c in row] for row in f.grid],

@@ -178,6 +178,19 @@ def test_lines_report_golden_override(capsys, tmp_path, monkeypatch):
     assert tree["matches_golden"] is False
 
 
+@pytest.mark.parametrize(
+    "text, message", [("{not json", "is not valid JSON"), (None, "cannot read")]
+)
+def test_lines_report_unreadable_golden_exits_3(capsys, tmp_path, monkeypatch, text, message):
+    if text is not None:
+        (tmp_path / "lines_golden.json").write_text(text)
+    monkeypatch.setenv("DP4_GOLDEN_DIR", str(tmp_path))
+    code, out, err = run(capsys, "lines", "report")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_family_analyze_accepts_build_output(capsys, tmp_path):
     code, built, _ = run_json(capsys, "examples", "build", "h10_ci", "--seed", "1")
     assert code == 0
@@ -561,3 +574,121 @@ def test_pipeline_commands_run_without_sympy(tmp_path):
     codes, loaded = json.loads(proc.stdout)
     assert codes == [0] * len(argvs), proc.stderr
     assert loaded == []
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def dp4_process(*argv):
+    """`python -m dp4.cli argv` in a fresh interpreter, at 80 columns."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    return subprocess.run(
+        [sys.executable, "-m", "dp4.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+DP4_HELP = """\
+usage: dp4 [-h] {pencil,quintic,lines,family,classify,examples,verify} ...
+
+Exact arithmetic for quartic Del Pezzo surfaces, their pencils of quadrics,
+and one-parameter families over the line.
+
+positional arguments:
+  {pencil,quintic,lines,family,classify,examples,verify}
+    pencil              pencils of quadrics on P^4
+    quintic             binary quintics
+    lines               the 16-line configuration
+    family              families over the line
+    classify            monodromy component from height plus torsion datum or
+                        theta parity
+    examples            seeded model constructions
+    verify              run verification suites
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+EXAMPLES_BUILD_USAGE = """\
+usage: dp4 examples build [-h] [--out OUT] [--format {json,text}]
+                          [--seed SEED]
+                          {h8_ci,h8_conic,h10_ci,h10_bundle}
+"""
+
+EXAMPLES_BUILD_HELP = EXAMPLES_BUILD_USAGE + """
+positional arguments:
+  {h8_ci,h8_conic,h10_ci,h10_bundle}
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT             write the report here instead of stdout
+  --format {json,text}  output format
+  --seed SEED           random seed
+"""
+
+
+def test_parser_example_names_are_the_models_names():
+    assert cli.EXAMPLE_NAMES == models.EXAMPLE_NAMES
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--help"], 0, DP4_HELP, ""),
+        (["examples", "build", "--help"], 0, EXAMPLES_BUILD_HELP, ""),
+        (
+            ["examples", "build", "nosuch"],
+            2,
+            "",
+            EXAMPLES_BUILD_USAGE
+            + "dp4 examples build: error: argument name: invalid choice: 'nosuch' "
+            "(choose from 'h8_ci', 'h8_conic', 'h10_ci', 'h10_bundle')\n",
+        ),
+    ],
+)
+def test_help_and_usage_text_frozen(argv, code, out, err):
+    proc = dp4_process(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from dp4.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(k for k in sys.modules if k.startswith("dp4."))]))
+"""
+
+
+def test_commands_load_only_the_modules_they_use(tmp_path, pencil_file, quintic_file):
+    # each command in a fresh interpreter: checks, models, lines and
+    # monodromy load only in the handlers that use them
+    family = str(tmp_path / "family.json")
+    assert main(["examples", "build", "h8_ci", "--out", family]) == 0
+    argvs = [
+        ["lines", "report"],
+        ["quintic", "invariants", "--input", quintic_file],
+        ["pencil", "analyze", "--input", pencil_file],
+        ["family", "analyze", "--input", family],
+        ["family", "scan-heights", "--max", "8"],
+        ["classify", "--height", "8", "--torsion", "1,2"],
+        ["examples", "build", "h8_conic"],
+        ["examples", "verify-all", "--seeds", "1"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    loaded = {}
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_SCRIPT, json.dumps(argv)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout)
+        assert code == 0, argv
+        loaded[" ".join(argv[:2])] = set(modules)
+    for command, modules in loaded.items():
+        assert ("dp4.models" in modules) == command.startswith("examples"), command
+        assert ("dp4.lines" in modules) == command.startswith("lines"), command
+        assert ("dp4.monodromy" in modules) == command.startswith("classify"), command
+        assert "dp4.checks" not in modules, command
+    assert "dp4.biforms" not in loaded["quintic invariants"]

@@ -135,6 +135,33 @@ def test_no_intermediate_subgroup():
     assert no_intermediate_subgroup() is True
 
 
+def test_kernel_argument_refuses_a_kernel_element_in_the_index_copy(monkeypatch):
+    group = weyl_group()
+    s5 = group.index_copy()
+    swapped = s5[:-1] + (group.kernel()[-1],)
+    monkeypatch.setattr(lines.WeylGroup, "index_copy", lambda self: swapped)
+    with pytest.raises(RuntimeError, match="meet beyond the identity"):
+        no_intermediate_subgroup()
+
+
+def test_kernel_argument_refuses_a_missing_element(monkeypatch):
+    group = weyl_group()
+    inside = set(group.kernel()) | set(group.index_copy())
+    dropped = next(e for e in group.elements if e not in inside)
+    smaller = lines.WeylGroup(tuple(e for e in group.elements if e != dropped))
+    monkeypatch.setattr(lines, "weyl_group", lambda: smaller)
+    with pytest.raises(RuntimeError, match="do not generate the group"):
+        no_intermediate_subgroup()
+
+
+def test_kernel_argument_refuses_a_subgroup_that_is_not_normalized():
+    # the index copy is not normal: a kernel element conjugates it elsewhere
+    group = weyl_group()
+    s5 = {e.line_perm for e in group.index_copy()}
+    with pytest.raises(RuntimeError, match="leaves the kernel"):
+        lines._no_invariant_subgroup(s5, [e.line_perm for e in group.kernel()])
+
+
 def test_index_copy_is_s5_order():
     group = weyl_group()
     assert len(group.index_copy()) == 120
@@ -151,15 +178,16 @@ def test_report_builds_symmetry_group_once(monkeypatch):
     closure = lines._closure
 
     def counted(generators, limit):
-        calls.append(len(generators))
+        calls.append(list(generators))
         return closure(generators, limit)
 
     monkeypatch.setattr(lines, "_closure", counted)
     weyl_group.cache_clear()
     rep = report()
-    # one closure of the five simple reflections; the subgroup closures of
-    # no_intermediate_subgroup take three generators each
-    assert calls.count(5) == 1
+    # one closure of the five simple reflections; the kernel closures of
+    # no_intermediate_subgroup take the conjugates of a kernel element
+    reflections = lines._simple_reflections(lines16())
+    assert calls.count(reflections) == 1
     assert rep == load_golden()
 
 

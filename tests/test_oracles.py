@@ -36,7 +36,10 @@ into pencil_determinant and SpectralForm.fiber into discriminant (both now
 run on integer-scaled entries at integer nodes and divide once), and the
 16-line symmetry group as a backtracking search over all incidence-preserving
 permutations of the lines (it is now generated by the five simple
-reflections of W(D5)).
+reflections of W(D5)), and the absence of a subgroup between S5 and that
+group as 30 closures of S5 and one outside element on line permutations (it
+is now proved on the order-16 kernel, whose S5-conjugates of any nontrivial
+element generate it).
 """
 
 import math
@@ -1601,19 +1604,60 @@ def test_factor_kernel_matches_factorint_below_limit(n, d, power):
 # the symmetry-group closure on line permutations
 
 
+def closure_no_intermediate_subgroup() -> bool:
+    """No proper subgroup strictly between the index-relabeling copy of S5
+    and the full group: adjoining any outside element generates everything.
+
+    Verified by closure computation on line permutations, one representative
+    per S5-conjugacy class of outside elements, with S5 generated by the
+    elements acting as (1 0 2 3 4) and (1 2 3 4 0); any subgroup containing
+    S5 has order 120*k with k dividing 16, so exceeding order 960 forces the
+    full group.
+    """
+    group = lines.weyl_group()
+    s5 = group.index_copy()
+    if len(s5) != 120:
+        raise RuntimeError("index-relabeling subgroup must have order 120")
+    gens_s5 = [
+        e.line_perm
+        for e in s5
+        if e.signed.perm in ((1, 0, 2, 3, 4), (1, 2, 3, 4, 0))
+    ]
+    if len(gens_s5) != 2:
+        raise RuntimeError("index copy lacks the S5 generators")
+    conjugators = [
+        (e.line_perm, tuple(sorted(range(16), key=e.line_perm.__getitem__)))
+        for e in s5
+    ]
+    seen = {s for s, _ in conjugators}
+    for e in group.elements:
+        g = e.line_perm
+        if g in seen:
+            continue
+        for s, s_inv in conjugators:
+            seen.add(lines._compose(lines._compose(s, g), s_inv))
+        if not _closure_is_full(gens_s5 + [g]):
+            return False
+    return True
+
+
+def _closure_is_full(generators) -> bool:
+    return len(lines._closure(generators, 960)) > 960
+
+
 @pytest.fixture(scope="module")
 def closure_runs():
-    """The verdict of one no_intermediate_subgroup() and the generator list
-    of each _closure_is_full run it makes."""
+    """The verdict of one closure_no_intermediate_subgroup() and the
+    generator list of each _closure_is_full run it makes."""
     runs = []
-    closure = lines._closure_is_full
+    closure = _closure_is_full
 
     def spy(generators):
         runs.append(list(generators))
         return closure(generators)
 
-    with mock.patch.object(lines, "_closure_is_full", spy):
-        verdict = lines.no_intermediate_subgroup()
+    with mock.patch.dict(globals(), {"_closure_is_full": spy}):
+        verdict = closure_no_intermediate_subgroup()
     return verdict, runs
 
 
@@ -1636,6 +1680,12 @@ def test_line_closure_matches_signed_oracle(closure_runs):
         assert sorted(signed[g] for g in gens[:-1]) == sorted([S5_SWAP, S5_CYCLE])
 
 
+def test_kernel_argument_matches_closure_oracles(closure_runs):
+    verdict, _ = closure_runs
+    oracle_verdict, _ = signed_no_intermediate_subgroup()
+    assert lines.no_intermediate_subgroup() is verdict is oracle_verdict is True
+
+
 def test_partition_action_is_a_homomorphism(closure_runs):
     # the signed action of a line composition is the signed composition
     _, runs = closure_runs
@@ -1651,8 +1701,34 @@ def test_partition_action_is_a_homomorphism(closure_runs):
 
 def test_closure_of_s5_alone_is_not_full(closure_runs):
     _, runs = closure_runs
-    assert lines._closure_is_full(runs[0][:-1]) is False
+    assert _closure_is_full(runs[0][:-1]) is False
     assert signed_closure_is_full([S5_SWAP, S5_CYCLE]) is False
+
+
+def test_kernel_argument_finds_invariant_subgroup_of_s4():
+    # negative control: under the stabiliser S4 of partition 0, the kernel
+    # elements keeping the conic's side of partition 0 form an invariant
+    # subgroup of order 8; the closure oracle agrees that subgroups lie
+    # strictly between S4 and the kernel extended by S4 (order 384): S4 with
+    # one of those elements generates order 24 * 8, or 24 * 2 for the one
+    # S4 fixes, and with any other kernel element the whole of order 384
+    group = lines.weyl_group()
+    kernel = {e.line_perm for e in group.kernel()}
+    s4 = [e.line_perm for e in group.index_copy() if e.signed.perm[0] == 0]
+    assert len(s4) == 24
+    assert lines._no_invariant_subgroup(kernel, s4) is False
+    identity = tuple(range(16))
+    orders = {}
+    for e in group.kernel():
+        if e.line_perm != identity:
+            order = len(lines._closure(s4 + [e.line_perm], 384))
+            orders.setdefault(e.signed.signs[0], set()).add(order)
+    assert orders == {1: {48, 192}, -1: {384}}
+    half = {e.line_perm for e in group.kernel() if e.signed.signs[0] == 1}
+    assert len(half) == 8 and lines._closure(sorted(half), 16) == half
+    for s in s4:
+        s_inv = tuple(sorted(range(16), key=s.__getitem__))
+        assert {lines._compose(lines._compose(s, k), s_inv) for k in half} == half
 
 
 def _graph_automorphisms(incidence):
