@@ -7,7 +7,9 @@ trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
 - p- helpers run over Q.  padd, pmul, pderiv and peval keep the coefficient
   type (int lists stay int), so they serve Z[x] as well;
 - z- helpers run over Z: Yun's squarefree decomposition, and the kernels
-  that pinterpolate, pencil_determinant and discriminant wrap;
+  that pinterpolate, pencil_determinant, resultant and discriminant wrap.
+  Gcds run the primitive PRS and resultants the subresultant PRS, both on
+  one pseudo-remainder (_zprem);
 - m- helpers act on int lists modulo m, remainders in [0, m): the one
   Euclid over F_p, which the squarefreeness test modulo a prime and the
   factorizer over Z (factor_search) share.
@@ -101,21 +103,20 @@ def _primitive_ints(p) -> list[int]:
     return _zprimitive(linalg.clear_denominators(p)[1])
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """The remainder of a by b times a power of lead(b): each step scales
-    by lead(b) instead of dividing, so everything stays in int."""
+def _zprem(a: list[int], b: list[int]) -> list[int]:
+    """The pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over Z (a
+    itself when deg a < deg b): each quotient term scales the remainder by
+    lc(b) instead of dividing, so everything stays in int."""
     r = list(a)
     db = len(b) - 1
     lead = b[-1]
-    while len(r) - 1 >= db:
-        c = r[-1]
-        k = len(r) - 1 - db
-        r = [x * lead for x in r]
-        for i, y in enumerate(b):
-            r[k + i] -= c * y
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+    for k in reversed(range(len(a) - db)):
+        c = r[k + db]
+        r = [x * lead for x in r[: k + db]]
+        if c:
+            for i in range(db):
+                r[k + i] -= c * b[i]
+    return pnorm(r)
 
 
 def primitive_prs(a, b, prem, primitive):
@@ -124,7 +125,11 @@ def primitive_prs(a, b, prem, primitive):
     1971): a gcd of a and b over the fraction field, up to a unit.  Every
     pseudo-remainder prem(a, b) is made primitive before it divides, so
     coefficients stay as small as the gcd's own.  The one gcd algorithm of
-    the library, run over Z[x] here and over Z[sigma][w] in factor_search."""
+    the library, run over Z[x] here and over Z[sigma][w] in factor_search.
+    Resultants take the subresultant PRS instead (zresultant): dividing out
+    whole contents loses the scale that makes each term a subresultant, and
+    the subresultant PRS keeps it at the price of larger coefficients, which
+    made it the slower gcd on the family pipeline's inputs."""
     while b:
         r = prem(a, b)
         a, b = b, (primitive(r) if r else r)
@@ -140,7 +145,7 @@ def zgcd(p, q) -> list[int]:
         a = a or b
         g = _primitive_ints(a) if a else a
     else:
-        g = primitive_prs(_primitive_ints(a), _primitive_ints(b), _int_prem, _zprimitive)
+        g = primitive_prs(_primitive_ints(a), _primitive_ints(b), _zprem, _zprimitive)
     return [-c for c in g] if g and g[-1] < 0 else g
 
 
@@ -514,28 +519,58 @@ def zpencil_determinant(a: list[list[int]], b: list[list[int]]) -> list[int]:
     return p + [0] * (n + 1 - len(p))
 
 
-def sylvester_matrix(f, g) -> linalg.Matrix:
-    """The Sylvester matrix of two coefficient sequences, highest power of x
-    first (the order of BinaryForm.coeffs), at their formal degrees."""
+def zresultant(f, g) -> int:
+    """Res(f, g) for integer coefficient sequences, highest power first (the
+    order of BinaryForm.coeffs), at their formal degrees m and n: the
+    determinant of the Sylvester matrix, by the subresultant PRS over Z
+    (Collins 1967, Brown-Traub 1971; Cohen, GTM 138, alg. 3.3.7).  When f
+    has actual degree m - k < m and b0 = g[0] is nonzero,
+    Res_{m,n} = (-1)^(nk) b0^k Res_{m-k,n}; when g drops by k, a0^k
+    Res_{m,n-k}; when both drop, the Sylvester matrix has a zero first
+    column.  Every division the PRS takes as exact is checked (_zexact)."""
     m, n = len(f) - 1, len(g) - 1
-    size = m + n
-    rows = []
-    for coeffs, shifts in ((f, n), (g, m)):
-        for i in range(shifts):
-            row = [0] * size
-            row[i : i + len(coeffs)] = coeffs
-            rows.append(row)
-    return rows
+    if n == 0:
+        return g[0] ** m
+    if m == 0:
+        return f[0] ** n
+    if not f[0] and not g[0]:
+        return 0
+    if not f[0]:
+        k = next((i for i, c in enumerate(f) if c), m)
+        return (-1) ** (n * k) * g[0] ** k * zresultant(f[k:], g)
+    if not g[0]:
+        k = next((i for i, c in enumerate(g) if c), n)
+        return f[0] ** k * zresultant(f, g[k:])
+    a, b, sign = f[::-1], g[::-1], 1
+    if m < n:
+        a, b, sign = b, a, (-1) ** (m * n)
+    # lead and h are g and h of the subresultant PRS: each pseudo-remainder
+    # divided by lead * h^delta is the next subresultant, exactly
+    lead = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        sign *= (-1) ** (da * db)
+        r = _zprem(a, b)
+        if not r:
+            return 0
+        div = lead * h**delta
+        a, b = b, [_zexact(c, div) for c in r]
+        lead = a[-1]
+        if delta:
+            h = _zexact(lead**delta, h ** (delta - 1))
+    da = len(a) - 1
+    return sign * _zexact(b[0] ** da, h ** (da - 1))
 
 
 def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
     """Resultant at the formal degrees, vanishing iff the forms share a root
-    in P^1 (roots at infinity included)."""
-    if f.degree == 0:
-        return f.coeffs[0] ** g.degree
-    if g.degree == 0:
-        return g.coeffs[0] ** f.degree
-    return linalg.det(sylvester_matrix(f.coeffs, g.coeffs))
+    in P^1 (roots at infinity included): zresultant of the integer-scaled
+    forms Df*f and Dg*g, which is Df^deg(g) Dg^deg(f) Res(f, g), divided out
+    once."""
+    df, a = linalg.clear_denominators(f.coeffs)
+    dg, b = linalg.clear_denominators(g.coeffs)
+    return Fraction(zresultant(a, b), df**g.degree * dg**f.degree)
 
 
 def discriminant(f: BinaryForm) -> Fraction:
@@ -551,13 +586,14 @@ def discriminant(f: BinaryForm) -> Fraction:
 
 def zdiscriminant(c) -> int:
     """(-1)^(d(d-1)/2) Res(f_x, f_y) / d^(d-2) for the integer form of degree
-    d >= 2 with coefficients c (as in BinaryForm.coeffs): one Sylvester
-    determinant over Z, and an exact division by d^(d-2)."""
+    d >= 2 with coefficients c (as in BinaryForm.coeffs): one zresultant of
+    the two partials at formal degree d-1, and an exact division by
+    d^(d-2)."""
     d = len(c) - 1
     fx = [c[i] * (d - i) for i in range(d)]
     fy = [c[i] * i for i in range(1, d + 1)]
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * _zexact(linalg.zdet(sylvester_matrix(fx, fy)), d ** (d - 2))
+    return sign * _zexact(zresultant(fx, fy), d ** (d - 2))
 
 
 def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:

@@ -426,20 +426,24 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
             return _wfactor(rad)
         return search_w_factor(rad, bound) if wdeg(rad) >= 2 else None
 
-    # f_eps[k]: the coefficient of eps^k in f(s0 + eps, w), f_eps[0] = fib
-    shifted = [pshift(list(map(Fraction, c)), s0) for c in f]
-    f_eps = [
-        pnorm([c[k] if k < len(c) else Fraction(0) for c in shifted]) for k in range(prec)
-    ]
-
     # candidates: rational fiber roots, then irreducible fiber quadratics and
-    # products of two distinct rational fiber roots
+    # products of two distinct rational fiber roots.  A factor of f of
+    # w-degree <= bound specializes to one of them, so with none there is
+    # nothing to lift.
     fib_factors = [fac for fac, _ in uni_irreducible_factors(fib)]
     lins = [fac for fac in fib_factors if pdeg(fac) == 1]
     candidates = list(lins)
     if bound >= 2:
         candidates += [fac for fac in fib_factors if pdeg(fac) == 2]
         candidates += [pmul(a, b) for a, b in combinations(lins, 2)]
+    if not candidates:
+        return None
+
+    # f_eps[k]: the coefficient of eps^k in f(s0 + eps, w), f_eps[0] = fib
+    shifted = [pshift(list(map(Fraction, c)), s0) for c in f]
+    f_eps = [
+        pnorm([c[k] if k < len(c) else Fraction(0) for c in shifted]) for k in range(prec)
+    ]
     for g0 in candidates:
         rats = []
         for series in _hensel_lift(f_eps, g0, pdivexact(fib, g0), prec):

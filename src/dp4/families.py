@@ -111,6 +111,16 @@ class FamilySpec:
                 f"but products of five entries reach degree {reach} at most"
             )
 
+    def __hash__(self):
+        # the per-spec memos hash a spec on every lookup, and hashing the
+        # nested Fractions costs far more than the lookup; the value is the
+        # dataclass hash, computed once and kept outside the fields
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.d, self.e, self.A1, self.A2)))
+            return self._hash
+
     def matrix(self, k: int):
         return self.A1 if k == 0 else self.A2
 

@@ -324,6 +324,23 @@ def test_family_report_computes_once(kind):
     assert computations() == (1, 1)
 
 
+def test_equal_specs_share_hash_and_cache_entry():
+    # two separately built equal specs: equal, equally hashed and printed,
+    # and the second is a hit on the first one's spectral form entry
+    import dataclasses
+
+    first, second = build_example("h10_bundle", seed=1), build_example("h10_bundle", seed=1)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == repr(second)
+    assert hash(first) == hash((first.d, first.e, first.A1, first.A2))
+    clear_family_caches()
+    assert spectral_form(first) is spectral_form(second)
+    assert computations()[0] == 1
+    assert families.spectral_form.cache_info().hits == 1
+    assert "_hash" not in [f.name for f in dataclasses.fields(FamilySpec)]
+
+
 def test_family_caches_hold_every_attempt_of_a_build():
     from dp4.models import RETRY_BOUND
 

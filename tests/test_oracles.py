@@ -25,8 +25,10 @@ point as sympy's factorint (they now come from bounded trial division and
 an integer root for a prime power), smoothness of a plane quintic as a
 sympy Groebner basis of the Jacobian ideal (it is now a resultant
 certificate), the Chern and dimension identities on sympy symbols (they
-now run on families.Poly), the discriminant of a binary form as the Sylvester
-determinant over Fraction (it now runs on the integer-scaled form), the
+now run on families.Poly), the resultant of two binary forms as the
+Sylvester determinant over Fraction (it now runs by the subresultant PRS
+over Z on the integer-scaled forms, and discriminants and the fiber
+discriminants of Delta with it), the
 simple-branching flag of Delta as Yun's algorithm alone (Delta is now first
 proved squarefree modulo a prime), Yun's algorithm itself over Fraction (it
 now runs over Z), the h8_ci congruence C^T Q C as sums of BinaryForm
@@ -293,20 +295,35 @@ def fraction_det(m) -> Fraction:
     return sign * res
 
 
+def sylvester_matrix(f, g):
+    """The Sylvester matrix of two coefficient sequences, highest power of x
+    first (the order of BinaryForm.coeffs), at their formal degrees."""
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    rows = []
+    for coeffs, shifts in ((f, n), (g, m)):
+        for i in range(shifts):
+            row = [0] * size
+            row[i : i + len(coeffs)] = coeffs
+            rows.append(row)
+    return rows
+
+
+def fraction_resultant(f, g) -> Fraction:
+    """Res(f, g) of two coefficient sequences at their formal degrees, as the
+    determinant of the Sylvester matrix over Fraction."""
+    return fraction_det(sylvester_matrix([F(c) for c in f], [F(c) for c in g]))
+
+
 def fraction_discriminant(f: BinaryForm) -> Fraction:
     """(-1)^(d(d-1)/2) Res(f_x, f_y) / d^(d-2) with the resultant the
     determinant of the Sylvester matrix over Fraction."""
     d = f.degree
     if d <= 1:
         return F(1)
-    size = 2 * d - 2
-    rows = [
-        [F(0)] * i + list(part.coeffs) + [F(0)] * (size - i - d)
-        for part in (f.derivative_x(), f.derivative_y())
-        for i in range(d - 1)
-    ]
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * fraction_det(rows) / F(d) ** (d - 2)
+    res = fraction_resultant(f.derivative_x().coeffs, f.derivative_y().coeffs)
+    return sign * res / F(d) ** (d - 2)
 
 
 def yun_branching(delta: BinaryForm) -> tuple[bool, int]:
@@ -1265,6 +1282,53 @@ def test_discriminant_small_cases():
     assert discriminant(f) == fraction_discriminant(f) != 0
 
 
+@st.composite
+def resultant_pairs(draw):
+    """Two coefficient sequences at formal degrees 0..8 with non-integral
+    rational coefficients.  The leading coefficients are zeroed, one or
+    more deep, on neither side, on one side or on both; some pairs share a
+    linear factor, so their resultant vanishes."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    shared = m >= 1 and n >= 1 and draw(st.booleans())
+    f = draw(st.lists(rationals, min_size=m + 1 - shared, max_size=m + 1 - shared))
+    g = draw(st.lists(rationals, min_size=n + 1 - shared, max_size=n + 1 - shared))
+    zeroed = draw(st.sampled_from(["neither", "f", "g", "both"]))
+    for side, seq in (("f", f), ("g", g)):
+        if zeroed in (side, "both"):
+            k = draw(st.integers(1, len(seq)))
+            seq[:k] = [F(0)] * k
+    if shared:
+        c = BinaryForm(1, (draw(rationals), draw(rationals)))
+        f = list((c * BinaryForm(m - 1, tuple(f))).coeffs)
+        g = list((c * BinaryForm(n - 1, tuple(g))).coeffs)
+    return f, g
+
+
+@settings(max_examples=300)
+@given(resultant_pairs())
+def test_resultant_matches_sylvester_over_fraction(pair):
+    f, g = pair
+    fast = binforms.resultant(BinaryForm(len(f) - 1, tuple(f)), BinaryForm(len(g) - 1, tuple(g)))
+    assert type(fast) is Fraction
+    assert fast == fraction_resultant(f, g)
+    a, b = linalg.clear_denominators(f)[1], linalg.clear_denominators(g)[1]
+    kernel = binforms.zresultant(a, b)
+    assert type(kernel) is int
+    assert kernel == fraction_resultant(a, b)
+
+
+@pytest.mark.parametrize("make", model_and_engineered_specs())
+def test_delta_takes_no_determinant(make):
+    # with the spectral form cached, the Delta step is fiber discriminants,
+    # each one resultant, and an interpolation: no determinant at all
+    spec = make()
+    sf = spectral_form(spec)
+    with mock.patch.object(linalg, "zdet", wraps=linalg.zdet) as spy:
+        rep = uncached_delta(spec)
+    assert spy.call_count == 0
+    assert rep.delta == sylvester_delta(sf)
+
+
 def test_integer_kernels_check_their_exact_divisions():
     # each Fraction entry point clears denominators and calls an int kernel;
     # a division the kernel takes as exact raises rather than floors
@@ -1276,6 +1340,22 @@ def test_integer_kernels_check_their_exact_divisions():
         binforms._zexact(124, 125)
     assert linalg.zdet([[0, 1], [1, 0]]) == -1 and linalg.zdet([]) == 1
     assert binforms.zdiscriminant([1, 0, -1]) == 4  # x^2 - y^2
+    # Res(x + 2y, x + 3y) = 1; x - y divides x^2 - y^2; at formal degrees,
+    # y^2 against x drops f to a constant, and y against y drops both
+    assert binforms.zresultant([1, 2], [1, 3]) == 1
+    assert binforms.zresultant([1, 0, -1], [1, -1]) == 0
+    assert binforms.zresultant([0, 0, 1], [1, 0]) == fraction_resultant([0, 0, 1], [1, 0]) == 1
+    assert binforms.zresultant([0, 1], [0, 1]) == 0
+    assert binforms.zresultant([0, 1], [1, 0]) == -1
+    assert binforms.zresultant([0], [0]) == 1 and binforms.zresultant([3], [0, 0, 0]) == 9
+    f, g = [1, 3, -2, 5, 7], [2, 1, 0, -3]
+    assert binforms.zresultant(f, g) == fraction_resultant(f, g) == 38444
+    # a corrupted pseudo-remainder is caught by the next exact division,
+    # by lead(g) * h = 2 * 2, rather than floored into a wrong resultant
+    prem = binforms._zprem
+    with mock.patch.object(binforms, "_zprem", lambda a, b: [c + 1 for c in prem(a, b)]):
+        with pytest.raises(RuntimeError, match="inexact integer division by 4"):
+            binforms.zresultant(f, g)
     # det([[u, v], [v, u]]) = u^2 - v^2
     assert binforms.zpencil_determinant([[1, 0], [0, 1]], [[0, 1], [1, 0]]) == [1, 0, -1]
 
@@ -1462,6 +1542,33 @@ def test_factor_search_skips_gcd_on_reduced_spectral_forms(make):
     with mock.patch.object(factor_search, "wgcd", wraps=factor_search.wgcd) as spy:
         twisted_factor_search(list(sf.coefficients), 2)
     assert spy.call_count == 0
+
+
+@pytest.mark.parametrize("make", model_and_engineered_specs())
+def test_factor_search_sets_up_hensel_only_with_candidates(make):
+    # the models' and the squared example's search fiber is an irreducible
+    # quintic, with no factor of degree <= 2 to lift, so the search returns
+    # before the Taylor shift over Fraction; the diagonal example's fiber
+    # splits and its factor is lifted.  The answer is the gcd-first
+    # oracle's either way.
+    coeffs = list(spectral_form(make()).coefficients)
+    fiber_degrees = []
+    factors = factor_search.uni_irreducible_factors
+
+    def spy(p):
+        out = factors(p)
+        fiber_degrees.extend(pdeg(q) for q, _ in out)
+        return out
+
+    with mock.patch.object(factor_search, "uni_irreducible_factors", spy), mock.patch.object(
+        factor_search, "pshift", wraps=factor_search.pshift
+    ) as shifts:
+        fast = twisted_factor_search(coeffs, 2)
+    assert fiber_degrees
+    assert (shifts.call_count > 0) == any(k <= 2 for k in fiber_degrees)
+    with gcd_first_search():
+        slow = twisted_factor_search(coeffs, 2)
+    assert repr(fast) == repr(slow)
 
 
 # ---------------------------------------------------------------------------
