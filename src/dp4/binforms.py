@@ -8,11 +8,13 @@ trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
   type (int lists stay int), so they serve Z[x] as well;
 - z- helpers run over Z: Yun's squarefree decomposition, and the kernels
   that pinterpolate, pencil_determinant, resultant and discriminant wrap.
-  Gcds run the primitive PRS and resultants the subresultant PRS, both on
-  one pseudo-remainder (_zprem);
+  Interpolation takes values at the integer nodes 0..n and expands their
+  Newton form by one synthetic multiplication by (x - k) per node, in place
+  (the step pshift takes with x + a).  Gcds run the primitive PRS and
+  resultants the subresultant PRS, both on one pseudo-remainder (_zprem);
 - m- helpers act on int lists modulo m, remainders in [0, m): the one
-  Euclid over F_p, which the squarefreeness test modulo a prime and the
-  factorizer over Z (factor_search) share.
+  Euclid over F_p, which the squarefreeness test modulo a prime inside
+  squarefree_profile and the factorizer over Z (factor_search) share.
 """
 
 from __future__ import annotations
@@ -206,18 +208,6 @@ def _msquarefree(x: list[int], p: int) -> bool:
     return x[-1] % p != 0 and len(_mgcd(x, pderiv(x), p)) == 1
 
 
-def squarefree_mod(f: "BinaryForm", primes) -> bool:
-    """A one-sided squarefreeness proof for a nonzero form: True when y^2
-    does not divide f and the primitive integer f(x, 1) passes _msquarefree
-    for the first of the primes that does not divide its leading
-    coefficient.  False decides nothing."""
-    if f.y_valuation() > 1:
-        return False
-    x = _primitive_ints(f.x_poly())
-    p = next((q for q in primes if x[-1] % q), None)
-    return p is not None and _msquarefree(x, p)
-
-
 def pgcd(p, q):
     """Monic gcd over Q: zgcd made monic."""
     g = zgcd(p, q)
@@ -250,27 +240,37 @@ def peval(p, x0):
     return acc
 
 
+def _mul_linear_add(p: list, a, c) -> None:
+    """p <- p * (x + a) + c in place: one Horner step, a synthetic
+    multiplication by the monic linear factor x + a."""
+    p.append(0)
+    for i in range(len(p) - 1, 0, -1):
+        p[i] = p[i - 1] + a * p[i]
+    p[0] = a * p[0] + c
+
+
 def pshift(p, a: Fraction):
-    """p(x + a) by Horner."""
+    """p(x + a) by Horner, in place on one list."""
+    a = Fraction(a)
     out: list[Fraction] = []
     for c in reversed(p):
-        out = padd(pmul(out, [Fraction(a), Fraction(1)]), [c])
-    return out
+        _mul_linear_add(out, a, c)
+    return pnorm(out)
 
 
 def zinterpolate(values: list[int]) -> list[int]:
     """The polynomial through (k, values[k]), k = 0..n, for integer values of
     a polynomial in Z[x]: the Newton form on the integer nodes, whose k-th
     coefficient, the k-th forward difference at 0 over k!, is an integer,
-    expanded by Horner's rule."""
+    expanded by Horner's rule in place."""
     cur, newton = list(values), []
     while cur:
         newton.append(_zexact(cur[0], math.factorial(len(newton))))
         cur = [y - x for x, y in zip(cur, cur[1:])]
     poly: list[int] = []
     for k in reversed(range(len(newton))):
-        poly = padd(pmul(poly, [-k, 1]), [newton[k]])
-    return poly
+        _mul_linear_add(poly, -k, newton[k])
+    return pnorm(poly)
 
 
 def pinterpolate(values) -> list[Fraction]:
@@ -596,12 +596,24 @@ def zdiscriminant(c) -> int:
     return sign * _zexact(zresultant(fx, fy), d ** (d - 2))
 
 
+# The primes that squarefree_profile reduces modulo: the first one not
+# dividing the leading coefficient of the part off x and y is used.
+DELTA_PRIMES = (1000003, 1000033, 1000037)
+
+
 def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
     """Pairwise-coprime squarefree factors with multiplicities.
 
     Factors are monic in x (the pure-y factor appears as y itself); the product
     of factor^multiplicity recovers f up to a nonzero constant.  Ordered by
     (multiplicity, degree, coefficients).
+
+    The roots at (1 : 0) and (0 : 1) are split off first, as y^v and x^m.  The
+    rest r is proved squarefree modulo the first of DELTA_PRIMES that does not
+    divide lc(r) (_msquarefree), and only when that proof fails does Yun's
+    algorithm run on r.  Yun's factors hold every root of one multiplicity,
+    so x joins the factor of multiplicity m, and stands alone when there is
+    none.
     """
     if f.is_zero:
         raise ValueError("squarefree profile of the zero form")
@@ -609,6 +621,22 @@ def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
     v = f.y_valuation()
     if v > 0:
         out.append((BinaryForm(1, (Fraction(0), Fraction(1))), v))
-    for g, k in psquarefree_decomposition(_primitive_ints(f.x_poly())):
+    x = _primitive_ints(f.x_poly())
+    m = next(i for i, c in enumerate(x) if c)
+    r = x[m:]
+    p = next((q for q in DELTA_PRIMES if r[-1] % q), None)
+    if len(r) < 2:
+        parts = []
+    elif p is not None and _msquarefree(r, p):
+        parts = [(r, 1)]
+    else:
+        parts = psquarefree_decomposition(r)
+    if m:
+        k = next((i for i, (_, mult) in enumerate(parts) if mult == m), None)
+        if k is None:
+            parts.append(([0, 1], m))
+        else:
+            parts[k] = ([0, *parts[k][0]], m)
+    for g, k in parts:
         out.append((BinaryForm.from_x_poly([Fraction(c, g[-1]) for c in g], len(g) - 1), k))
     return sorted(out, key=lambda t: (t[1], t[0].degree, t[0].coeffs))

@@ -8,16 +8,17 @@ compute the same pushforward degree).
 
 The spectral form det(u*A1 + v*A2) is a quintic in (u,v) whose (s,t)
 coefficient degrees vary linearly with the (u,v)-power, so it gets a
-dedicated type rather than a BiForm; it is interpolated from the spectral
-quintics of the fibers over (k : 1), and a zero coefficient carries the
-nominal degree max(expected, 0).  Its (u,v)-discriminant has degree
-exactly 2h whenever nonzero (every term of the determinant expansion has the
-same isobaric weight), so 2h+1 fiber discriminants determine it by the same
-interpolation (both in int, at integer nodes, with one division per output
-coefficient); squarefreeness is the simple-branching flag (proved modulo
-a prime, with Yun's algorithm when that proof fails), and a
-bounded factor search plus a fiber irreducibility witness certify the full
-Galois-group condition.  The Chern-class identity for the cube of the
+dedicated type rather than a BiForm; each coefficient is interpolated from
+its values over (k : 1), one determinant per value, and a zero coefficient
+carries the nominal degree max(expected, 0).  Its (u,v)-discriminant has
+degree exactly 2h whenever nonzero (every term of the determinant expansion
+has the same isobaric weight), so 2h+1 fiber discriminants determine it by
+the same interpolation (both in int, at integer nodes, with one division per
+output coefficient); squarefreeness is the simple-branching flag (read off
+the squarefree profile, which splits off the roots at 0 and infinity and
+proves the rest squarefree modulo a prime, with Yun's algorithm when that
+proof fails), and a bounded factor search plus a fiber irreducibility
+witness certify the full Galois-group condition.  The Chern-class identity for the cube of the
 relative dualizing sheaf is verified symbolically in a tiny Chow ring.
 
 The spectral form, Delta and the certificate are functions of the frozen
@@ -39,11 +40,9 @@ from .binforms import (
     _primitive_ints,
     pdeg,
     peval,
-    squarefree_mod,
     squarefree_profile,
     zdiscriminant,
     zinterpolate,
-    zpencil_determinant,
 )
 from .factor_search import twisted_factor_search, uni_irreducible_factors
 
@@ -51,10 +50,6 @@ from .factor_search import twisted_factor_search, uni_irreducible_factors
 # least models.RETRY_BOUND, so that every attempt of one seeded build stays
 # cached when the build is repeated.
 CACHE_BOUND = 32
-
-# The primes that the squarefree test of Delta reduces modulo: the first one
-# not dividing Delta's leading coefficient is used.
-DELTA_PRIMES = (1000003, 1000033, 1000037)
 
 
 @dataclass(frozen=True)
@@ -156,27 +151,49 @@ class SpectralForm:
 
 @lru_cache(maxsize=CACHE_BOUND)
 def spectral_form(spec: FamilySpec) -> SpectralForm:
-    """det(u*A1 + v*A2), each (s,t)-coefficient interpolated over Z from the
-    fiber quintics det(u*L*A1(k,1) + v*L*A2(k,1)) at k = 0..D+1 and divided
-    by L^5 once, L the common denominator of the entries.  D is the largest
-    expected coefficient degree (at least 0), which FamilySpec bounds by the
-    degree that products of the nonzero entries reach.  The node beyond the
-    D+1 that determine a coefficient checks that coefficient j has degree at
-    most expected_coefficient_degree(spec, j), and is zero when that is
-    negative; a zero coefficient keeps the nominal degree max(expected, 0)."""
+    """det(u*A1 + v*A2), each (s,t)-coefficient interpolated over Z from its
+    values at the nodes (k : 1), k = 0, 1, ..., and divided by L^5 once, L
+    the common denominator of the entries.  Coefficient j takes
+    n_j = max(D_j + 2, 1) nodes, D_j = expected_coefficient_degree(spec, j):
+    the node beyond the D_j + 1 that determine it checks that its degree is
+    at most D_j, and that it is zero when D_j is negative.  D_j is linear in
+    j, so the pencil is oriented to put the coefficients still unknown at a
+    late node on the low powers of tau: det(tau*L*A1(k) + L*A2(k)), whose
+    tau^i coefficient is coefficient 5 - i, when D_5 >= D_0, and
+    det(L*A1(k) + tau*L*A2(k)) otherwise.  At node k, with r coefficients
+    still unknown, r determinants at tau = 0..r-1, less the known
+    coefficients at k, interpolate them: sum(n_j) determinants in all.
+    FamilySpec bounds each D_j by the degree that products of the nonzero
+    entries reach.  A zero coefficient keeps the nominal degree
+    max(D_j, 0)."""
     expected = [expected_coefficient_degree(spec, j) for j in range(6)]
+    nodes = [max(deg + 2, 1) for deg in expected]
+    rising = expected[5] >= expected[0]
+    order = range(5, -1, -1) if rising else range(6)  # tau^i holds coefficient order[i]
     forms = [x.coeffs[::-1] for a in (spec.A1, spec.A2) for row in a for x in row]
     den, entries = linalg.clear_row_denominators(forms)  # times L, x^i at index i
-    fibers = []
-    for k in range(max(max(expected), 0) + 2):
+    values = [[] for _ in range(6)]
+    polys = [[] for _ in range(6)]
+    for k in range(max(nodes)):
         rows = [[peval(c, k) for c in entries[i : i + 5]] for i in range(0, 50, 5)]
-        fibers.append(zpencil_determinant(rows[:5], rows[5:]))
-    coeffs = []
-    for j, deg in enumerate(expected):
-        p = zinterpolate([f[j] for f in fibers])
-        if p and pdeg(p) > deg:
-            raise RuntimeError("spectral coefficient degree violates bookkeeping")
-        coeffs.append(BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0)))
+        step, base = (rows[:5], rows[5:]) if rising else (rows[5:], rows[:5])
+        r = sum(n > k for n in nodes)
+        known = [peval(polys[j], k) for j in order[r:]]  # tau^r, tau^(r+1), ...
+        low = zinterpolate([
+            linalg.zdet([[x + t * y for x, y in zip(rb, rs)] for rb, rs in zip(base, step)])
+            - t**r * peval(known, t)
+            for t in range(r)
+        ])
+        for j, value in zip(order, low + [0] * (r - len(low))):
+            values[j].append(value)
+            if len(values[j]) == nodes[j]:
+                polys[j] = zinterpolate(values[j])
+                if polys[j] and pdeg(polys[j]) > expected[j]:
+                    raise RuntimeError("spectral coefficient degree violates bookkeeping")
+    coeffs = [
+        BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0))
+        for p, deg in zip(polys, expected)
+    ]
     form = SpectralForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
@@ -251,11 +268,9 @@ def _discriminant_or_none(spec: FamilySpec) -> DiscriminantReport | None:
 
 def _branching(delta: BinaryForm) -> tuple[bool, int]:
     """(whether Delta is squarefree, its number of distinct roots) for a
-    nonconstant Delta.  A squarefree Delta has deg Delta distinct roots, so
-    Yun's algorithm runs only when the test modulo a prime does not prove
-    Delta squarefree."""
-    if squarefree_mod(delta, DELTA_PRIMES):
-        return True, delta.degree
+    nonconstant Delta, from its squarefree profile (which runs Yun's
+    algorithm only when a test modulo a prime does not prove the part of
+    Delta off x and y squarefree)."""
     profile = squarefree_profile(delta)
     return all(mult == 1 for _, mult in profile), sum(f.degree for f, _ in profile)
 

@@ -388,27 +388,38 @@ def test_pipeline_item_interpolates_delta_once_per_attempt(monkeypatch, name, se
 
 @pytest.mark.parametrize("kind", ["h8_ci", "h10_ci", "h10_bundle", "squared", "diagonal"])
 def test_pipeline_item_runs_yun_only_on_non_squarefree_delta(monkeypatch, kind):
-    # one family_pipeline item each: the reference models' Delta is proved
-    # squarefree modulo a prime, and the engineered failures run Yun's
-    # algorithm once per distinct Delta
-    from dp4 import models
+    # one family_pipeline item each: every distinct Delta gets one squarefree
+    # profile; Yun's algorithm runs only on the diagonal example's Delta, the
+    # one whose repeated roots are not at (0 : 1) or (1 : 0): the models'
+    # Delta, and the part of the squared example's Delta off x, are proved
+    # squarefree modulo a prime
+    from dp4 import binforms, models
 
-    profiled = []
+    profiled, yun = [], []
 
     def spy(f):
         profiled.append(f)
         return squarefree_profile(f)
 
+    def yun_spy(p):
+        yun.append(p)
+        return decomposition(p)
+
+    decomposition = binforms.psquarefree_decomposition
     monkeypatch.setattr(families, "squarefree_profile", spy)
+    monkeypatch.setattr(binforms, "psquarefree_decomposition", yun_spy)
     if kind in ("squared", "diagonal"):
         make = squared_discriminant_example if kind == "squared" else split_diagonal_example
         family_report(make(1))
-        assert profiled
-        assert len(set(profiled)) == len(profiled) == computations()[1]
     else:
         family_report(build_example(kind, 1))
         models.verify_example(kind, 1)
-        assert profiled == []
+    assert profiled
+    assert len(set(profiled)) == len(profiled) == computations()[1]
+    if kind == "diagonal":
+        assert len(yun) == len(profiled)
+    else:
+        assert yun == []
 
 
 def test_squared_substitution_fails_g1():

@@ -28,10 +28,11 @@ certificate), the Chern and dimension identities on sympy symbols (they
 now run on families.Poly), the resultant of two binary forms as the
 Sylvester determinant over Fraction (it now runs by the subresultant PRS
 over Z on the integer-scaled forms, and discriminants and the fiber
-discriminants of Delta with it), the
-simple-branching flag of Delta as Yun's algorithm alone (Delta is now first
-proved squarefree modulo a prime), Yun's algorithm itself over Fraction (it
-now runs over Z), the h8_ci congruence C^T Q C as sums of BinaryForm
+discriminants of Delta with it), the squarefree profile and the
+simple-branching flag of Delta as Yun's algorithm alone on all of f(x, 1)
+(the profile now splits off the roots at 0 and infinity and first proves
+the rest squarefree modulo a prime), Yun's algorithm itself over Fraction
+(it now runs over Z), the h8_ci congruence C^T Q C as sums of BinaryForm
 products (it now runs on integer coefficient lists), and the spectral form
 and Delta of a family interpolated from Fraction fibers, BinaryForm.evaluate
 into pencil_determinant and SpectralForm.fiber into discriminant (both now
@@ -41,7 +42,11 @@ permutations of the lines (it is now generated by the five simple
 reflections of W(D5)), and the absence of a subgroup between S5 and that
 group as 30 closures of S5 and one outside element on line permutations (it
 is now proved on the order-16 kernel, whose S5-conjugates of any nontrivial
-element generate it).
+element generate it), the spectral form of a family as six determinants at
+each of D+2 nodes (it now takes max(D_j + 2, 1) values of coefficient j,
+one determinant each), interpolation as the Lagrange form over Fraction and
+the Taylor shift as Horner's rule with a general product per step (both now
+expand by one synthetic multiplication in place).
 """
 
 import math
@@ -73,7 +78,6 @@ from dp4.binforms import (
     pmul,
     pnorm,
     pscale,
-    pshift,
     psquarefree_decomposition,
     psub,
     squarefree_profile,
@@ -273,6 +277,72 @@ def fraction_squarefree_decomposition(p):
     return out
 
 
+def fraction_yun_profile(f: BinaryForm, decomposition=fraction_squarefree_decomposition):
+    """squarefree_profile as Yun's algorithm alone: y^v split off and the
+    decomposition (Yun over Q unless given) run on all of f(x, 1), with no
+    test modulo a prime and no split at x = 0."""
+    if f.is_zero:
+        raise ValueError("squarefree profile of the zero form")
+    out = []
+    v = f.y_valuation()
+    if v > 0:
+        out.append((BinaryForm(1, (F(0), F(1))), v))
+    for g, k in decomposition(f.x_poly()):
+        out.append((BinaryForm.from_x_poly([F(c, g[-1]) for c in g], len(g) - 1), k))
+    return sorted(out, key=lambda t: (t[1], t[0].degree, t[0].coeffs))
+
+
+def fraction_pshift(p, a: Fraction):
+    """p(x + a) by Horner, with a general product and sum per step."""
+    out: list[Fraction] = []
+    for c in reversed(p):
+        out = binforms.padd(pmul(out, [Fraction(a), Fraction(1)]), [c])
+    return out
+
+
+def fraction_lagrange(values) -> list[Fraction]:
+    """The polynomial through (k, values[k]), k = 0..n, as the sum of the
+    Lagrange basis polynomials over Fraction."""
+    n = len(values)
+    out: list[Fraction] = []
+    for k, y in enumerate(values):
+        basis, den = [F(1)], F(1)
+        for i in range(n):
+            if i != k:
+                basis = pmul(basis, [F(-i), F(1)])
+                den *= k - i
+        out = binforms.padd(out, pscale(basis, F(y) / den))
+    return out
+
+
+def node_spectral_form(spec) -> SpectralForm:
+    """det(u*A1 + v*A2), each (s,t)-coefficient interpolated over Z from the
+    fiber quintics det(u*L*A1(k,1) + v*L*A2(k,1)) at k = 0..D+1 and divided
+    by L^5 once, L the common denominator of the entries.  D is the largest
+    expected coefficient degree (at least 0), which FamilySpec bounds by the
+    degree that products of the nonzero entries reach.  The node beyond the
+    D+1 that determine a coefficient checks that coefficient j has degree at
+    most expected_coefficient_degree(spec, j), and is zero when that is
+    negative; a zero coefficient keeps the nominal degree max(expected, 0)."""
+    expected = [expected_coefficient_degree(spec, j) for j in range(6)]
+    forms = [x.coeffs[::-1] for a in (spec.A1, spec.A2) for row in a for x in row]
+    den, entries = linalg.clear_row_denominators(forms)  # times L, x^i at index i
+    fibers = []
+    for k in range(max(max(expected), 0) + 2):
+        rows = [[peval(c, k) for c in entries[i : i + 5]] for i in range(0, 50, 5)]
+        fibers.append(binforms.zpencil_determinant(rows[:5], rows[5:]))
+    coeffs = []
+    for j, deg in enumerate(expected):
+        p = binforms.zinterpolate([f[j] for f in fibers])
+        if p and pdeg(p) > deg:
+            raise RuntimeError("spectral coefficient degree violates bookkeeping")
+        coeffs.append(BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0)))
+    form = SpectralForm(tuple(coeffs))
+    if form.is_zero:
+        raise ValueError("generically degenerate family")
+    return form
+
+
 def fraction_det(m) -> Fraction:
     """Determinant by fraction-exact Gaussian elimination."""
     n = len(m)
@@ -328,8 +398,10 @@ def fraction_discriminant(f: BinaryForm) -> Fraction:
 
 def yun_branching(delta: BinaryForm) -> tuple[bool, int]:
     """(squarefree, number of distinct roots) of a nonconstant Delta from its
-    squarefree profile by Yun's algorithm."""
-    profile = squarefree_profile(delta)
+    squarefree profile by Yun's algorithm over Z alone."""
+    profile = fraction_yun_profile(
+        delta, lambda p: psquarefree_decomposition(binforms._primitive_ints(p))
+    )
     return all(mult == 1 for _, mult in profile), sum(f.degree for f, _ in profile)
 
 
@@ -457,7 +529,7 @@ def fraction_wdivexact(f, g):
 def _shift_coeffs(f, s0):
     """The sigma-coefficients of f moved to s0 = 0, as Q-polynomials for the
     series arithmetic."""
-    return [pshift(list(map(Fraction, c)), s0) for c in f]
+    return [fraction_pshift(list(map(Fraction, c)), s0) for c in f]
 
 
 def _lift_simple_root(fw, dfw, w0: Fraction, n: int):
@@ -580,7 +652,7 @@ def gcd_first_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         if cand is None:
             continue
         a, b = cand
-        g_cand = wprimitive([pscale(pshift(a, -s0), -1), pshift(b, -s0)])
+        g_cand = wprimitive([pscale(fraction_pshift(a, -s0), -1), fraction_pshift(b, -s0)])
         if _divides(f, g_cand):
             return _wfactor(g_cand)
 
@@ -612,7 +684,7 @@ def gcd_first_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
                 pdivexact(pmul(a1, den), b1),
                 den,
             ]
-            g_cand = wprimitive([pshift(c, -s0) for c in g_cand])
+            g_cand = wprimitive([fraction_pshift(c, -s0) for c in g_cand])
             if _divides(f, g_cand):
                 return _wfactor(g_cand)
     return None
@@ -825,6 +897,12 @@ def rescaled(spec, r1, r2) -> FamilySpec:
     return FamilySpec(spec.d, spec.e, scale(spec.A1, r1), scale(spec.A2, r2))
 
 
+def swapped(spec) -> FamilySpec:
+    """spec with A1 and A2, and e1 and e2, exchanged: det(u*A2 + v*A1), the
+    spectral coefficients in reverse order."""
+    return FamilySpec(spec.d, spec.e[::-1], spec.A2, spec.A1)
+
+
 def non_integral_specs():
     """The seed-1 models and the engineered specs with A1 scaled by 1/3 and
     A2 by 7/2, so the entries and the spectral coefficients have
@@ -954,10 +1032,55 @@ def shift_twists(spec):
 
 @pytest.mark.parametrize("corrupt", [bump_entry, shift_twists])
 def test_spectral_form_bookkeeping_is_checked(corrupt):
-    spec = build_example("h8_ci", 1)
-    corrupt(spec)
-    with pytest.raises(RuntimeError, match="violates bookkeeping"):
+    # h8_ci has six coefficients of one degree; swapped h10_ci has degrees
+    # 5, 4, ..., 0 and takes the falling orientation
+    for spec in (build_example("h8_ci", 1), swapped(build_example("h10_ci", 1))):
+        corrupt(spec)
+        with pytest.raises(RuntimeError, match="violates bookkeeping"):
+            spectral_form.__wrapped__(spec)
+
+
+def orientation_specs():
+    """Every model, engineered, rescaled and negative-degree spec, each also
+    swapped.  Unswapped, all have D_5 >= D_0; swapped, all but h8_ci (whose
+    six degrees are equal) have D_5 < D_0, the orientation no benchmark spec
+    takes."""
+    for param in (*model_and_engineered_specs(), *non_integral_specs(),
+                  pytest.param(negative_height, id="negative-height")):
+        (make,) = param.values
+        yield param
+        yield pytest.param(lambda m=make: swapped(m()), id=f"{param.id}-swapped")
+
+
+@pytest.mark.parametrize("make", orientation_specs())
+def test_spectral_form_matches_node_oracle(make):
+    spec = make()
+    sf = spectral_form.__wrapped__(spec)
+    assert repr(sf) == repr(node_spectral_form(spec))
+    # det(u*A2 + v*A1) reverses the coefficients of det(u*A1 + v*A2)
+    assert sf.coefficients[::-1] == spectral_form.__wrapped__(swapped(spec)).coefficients
+
+
+@pytest.mark.parametrize(
+    "make, dets",
+    [
+        pytest.param(lambda: build_example("h10_ci", 1), 27, id="h10_ci"),
+        pytest.param(lambda: squared_discriminant_example(1), 42, id="squared"),
+        pytest.param(lambda: build_example("h8_ci", 1), 24, id="h8_ci"),
+        pytest.param(lambda: swapped(build_example("h10_ci", 1)), 27, id="h10_ci-swapped"),
+    ],
+)
+def test_spectral_form_takes_a_determinant_per_unknown_and_check(make, dets):
+    # sum over j of max(D_j + 2, 1) determinants, against six at each of
+    # D + 2 nodes for the node oracle: 42, 72 and 24 on the first three
+    spec = make()
+    expected = [expected_coefficient_degree(spec, j) for j in range(6)]
+    with mock.patch.object(linalg, "zdet", wraps=linalg.zdet) as spy:
         spectral_form.__wrapped__(spec)
+    assert spy.call_count == dets == sum(max(deg + 2, 1) for deg in expected)
+    with mock.patch.object(linalg, "zdet", wraps=linalg.zdet) as spy:
+        node_spectral_form(spec)
+    assert spy.call_count == 6 * (max(expected) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1013,43 +1136,66 @@ def lin(a, b) -> BinaryForm:
     return BinaryForm(1, (F(a), F(b)))
 
 
+X = lin(1, 0)
 Y = lin(0, 1)
-P0 = families.DELTA_PRIMES[0]
+P0 = binforms.DELTA_PRIMES[0]
+
+
+@contextmanager
+def yun_spy():
+    """The integer polynomials that binforms' Yun's algorithm runs on."""
+    runs = []
+
+    def spy(p):
+        runs.append(p)
+        return psquarefree_decomposition(p)
+
+    with mock.patch.object(binforms, "psquarefree_decomposition", spy):
+        yield runs
+
+
+PLANTED_DELTAS = [  # (Delta, squarefree, whether Yun's algorithm runs)
+    (lin(1, -2).power(2) * lin(3, 1) * lin(2, 5), False, True),  # a repeated factor
+    (Y.power(2) * lin(1, -1) * lin(1, 1), False, False),  # y^2, split off
+    (Y * lin(F(1, 2), -3) * lin(1, 4), True, False),  # a simple root at y = 0
+    (lin(P0, -1) * lin(1, -2) * lin(1, 3), True, False),  # P0 divides the lead
+    # x (x - P0) is not squarefree mod P0, but x is split off first
+    (lin(1, 0) * lin(1, -P0) * lin(1, 1), True, False),
+    (lin(P0, 1).power(2) * lin(1, 1), False, True),
+]
 
 
 @pytest.mark.parametrize(
-    "delta, squarefree",
-    [
-        (lin(1, -2).power(2) * lin(3, 1) * lin(2, 5), False),  # a repeated factor
-        (Y.power(2) * lin(1, -1) * lin(1, 1), False),  # y^2
-        (Y * lin(F(1, 2), -3) * lin(1, 4), True),  # a simple root at y = 0
-        (lin(P0, -1) * lin(1, -2) * lin(1, 3), True),  # P0 divides the lead
-        (lin(1, 0) * lin(1, -P0) * lin(1, 1), True),  # not squarefree mod P0
-        (lin(P0, 1).power(2) * lin(1, 1), False),
-    ],
+    "delta, squarefree, yun",
+    PLANTED_DELTAS,
+    ids=[f"delta{i}-{sq}" for i, (_, sq, _) in enumerate(PLANTED_DELTAS)],
 )
-def test_branching_planted_deltas(monkeypatch, delta, squarefree):
-    profiled = []
-
-    def spy(f):
-        profiled.append(f)
-        return squarefree_profile(f)
-
-    monkeypatch.setattr(families, "squarefree_profile", spy)
-    assert families._branching(delta) == yun_branching(delta)
+def test_branching_planted_deltas(delta, squarefree, yun):
+    with yun_spy() as runs:
+        assert families._branching(delta) == yun_branching(delta)
     assert families._branching(delta)[0] is squarefree
-    # the test modulo a prime decides nothing, so Yun's algorithm decides
-    assert bool(profiled) is not binforms.squarefree_mod(delta, families.DELTA_PRIMES)
+    # Yun's algorithm runs only where the test modulo a prime decides nothing
+    assert bool(runs) is yun
 
 
-def test_branching_takes_the_next_prime_past_the_lead():
-    delta = lin(P0, -1) * lin(1, -2) * lin(1, 3)
-    assert binforms.squarefree_mod(delta, families.DELTA_PRIMES)
-    assert not binforms.squarefree_mod(delta, families.DELTA_PRIMES[:1])
-    # an unlucky prime: x (x - P0) is not squarefree mod P0
-    unlucky = lin(1, 0) * lin(1, -P0) * lin(1, 1)
-    assert not binforms.squarefree_mod(unlucky, families.DELTA_PRIMES)
-    assert binforms.squarefree_mod(unlucky, families.DELTA_PRIMES[1:])
+def test_branching_takes_the_next_prime_past_the_lead(monkeypatch):
+    primes = binforms.DELTA_PRIMES
+    lead = lin(P0, -1) * lin(1, -2) * lin(1, 3)
+    # an unlucky prime: (x - 1)(x - 1 - P0) is not squarefree mod P0
+    unlucky = lin(1, -1) * lin(1, -1 - P0) * lin(1, 1)
+    # x (x - P0) is not squarefree mod P0 either, but x is split off first
+    at_zero = lin(1, 0) * lin(1, -P0) * lin(1, 1)
+    for delta, tried, yun in [
+        (lead, primes, False),
+        (lead, primes[:1], True),  # no prime past the lead: Yun decides
+        (unlucky, primes, True),  # only the first prime past the lead is tried
+        (unlucky, primes[1:], False),
+        (at_zero, primes, False),
+    ]:
+        monkeypatch.setattr(binforms, "DELTA_PRIMES", tried)
+        with yun_spy() as runs:
+            assert families._branching(delta) == (True, 3)
+        assert bool(runs) is yun
 
 
 @settings(max_examples=150, deadline=None)
@@ -1113,11 +1259,6 @@ def test_pgcd_with_derivative_matches_oracle(a, b):
 # squarefree profiles
 
 
-def profile_oracle(f):
-    with oracle_gcd():
-        return squarefree_profile(f)
-
-
 def monic_parts(decomposition):
     return [([F(c, g[-1]) for c in g], k) for g, k in decomposition]
 
@@ -1149,19 +1290,29 @@ def test_yun_over_z_matches_fraction_yun(factors, x_power, scale):
 
 
 def test_yun_over_z_on_the_squared_delta():
-    delta = uncached_delta(squared_discriminant_example(1)).delta
+    # the squared example's Delta is x^4 q and its base's x^2 q', q and q'
+    # squarefree: the profile splits x off and proves the rest squarefree
+    # modulo a prime, so Yun's algorithm is not reached on either; the
+    # diagonal example's Delta has repeated roots elsewhere and reaches it
+    bases = []
+
+    def capture(spec):
+        bases.append(discriminant_family(spec).delta)
+        return discriminant_family(spec)
+
+    with mock.patch.object(models, "discriminant_family", capture):
+        delta = uncached_delta(squared_discriminant_example(1)).delta
     assert delta.degree == 40
     assert_yun_over_z_matches_oracle(delta.x_poly())
-    # the oracle context reaches the Yun that squarefree_profile calls
-    calls = []
-
-    def spy(p):
-        calls.append(p)
-        return fraction_squarefree_decomposition(p)
-
-    with mock.patch.object(binforms, "psquarefree_decomposition", spy):
-        oracle = squarefree_profile(delta)
-    assert calls and squarefree_profile(delta) == oracle
+    diagonal = uncached_delta(split_diagonal_example(1)).delta
+    for f, x_mult, yun in [(delta, 4, False), (bases[-1], 2, False), (diagonal, None, True)]:
+        with yun_spy() as runs:
+            profile = squarefree_profile(f)
+        assert profile == fraction_yun_profile(f)
+        assert bool(runs) is yun
+        if x_mult:
+            assert (X, x_mult) in profile
+            assert all(mult == 1 for g, mult in profile if g != X)
 
 
 factor_st = st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(any)
@@ -1181,7 +1332,47 @@ def test_squarefree_profile_matches_oracle(factors, y_power, scale):
         factor = BinaryForm(len(coeffs) - 1, tuple(F(c) for c in coeffs))
         f = f * factor.power(mult)
     f = f * BinaryForm(1, (F(0), F(1))).power(y_power)
-    assert squarefree_profile(f) == profile_oracle(f)
+    assert squarefree_profile(f) == fraction_yun_profile(f)
+
+
+@pytest.mark.parametrize(
+    "f, yun",
+    [
+        (X.power(2) * lin(1, -3).power(2) * lin(1, 1), True),  # x joins (x - 3)^2
+        (Y.power(2) * X.power(2) * lin(1, -1).power(2), True),
+        (X.power(3) * lin(1, 2).power(2), True),  # no other cube: x alone
+        (Y.power(2) * X.power(2) * lin(1, -1) * lin(2, 1), False),
+        (X.power(2), False),
+        (X * Y.power(3), False),
+        (X.power(2) * lin(P0, -1) * lin(1, 5), False),  # P0 divides the lead
+        (X * lin(1, -1) * lin(1, -1 - P0), True),  # not squarefree mod P0
+    ],
+)
+def test_squarefree_profile_roots_at_zero_and_infinity(f, yun):
+    with yun_spy() as runs:
+        profile = squarefree_profile(f)
+    assert profile == fraction_yun_profile(f)
+    assert bool(runs) is yun
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(factor_st, st.integers(1, 3)), max_size=3),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from([None, lin(P0, -1), lin(1, -1) * lin(1, -1 - P0)]),
+    rationals.filter(lambda c: c != 0),
+)
+def test_squarefree_profile_splits_zero_and_infinity_like_yun(factors, x_power, y_power, extra, scale):
+    # roots at (0 : 1) and (1 : 0) whose multiplicities often match those of
+    # finite roots, a lead that P0 divides, and a part that is squarefree but
+    # not modulo P0
+    f = BinaryForm.constant(scale) * X.power(x_power) * Y.power(y_power)
+    for coeffs, mult in factors:
+        f = f * BinaryForm(len(coeffs) - 1, tuple(F(c) for c in coeffs)).power(mult)
+    if extra is not None:
+        f = f * extra
+    assert squarefree_profile(f) == fraction_yun_profile(f)
 
 
 def test_squarefree_profile_pure_y_and_constant():
@@ -1189,7 +1380,7 @@ def test_squarefree_profile_pure_y_and_constant():
     x_minus_half = BinaryForm(1, (F(1), F(-1, 2)))
     f = y.power(3) * x_minus_half.power(2)
     prof = squarefree_profile(f)
-    assert prof == profile_oracle(f)
+    assert prof == fraction_yun_profile(f)
     assert (y, 3) in prof
     assert squarefree_profile(BinaryForm.constant(F(-2, 3))) == []
     with pytest.raises(ValueError):
@@ -1199,7 +1390,7 @@ def test_squarefree_profile_pure_y_and_constant():
 def test_squarefree_profile_of_delta_matches_oracle():
     spec = build_example("h10_ci", seed=1)
     delta = discriminant_family(spec).delta
-    assert squarefree_profile(delta) == profile_oracle(delta)
+    assert squarefree_profile(delta) == fraction_yun_profile(delta)
 
 
 # ---------------------------------------------------------------------------
@@ -1358,6 +1549,30 @@ def test_integer_kernels_check_their_exact_divisions():
             binforms.zresultant(f, g)
     # det([[u, v], [v, u]]) = u^2 - v^2
     assert binforms.zpencil_determinant([[1, 0], [0, 1]], [[0, 1], [1, 0]]) == [1, 0, -1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=9), st.integers(0, 3))
+def test_zinterpolate_matches_lagrange(coeffs, extra):
+    # the values at 0..n of an integer polynomial of degree at most n
+    p = pnorm(list(coeffs))
+    values = [peval(p, k) for k in range(len(p) + extra)]
+    assert binforms.zinterpolate(values) == p == fraction_lagrange(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, max_size=9))
+def test_pinterpolate_matches_lagrange(values):
+    assert binforms.pinterpolate(values) == fraction_lagrange(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, max_size=9).map(lambda c: pnorm(list(c))), rationals, rationals)
+def test_pshift_matches_oracle(p, a, x):
+    shifted = binforms.pshift(p, a)
+    assert shifted == fraction_pshift(p, a)
+    assert all(type(c) is Fraction for c in shifted)
+    assert peval(shifted, x) == peval(p, x + a)
 
 
 # ---------------------------------------------------------------------------
