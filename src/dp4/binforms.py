@@ -13,8 +13,9 @@ trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
   (the step pshift takes with x + a).  Gcds run the primitive PRS and
   resultants the subresultant PRS, both on one pseudo-remainder (_zprem);
 - m- helpers act on int lists modulo m, remainders in [0, m): the one
-  Euclid over F_p, which the squarefreeness test modulo a prime inside
-  squarefree_profile and the factorizer over Z (factor_search) share.
+  Euclid over F_p, which the squarefreeness test modulo a prime
+  (proved_squarefree, used by squarefree_profile and factor_search) and the
+  factorizer over Z (factor_search) share.
 """
 
 from __future__ import annotations
@@ -329,7 +330,9 @@ class BinaryForm:
             raise ValueError("negative degree")
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient count does not match degree")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        c = self.coeffs
+        if type(c) is not tuple or any(type(x) is not Fraction for x in c):
+            object.__setattr__(self, "coeffs", tuple(Fraction(x) for x in c))
 
     # construction ---------------------------------------------------------
 
@@ -596,9 +599,17 @@ def zdiscriminant(c) -> int:
     return sign * _zexact(zresultant(fx, fy), d ** (d - 2))
 
 
-# The primes that squarefree_profile reduces modulo: the first one not
-# dividing the leading coefficient of the part off x and y is used.
+# The primes that proved_squarefree reduces modulo: the first one not
+# dividing the leading coefficient is used.
 DELTA_PRIMES = (1000003, 1000033, 1000037)
+
+
+def proved_squarefree(x: list[int]) -> bool:
+    """Whether _msquarefree proves a nonconstant integer x squarefree modulo
+    the first of DELTA_PRIMES that does not divide lc(x).  False proves
+    nothing: x may still be squarefree, and the exact path decides."""
+    p = next((q for q in DELTA_PRIMES if x[-1] % q), None)
+    return p is not None and _msquarefree(x, p)
 
 
 def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
@@ -609,11 +620,10 @@ def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
     (multiplicity, degree, coefficients).
 
     The roots at (1 : 0) and (0 : 1) are split off first, as y^v and x^m.  The
-    rest r is proved squarefree modulo the first of DELTA_PRIMES that does not
-    divide lc(r) (_msquarefree), and only when that proof fails does Yun's
-    algorithm run on r.  Yun's factors hold every root of one multiplicity,
-    so x joins the factor of multiplicity m, and stands alone when there is
-    none.
+    rest r is proved squarefree modulo a prime (proved_squarefree), and only
+    when that proof fails does Yun's algorithm run on r.  Yun's factors hold
+    every root of one multiplicity, so x joins the factor of multiplicity m,
+    and stands alone when there is none.
     """
     if f.is_zero:
         raise ValueError("squarefree profile of the zero form")
@@ -624,10 +634,9 @@ def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
     x = _primitive_ints(f.x_poly())
     m = next(i for i, c in enumerate(x) if c)
     r = x[m:]
-    p = next((q for q in DELTA_PRIMES if r[-1] % q), None)
     if len(r) < 2:
         parts = []
-    elif p is not None and _msquarefree(r, p):
+    elif proved_squarefree(r):
         parts = [(r, 1)]
     else:
         parts = psquarefree_decomposition(r)

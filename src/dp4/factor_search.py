@@ -16,6 +16,11 @@ The fiber factors come from uni_irreducible_factors, which also serves the
 spectral quintics of pencils and the genericity witnesses of families: an
 exact factorizer over Q for degree at most 5, Zassenhaus's method over Z
 (factor modulo a small prime, Hensel-lift, recombine by trial division).
+A proof modulo a prime goes before each exact squarefreeness step: a
+polynomial that binforms.proved_squarefree accepts skips Yun's algorithm
+before it is factored, and a search fiber it accepts skips the gcd with its
+derivative.  proves_nonlinear_factor counts roots modulo the factorizer's
+small prime, which proves a factor of degree >= 2 without factoring.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from .binforms import (
     pmul,
     pnorm,
     primitive_prs,
+    proved_squarefree,
     pscale,
     pshift,
     psquarefree_decomposition,
@@ -224,9 +230,11 @@ def uni_irreducible_factors(p) -> list[tuple[list[Fraction], int]]:
     p = _primitive_ints(pnorm(list(p)))
     if pdeg(p) > MAX_FACTOR_DEGREE:
         raise ValueError(f"factoring over Q needs degree <= {MAX_FACTOR_DEGREE}, got {pdeg(p)}")
-    found = [
-        (g, mult) for part, mult in psquarefree_decomposition(p) for g in _zfactor_squarefree(part)
-    ]
+    if len(p) > 1 and proved_squarefree(p):
+        parts = [(p if p[-1] > 0 else [-c for c in p], 1)]  # as Yun's algorithm gives it
+    else:
+        parts = psquarefree_decomposition(p)
+    found = [(g, mult) for part, mult in parts for g in _zfactor_squarefree(part)]
     found.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
     return [([Fraction(c, g[-1]) for c in g], mult) for g, mult in found]
 
@@ -238,9 +246,7 @@ def _zfactor_squarefree(f: list[int]) -> list[list[int]]:
     coefficients of a factor, and recombine them by trial division."""
     if len(f) == 2:
         return [f]
-    lead, p = f[-1], 3
-    while not (all(p % q for q in range(3, math.isqrt(p) + 1, 2)) and _msquarefree(f, p)):
-        p += 2
+    lead, p = f[-1], _small_prime(f)
     modular = _factor_mod_p(_mmonic(f, p), p)
     if len(modular) == 1:
         return [f]
@@ -270,6 +276,30 @@ def _zfactor_squarefree(f: list[int]) -> list[list[int]]:
         else:
             size += 1
     return factors + [f]
+
+
+def _small_prime(f: list[int]) -> int:
+    """The smallest odd prime p with f squarefree mod p and p not dividing
+    lc(f), for a squarefree f over Z (which has finitely many bad primes)."""
+    p = 3
+    while not (all(p % q for q in range(3, math.isqrt(p) + 1, 2)) and _msquarefree(f, p)):
+        p += 2
+    return p
+
+
+def proves_nonlinear_factor(f: list[int]) -> bool:
+    """Whether counting roots modulo a prime proves that a nonconstant
+    integer f has an irreducible factor of degree >= 2 over Q.  f must be
+    proved squarefree (proved_squarefree); then, p its smallest good odd
+    prime, a factor of f of degree 1 over Q divides it over Z with a lead
+    prime to p (Gauss's lemma) and gives a root mod p, distinct since f is
+    squarefree mod p.  So fewer than deg f roots mod p, deg gcd(f, x^p - x)
+    over F_p, prove a factor of degree >= 2.  False proves nothing."""
+    if not proved_squarefree(f):
+        return False
+    p = _small_prime(f)
+    monic = _mmonic(f, p)
+    return len(_mgcd(monic, psub(_mpowmod([0, 1], p, monic, p), [0, 1]), p)) < len(f)
 
 
 def _factor_mod_p(f, p):
@@ -411,7 +441,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         if peval(f[-1], s0) == 0:
             continue
         fib = wevaluate(f, s0)
-        if pdeg(pgcd(fib, pderiv(fib))) == 0:
+        if proved_squarefree(_primitive_ints(fib)) or pdeg(pgcd(fib, pderiv(fib))) == 0:
             break
     else:
         # a repeated factor of f stays repeated in every fiber where the
@@ -473,21 +503,27 @@ def _divides(f, g):
 # entry point for coefficient lists
 
 
-def twisted_factor_search(coeff_forms, bound: int):
+def twisted_factor_search(coeff_forms, bound: int, squarefree_delta: bool = False):
     """Bounded search for twisted forms whose (u,v)-coefficients are
     (s,t)-forms of varying degrees; coeff_forms[j] multiplies u^(n-j) v^j.
 
     Returns None if no factor of (u,v)-degree <= bound (and no content, no
     pure u or v factor) was found, else a tag pair:
-    ("content", BinaryForm), ("u", None), ("v", None), ("factor", WFactor)."""
+    ("content", BinaryForm), ("u", None), ("v", None), ("factor", WFactor).
+
+    A caller that knows the (u,v)-discriminant Delta to be nonzero and
+    squarefree passes squarefree_delta, and the content gcd is skipped: a
+    content c of degree >= 1 gives disc(c G) = c^(2n-2) disc(G), so c^2
+    would divide Delta."""
     if all(c.is_zero for c in coeff_forms):
         raise ValueError("factor search on the zero form")
     n = len(coeff_forms) - 1
-    content = BinaryForm.zero(0)
-    for c in coeff_forms:
-        content = form_gcd(content, c)
-    if content.degree >= 1:
-        return ("content", content.integer_primitive()[1])
+    if not squarefree_delta:
+        content = BinaryForm.zero(0)
+        for c in coeff_forms:
+            content = form_gcd(content, c)
+        if content.degree >= 1:
+            return ("content", content.integer_primitive()[1])
     if coeff_forms[0].is_zero:
         return ("v", None)
     if coeff_forms[-1].is_zero:

@@ -18,12 +18,18 @@ output coefficient); squarefreeness is the simple-branching flag (read off
 the squarefree profile, which splits off the roots at 0 and infinity and
 proves the rest squarefree modulo a prime, with Yun's algorithm when that
 proof fails), and a bounded factor search plus a fiber irreducibility
-witness certify the full Galois-group condition.  The Chern-class identity for the cube of the
-relative dualizing sheaf is verified symbolically in a tiny Chow ring.
+witness certify the full Galois-group condition.  The certificate proves
+before it computes: a squarefree Delta rules out an (s,t)-content, so the
+search skips its content gcd, and a witness fiber proved squarefree counts
+its roots modulo a small prime, fewer than its degree proving an irreducible
+factor of degree >= 2; only a fiber that count leaves open is factored.
+The Chern-class identity for the cube of the relative dualizing sheaf is
+verified symbolically in a tiny Chow ring.
 
 The spectral form, Delta and the certificate are functions of the frozen
 FamilySpec alone, each memoized per spec (CACHE_BOUND entries), so a spec
-is analyzed once however many reports, builds and checks ask about it.
+is analyzed once however many reports, builds and checks ask about it;
+models memoizes its seeded builds with the same bound.
 """
 
 from __future__ import annotations
@@ -44,11 +50,16 @@ from .binforms import (
     zdiscriminant,
     zinterpolate,
 )
-from .factor_search import twisted_factor_search, uni_irreducible_factors
+from .factor_search import (
+    proves_nonlinear_factor,
+    twisted_factor_search,
+    uni_irreducible_factors,
+)
 
-# Entries kept by each per-spec memo (spectral form, Delta, certificate).  At
-# least models.RETRY_BOUND, so that every attempt of one seeded build stays
-# cached when the build is repeated.
+# Entries kept by each per-spec memo (spectral form, Delta, certificate) and
+# by the memo of models.build_example on (name, seed).  At least
+# models.RETRY_BOUND, so that every attempt of one seeded build stays cached
+# while the build, its report and its verification run.
 CACHE_BOUND = 32
 
 
@@ -306,7 +317,8 @@ def genericity_check(spec: FamilySpec) -> GenericityReport:
     factor of degree >= 2 (ruling out five conjugate sections).  A found
     factor settles the question negatively and no witness is sought, so
     ``witness`` is None whenever ``bounded_factor`` is set; no factor and no
-    witness leaves the result inconclusive (None)."""
+    witness leaves the result inconclusive (None).  Simple branching lets
+    the search skip its content gcd (squarefree_delta)."""
     sf = spectral_form(spec)
     try:
         disc = discriminant_family(spec)
@@ -314,18 +326,14 @@ def genericity_check(spec: FamilySpec) -> GenericityReport:
         disc = None
     degenerate = disc is None
     g1 = not degenerate and disc.g1_prime
-    factor = twisted_factor_search(list(sf.coefficients), 2)
+    factor = twisted_factor_search(list(sf.coefficients), 2, squarefree_delta=g1)
     witness = None
     if factor is None:
         for s0, t0 in _witness_points():
             fiber = sf.fiber(s0, t0)
             if fiber.is_zero:
                 continue
-            x_part = list(fiber.x_poly())
-            degs = [
-                len(p) - 1 for p, _ in uni_irreducible_factors(x_part)
-            ] if len(x_part) > 1 else []
-            if any(deg >= 2 for deg in degs):
+            if _nonlinear_factor(fiber.x_poly()):
                 witness = (s0, t0)
                 break
     certified = witness is not None
@@ -337,6 +345,17 @@ def genericity_check(spec: FamilySpec) -> GenericityReport:
         g2 = None
     genus = arithmetic_genus(spectral_class(spec).cls)
     return GenericityReport(g1, factor, witness, certified, g2, genus == 0)
+
+
+def _nonlinear_factor(x_part) -> bool:
+    """Whether a fiber's x-part has an irreducible factor of degree >= 2 over
+    Q: proved by counting roots modulo a small prime where the x-part is
+    proved squarefree, else read off its factorization."""
+    if len(x_part) < 2:
+        return False
+    if proves_nonlinear_factor(_primitive_ints(x_part)):
+        return True
+    return any(len(p) > 2 for p, _ in uni_irreducible_factors(x_part))
 
 
 def _witness_points():
@@ -568,12 +587,25 @@ def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
     beta = [Fraction(x) for x in beta]
     if len(alpha) != 6 or len(beta) != 6:
         raise ValueError("need 6 coefficients in each of alpha, beta")
-    m = [alpha, beta]
-    if linalg.rank([row[:] for row in m]) < 2:
+    # one elimination of [alpha | 1 0; beta | 0 1]: columns 0..5 are the
+    # reduced form of [alpha; beta] (its kernel), columns 6 and 7 the
+    # particular solutions p, q of alpha.p = 1, beta.p = 0 and alpha.q = 0,
+    # beta.q = 1, as linalg.kernel_basis and linalg.solve give them
+    one, zero = Fraction(1), Fraction(0)
+    r, pivots = linalg.rref([[*alpha, one, zero], [*beta, zero, one]])
+    if pivots[1] >= 6:
         raise ValueError("elimination impossible: bilinear form has rank < 2")
-    kern = linalg.kernel_basis([row[:] for row in m])
-    p = linalg.solve([row[:] for row in m], [Fraction(1), Fraction(0)])
-    q = linalg.solve([row[:] for row in m], [Fraction(0), Fraction(1)])
+    kern = []
+    for j in range(6):
+        if j not in pivots:
+            v = [zero] * 6
+            v[j] = one
+            for i, col in enumerate(pivots):
+                v[col] = -r[i][j]
+            kern.append(v)
+    p, q = [zero] * 6, [zero] * 6
+    for i, col in enumerate(pivots):
+        p[col], q[col] = r[i][6], r[i][7]
     # w = t*p - s*q: alpha.w = t, beta.w = -s, so the constraint
     # s*(alpha.z) + t*(beta.z) vanishes on w for every (s,t)
     joint = _primitive_ints([*p, *q])
@@ -585,27 +617,45 @@ def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
 
     def restrict(quad):
         """C^T quad C over Z, with quad scaled by the lcm of its
-        denominators.  Entry (i,j) has degree deg c_i + deg c_j once a term
-        contributes to it, even if the terms cancel, and is
-        BinaryForm.zero(0) otherwise."""
-        den, quad = linalg.clear_row_denominators([[Fraction(x) for x in row] for row in quad])
+        denominators: quad c_j once per column, then entry (i,j) as
+        c_i . (quad c_j).  A symmetric quad takes the entries with i <= j
+        and mirrors them; any other quad takes all 25, and FamilySpec
+        refuses the result unless it is symmetric.  Entry (i,j) has degree
+        deg c_i + deg c_j once a term contributes to it, even if the terms
+        cancel, and is BinaryForm.zero(0) otherwise."""
+        quad = [[Fraction(x) for x in row] for row in quad]
+        symmetric = all(quad[i][j] == quad[j][i] for i in range(6) for j in range(i))
+        den, quad = linalg.clear_row_denominators(quad)
 
-        def entry(ci, cj):
-            terms = [
-                (quad[r][c], u, w)
-                for r, u in enumerate(ci) if any(u)
-                for c, w in enumerate(cj) if quad[r][c] and any(w)
-            ]
+        def image(cj):
+            # row r of quad c_j, None where no term contributes
+            out = []
+            for row in quad:
+                terms = [(a, w) for a, w in zip(row, cj) if a and any(w)]
+                out.append(
+                    [sum(a * w[n] for a, w in terms) for n in range(len(cj[0]))] if terms else None
+                )
+            return out
+
+        def entry(ci, cj, qcj):
+            terms = [(u, v) for u, v in zip(ci, qcj) if v is not None and any(u)]
             if not terms:
                 return BinaryForm.zero(0)
             acc = [0] * (len(ci[0]) + len(cj[0]) - 1)
-            for a, u, w in terms:
+            for u, v in terms:
                 for k, x in enumerate(u):
-                    for n, y in enumerate(w):
-                        acc[k + n] += a * x * y
+                    for n, y in enumerate(v):
+                        acc[k + n] += x * y
             return BinaryForm(len(acc) - 1, tuple(Fraction(x, den) for x in acc))
 
-        return tuple(tuple(entry(ci, cj) for cj in columns) for ci in columns)
+        images = [image(cj) for cj in columns]
+        out = [[None] * 5 for _ in range(5)]
+        for i, ci in enumerate(columns):
+            for j in range(i if symmetric else 0, 5):
+                out[i][j] = entry(ci, columns[j], images[j])
+                if symmetric:
+                    out[j][i] = out[i][j]
+        return tuple(tuple(row) for row in out)
 
     d = (0, -1, -1, -1, -1)
     e = (-2, -2)

@@ -22,18 +22,22 @@ spectral cover, and the residual degree-8 form brands a genus-3 curve.
 
 Seeded builders draw integer coefficients in [-9, 9] and re-roll a
 bounded number of times when an instance misses the open genericity
-conditions.
+conditions.  A build is a function of (name, seed), memoized with the
+bound of the family steps (families.CACHE_BOUND), so building and then
+verifying one seed draws and certifies its attempts once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from .biforms import BiForm
 from .binforms import BinaryForm, squarefree_profile
 from .families import (
+    CACHE_BOUND,
     FamilySpec,
     arithmetic_genus,
     discriminant_family,
@@ -290,11 +294,14 @@ def _seeded(name: str, seed, attempt: int) -> Random:
     return Random(f"{name}:{seed}:{attempt}")
 
 
+@lru_cache(maxsize=CACHE_BOUND)
 def build_example(name: str, seed=1):
     """A verified instance of the named model: a FamilySpec for the three
     bundle routes, a ConicBundleExample for the conic route.  A seeded
     draw that misses the open genericity conditions is re-rolled up to
-    RETRY_BOUND times, then errors."""
+    RETRY_BOUND times, then errors.  The instance is a function of (name,
+    seed), memoized like the family steps, so verify_example and a report
+    on the same seed read one build."""
     if name == "h8_conic":
         for attempt in range(RETRY_BOUND):
             spec = random_conic_bundle(_seeded(name, seed, attempt))
@@ -385,7 +392,11 @@ def verify_example(name: str, seed=1) -> dict:
 def squared_discriminant_example(seed=1) -> FamilySpec:
     """A height-20 family violating simple branching: the fiber at (0:1)
     is planted with a doubly degenerate pencil, and pulling back along
-    (s,t) -> (s^2,t^2) doubles that discriminant root."""
+    (s,t) -> (s^2,t^2) doubles that discriminant root.  The planted root is
+    checked on the squared family's own Delta, which a report on the result
+    then reads from the memo: Delta_sq(s,t) = Delta(s^2,t^2), so the root at
+    (0:1) and a vanishing Delta show alike on both, and the base family's
+    spectral form and Delta are never computed."""
     for attempt in range(RETRY_BOUND):
         rng = _seeded("squared", seed, attempt)
         gram0 = [
@@ -399,9 +410,9 @@ def squared_discriminant_example(seed=1) -> FamilySpec:
                 tpart = Fraction(planted[i]) if i == j else Fraction(0)
                 f = BinaryForm(1, (Fraction(rng.randint(-9, 9)), tpart))
                 rows[i][j] = rows[j][i] = f
-        spec = family_from_quadric_pair(
+        spec = substitute_squared(family_from_quadric_pair(
             ((0, gram0), (1, tuple(tuple(r) for r in rows)))
-        )
+        ))
         try:
             disc = discriminant_family(spec)
         except ValueError:
@@ -409,7 +420,7 @@ def squared_discriminant_example(seed=1) -> FamilySpec:
         # planted double root of the fiber quintic at (0:1)
         if disc.delta.evaluate(Fraction(0), Fraction(1)) != 0:
             raise RuntimeError("planted degenerate fiber missed")
-        return substitute_squared(spec)
+        return spec
     raise ValueError(f"no usable squared instance in {RETRY_BOUND} attempts")
 
 

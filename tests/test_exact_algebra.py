@@ -33,6 +33,21 @@ def lin(a, b):
     return BinaryForm(1, (F(a), F(b)))
 
 
+def test_binary_form_keeps_exact_coefficients():
+    # a tuple of Fractions is stored as given; anything else is converted
+    coeffs = (F(1, 2), F(-3))
+    assert BinaryForm(1, coeffs).coeffs is coeffs
+
+    class Sub(Fraction):
+        pass
+
+    for given in ([F(1, 2), F(-3)], (F(1, 2), -3), (Sub(1, 2), F(-3))):
+        got = BinaryForm(1, given).coeffs
+        assert type(got) is tuple and got == coeffs
+        assert all(type(c) is Fraction for c in got)
+    assert BinaryForm(0, (True,)).coeffs == (F(1),)
+
+
 def test_substitute_swap_on_x5():
     f = BinaryForm(5, (F(1), 0, 0, 0, 0, 0))
     g = mobius_substitute(f, SWAP)

@@ -325,11 +325,13 @@ def test_family_report_computes_once(kind):
 
 
 def test_equal_specs_share_hash_and_cache_entry():
-    # two separately built equal specs: equal, equally hashed and printed,
-    # and the second is a hit on the first one's spectral form entry
+    # two separately built equal specs (the second past the build memo):
+    # equal, equally hashed and printed, and the second is a hit on the
+    # first one's spectral form entry
     import dataclasses
 
-    first, second = build_example("h10_bundle", seed=1), build_example("h10_bundle", seed=1)
+    first = build_example("h10_bundle", seed=1)
+    second = build_example.__wrapped__("h10_bundle", seed=1)
     assert first is not second
     assert first == second and hash(first) == hash(second)
     assert repr(first) == repr(second)
@@ -384,6 +386,34 @@ def test_pipeline_item_interpolates_delta_once_per_attempt(monkeypatch, name, se
     models.verify_example(name, seed)
     assert len(attempts) == tries
     assert len(fibers) == tries * (2 * height(spec) + 2)
+
+
+@pytest.mark.parametrize("name, seed, tries", [("h8_ci", 1, 1), ("h10_bundle", 62, 3)])
+def test_pipeline_item_builds_once_per_attempt(monkeypatch, name, seed, tries):
+    # build -> report -> verify: verify_example reads the item's own build
+    from dp4 import models
+
+    made = []
+    make = models._FAMILY_MAKERS[name]
+
+    def counted(rng):
+        made.append(rng)
+        return make(rng)
+
+    monkeypatch.setitem(models._FAMILY_MAKERS, name, counted)
+    spec = build_example(name, seed)
+    family_report(spec)
+    assert models.verify_example(name, seed)["ok"]
+    assert len(made) == tries
+
+
+def test_squared_item_computes_one_spectral_form_and_one_delta():
+    # the planted root is checked on the squared family's Delta, which the
+    # report then reads; the base family is never analyzed
+    spec = squared_discriminant_example(seed=1)
+    assert computations() == (1, 1)
+    family_report(spec)
+    assert computations() == (1, 1)
 
 
 @pytest.mark.parametrize("kind", ["h8_ci", "h10_ci", "h10_bundle", "squared", "diagonal"])

@@ -46,7 +46,15 @@ element generate it), the spectral form of a family as six determinants at
 each of D+2 nodes (it now takes max(D_j + 2, 1) values of coefficient j,
 one determinant each), interpolation as the Lagrange form over Fraction and
 the Taylor shift as Horner's rule with a general product per step (both now
-expand by one synthetic multiplication in place).
+expand by one synthetic multiplication in place), the h8_ci elimination as
+rank, kernel_basis and two solve calls (it is now one rref, and a symmetric
+quadric takes the congruence entries i <= j), the squared
+example's planted root checked on the base family's Delta (it is now checked
+on the squared family's own), and Yun's algorithm before every
+factorization, a gcd with the derivative before every search fiber and a
+full factorization of every witness fiber (a proof modulo a prime now goes
+first, and a root count modulo a small prime stands in for the witness's
+factorization).
 """
 
 import math
@@ -108,6 +116,7 @@ from dp4.families import (
     SpectralForm,
     discriminant_family,
     expected_coefficient_degree,
+    genericity_check,
     height,
     spectral_form,
 )
@@ -405,9 +414,33 @@ def yun_branching(delta: BinaryForm) -> tuple[bool, int]:
     return all(mult == 1 for _, mult in profile), sum(f.degree for f, _ in profile)
 
 
+def base_delta_squared_example(seed) -> FamilySpec:
+    """models.squared_discriminant_example as it was: the planted root and a
+    vanishing Delta checked on the base family's Delta, then squared."""
+    for attempt in range(models.RETRY_BOUND):
+        rng = models._seeded("squared", seed, attempt)
+        gram0 = [[F(int(i == j)) for j in range(5)] for i in range(5)]
+        planted = (0, 0, 1, 2, 3)
+        rows = [[None] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                tpart = F(planted[i]) if i == j else F(0)
+                rows[i][j] = rows[j][i] = BinaryForm(1, (F(rng.randint(-9, 9)), tpart))
+        spec = families.family_from_quadric_pair(((0, gram0), (1, tuple(map(tuple, rows)))))
+        try:
+            disc = discriminant_family(spec)
+        except ValueError:
+            continue
+        assert disc.delta.evaluate(F(0), F(1)) == 0
+        return families.substitute_squared(spec)
+    raise ValueError("no usable squared instance")
+
+
 def binaryform_family_from_linear_plus_quadrics(alpha, beta, q1, q2):
-    """families.family_from_linear_plus_quadrics with the congruence C^T Q C
-    summed from BinaryForm products over Fraction."""
+    """families.family_from_linear_plus_quadrics with the elimination as
+    rank, kernel_basis and two solve calls on [alpha; beta], and all 25
+    entries of the congruence C^T Q C summed from BinaryForm products over
+    Fraction."""
     alpha = [Fraction(x) for x in alpha]
     beta = [Fraction(x) for x in beta]
     if len(alpha) != 6 or len(beta) != 6:
@@ -1289,18 +1322,42 @@ def test_yun_over_z_matches_fraction_yun(factors, x_power, scale):
     assert_yun_over_z_matches_oracle(p)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_squared_example_matches_base_delta_oracle(seed):
+    # the planted root, checked on the squared family's Delta, accepts the
+    # attempt that the base family's Delta accepted
+    assert repr(squared_discriminant_example(seed)) == repr(base_delta_squared_example(seed))
+
+
+def test_squared_delta_is_the_base_delta_in_squares():
+    # Delta_sq(s, t) = Delta(s^2, t^2): a root at (0 : 1), or Delta = 0, shows
+    # on both alike
+    bases = []
+
+    def capture(spec):
+        bases.append(spec)
+        return families.substitute_squared(spec)
+
+    with mock.patch.object(models, "substitute_squared", capture):
+        spec = squared_discriminant_example(1)
+    base = discriminant_family(bases[-1]).delta
+    squared = discriminant_family(spec).delta
+    assert squared.coeffs[::2] == base.coeffs and not any(squared.coeffs[1::2])
+
+
 def test_yun_over_z_on_the_squared_delta():
     # the squared example's Delta is x^4 q and its base's x^2 q', q and q'
     # squarefree: the profile splits x off and proves the rest squarefree
     # modulo a prime, so Yun's algorithm is not reached on either; the
-    # diagonal example's Delta has repeated roots elsewhere and reaches it
+    # diagonal example's Delta has repeated roots elsewhere and reaches it.
+    # The base spec is the one squared_discriminant_example squares.
     bases = []
 
     def capture(spec):
         bases.append(discriminant_family(spec).delta)
-        return discriminant_family(spec)
+        return families.substitute_squared(spec)
 
-    with mock.patch.object(models, "discriminant_family", capture):
+    with mock.patch.object(models, "substitute_squared", capture):
         delta = uncached_delta(squared_discriminant_example(1)).delta
     assert delta.degree == 40
     assert_yun_over_z_matches_oracle(delta.x_poly())
@@ -1611,6 +1668,61 @@ def test_integer_congruence_keeps_degree_tags():
     assert fast.A1[1][2] == BinaryForm.zero(0)
 
 
+small_ints = st.lists(st.integers(-3, 3), min_size=6, max_size=6)
+quadric_entries = st.sampled_from([F(0), F(0), F(0), F(1), F(-2), F(1, 3), F(-7, 4)])
+
+
+@st.composite
+def quadric_inputs(draw):
+    """(alpha, beta, q1, q2): beta is a multiple of alpha (rank < 2) one
+    time in four, each quadric sparse rational and not symmetric one time in
+    four."""
+    alpha = draw(small_ints)
+    if draw(st.integers(0, 3)):
+        beta = draw(small_ints)
+    else:
+        beta = [draw(st.integers(-2, 2)) * a for a in alpha]
+    quads = []
+    for _ in range(2):
+        entries = draw(st.lists(quadric_entries, min_size=36, max_size=36))
+        quad = [entries[6 * r : 6 * r + 6] for r in range(6)]
+        if draw(st.integers(0, 3)):
+            quad = [[quad[min(r, c)][max(r, c)] for c in range(6)] for r in range(6)]
+        quads.append(quad)
+    return alpha, beta, *quads
+
+
+def outcome(build, *args):
+    try:
+        return repr(build(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadric_inputs())
+def test_one_elimination_matches_rank_kernel_solve(args):
+    assert outcome(families.family_from_linear_plus_quadrics, *args) == outcome(
+        binaryform_family_from_linear_plus_quadrics, *args
+    )
+
+
+def test_one_elimination_refuses_what_it_refused():
+    alpha, beta = [1, 2, 0, 0, 0, 3], [0, 1, 1, 0, 0, 0]
+    ident = [[F(int(i == j)) for j in range(6)] for i in range(6)]
+    skew = [row[:] for row in ident]
+    skew[1][2] = F(5)  # quad[2][1] stays 0, and C^T quad C is not symmetric
+    with pytest.raises(ValueError, match="^matrices must be symmetric$"):
+        families.family_from_linear_plus_quadrics(alpha, beta, skew, ident)
+    with pytest.raises(ValueError, match="^matrices must be symmetric$"):
+        binaryform_family_from_linear_plus_quadrics(alpha, beta, skew, ident)
+    with pytest.raises(ValueError, match="rank < 2"):
+        families.family_from_linear_plus_quadrics(alpha, [2 * a for a in alpha], ident, ident)
+    # a symmetric quadric's entries i <= j are mirrored
+    spec = families.family_from_linear_plus_quadrics(alpha, beta, ident, ident)
+    assert all(spec.A1[i][j] is spec.A1[j][i] for i in range(5) for j in range(5))
+
+
 # ---------------------------------------------------------------------------
 # primitive PRS over Z[sigma][w]
 
@@ -1881,6 +1993,189 @@ def test_factor_search_matches_sympy_factorizer(make):
     with mock.patch.object(factor_search, "uni_irreducible_factors", sympy_irreducible_factors):
         slow = twisted_factor_search(coeffs, 2)
     assert repr(fast) == repr(slow)
+
+
+# ---------------------------------------------------------------------------
+# proofs modulo a prime before Yun's algorithm, the gcd with the derivative
+# and the witness's factorization
+
+
+@contextmanager
+def nothing_proved_mod_p():
+    """Every test modulo a prime in factor_search and families fails, so
+    the exact paths it skips run: Yun's algorithm before each
+    factorization, pgcd(fib, fib') for each search fiber and the full
+    factorization of each witness fiber."""
+    with mock.patch.object(factor_search, "proved_squarefree", lambda x: False):
+        yield
+
+
+def assert_yun_path_matches(p):
+    with mock.patch.object(
+        factor_search, "psquarefree_decomposition", wraps=psquarefree_decomposition
+    ) as yun:
+        fast = uni_irreducible_factors(p)
+    # Yun's algorithm runs only where the proof modulo a prime fails
+    assert (yun.call_count == 0) == binforms.proved_squarefree(binforms._primitive_ints(p))
+    with nothing_proved_mod_p():
+        assert uni_irreducible_factors(p) == fast
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(small_factors, st.integers(1, 3)), min_size=1, max_size=4), rationals)
+def test_lucky_prime_factoring_matches_yun_path(factors, scale):
+    p = [scale or F(1)]
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            if pdeg(p) + len(coeffs) - 1 <= 5:
+                p = pmul(p, coeffs)
+    assume(pdeg(p) >= 1)
+    assert_yun_path_matches(p)
+
+
+@pytest.mark.parametrize("p", PLANTED_FACTORINGS.values(), ids=PLANTED_FACTORINGS.keys())
+def test_lucky_prime_factoring_matches_yun_path_planted(p):
+    assert_yun_path_matches([F(c) for c in p])
+
+
+lead_multipliers = st.sampled_from([1, -1, 3, 15, 105, -1155])
+
+
+@st.composite
+def fiber_polys(draw):
+    """Integer polynomials of degree 1..5 from rational linear factors
+    (fully split), random quadratics and cubics (irreducible or not),
+    repeated factors, and leads that the small odd primes divide."""
+    p = [draw(lead_multipliers)]
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            g = [draw(st.integers(-9, 9)), draw(st.integers(1, 6))]
+        else:
+            g = draw(st.lists(st.integers(-9, 9), min_size=kind + 2, max_size=kind + 2))
+            g[-1] = g[-1] or 1
+        for _ in range(draw(st.sampled_from([1, 1, 1, 2]))):
+            if pdeg(p) + len(g) - 1 <= 5:
+                p = pmul(p, g)
+    assume(pdeg(p) >= 1)
+    return p
+
+
+def has_nonlinear_factor(p) -> bool:
+    return any(pdeg(g) >= 2 for g, _ in uni_irreducible_factors(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fiber_polys())
+def test_root_count_witness_matches_factorization(p):
+    # fewer roots mod p than the degree only where a factor of degree >= 2
+    # exists, and the witness decision is the full factorization's
+    proved = factor_search.proves_nonlinear_factor(p)
+    assert not proved or has_nonlinear_factor(p)
+    if not binforms.proved_squarefree(p):
+        assert not proved
+    assert families._nonlinear_factor([F(c) for c in p]) == has_nonlinear_factor(p)
+
+
+WITNESS_CASES = {  # (polynomial, proved by the root count, oracle)
+    "x5-x-1": ([-1, -1, 0, 0, 0, 1], True, True),
+    "split": (pmul(pmul([0, 1], [-1, 1]), pmul(pmul([1, 1], [-2, 1]), [2, 1])), False, False),
+    "mixed": (pmul(pmul([1, 0, 1], [-3, 1]), pmul([5, 1], [-1, 2])), True, True),
+    "repeated": (pmul(pmul([-1, 1], [-1, 1]), [1, 0, 1]), False, True),
+    # 3, 5, 7 divide the lead, so the root count runs mod 11, where x^2 + 1
+    # has no root and a split cubic keeps its three
+    "lead105-quadratic": (pmul([105], pmul([1, 0, 1], [-1, 1])), True, True),
+    "lead105-split": (pmul(pmul([105, 0], [-1, 1]), [4, 1]), False, False),
+    "linear": ([3, 7], False, False),
+}
+
+
+@pytest.mark.parametrize(
+    "p, proved, nonlinear", WITNESS_CASES.values(), ids=WITNESS_CASES.keys()
+)
+def test_root_count_witness_planted(p, proved, nonlinear):
+    assert factor_search.proves_nonlinear_factor(p) is proved
+    assert has_nonlinear_factor(p) is nonlinear
+    with mock.patch.object(
+        families, "uni_irreducible_factors", wraps=uni_irreducible_factors
+    ) as factorizations:
+        assert families._nonlinear_factor([F(c) for c in p]) is nonlinear
+    # only a fiber the root count leaves open is factored
+    assert factorizations.call_count == (not proved)
+
+
+def test_root_count_takes_the_prime_past_the_lead():
+    # the prime that _zfactor_squarefree would factor modulo
+    assert factor_search._small_prime(pmul([105], pmul([1, 0, 1], [-1, 1]))) == 11
+    assert factor_search._small_prime(pmul([0, 1], pmul([-3, 1], [-6, 1]))) == 5
+
+
+@pytest.mark.parametrize("make", model_and_engineered_specs())
+def test_witness_matches_factorization_oracle(make):
+    spec = make()
+    fast = genericity_check.__wrapped__(spec)
+    with nothing_proved_mod_p():
+        slow = genericity_check.__wrapped__(spec)
+    assert repr(fast) == repr(slow)
+
+
+@pytest.mark.parametrize("name", ["h8_ci", "h10_ci", "h10_bundle"])
+def test_seed_1_witnesses_factor_no_fiber(name):
+    # every seed-1 model's first witness fiber is settled by the root count
+    spec = build_example(name, 1)
+    with mock.patch.object(families, "uni_irreducible_factors") as factorizations:
+        rep = genericity_check.__wrapped__(spec)
+    assert rep.irreducible_certified and factorizations.call_count == 0
+
+
+@pytest.mark.parametrize("make, bound", factor_search_inputs())
+def test_search_fiber_matches_gcd_oracle(make, bound):
+    # the proof modulo a prime accepts the specialization s0 that the gcd
+    # with the derivative accepts, so the same fiber is factored
+    coeffs = make()
+
+    def fibers():
+        seen = []
+
+        def spy(p):
+            seen.append(list(p))
+            return uni_irreducible_factors(p)
+
+        return seen, mock.patch.object(factor_search, "uni_irreducible_factors", spy)
+
+    fast_fibers, spy = fibers()
+    with spy:
+        fast = twisted_factor_search(coeffs, bound)
+    slow_fibers, spy = fibers()
+    with spy, nothing_proved_mod_p():
+        slow = twisted_factor_search(coeffs, bound)
+    assert fast_fibers == slow_fibers
+    assert repr(fast) == repr(slow)
+
+
+@pytest.mark.parametrize("name", ["h8_ci", "h10_ci", "h10_bundle"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_simple_branching_leaves_no_content(name, seed):
+    # g1 holds on every model, and the content gcd that genericity_check
+    # skips for it is trivial
+    spec = build_example(name, seed)
+    assert discriminant_family(spec).g1_prime
+    coeffs = list(spectral_form(spec).coefficients)
+    content = BinaryForm.zero(0)
+    for c in coeffs:
+        content = binforms.form_gcd(content, c)
+    assert content.degree == 0
+    with mock.patch.object(factor_search, "form_gcd", wraps=factor_search.form_gcd) as gcds:
+        fast = twisted_factor_search(coeffs, 2, squarefree_delta=True)
+    assert gcds.call_count == 0
+    assert repr(fast) == repr(twisted_factor_search(coeffs, 2))
+
+
+def test_genericity_check_skips_the_content_only_under_simple_branching():
+    for spec, g1 in [(build_example("h10_ci", 1), True), (squared_discriminant_example(1), False)]:
+        with mock.patch.object(factor_search, "form_gcd", wraps=factor_search.form_gcd) as gcds:
+            assert genericity_check.__wrapped__(spec).g1_prime is g1
+        assert (gcds.call_count == 0) is g1
 
 
 # ---------------------------------------------------------------------------
