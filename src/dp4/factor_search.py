@@ -7,10 +7,12 @@ sigma = s0 with nonzero leading coefficient and squarefree fiber, which also
 proves the form squarefree in w (a form with no such point is replaced by its
 radical).  Each candidate fiber factor (a rational root, an irreducible
 quadratic, or a product of two rational roots) is Hensel-lifted to a factor
-of f(s0 + eps, w) mod a power of eps, its coefficient series are turned back
-into rational functions by Pade approximation (a kernel computation), and the
-candidate is confirmed by exact division.  (s,t)-degrees of coefficients may
-vary with the (u,v)-power, so twisted spectral forms are searchable too.
+of f(s0 + eps, w) mod eps^(dmax+1), dmax the sigma-degree of f.  Multiplied
+by the leading coefficient of f, the lift truncates to a polynomial multiple
+of the factor (the leading-coefficient trick; von zur Gathen-Gerhard, Modern
+Computer Algebra, ch. 15-16), and the candidate is confirmed by exact
+division.  (s,t)-degrees of coefficients may vary with the (u,v)-power, so
+twisted spectral forms are searchable too.
 
 The fiber factors come from uni_irreducible_factors, which also serves the
 spectral quintics of pencils and the genericity witnesses of families: an
@@ -186,30 +188,6 @@ def wdivexact(f, g):
 
 def wevaluate(f, s0: Fraction):
     return pnorm([peval(c, s0) for c in f])  # unipoly in w
-
-
-# ---------------------------------------------------------------------------
-# Pade approximation over Q
-
-
-def pade(series, d, n):
-    """A, B with deg <= d, B*series = A mod eps^n, B != 0; None if only B = 0."""
-    # unknowns: a_0..a_d, b_0..b_d; equations per eps^k: a_k - sum b_i phi_{k-i} = 0
-    rows = []
-    for k in range(n):
-        row = [Fraction(0)] * (2 * d + 2)
-        if k <= d:
-            row[k] = Fraction(1)
-        for i in range(d + 1):
-            if 0 <= k - i < len(series):
-                row[d + 1 + i] -= series[k - i]
-        rows.append(row)
-    for vec in linalg.kernel_basis(rows):
-        a = pnorm(list(vec[: d + 1]))
-        b = pnorm(list(vec[d + 1 :]))
-        if b:
-            return a, b
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +382,8 @@ def _hensel_lift(f_eps, g0, h0, n: int):
     degree of g0.  f_eps[k] is the w-polynomial f_k, the coefficient of
     eps^k; each order solves g0*h_k + g_k*h0 = f_k - sum_{0<i<k} g_i*h_{k-i}
     with deg g_k < deg g0.  Returns the eps-series of g's non-leading
-    coefficients, one per w-power below deg g0."""
+    coefficients, one per w-power below deg g0.  The search needs
+    n = dmax + 1, dmax the sigma-degree of f (see search_w_factor)."""
     gcd, _, t = pxgcd(g0, h0)
     t = pscale(t, 1 / gcd[0])  # t*h0 = 1 mod g0
     g, h = [g0], [h0]
@@ -432,7 +411,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     if bound < 1:
         return None
     dmax = max(max(pdeg(c) for c in f), 0)
-    prec = 2 * dmax + 2
+    prec = dmax + 1
 
     # one good specialization suffices when f is squarefree in w: the leading
     # coefficient and the fiber discriminant vanish at finitely many points
@@ -474,21 +453,19 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     f_eps = [
         pnorm([c[k] if k < len(c) else Fraction(0) for c in shifted]) for k in range(prec)
     ]
+    # the leading-coefficient trick: if g0 specializes a primitive factor G
+    # of f, then f = G*H over Z[sigma] (Gauss's lemma), the monic lift is
+    # G/lc(G), and lc(f) times it is lc(H)*G, of sigma-degree at most
+    # deg G + deg H = dmax.  So prec = dmax + 1 orders of lc(f)*g, shifted
+    # back, are that polynomial exactly, and its primitive part is G; a
+    # candidate that specializes no factor fails the division.
+    lead = shifted[-1]  # lc_w(f)(s0 + eps)
     for g0 in candidates:
-        rats = []
-        for series in _hensel_lift(f_eps, g0, pdivexact(fib, g0), prec):
-            rat = pade(series, dmax, prec)
-            if rat is None:
-                break
-            rats.append(rat)
-        else:
-            den = [Fraction(1)]
-            for _, b in rats:
-                den = pmul(den, pdivexact(b, pgcd(den, b)))
-            coeffs = [pdivexact(pmul(a, den), b) for a, b in rats] + [den]
-            g_cand = wprimitive([pshift(c, -s0) for c in coeffs])
-            if _divides(f, g_cand):
-                return _wfactor(g_cand)
+        lifted = _hensel_lift(f_eps, g0, pdivexact(fib, g0), prec)
+        coeffs = [pshift(pmul(lead, series)[:prec], -s0) for series in lifted]
+        g_cand = wprimitive(coeffs + [f[-1]])
+        if _divides(f, g_cand):
+            return _wfactor(g_cand)
     return None
 
 

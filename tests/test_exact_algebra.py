@@ -324,6 +324,58 @@ def test_factor_search_non_reduced(f, bound, expected):
     assert spy.called == (found[0] == "factor")
 
 
+def biform(*rows):
+    return BiForm(len(rows) - 1, len(rows[0]) - 1, tuple(tuple(F(x) for x in r) for r in rows))
+
+
+# Planted factors G that the leading-coefficient trick must recover whole,
+# each the only factor of (u,v)-degree <= bound.  In the top-degree cases a
+# non-leading coefficient of G has the full sigma-degree dmax and the cofactor
+# is constant in sigma, so a lift one order short of dmax + 1 loses G's top
+# term; in the lead cases G and its cofactor both have a leading coefficient
+# of positive degree in sigma.
+H_CONST = biform([1, 0, 0, -2])  # u^3 - 2 v^3
+H_LEAD = biform([1, 0, 1, 0], [2, 0, -1, 3])  # (s + 2t) u^3 + (s - t) u v^2 + 3t v^3
+G_LIN = biform([1, 1], [1, -2])  # (s + t) u + (s - 2t) v
+PLANTED_LC = [
+    # t^3 u + (s^3 + 2 s t^2 - t^3) v
+    pytest.param(
+        biform([0, 1], [0, 0], [0, 2], [1, -1]) * H_CONST,
+        1,
+        wfactor([-1, 2, 0, 1], [1]),
+        id="top-degree-1",
+    ),
+    # t^2 u^2 + s^2 u v + (s^2 + t^2) v^2
+    pytest.param(
+        biform([0, 1, 1], [0, 0, 0], [1, 0, 1]) * H_CONST,
+        2,
+        wfactor([1, 0, 1], [0, 0, 1], [1]),
+        id="top-degree-2",
+    ),
+    pytest.param(G_LIN * H_LEAD, 1, wfactor([-2, 1], [1, 1]), id="lead-1"),
+    # s u^2 + t u v + (s + t) v^2
+    pytest.param(
+        biform([1, 0, 1], [0, 1, 1]) * H_LEAD, 2, wfactor([1, 1], [1], [0, 1]), id="lead-2"
+    ),
+    pytest.param(biform([1], [3]) * G_LIN * H_LEAD, 2, ("content", lin(1, 3)), id="content"),
+]
+
+
+@pytest.mark.parametrize("f, bound, expected", PLANTED_LC)
+def test_factor_search_planted_lc(f, bound, expected):
+    found = twisted_factor_search(uv_coefficients(f), bound)
+    assert repr(found) == repr(expected)
+
+
+def test_factor_search_lc_with_content():
+    # the search proper on a form with an (s,t)-content: lc(f) carries the
+    # content too, and the primitive part of the truncated product drops it
+    coeffs = uv_coefficients(biform([1], [3]) * G_LIN * H_LEAD)
+    n = len(coeffs) - 1
+    found = factor_search.search_w_factor([coeffs[n - k].x_poly() for k in range(n + 1)], 2)
+    assert repr(("factor", found)) == repr(wfactor([-2, 1], [1, 1]))
+
+
 def test_factor_search_zero_form_rejected():
     with pytest.raises(ValueError):
         twisted_factor_search([BinaryForm.zero(1)] * 3, 2)

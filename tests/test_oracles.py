@@ -54,7 +54,9 @@ on the squared family's own), and Yun's algorithm before every
 factorization, a gcd with the derivative before every search fiber and a
 full factorization of every witness fiber (a proof modulo a prime now goes
 first, and a root count modulo a small prime stands in for the witness's
-factorization).
+factorization), and each lifted fiber factor of the bounded factor search
+recovered by Pade approximation from a lift to order 2*dmax + 2 (it is now
+the leading-coefficient trick on a lift to order dmax + 1).
 """
 
 import math
@@ -72,6 +74,7 @@ from hypothesis import strategies as st
 from conftest import BIG_PRIMES
 
 from dp4 import binforms, factor_search, families, linalg, lines, models, quintic
+from dp4.biforms import BiForm
 from dp4.binforms import (
     BinaryForm,
     discriminant,
@@ -93,9 +96,9 @@ from dp4.binforms import (
 from dp4.factor_search import (
     WFactor,
     _divides,
+    _hensel_lift,
     _over_z,
     _wfactor,
-    pade,
     twisted_factor_search,
     uni_irreducible_factors,
     wadd,
@@ -628,6 +631,26 @@ def _bv_mul(a, b, prec):
 _wq_xgcd = binforms.pxgcd
 
 
+def pade(series, d, n):
+    """A, B with deg <= d, B*series = A mod eps^n, B != 0; None if only B = 0."""
+    # unknowns: a_0..a_d, b_0..b_d; equations per eps^k: a_k - sum b_i phi_{k-i} = 0
+    rows = []
+    for k in range(n):
+        row = [Fraction(0)] * (2 * d + 2)
+        if k <= d:
+            row[k] = Fraction(1)
+        for i in range(d + 1):
+            if 0 <= k - i < len(series):
+                row[d + 1 + i] -= series[k - i]
+        rows.append(row)
+    for vec in linalg.kernel_basis(rows):
+        a = pnorm(list(vec[: d + 1]))
+        b = pnorm(list(vec[d + 1 :]))
+        if b:
+            return a, b
+    return None
+
+
 def gcd_first_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     """Core search on f(sigma, w) = sum coeff_polys[k] w^k (top coefficient
     nonzero).  Returns a primitive factor with 1 <= w-degree <= bound, or None.
@@ -718,6 +741,67 @@ def gcd_first_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
                 den,
             ]
             g_cand = wprimitive([fraction_pshift(c, -s0) for c in g_cand])
+            if _divides(f, g_cand):
+                return _wfactor(g_cand)
+    return None
+
+
+def pade_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
+    """The search with one linear Hensel lift of each candidate to order
+    2*dmax + 2 and Pade approximation of each coefficient series, the
+    denominators joined by their lcm."""
+    f = wnorm(_over_z([list(map(Fraction, c)) for c in coeff_polys]))
+    nw = wdeg(f)
+    if nw < 2:
+        return None
+    bound = min(bound, nw - 1)
+    if bound < 1:
+        return None
+    dmax = max(max(pdeg(c) for c in f), 0)
+    prec = 2 * dmax + 2
+
+    for k in range(10 * (dmax + 2) + 20):
+        s0 = Fraction((-1) ** k * ((k + 1) // 2))
+        if peval(f[-1], s0) == 0:
+            continue
+        fib = wevaluate(f, s0)
+        if pdeg(pgcd(fib, pderiv(fib))) == 0:
+            break
+    else:
+        g = wgcd(f, wderiv(f))
+        if wdeg(g) < 1:
+            raise RuntimeError("no squarefree specialization found")
+        rad = wprimitive(wdivexact(f, g))
+        if 1 <= wdeg(rad) <= bound:
+            return _wfactor(rad)
+        return pade_search_w_factor(rad, bound) if wdeg(rad) >= 2 else None
+
+    fib_factors = [fac for fac, _ in uni_irreducible_factors(fib)]
+    lins = [fac for fac in fib_factors if pdeg(fac) == 1]
+    candidates = list(lins)
+    if bound >= 2:
+        candidates += [fac for fac in fib_factors if pdeg(fac) == 2]
+        candidates += [pmul(a, b) for a, b in combinations(lins, 2)]
+    if not candidates:
+        return None
+
+    shifted = [binforms.pshift(list(map(Fraction, c)), s0) for c in f]
+    f_eps = [
+        pnorm([c[k] if k < len(c) else Fraction(0) for c in shifted]) for k in range(prec)
+    ]
+    for g0 in candidates:
+        rats = []
+        for series in _hensel_lift(f_eps, g0, pdivexact(fib, g0), prec):
+            rat = pade(series, dmax, prec)
+            if rat is None:
+                break
+            rats.append(rat)
+        else:
+            den = [Fraction(1)]
+            for _, b in rats:
+                den = pmul(den, pdivexact(b, pgcd(den, b)))
+            coeffs = [pdivexact(pmul(a, den), b) for a, b in rats] + [den]
+            g_cand = wprimitive([binforms.pshift(c, -s0) for c in coeffs])
             if _divides(f, g_cand):
                 return _wfactor(g_cand)
     return None
@@ -1831,6 +1915,7 @@ def factor_search_inputs():
     from test_exact_algebra import (
         EARLY_RETURNS,
         NON_REDUCED,
+        PLANTED_LC,
         irreducible_case,
         planted_linear_cases,
         product_cases,
@@ -1845,6 +1930,9 @@ def factor_search_inputs():
         yield pytest.param(lambda f=f: uv_coefficients(f), bound, id=case.id)
     for k, coeffs in enumerate(planted_linear_cases()):
         yield pytest.param(lambda c=coeffs: c, 1, id=f"planted-linear-{k}")
+    for case in PLANTED_LC:
+        f, bound, _ = case.values
+        yield pytest.param(lambda f=f: uv_coefficients(f), bound, id=f"planted-lc-{case.id}")
     for bound in (1, 2):
         yield pytest.param(irreducible_case, bound, id=f"irreducible-{bound}")
     for k, coeffs in enumerate(product_cases()):
@@ -1853,12 +1941,47 @@ def factor_search_inputs():
         yield pytest.param(lambda c=coeffs: c, 2, id=f"early-return-{k}")
 
 
+@contextmanager
+def pade_search():
+    """Route the factor search through the one it replaces: the lift to
+    order 2*dmax + 2, each coefficient recovered by Pade approximation."""
+    with mock.patch.object(factor_search, "search_w_factor", pade_search_w_factor):
+        yield
+
+
 @pytest.mark.parametrize("make, bound", factor_search_inputs())
 def test_factor_search_matches_gcd_first_oracle(make, bound):
     coeffs = make()
     fast = twisted_factor_search(coeffs, bound)
-    with gcd_first_search():
-        slow = twisted_factor_search(coeffs, bound)
+    for oracle in (gcd_first_search, pade_search):
+        with oracle():
+            slow = twisted_factor_search(coeffs, bound)
+        assert repr(fast) == repr(slow)
+
+
+@st.composite
+def biform_products(draw):
+    """G * H for random nonzero biforms G of bidegree (1..3, 1..2) and H of
+    bidegree (1..3, 3), small integer entries."""
+
+    def biform(m, n):
+        row = st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)
+        rows = draw(st.lists(row, min_size=m + 1, max_size=m + 1))
+        return BiForm(m, n, tuple(tuple(F(x) for x in r) for r in rows))
+
+    g = biform(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
+    h = biform(draw(st.integers(1, 3)), 3)
+    assume(not (g.is_zero or h.is_zero))
+    return g * h
+
+
+@settings(max_examples=40, deadline=None)
+@given(biform_products())
+def test_factor_search_matches_pade_oracle_on_products(f):
+    coeffs = [f.uv_coefficient(j) for j in range(f.n + 1)]
+    fast = twisted_factor_search(coeffs, 2)
+    with pade_search():
+        slow = twisted_factor_search(coeffs, 2)
     assert repr(fast) == repr(slow)
 
 
