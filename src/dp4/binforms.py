@@ -10,8 +10,13 @@ trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
   that pinterpolate, pencil_determinant, resultant and discriminant wrap.
   Interpolation takes values at the integer nodes 0..n and expands their
   Newton form by one synthetic multiplication by (x - k) per node, in place
-  (the step pshift takes with x + a).  Gcds run the primitive PRS and
-  resultants the subresultant PRS, both on one pseudo-remainder (_zprem);
+  (the step pshift takes with x + a).  zrecover finds an integer polynomial
+  from a bound on its coefficients and a way to evaluate it: from one
+  value at a power of two, read off in base-2^b digits (Kronecker
+  substitution), when the digits are at most PACK_BITS wide, else by
+  interpolation; it serves pencil determinants and the family spectral
+  form and Delta.  Gcds run the primitive PRS and resultants the
+  subresultant PRS, both on one pseudo-remainder (_zprem);
 - m- helpers act on int lists modulo m, remainders in [0, m): the one
   Euclid over F_p, which the squarefreeness test modulo a prime
   (proved_squarefree, used by squarefree_profile and factor_search) and the
@@ -274,6 +279,47 @@ def zinterpolate(values: list[int]) -> list[int]:
     return pnorm(poly)
 
 
+# The widest digit, in bits, that zrecover packs: at most PACK_BITS it reads
+# the polynomials off one value at 2^b, above it off values at integer nodes.
+# Measured on the five family models (BENCH_kronecker.json), the two sides
+# cost the same somewhere in 350-620 bits for Delta and in 510-660 bits for
+# the pencil determinant of a fiber.
+PACK_BITS = 560
+
+
+def zrecover(at, bound: int, degree: int) -> list[list[int]]:
+    """The integer polynomials P_0, ..., P_m whose values at integer x are
+    at(x) = [P_0(x), ..., P_m(x)], given a bound on the absolute value of
+    every coefficient of every P_i.  With b = bound.bit_length() + 1 every
+    coefficient lies strictly between -2^(b-1) and 2^(b-1), so when
+    b <= PACK_BITS one call at(2^b) holds each P_i exactly in its balanced
+    base-2^b digits (Kronecker substitution; von zur Gathen-Gerhard,
+    Modern Computer Algebra, 8.4), whatever its degree.  Wider digits make
+    the one big-integer computation behind at(2^b) slower than many small
+    ones (CPython divides big integers by the schoolbook method), so the
+    values at k = 0..degree are interpolated instead (zinterpolate), for
+    P_i of degree at most degree."""
+    b = bound.bit_length() + 1
+    if b <= PACK_BITS:
+        return [_zdigits(v, b) for v in at(1 << b)]
+    return [zinterpolate(col) for col in zip(*(at(k) for k in range(degree + 1)))]
+
+
+def _zdigits(v: int, b: int) -> list[int]:
+    """The balanced base-2^b digits of v, lowest first, each in
+    [-2^(b-1), 2^(b-1)), with no trailing zero; b >= 2."""
+    half, mask = 1 << (b - 1), (1 << b) - 1
+    out = []
+    while v:
+        d = v & mask
+        v >>= b
+        if d >= half:
+            d -= mask + 1
+            v += 1
+        out.append(d)
+    return out
+
+
 def pinterpolate(values) -> list[Fraction]:
     """The polynomial through (k, values[k]), k = 0..n, for Fraction or int
     values: zinterpolate of the values times n! D, D the lcm of their
@@ -513,12 +559,19 @@ def pencil_determinant(a, b) -> "BinaryForm":
 
 def zpencil_determinant(a: list[list[int]], b: list[list[int]]) -> list[int]:
     """The n+1 coefficients of det(u*a + v*b), on u^n, u^(n-1) v, ..., for
-    integer n x n matrices: det(a + k*b) at k = 0..n, interpolated over Z."""
+    integer n x n matrices: the polynomial det(a + tau*b) in tau, recovered
+    by zrecover from one determinant at a power of two, or from
+    det(a + k*b) at k = 0..n when its coefficients are wide.  Every
+    coefficient of a
+    determinant of polynomials is at most the product of the row sums of
+    the entries' 1-norms, here prod_i sum_j (|a_ij| + |b_ij|)."""
     n = len(a)
-    p = zinterpolate([
-        linalg.zdet([[x + k * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-        for k in range(n + 1)
-    ])
+    bound = math.prod(sum(abs(x) + abs(y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    (p,) = zrecover(
+        lambda t: [linalg.zdet([[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])],
+        bound,
+        n,
+    )
     return p + [0] * (n + 1 - len(p))
 
 

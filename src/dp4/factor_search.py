@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from . import linalg
 from .binforms import (
@@ -436,17 +436,16 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         return search_w_factor(rad, bound) if wdeg(rad) >= 2 else None
 
     # candidates: rational fiber roots, then irreducible fiber quadratics and
-    # products of two distinct rational fiber roots.  A factor of f of
-    # w-degree <= bound specializes to one of them, so with none there is
-    # nothing to lift.
+    # products of two distinct rational fiber roots, each product built only
+    # when the search reaches it.  A factor of f of w-degree <= bound
+    # specializes to one of them, so with none there is nothing to lift.
     fib_factors = [fac for fac, _ in uni_irreducible_factors(fib)]
     lins = [fac for fac in fib_factors if pdeg(fac) == 1]
-    candidates = list(lins)
-    if bound >= 2:
-        candidates += [fac for fac in fib_factors if pdeg(fac) == 2]
-        candidates += [pmul(a, b) for a, b in combinations(lins, 2)]
-    if not candidates:
-        return None
+    quads = [fac for fac in fib_factors if pdeg(fac) == 2] if bound >= 2 else []
+    pairs = combinations(lins, 2) if bound >= 2 else ()
+    if not lins and not quads:
+        return None  # no linear factor, so no pair either
+    candidates = chain(lins, quads, (pmul(a, b) for a, b in pairs))
 
     # f_eps[k]: the coefficient of eps^k in f(s0 + eps, w), f_eps[0] = fib
     shifted = [pshift(list(map(Fraction, c)), s0) for c in f]

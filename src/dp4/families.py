@@ -8,13 +8,16 @@ compute the same pushforward degree).
 
 The spectral form det(u*A1 + v*A2) is a quintic in (u,v) whose (s,t)
 coefficient degrees vary linearly with the (u,v)-power, so it gets a
-dedicated type rather than a BiForm; each coefficient is interpolated from
-its values over (k : 1), one determinant per value, and a zero coefficient
-carries the nominal degree max(expected, 0).  Its (u,v)-discriminant has
-degree exactly 2h whenever nonzero (every term of the determinant expansion
-has the same isobaric weight), so 2h+1 fiber discriminants determine it by
-the same interpolation (both in int, at integer nodes, with one division per
-output coefficient); squarefreeness is the simple-branching flag (read off
+dedicated type rather than a BiForm; a zero coefficient carries the nominal
+degree max(expected, 0).  Its (u,v)-discriminant has degree exactly 2h
+whenever nonzero (every term of the determinant expansion has the same
+isobaric weight).  Both run in int with one division per output
+coefficient, and both are recovered by binforms.zrecover from a bound on
+their coefficients: from the pencil determinant of the one fiber over
+(2^b : 1), and from the discriminant of the one spectral fiber there, when
+the base-2^b digits are narrow; otherwise from the fibers over (k : 1) at
+the integer nodes k, one more than the degree needs.  Squarefreeness of
+Delta is the simple-branching flag (read off
 the squarefree profile, which splits off the roots at 0 and infinity and
 proves the rest squarefree modulo a prime, with Yun's algorithm when that
 proof fails), and a bounded factor search plus a fiber irreducibility
@@ -48,7 +51,8 @@ from .binforms import (
     peval,
     squarefree_profile,
     zdiscriminant,
-    zinterpolate,
+    zpencil_determinant,
+    zrecover,
 )
 from .factor_search import (
     proves_nonlinear_factor,
@@ -162,45 +166,34 @@ class SpectralForm:
 
 @lru_cache(maxsize=CACHE_BOUND)
 def spectral_form(spec: FamilySpec) -> SpectralForm:
-    """det(u*A1 + v*A2), each (s,t)-coefficient interpolated over Z from its
-    values at the nodes (k : 1), k = 0, 1, ..., and divided by L^5 once, L
-    the common denominator of the entries.  Coefficient j takes
-    n_j = max(D_j + 2, 1) nodes, D_j = expected_coefficient_degree(spec, j):
-    the node beyond the D_j + 1 that determine it checks that its degree is
-    at most D_j, and that it is zero when D_j is negative.  D_j is linear in
-    j, so the pencil is oriented to put the coefficients still unknown at a
-    late node on the low powers of tau: det(tau*L*A1(k) + L*A2(k)), whose
-    tau^i coefficient is coefficient 5 - i, when D_5 >= D_0, and
-    det(L*A1(k) + tau*L*A2(k)) otherwise.  At node k, with r coefficients
-    still unknown, r determinants at tau = 0..r-1, less the known
-    coefficients at k, interpolate them: sum(n_j) determinants in all.
+    """det(u*A1 + v*A2) over one common denominator L of the entries: the
+    six (s,t)-coefficients of det(u*L*A1 + v*L*A2), each a polynomial in x
+    = s/t, recovered by zrecover from zpencil_determinant of the integer
+    fibers L*A1(x, 1), L*A2(x, 1), and divided by L^5 once.  Every
+    coefficient of that determinant is at most prod_i sum_j (|L*A1_ij|_1 +
+    |L*A2_ij|_1), the product of the row sums of the entries' 1-norms, so
+    small entries take one fiber at x = 2^b; wide ones take the fibers at
+    k = 0..D+1, D the largest D_j = expected_coefficient_degree(spec, j)
+    (at least 0), one node beyond the D+1 that determine a coefficient.
+    Coefficient j must have degree at most D_j, and be zero when D_j is
+    negative: exactly so from one fiber, at the extra node from many.
     FamilySpec bounds each D_j by the degree that products of the nonzero
     entries reach.  A zero coefficient keeps the nominal degree
     max(D_j, 0)."""
     expected = [expected_coefficient_degree(spec, j) for j in range(6)]
-    nodes = [max(deg + 2, 1) for deg in expected]
-    rising = expected[5] >= expected[0]
-    order = range(5, -1, -1) if rising else range(6)  # tau^i holds coefficient order[i]
     forms = [x.coeffs[::-1] for a in (spec.A1, spec.A2) for row in a for x in row]
     den, entries = linalg.clear_row_denominators(forms)  # times L, x^i at index i
-    values = [[] for _ in range(6)]
-    polys = [[] for _ in range(6)]
-    for k in range(max(nodes)):
-        rows = [[peval(c, k) for c in entries[i : i + 5]] for i in range(0, 50, 5)]
-        step, base = (rows[:5], rows[5:]) if rising else (rows[5:], rows[:5])
-        r = sum(n > k for n in nodes)
-        known = [peval(polys[j], k) for j in order[r:]]  # tau^r, tau^(r+1), ...
-        low = zinterpolate([
-            linalg.zdet([[x + t * y for x, y in zip(rb, rs)] for rb, rs in zip(base, step)])
-            - t**r * peval(known, t)
-            for t in range(r)
-        ])
-        for j, value in zip(order, low + [0] * (r - len(low))):
-            values[j].append(value)
-            if len(values[j]) == nodes[j]:
-                polys[j] = zinterpolate(values[j])
-                if polys[j] and pdeg(polys[j]) > expected[j]:
-                    raise RuntimeError("spectral coefficient degree violates bookkeeping")
+    rows = [entries[i : i + 5] for i in range(0, 50, 5)]
+    norms = [[sum(map(abs, c)) for c in row] for row in rows]
+    bound = math.prod(sum(x + y for x, y in zip(n1, n2)) for n1, n2 in zip(norms[:5], norms[5:]))
+
+    def fiber(x):
+        m = [[peval(c, x) for c in row] for row in rows]
+        return zpencil_determinant(m[:5], m[5:])
+
+    polys = zrecover(fiber, bound, max(max(expected), 0) + 1)
+    if any(p and pdeg(p) > deg for p, deg in zip(polys, expected)):
+        raise RuntimeError("spectral coefficient degree violates bookkeeping")
     coeffs = [
         BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0))
         for p, deg in zip(polys, expected)
@@ -266,7 +259,14 @@ def _discriminant_or_none(spec: FamilySpec) -> DiscriminantReport | None:
     if h < 0:
         return None  # no nonzero form of degree 2h
     den, coeffs = linalg.clear_row_denominators([c.coeffs[::-1] for c in sf.coefficients])
-    poly = zinterpolate([zdiscriminant([peval(c, k) for c in coeffs]) for k in range(2 * h + 2)])
+    # Delta = +-Res(f_u, f_v)/125, the determinant of the 8x8 Sylvester
+    # matrix: four rows of f_u, of 1-norm sum (5-i)|c_i|_1, and four of f_v
+    norms = [sum(map(abs, c)) for c in coeffs]
+    row_u = sum((5 - i) * n for i, n in enumerate(norms))
+    row_v = sum(i * n for i, n in enumerate(norms))
+    (poly,) = zrecover(
+        lambda x: [zdiscriminant([peval(c, x) for c in coeffs])], (row_u * row_v) ** 4, 2 * h + 1
+    )
     if pdeg(poly) > 2 * h:
         raise RuntimeError("discriminant degree violates bookkeeping")
     if not poly:
@@ -289,10 +289,16 @@ def _branching(delta: BinaryForm) -> tuple[bool, int]:
 def discriminant_family(spec: FamilySpec) -> DiscriminantReport:
     """The (u,v)-discriminant of the spectral form as an (s,t)-form of
     degree 2h, with the simple-branching flag (squarefree) and the count of
-    distinct singular fibers.  Delta is interpolated from the fiber
-    discriminants Delta(k, 1) = disc(fiber over (k : 1)) at k = 0..2h+1; the
-    node beyond the 2h+1 that determine it checks the degree.  It runs over
-    Z on L times the spectral form, L its denominator, and divides by L^8."""
+    distinct singular fibers.  It runs over Z on L times the spectral form,
+    L its denominator, and divides by L^8.  Delta is +-Res(f_u, f_v)/125,
+    the determinant of an 8x8 Sylvester matrix with four rows of f_u and
+    four of f_v, so every coefficient is at most
+    (sum_i (5-i)|c_i|_1)^4 (sum_i i|c_i|_1)^4 for the coefficients c_i of
+    the spectral form.  From that bound zrecover reads Delta off one fiber
+    discriminant Delta(2^b, 1), when the digits are narrow, and its degree
+    check is exact; otherwise it interpolates the fiber discriminants
+    Delta(k, 1) at k = 0..2h+1, and the node beyond the 2h+1 that determine
+    Delta checks the degree."""
     disc = _discriminant_or_none(spec)
     if disc is None:
         raise ValueError("non-generically-smooth")

@@ -3,6 +3,7 @@ validation, and the golden-file override."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -245,6 +246,46 @@ def test_family_analyze_oversized_degrees_rejected(capsys, tmp_path, m):
     assert out == ""
     assert err.startswith("error:")
     assert "entries reach degree 0" in err
+
+
+# Wall bound on one fresh `dp4 family analyze` of a model with 150-digit
+# entries; such a run takes about 0.3 s on 2 cores
+LARGE_FAMILY_WALL_S = 5
+
+
+def perturbed_tree(spec, digits, rng):
+    """The JSON of spec with a random integer of the given number of digits
+    added to every nonzero entry coefficient, symmetrically."""
+
+    def perturb(a):
+        rows = [list(row) for row in a]
+        for i in range(5):
+            for j in range(i, 5):
+                f = rows[i][j]
+                if not f.is_zero:
+                    c = [x + rng.randrange(10 ** (digits - 1), 10**digits) if x else x for x in f.coeffs]
+                    rows[i][j] = rows[j][i] = BinaryForm(f.degree, tuple(c))
+        return tuple(tuple(row) for row in rows)
+
+    from dp4.families import FamilySpec
+
+    wide = FamilySpec(spec.d, spec.e, perturb(spec.A1), perturb(spec.A2))
+    return serialize.encode_family(wide)
+
+
+@pytest.mark.parametrize("name", ["h8_ci", "h10_ci"])
+def test_family_analyze_large_entries_in_bounded_time(tmp_path, name):
+    # every width is far past binforms.PACK_BITS, so the spectral form, its
+    # fibers' pencil determinants and Delta all take values at integer nodes
+    spec = models.build_example(name, 1)
+    path = write_json(tmp_path / "wide.json", perturbed_tree(spec, 150, random.Random(150)))
+    start = time.perf_counter()
+    proc = dp4_process("family", "analyze", "--input", path)
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert wall < LARGE_FAMILY_WALL_S
+    tree = json.loads(proc.stdout)
+    assert tree["discriminant_degree"] == 2 * tree["height"]
 
 
 def test_family_scan_heights(capsys):

@@ -9,8 +9,8 @@ from unittest import mock
 
 import pytest
 
-from conftest import FAMILY_CACHES, clear_family_caches
-from dp4 import families
+from conftest import FAMILY_CACHES, clear_family_caches, widened
+from dp4 import binforms, families
 from dp4.binforms import BinaryForm, squarefree_profile, zdiscriminant
 from dp4.families import (
     FamilySpec,
@@ -294,14 +294,18 @@ def test_forced_zero_coefficient_within_entry_reach_is_accepted():
     assert rep.genericity.bounded_factor is not None
 
 
-def test_interpolated_delta_degree_is_checked(monkeypatch):
+def test_interpolated_delta_degree_is_checked(monkeypatch, recover_widths):
     # the squared family's Delta has degree 40; fed with the unsquared spec
-    # (2h = 20) the 22 nodes fit no form of degree 20
+    # (2h = 20), one fiber discriminant at 2^b reads it off whole, and the
+    # 22 nodes of the widened spec fit no form of degree 20
     spec = build_example("h10_ci", seed=1)
-    squared_sf = spectral_form(substitute_squared(spec))
-    monkeypatch.setattr(families, "spectral_form", lambda _: squared_sf)
-    with pytest.raises(RuntimeError, match="violates bookkeeping"):
-        families._discriminant_or_none.__wrapped__(spec)
+    squared = {s: spectral_form(substitute_squared(s)) for s in (spec, widened(spec))}
+    monkeypatch.setattr(families, "spectral_form", squared.get)
+    for s, packed in zip(squared, (True, False)):
+        recover_widths.clear()
+        with pytest.raises(RuntimeError, match="violates bookkeeping"):
+            families._discriminant_or_none.__wrapped__(s)
+        assert len(recover_widths) == 1 and (recover_widths[0] <= binforms.PACK_BITS) == packed
 
 
 def computations():
@@ -361,10 +365,13 @@ def test_verify_example_computes_once():
 
 
 @pytest.mark.parametrize("name, seed, tries", [("h8_ci", 1, 1), ("h10_bundle", 62, 3)])
-def test_pipeline_item_interpolates_delta_once_per_attempt(monkeypatch, name, seed, tries):
+def test_pipeline_item_interpolates_delta_once_per_attempt(
+    monkeypatch, recover_widths, name, seed, tries
+):
     # build -> report -> verify, as one family_pipeline item runs them:
-    # each attempt's Delta is interpolated from 2h+2 fiber discriminants
-    # once, however often the item asks for it
+    # each attempt's Delta is read off one fiber discriminant at 2^b once,
+    # however often the item asks for it; with wide entries it is
+    # interpolated from the 2h+2 fiber discriminants at k = 0..2h+1
     from dp4 import models
 
     fibers = []
@@ -385,7 +392,12 @@ def test_pipeline_item_interpolates_delta_once_per_attempt(monkeypatch, name, se
     family_report(spec)
     models.verify_example(name, seed)
     assert len(attempts) == tries
-    assert len(fibers) == tries * (2 * height(spec) + 2)
+    assert len(fibers) == tries and max(recover_widths) <= binforms.PACK_BITS
+    fibers.clear()
+    recover_widths.clear()
+    families._discriminant_or_none(widened(spec))
+    assert len(fibers) == 2 * height(spec) + 2
+    assert min(recover_widths) > binforms.PACK_BITS
 
 
 @pytest.mark.parametrize("name, seed, tries", [("h8_ci", 1, 1), ("h10_bundle", 62, 3)])

@@ -56,7 +56,12 @@ full factorization of every witness fiber (a proof modulo a prime now goes
 first, and a root count modulo a small prime stands in for the witness's
 factorization), and each lifted fiber factor of the bounded factor search
 recovered by Pade approximation from a lift to order 2*dmax + 2 (it is now
-the leading-coefficient trick on a lift to order dmax + 1).
+the leading-coefficient trick on a lift to order dmax + 1), and the spectral
+form of a family as max(D_j + 2, 1) values of coefficient j, r determinants
+at each node for its r unknown coefficients (it is now read off the
+base-2^b digits of one fiber's pencil determinant, itself one determinant,
+when the coefficients are narrow, and interpolated from the fibers at
+k = 0..D+1 otherwise, as node_spectral_form does).
 """
 
 import math
@@ -71,7 +76,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import BIG_PRIMES
+from conftest import BIG_PRIMES, widened
 
 from dp4 import binforms, factor_search, families, linalg, lines, models, quintic
 from dp4.biforms import BiForm
@@ -349,6 +354,54 @@ def node_spectral_form(spec) -> SpectralForm:
         if p and pdeg(p) > deg:
             raise RuntimeError("spectral coefficient degree violates bookkeeping")
         coeffs.append(BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0)))
+    form = SpectralForm(tuple(coeffs))
+    if form.is_zero:
+        raise ValueError("generically degenerate family")
+    return form
+
+
+def unknowns_spectral_form(spec) -> SpectralForm:
+    """det(u*A1 + v*A2), each (s,t)-coefficient interpolated over Z from its
+    values at the nodes (k : 1), k = 0, 1, ..., and divided by L^5 once, L
+    the common denominator of the entries.  Coefficient j takes
+    n_j = max(D_j + 2, 1) nodes, D_j = expected_coefficient_degree(spec, j):
+    the node beyond the D_j + 1 that determine it checks that its degree is
+    at most D_j, and that it is zero when D_j is negative.  D_j is linear in
+    j, so the pencil is oriented to put the coefficients still unknown at a
+    late node on the low powers of tau: det(tau*L*A1(k) + L*A2(k)), whose
+    tau^i coefficient is coefficient 5 - i, when D_5 >= D_0, and
+    det(L*A1(k) + tau*L*A2(k)) otherwise.  At node k, with r coefficients
+    still unknown, r determinants at tau = 0..r-1, less the known
+    coefficients at k, interpolate them: sum(n_j) determinants in all.  A
+    zero coefficient keeps the nominal degree max(D_j, 0)."""
+    expected = [expected_coefficient_degree(spec, j) for j in range(6)]
+    nodes = [max(deg + 2, 1) for deg in expected]
+    rising = expected[5] >= expected[0]
+    order = range(5, -1, -1) if rising else range(6)  # tau^i holds coefficient order[i]
+    forms = [x.coeffs[::-1] for a in (spec.A1, spec.A2) for row in a for x in row]
+    den, entries = linalg.clear_row_denominators(forms)  # times L, x^i at index i
+    values = [[] for _ in range(6)]
+    polys = [[] for _ in range(6)]
+    for k in range(max(nodes)):
+        rows = [[peval(c, k) for c in entries[i : i + 5]] for i in range(0, 50, 5)]
+        step, base = (rows[:5], rows[5:]) if rising else (rows[5:], rows[:5])
+        r = sum(n > k for n in nodes)
+        known = [peval(polys[j], k) for j in order[r:]]  # tau^r, tau^(r+1), ...
+        low = binforms.zinterpolate([
+            linalg.zdet([[x + t * y for x, y in zip(rb, rs)] for rb, rs in zip(base, step)])
+            - t**r * peval(known, t)
+            for t in range(r)
+        ])
+        for j, value in zip(order, low + [0] * (r - len(low))):
+            values[j].append(value)
+            if len(values[j]) == nodes[j]:
+                polys[j] = binforms.zinterpolate(values[j])
+                if polys[j] and pdeg(polys[j]) > expected[j]:
+                    raise RuntimeError("spectral coefficient degree violates bookkeeping")
+    coeffs = [
+        BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0))
+        for p, deg in zip(polys, expected)
+    ]
     form = SpectralForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
@@ -1148,13 +1201,18 @@ def shift_twists(spec):
 
 
 @pytest.mark.parametrize("corrupt", [bump_entry, shift_twists])
-def test_spectral_form_bookkeeping_is_checked(corrupt):
+def test_spectral_form_bookkeeping_is_checked(corrupt, recover_widths):
     # h8_ci has six coefficients of one degree; swapped h10_ci has degrees
-    # 5, 4, ..., 0 and takes the falling orientation
-    for spec in (build_example("h8_ci", 1), swapped(build_example("h10_ci", 1))):
+    # 5, 4, ..., 0.  Both read their coefficients off one fiber at x = 2^b,
+    # where the degree check is exact; widened h8_ci interpolates them from
+    # D + 2 fibers, and the node past the D + 1 that determine them checks
+    h8, h10 = build_example("h8_ci", 1), build_example("h10_ci", 1)
+    for spec, packed in ((h8, True), (swapped(h10), True), (widened(h8), False)):
         corrupt(spec)
+        recover_widths.clear()
         with pytest.raises(RuntimeError, match="violates bookkeeping"):
             spectral_form.__wrapped__(spec)
+        assert (recover_widths[0] <= binforms.PACK_BITS) == packed
 
 
 def orientation_specs():
@@ -1173,9 +1231,90 @@ def orientation_specs():
 def test_spectral_form_matches_node_oracle(make):
     spec = make()
     sf = spectral_form.__wrapped__(spec)
-    assert repr(sf) == repr(node_spectral_form(spec))
+    assert repr(sf) == repr(node_spectral_form(spec)) == repr(unknowns_spectral_form(spec))
     # det(u*A2 + v*A1) reverses the coefficients of det(u*A1 + v*A2)
     assert sf.coefficients[::-1] == spectral_form.__wrapped__(swapped(spec)).coefficients
+
+
+@pytest.mark.parametrize("b", [2, 3, 17, 64, binforms.PACK_BITS])
+def test_zdigits_round_trip_at_the_digit_range_edges(b):
+    # balanced base-2^b digits run from -2^(b-1) up to 2^(b-1) - 1
+    top = 2 ** (b - 1)
+    for p in ([], [top - 1], [-(top - 1)], [-top], [0, 0, -top], [-top, top - 1],
+              [top - 1, -top, 0, -(top - 1), 1]):
+        assert binforms._zdigits(peval(p, 2**b), b) == p
+
+
+def test_zrecover_holds_an_attained_bound():
+    # det(u*a + v*b) = 3uv attains prod_i sum_j (|a_ij| + |b_ij|) = 3 * 1:
+    # b = bit_length(3) + 1 = 3 holds the digit 3, and b = 2 misreads it
+    a, b = [[3, 0], [0, 0]], [[0, 0], [0, 1]]
+    assert binforms.zpencil_determinant(a, b) == [0, 3, 0]
+    assert binforms._zdigits(linalg.zdet([[3, 0], [0, 4]]), 2) == [0, -1, 1]
+    # a polynomial whose every coefficient is the bound, and its negative
+    for p in ([3, 3, 3], [-3, -3, -3]):
+        assert binforms.zrecover(lambda x: [peval(p, x)], 3, 2) == [p]
+        assert binforms._zdigits(peval(p, 4), 2) != p
+
+
+# d and e of h8_ci, h10_bundle, h10_ci swapped (D_5 < D_0) and the
+# negative-height spec (A1 = 0)
+TWISTS = [
+    ((0, -1, -1, -1, -1), (-2, -2)),
+    ((0, -1, -1, -1, -2), (-2, -3)),
+    ((-1,) * 5, (-3, -2)),
+    ((1, 1, 0, 0, 0), (3, -1)),
+]
+
+
+@st.composite
+def integer_families(draw):
+    """A FamilySpec of integer (s,t)-forms with coefficients at most 2^3 or
+    at most 2^70 in absolute value, some entries zero."""
+    d, e = draw(st.sampled_from(TWISTS))
+    bits = draw(st.sampled_from([3, 70]))
+    coeff = st.integers(-(2**bits), 2**bits)
+    mats = []
+    for ek in e:
+        rows = [[None] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                deg = d[i] + d[j] - ek
+                if deg < 0 or not draw(st.integers(0, 5)):
+                    f = BinaryForm.zero(max(deg, 0))
+                else:
+                    f = BinaryForm(deg, tuple(draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1))))
+                rows[i][j] = rows[j][i] = f
+        mats.append(tuple(tuple(row) for row in rows))
+    try:
+        return FamilySpec(d, e, *mats)
+    except ValueError:  # a zero entry left a coefficient out of reach
+        assume(False)
+
+
+def outcome_repr(step, spec):
+    try:
+        return repr(step(spec))
+    except ValueError as exc:  # a generically degenerate family
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_families())
+def test_spectral_form_matches_node_oracles_on_both_sides(spec):
+    # entries up to 2^70 keep the spectral form's own width under PACK_BITS
+    # (its fibers' pencil determinants fall on either side: packed for
+    # entries up to 2^3), and entries scaled past 2^149 put it over; both
+    # sides agree with both node loops, and Delta with the Fraction path
+    for s, packed in ((spec, True), (widened(spec), False)):
+        with mock.patch.object(families, "zrecover", wraps=binforms.zrecover) as spy:
+            fast = outcome_repr(spectral_form.__wrapped__, s)
+        bound = spy.call_args_list[0].args[1]
+        assert bound == 0 or (bound.bit_length() + 1 <= binforms.PACK_BITS) == packed
+        assert fast == outcome_repr(unknowns_spectral_form, s) == outcome_repr(node_spectral_form, s)
+        if not fast.startswith("generically"):
+            rep = uncached_delta(s)
+            assert repr(None if rep is None else rep.delta) == repr(fraction_delta(s))
 
 
 @pytest.mark.parametrize(
@@ -1187,17 +1326,27 @@ def test_spectral_form_matches_node_oracle(make):
         pytest.param(lambda: swapped(build_example("h10_ci", 1)), 27, id="h10_ci-swapped"),
     ],
 )
-def test_spectral_form_takes_a_determinant_per_unknown_and_check(make, dets):
-    # sum over j of max(D_j + 2, 1) determinants, against six at each of
-    # D + 2 nodes for the node oracle: 42, 72 and 24 on the first three
+def test_spectral_form_takes_a_determinant_per_unknown_and_check(make, dets, recover_widths):
+    # packed: one determinant, the pencil determinant at tau = 2^b' of the
+    # fiber at x = 2^b; with wide entries, the D + 2 fibers at k = 0..D+1,
+    # six determinants each; the unknowns oracle takes sum over j of
+    # max(D_j + 2, 1): 27, 42 and 24 on the first three
     spec = make()
     expected = [expected_coefficient_degree(spec, j) for j in range(6)]
+    recover_widths.clear()  # the build's own analysis
     with mock.patch.object(linalg, "zdet", wraps=linalg.zdet) as spy:
         spectral_form.__wrapped__(spec)
-    assert spy.call_count == dets == sum(max(deg + 2, 1) for deg in expected)
+    assert spy.call_count == 1 and len(recover_widths) == 2
+    assert max(recover_widths) <= binforms.PACK_BITS
+    recover_widths.clear()
     with mock.patch.object(linalg, "zdet", wraps=linalg.zdet) as spy:
-        node_spectral_form(spec)
-    assert spy.call_count == 6 * (max(expected) + 2)
+        spectral_form.__wrapped__(widened(spec))
+    nodes = max(expected) + 2
+    assert spy.call_count == 6 * nodes and len(recover_widths) == 1 + nodes
+    assert min(recover_widths) > binforms.PACK_BITS
+    with mock.patch.object(linalg, "zdet", wraps=linalg.zdet) as spy:
+        unknowns_spectral_form(spec)
+    assert spy.call_count == dets == sum(max(deg + 2, 1) for deg in expected)
 
 
 # ---------------------------------------------------------------------------
@@ -2019,6 +2168,51 @@ def test_factor_search_sets_up_hensel_only_with_candidates(make):
     with gcd_first_search():
         slow = twisted_factor_search(coeffs, 2)
     assert repr(fast) == repr(slow)
+
+
+@contextmanager
+def candidate_spy():
+    """(lifted, pairs): the candidates the bounded search lifts, in order,
+    and the pairs of linear fiber factors it draws to multiply."""
+    lifted, pairs = [], []
+    lift, combine = factor_search._hensel_lift, factor_search.combinations
+
+    def counted_pairs(items, r):
+        for pair in combine(items, r):
+            if isinstance(pair[0], list):  # not a subset of Zassenhaus's indices
+                pairs.append(pair)
+            yield pair
+
+    with mock.patch.object(
+        factor_search, "_hensel_lift", lambda f_eps, g0, *a: lifted.append(g0) or lift(f_eps, g0, *a)
+    ), mock.patch.object(factor_search, "combinations", counted_pairs):
+        yield lifted, pairs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_factor_search_builds_pair_candidates_only_when_reached(seed):
+    # the diagonal example's fiber has five rational roots, and its first
+    # one lifts to a factor: no product of two roots is built (all ten
+    # were, before the first candidate divided)
+    coeffs = list(spectral_form(split_diagonal_example(seed)).coefficients)
+    with candidate_spy() as (lifted, pairs):
+        found = twisted_factor_search(coeffs, 2)
+    assert found[0] == "factor" and len(lifted) == 1 and pairs == []
+    with gcd_first_search():
+        assert repr(twisted_factor_search(coeffs, 2)) == repr(found)
+
+
+def test_factor_search_keeps_the_candidate_order():
+    # (1 + s) w^3 - 3 w^2 + 2 w + s has no factor in w over Q(s), and its
+    # fiber at s = 0 is w (w - 1) (w - 2): the three roots, then their three
+    # products, are lifted in that order, each product built when reached
+    f = [[0, 1], [2], [-3], [1, 1]]
+    with candidate_spy() as (lifted, pairs):
+        assert factor_search.search_w_factor(f, 2) is None
+    lins = [g for g, _ in uni_irreducible_factors([0, 2, -3, 1])]
+    assert sorted(lins) == [[-2, 1], [-1, 1], [0, 1]]
+    assert lifted == lins + [pmul(a, b) for a, b in combinations(lins, 2)]
+    assert len(pairs) == 3
 
 
 # ---------------------------------------------------------------------------
