@@ -1,7 +1,9 @@
-"""Exact linear algebra over the rationals and generic commutative rings.
+"""Exact linear algebra over the rationals.
 
-Matrices are sequences of rows; entries are Fractions unless a ring/field ops
-object says otherwise.  Everything here is deterministic: pivot choice is
+Matrices are sequences of rows of Fractions or ints.  rref, rank and zdet
+share one fraction-free elimination over Z (_bareiss), on rows scaled to
+integers; det_minors and rank_over_field run over a commutative ring or
+field given as ops.  Everything here is deterministic: pivot choice is
 first-nonzero, kernel bases come out in free-column order.
 """
 
@@ -39,33 +41,58 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and list of pivot columns."""
-    r = [row[:] for row in m]
-    nrows = len(r)
-    ncols = len(r[0]) if nrows else 0
+def _bareiss(rows: list[list[int]], full: bool) -> tuple[list[int], int, int]:
+    """Fraction-free elimination in place on integer rows (Bareiss 1968):
+    each update (p*x - c*y) // prev divides exactly by the previous pivot,
+    so every entry stays a minor of the input.  Pivots are first-nonzero,
+    a column without one is skipped.  The rows below each pivot are updated
+    from the pivot column on; with full, the rows above it are cleared too
+    (fraction-free Gauss-Jordan), which leaves every pivot equal to the last
+    one.  Returns (pivot columns, last pivot, sign of the row swaps)."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     lead = 0
+    sign = 1
+    prev = 1
     for col in range(ncols):
-        piv = next((i for i in range(lead, nrows) if r[i][col] != 0), None)
+        piv = next((i for i in range(lead, nrows) if rows[i][col]), None)
         if piv is None:
             continue
-        r[lead], r[piv] = r[piv], r[lead]
-        inv = 1 / r[lead][col]
-        r[lead] = [x * inv for x in r[lead]]
-        for i in range(nrows):
-            if i != lead and r[i][col] != 0:
-                c = r[i][col]
-                r[i] = [x - c * y for x, y in zip(r[i], r[lead])]
+        if piv != lead:
+            rows[lead], rows[piv] = rows[piv], rows[lead]
+            sign = -sign
+        top = rows[lead]
+        p = top[col]
+        for i in range(lead + 1, nrows):
+            row = rows[i]
+            c = row[col]
+            rows[i] = [0] * (col + 1) + [
+                (p * x - c * y) // prev for x, y in zip(row[col + 1 :], top[col + 1 :])
+            ]
+        if full:
+            for i in range(lead):
+                row = rows[i]
+                c = row[col]
+                rows[i] = [(p * x - c * y) // prev for x, y in zip(row, top)]
         pivots.append(col)
+        prev = p
         lead += 1
-        if lead == nrows:
-            break
-    return r, pivots
+    return pivots, prev, sign
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and list of pivot columns: the fraction-free
+    Gauss-Jordan of the rows, each scaled to integers, divided once by the
+    common pivot."""
+    rows = [clear_denominators(row)[1] for row in m]
+    pivots, d, _ = _bareiss(rows, True)
+    return [[Fraction(x, d) for x in row] for row in rows], pivots
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    """Number of pivots of the rows, each scaled to integers."""
+    return len(_bareiss([clear_denominators(row)[1] for row in m], False)[0])
 
 
 def kernel_basis(m: Matrix) -> list[Row]:
@@ -87,7 +114,7 @@ def kernel_basis(m: Matrix) -> list[Row]:
 
 def solve(a: Matrix, b: Row) -> Row | None:
     """One exact solution of a x = b, or None if inconsistent."""
-    aug = [row[:] + [bv] for row, bv in zip(a, b)]
+    aug = [[*row, bv] for row, bv in zip(a, b)]
     r, pivots = rref(aug)
     ncols = len(a[0]) if a else 0
     if ncols in pivots:
@@ -106,29 +133,11 @@ def det(m: Matrix) -> Fraction:
 
 
 def zdet(m: list[list[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss elimination (Bareiss 1968):
-    each step divides exactly by the previous pivot; pivots first-nonzero."""
-    n = len(m)
-    a = list(m)
-    sign = 1
-    prev = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        top = a[col]
-        p = top[col]
-        for i in range(col + 1, n):
-            row = a[i]
-            c = row[col]
-            a[i] = [0] * (col + 1) + [
-                (p * x - c * y) // prev for x, y in zip(row[col + 1 :], top[col + 1 :])
-            ]
-        prev = p
-    return sign * prev
+    """Determinant of a square integer matrix: the sign of the row swaps
+    times the last pivot of the forward fraction-free elimination, or 0
+    when a column has no pivot."""
+    pivots, d, sign = _bareiss(list(m), False)
+    return sign * d if len(pivots) == len(m) else 0
 
 
 def det_minors(m, add, mul, neg, zero, is_zero):

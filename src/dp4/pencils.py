@@ -4,7 +4,8 @@ classification, and the blow-up model.
 A pencil is a pair of symmetric 5x5 rational matrices (P, Q); the base
 surface is the intersection of the two quadrics.  The spectral quintic
 det(uP + vQ) controls everything here: its roots are the singular members of
-the pencil, multiplicities and coranks classify the surface, and a quintic
+the pencil, multiplicities and coranks (whether each factor divides the
+principal minors of the pencil, over Z) classify the surface, and a quintic
 with rational roots can be rebuilt into a pencil by blowing up the plane
 along five points of a conic (projection from a line identifies the surface
 with that blow-up, and the identification is validated through the moduli
@@ -15,17 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .binforms import (
     BinaryForm,
-    padd,
+    _primitive_ints,
+    _zprem,
     pdeg,
-    pdivmod,
     pencil_determinant,
-    pmul,
-    pscale,
-    pxgcd,
+    zpencil_determinant,
 )
 from .factor_search import uni_irreducible_factors
 from .quintic import moduli_point, stability_classify
@@ -81,34 +81,6 @@ def irreducible_profile(f: BinaryForm):
     return out
 
 
-class _QuotientField:
-    """Arithmetic in Q[w]/(phi) for irreducible phi, elements as unipolys."""
-
-    def __init__(self, phi):
-        self.phi = list(phi)
-
-    def reduce(self, p):
-        return pdivmod(list(p), self.phi)[1]
-
-    def add(self, a, b):
-        return self.reduce(padd(a, b))
-
-    def mul(self, a, b):
-        return self.reduce(pmul(a, b))
-
-    def neg(self, a):
-        return pscale(a, -1)
-
-    def inv(self, a):
-        g, s, _ = pxgcd(a, self.phi)
-        if pdeg(g) != 0:
-            raise ZeroDivisionError("not invertible in the quotient field")
-        return self.reduce(pscale(s, 1 / g[0]))
-
-    def is_zero(self, a):
-        return not a
-
-
 @dataclass(frozen=True)
 class ProfileRecord:
     factor: BinaryForm
@@ -118,32 +90,42 @@ class ProfileRecord:
 
 def degeneracy_profile(pencil: SymmetricPencil) -> list[ProfileRecord]:
     """Per irreducible factor of the spectral quintic: its multiplicity and
-    the corank of the member quadric at a root of that factor, computed over
-    the factor's residue field."""
+    the corank of the member quadric at a root of that factor.
+
+    At the root (1:0) the member is P and the corank is 5 - rank(P).  At the
+    roots of a primitive integer factor phi of multiplicity m the corank of
+    wP + Q lies between 1 and m, since the pencil is regular (Gantmacher,
+    The Theory of Matrices, vol. 2, ch. XII).  For k = 2..m, once the corank
+    is known to be at least k - 1, it is at least k exactly when phi divides
+    every principal minor of size 6 - k: a symmetric matrix has a
+    nonsingular principal submatrix of the size of its rank.  (Principal
+    minors of one size alone bound no rank: [[0, 1], [1, 0]] has a zero
+    diagonal and rank 2.)
+    Each minor is the pencil determinant of principal submatrices of P and
+    Q over one common denominator.
+    """
     f = spectral_quintic(pencil)
+    _, rows = linalg.clear_row_denominators([*pencil.P, *pencil.Q])
+    p, q = rows[:5], rows[5:]
+
+    def minors_vanish(phi, size):
+        # det(w P_S + Q_S) has coefficient i on w^i, as phi does
+        for s in combinations(range(5), size):
+            minor = zpencil_determinant([[q[i][j] for j in s] for i in s], [[p[i][j] for j in s] for i in s])
+            if _zprem(minor, phi):
+                return False
+        return True
+
     records = []
     for factor, mult in irreducible_profile(f):
         if factor.y_valuation() >= 1:
             # root (1:0): member is P itself
-            m = [[Fraction(x) for x in row] for row in pencil.P]
-            corank = 5 - linalg.rank(m)
+            corank = 5 - linalg.rank(pencil.P)
         else:
-            phi = list(factor.x_poly())
-            field = _QuotientField(phi)
-            w = field.reduce([Fraction(0), Fraction(1)])
-            m = [
-                [
-                    field.add(
-                        field.mul(w, [Fraction(pencil.P[i][j])]),
-                        [Fraction(pencil.Q[i][j])],
-                    )
-                    for j in range(5)
-                ]
-                for i in range(5)
-            ]
-            corank = 5 - linalg.rank_over_field(m, field)
-        if corank < 1:
-            raise RuntimeError("root of the spectral quintic with full rank")
+            phi = _primitive_ints(factor.x_poly())
+            corank = 1
+            while corank < mult and minors_vanish(phi, 5 - corank):
+                corank += 1
         records.append(ProfileRecord(factor, mult, corank))
     return records
 

@@ -341,7 +341,7 @@ def h0_linear_system(curve: PlaneQuintic, plus, minus, extra_h: int = 0) -> int:
         terms = [smul(smul(powers[0][i], powers[1][j], n), powers[2][k], n) for i, j, k in mons]
         rows.extend([term[r] for term in terms] for r in range(mult))
 
-    rank = linalg.rank([r[:] for r in rows]) if rows else 0
+    rank = linalg.rank(rows)
     v1 = len(mons) - rank
     v0 = 0
     if deg_f >= 5:
@@ -447,10 +447,10 @@ def _tangent_target(alpha, beta):
 
 
 def _solve_with_mix(rows, rhs, kmix):
-    part = linalg.solve([r[:] for r in rows], rhs[:])
+    part = linalg.solve(rows, rhs)
     if part is None:
         raise RuntimeError("fixture system inconsistent")
-    kern = linalg.kernel_basis([r[:] for r in rows])
+    kern = linalg.kernel_basis(rows)
     if len(kern) != len(kmix):
         raise RuntimeError("fixture kernel dimension changed")
     vec = list(part)

@@ -7,12 +7,17 @@ seed); every test starts with empty caches,
 so a spy or an oracle context sees the computation rather than a cached
 result left by an earlier test.  BIG_PRIMES are shared by the kernel tests;
 widened specs and the recover_widths spy by the tests that take
-binforms.zrecover to both of its sides."""
+binforms.zrecover to both of its sides, and block pencils by the tests of
+coranks on large conjugated pencils."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
 from dp4 import binforms, families, models
+from dp4.linalg import mat_mul, transpose
+from dp4.pencils import SymmetricPencil
 
 settings.register_profile("dp4", derandomize=True, database=None, deadline=None)
 settings.load_profile("dp4")
@@ -68,3 +73,74 @@ def recover_widths(monkeypatch):
     monkeypatch.setattr(binforms, "zrecover", spy)
     monkeypatch.setattr(families, "zrecover", spy)
     return widths
+
+
+# (P, Q) blocks of a pencil, each named by what it puts on det(wP + Q): a
+# simple root r; a root r of multiplicity 2 where the block keeps rank 1;
+# the irreducible quadratic w^2 + w - 1, at whose roots the block keeps
+# rank 1; and the root (1:0), where P loses rank
+def simple_block(r):
+    return [[1]], [[-r]]
+
+
+def jordan_block(r):
+    return [[0, 1], [1, 0]], [[0, -r], [-r, 1]]
+
+
+QUADRATIC_BLOCK = ([[1, 0], [0, 1]], [[0, 1], [1, 1]])
+INFINITY_BLOCK = ([[0]], [[1]])
+
+
+def unimodular(rng, digits):
+    """A 5x5 integer matrix of determinant 1: a lower times an upper
+    unitriangular matrix, with random entries below 10**digits."""
+    bound = 10**digits
+
+    def entry():
+        return rng.randrange(-bound, bound)
+
+    low = [[1 if i == j else entry() if j < i else 0 for j in range(5)] for i in range(5)]
+    up = [[1 if i == j else entry() if j > i else 0 for j in range(5)] for i in range(5)]
+    return mat_mul(low, up)
+
+
+def block_pencil(blocks, rng, digits):
+    """The block-diagonal pencil of (P, Q) blocks of total size 5, with P
+    and Q both conjugated to M^T P M, M^T Q M by one unimodular M with
+    entries of about `digits` digits: the spectral quintic and every corank
+    stay those of the blocks, behind entries of about 4 * digits digits."""
+    pq = [[[0] * 5 for _ in range(5)] for _ in range(2)]
+    at = 0
+    for block in blocks:
+        size = len(block[0])
+        for m, b in zip(pq, block):
+            for i in range(size):
+                m[at + i][at : at + size] = b[i]
+        at += size
+    if at != 5:
+        raise ValueError("blocks must fill a 5x5 pencil")
+    m = unimodular(rng, digits)
+    mt = transpose(m)
+    return SymmetricPencil(*(mat_mul(mat_mul(mt, a), m) for a in pq))
+
+
+def simple_blocks(*roots):
+    return [simple_block(r) for r in roots]
+
+
+# block lists, and the sorted (multiplicity, corank) pairs of their profiles
+STRUCTURED_PENCILS = {
+    "corank 2 at a rational root": (simple_blocks(1, 1, 0, -2, 3), [(1, 1)] * 3 + [(2, 2)]),
+    "corank 3 at a rational root": (simple_blocks(1, 1, 1, 0, Fraction(1, 3)), [(1, 1), (1, 1), (3, 3)]),
+    "corank 4 at a rational root": (simple_blocks(1, 1, 1, 1, 0), [(1, 1), (4, 4)]),
+    "corank 5 at a rational root": (simple_blocks(1, 1, 1, 1, 1), [(5, 5)]),
+    "corank 2 at (1:0)": ([INFINITY_BLOCK, INFINITY_BLOCK, *simple_blocks(0, 1, 2)], [(1, 1)] * 3 + [(2, 2)]),
+    "corank 2 at quadratic roots": ([QUADRATIC_BLOCK, QUADRATIC_BLOCK, simple_block(0)], [(1, 1), (2, 2)]),
+    "corank 1 at a double root": ([jordan_block(1), *simple_blocks(0, 2, 3)], [(1, 1)] * 3 + [(2, 1)]),
+    "corank 3 at a quadruple root": ([jordan_block(1), *simple_blocks(1, 1, 0)], [(1, 1), (4, 3)]),
+    "corank 2 at a quadruple root": ([jordan_block(1), jordan_block(1), simple_block(0)], [(1, 1), (4, 2)]),
+    "corank 2 at a triple root": (
+        [jordan_block(Fraction(-1, 2)), simple_block(Fraction(-1, 2)), QUADRATIC_BLOCK],
+        [(1, 1), (3, 2)],
+    ),
+}

@@ -11,11 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import STRUCTURED_PENCILS, block_pencil
 
 from dp4 import cli, models, serialize
 from dp4.binforms import BinaryForm
 from dp4.cli import main
-from dp4.pencils import blowup_from_quintic
+from dp4.pencils import SymmetricPencil, blowup_from_quintic
 from dp4.plane_quintic import PlaneQuintic, monomials, pencil_fixture, quadrilateral_fixture
 
 F = Fraction
@@ -286,6 +287,52 @@ def test_family_analyze_large_entries_in_bounded_time(tmp_path, name):
     assert wall < LARGE_FAMILY_WALL_S
     tree = json.loads(proc.stdout)
     assert tree["discriminant_degree"] == 2 * tree["height"]
+
+
+# Wall bound on one fresh `dp4 pencil analyze` of a random pencil with
+# 300-digit entries, or of a structured pencil conjugated to entries of about
+# 480 digits; each takes under 1 s on 2 cores
+LARGE_PENCIL_WALL_S = 10
+
+
+def large_pencil(case):
+    """The pencil of a STRUCTURED_PENCILS case, or a random one, and the
+    sorted (multiplicity, corank) pairs of its profile."""
+    rng = random.Random(case)
+    if case in STRUCTURED_PENCILS:
+        blocks, profile = STRUCTURED_PENCILS[case]
+        return block_pencil(blocks, rng, 120), profile
+
+    def symmetric():
+        m = [[0] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                m[i][j] = m[j][i] = rng.randrange(-(10**300), 10**300)
+        return m
+
+    return SymmetricPencil(symmetric(), symmetric()), [(1, 1)]  # an irreducible spectral quintic
+
+
+@pytest.mark.parametrize(
+    "case, label",
+    [
+        ("random", "smooth"),
+        ("corank 3 at a rational root", "outside-U"),
+        ("corank 5 at a rational root", "outside-U"),
+        ("corank 2 at quadratic roots", "boundary-U"),
+    ],
+)
+def test_pencil_analyze_large_entries_in_bounded_time(tmp_path, case, label):
+    pencil, profile = large_pencil(case)
+    path = write_json(tmp_path / "pencil.json", serialize.encode_pencil(pencil))
+    start = time.perf_counter()
+    proc = dp4_process("pencil", "analyze", "--input", path)
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert wall < LARGE_PENCIL_WALL_S
+    tree = json.loads(proc.stdout)
+    assert tree["label"] == label
+    assert sorted((rec["multiplicity"], rec["corank"]) for rec in tree["profile"]) == profile
 
 
 def test_family_scan_heights(capsys):

@@ -61,7 +61,12 @@ form of a family as max(D_j + 2, 1) values of coefficient j, r determinants
 at each node for its r unknown coefficients (it is now read off the
 base-2^b digits of one fiber's pencil determinant, itself one determinant,
 when the coefficients are narrow, and interpolated from the fibers at
-k = 0..D+1 otherwise, as node_spectral_form does).
+k = 0..D+1 otherwise, as node_spectral_form does), and the reduced row
+echelon form as Gauss-Jordan over Fraction (it now runs fraction-free over
+Z, one Bareiss elimination shared with rank and the determinant), and the
+corank at each root of the spectral quintic as Gaussian elimination over
+the factor's residue field (it is now read off the principal minors of the
+pencil, pencil determinants over Z tested for divisibility by the factor).
 """
 
 import math
@@ -76,13 +81,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import BIG_PRIMES, widened
+from conftest import (
+    BIG_PRIMES,
+    INFINITY_BLOCK,
+    QUADRATIC_BLOCK,
+    STRUCTURED_PENCILS,
+    block_pencil,
+    jordan_block,
+    simple_block,
+    simple_blocks,
+    widened,
+)
 
-from dp4 import binforms, factor_search, families, linalg, lines, models, quintic
+from dp4 import binforms, factor_search, families, linalg, lines, models, pencils, quintic
 from dp4.biforms import BiForm
 from dp4.binforms import (
     BinaryForm,
     discriminant,
+    padd,
     pdeg,
     pderiv,
     pdivexact,
@@ -96,6 +112,7 @@ from dp4.binforms import (
     pscale,
     psquarefree_decomposition,
     psub,
+    pxgcd,
     squarefree_profile,
 )
 from dp4.factor_search import (
@@ -130,7 +147,7 @@ from dp4.families import (
 )
 from dp4.lines import SignedPermutation
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
-from dp4.pencils import SymmetricPencil, spectral_quintic
+from dp4.pencils import ProfileRecord, SymmetricPencil, degeneracy_profile, irreducible_profile, spectral_quintic
 from dp4.plane_quintic import (
     PlaneQuintic,
     monomials,
@@ -428,6 +445,82 @@ def fraction_det(m) -> Fraction:
                 c = a[i][col] * inv
                 a[i] = [x - c * y for x, y in zip(a[i], a[col])]
     return sign * res
+
+
+def fraction_rref(m):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan over
+    Fraction."""
+    r = [row[:] for row in m]
+    nrows = len(r)
+    ncols = len(r[0]) if nrows else 0
+    pivots: list[int] = []
+    lead = 0
+    for col in range(ncols):
+        piv = next((i for i in range(lead, nrows) if r[i][col] != 0), None)
+        if piv is None:
+            continue
+        r[lead], r[piv] = r[piv], r[lead]
+        inv = 1 / r[lead][col]
+        r[lead] = [x * inv for x in r[lead]]
+        for i in range(nrows):
+            if i != lead and r[i][col] != 0:
+                c = r[i][col]
+                r[i] = [x - c * y for x, y in zip(r[i], r[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == nrows:
+            break
+    return r, pivots
+
+
+class QuotientField:
+    """Arithmetic in Q[w]/(phi) for irreducible phi, elements as unipolys."""
+
+    def __init__(self, phi):
+        self.phi = list(phi)
+
+    def reduce(self, p):
+        return pdivmod(list(p), self.phi)[1]
+
+    def add(self, a, b):
+        return self.reduce(padd(a, b))
+
+    def mul(self, a, b):
+        return self.reduce(pmul(a, b))
+
+    def neg(self, a):
+        return pscale(a, -1)
+
+    def inv(self, a):
+        g, s, _ = pxgcd(a, self.phi)
+        if pdeg(g) != 0:
+            raise ZeroDivisionError("not invertible in the quotient field")
+        return self.reduce(pscale(s, 1 / g[0]))
+
+    def is_zero(self, a):
+        return not a
+
+
+def residue_field_profile(pencil: SymmetricPencil) -> list[ProfileRecord]:
+    """The degeneracy profile with each corank at a root of a factor phi
+    computed by Gaussian elimination on wP + Q over the residue field
+    Q[w]/(phi) (linalg.rank_over_field), and at (1:0) as 5 - rank(P) over
+    Fraction; every corank at a root of the spectral quintic is at least 1."""
+    records = []
+    for factor, mult in irreducible_profile(spectral_quintic(pencil)):
+        if factor.y_valuation() >= 1:
+            corank = 5 - len(fraction_rref([list(row) for row in pencil.P])[1])
+        else:
+            field = QuotientField(factor.x_poly())
+            w = field.reduce([F(0), F(1)])
+            m = [
+                [field.add(field.mul(w, [pencil.P[i][j]]), [pencil.Q[i][j]]) for j in range(5)]
+                for i in range(5)
+            ]
+            corank = 5 - linalg.rank_over_field(m, field)
+        assert corank >= 1, "root of the spectral quintic with full rank"
+        records.append(ProfileRecord(factor, mult, corank))
+    return records
 
 
 def sylvester_matrix(f, g):
@@ -1727,6 +1820,184 @@ def test_charpoly_matches_oracle(m):
     fast = linalg.charpoly([row[:] for row in m])
     assert all(type(c) is Fraction for c in fast)
     assert fast == fraction_charpoly([row[:] for row in m])
+
+
+# ---------------------------------------------------------------------------
+# one fraction-free elimination against Gauss-Jordan over Fraction
+
+
+def product_matrix(left, right, ncols):
+    return [[sum((x * right[t][j] for t, x in enumerate(row)), F(0)) for j in range(ncols)] for row in left]
+
+
+@st.composite
+def rank_deficient_systems(draw):
+    """(m, b): an r x c rational matrix, r in 0..6 and c in 1..7, the
+    product of r x k and k x c factors for a drawn k <= min(r, c) (the zero
+    matrix when k = 0), and a right-hand side of length r, in the column
+    space one time in two."""
+    r, c = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(r, c)))
+    left = [draw(st.lists(rationals, min_size=k, max_size=k)) for _ in range(r)]
+    right = [draw(st.lists(rationals, min_size=c, max_size=c)) for _ in range(k)]
+    m = product_matrix(left, right, c)
+    if draw(st.booleans()):
+        x = draw(st.lists(rationals, min_size=c, max_size=c))
+        b = [row[0] for row in product_matrix(m, [[v] for v in x], 1)]
+    else:
+        b = draw(st.lists(rationals, min_size=r, max_size=r))
+    return m, b
+
+
+@settings(max_examples=150)
+@given(rank_deficient_systems())
+def test_rref_matches_gauss_jordan_over_fraction(system):
+    m, _ = system
+    before = repr(m)
+    assert repr(linalg.rref(m)) == repr(fraction_rref(m))
+    assert repr(m) == before
+
+
+@settings(max_examples=150)
+@given(rank_deficient_systems())
+def test_rank_kernel_and_solve_match_gauss_jordan_over_fraction(system):
+    m, b = system
+    fast = linalg.kernel_basis(m), linalg.solve(m, b)
+    with mock.patch.object(linalg, "rref", fraction_rref):
+        slow = linalg.kernel_basis(m), linalg.solve(m, b)
+    assert repr(fast) == repr(slow)
+    kernel, x = fast
+    rank = linalg.rank(m)
+    assert rank == len(fraction_rref(m)[1])
+    assert rank + len(kernel) == (len(m[0]) if m else 0)
+    for v in kernel:
+        assert all(sum(a * y for a, y in zip(row, v)) == 0 for row in m)
+    if x is not None:
+        assert all(sum(a * y for a, y in zip(row, x)) == bv for row, bv in zip(m, b))
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """n x n integer matrices, n in 0..6, of rank at most a drawn k, with
+    entries up to 2^bits for bits drawn up to 700."""
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, n))
+    bits = draw(st.sampled_from([4, 64, 700]))
+    ints = st.integers(-(2**bits), 2**bits)
+    left = [draw(st.lists(ints, min_size=k, max_size=k)) for _ in range(n)]
+    right = [draw(st.lists(ints, min_size=n, max_size=n)) for _ in range(k)]
+    return [[int(x) for x in row] for row in product_matrix(left, right, n)]
+
+
+@settings(max_examples=200)
+@given(square_integer_matrices())
+def test_zdet_matches_gaussian_elimination_and_det(m):
+    before = repr(m)
+    d = linalg.zdet(m)
+    assert type(d) is int
+    assert d == fraction_det([[F(x) for x in row] for row in m]) == linalg.det(m)
+    assert repr(m) == before
+    # the full elimination leaves every pivot equal to the last one
+    rows = [row[:] for row in m]
+    pivots, last, _ = linalg._bareiss(rows, True)
+    assert all(rows[i][col] == last for i, col in enumerate(pivots))
+    assert abs(d) == (abs(last) if len(pivots) == len(m) else 0)
+
+
+def test_elimination_edge_shapes():
+    assert linalg.rref([]) == ([], []) and linalg.rank([]) == 0 and linalg.kernel_basis([]) == []
+    assert linalg.zdet([]) == 1 and linalg.zdet([[0, 5], [0, 7]]) == 0
+    row = [[F(0), F(2, 3), F(-4, 3)]]
+    assert linalg.rref(row) == ([[0, 1, -2]], [1])
+    assert linalg.kernel_basis(row) == [[1, 0, 0], [0, 2, 1]]
+    column = [[F(0)], [F(3)], [F(-1, 2)]]
+    assert linalg.rref(column) == ([[1], [0], [0]], [0])
+    assert linalg.solve(column, [F(0), F(6), F(-1)]) == [2]
+    assert linalg.solve(column, [F(1), F(6), F(-1)]) is None
+    zero = [[F(0)] * 4 for _ in range(3)]
+    assert linalg.rank(zero) == 0
+    assert linalg.kernel_basis(zero) == [[int(i == j) for j in range(4)] for i in range(4)]
+    assert linalg.solve(zero, [F(0)] * 3) == [0] * 4 and linalg.solve(zero, [F(0), F(1), F(0)]) is None
+    for m in (row, column, zero):
+        assert repr(linalg.rref(m)) == repr(fraction_rref(m))
+
+
+# ---------------------------------------------------------------------------
+# coranks from principal minors against elimination over the residue field
+
+
+def profile_key(profile):
+    return sorted((rec.multiplicity, rec.corank) for rec in profile)
+
+
+@pytest.mark.parametrize("digits", [0, 40])
+@pytest.mark.parametrize("case", list(STRUCTURED_PENCILS))
+def test_degeneracy_profile_matches_residue_field_on_structured_pencils(case, digits):
+    blocks, expected = STRUCTURED_PENCILS[case]
+    pencil = block_pencil(blocks, random.Random(case), digits)
+    profile = degeneracy_profile(pencil)
+    assert repr(profile) == repr(residue_field_profile(pencil))
+    assert profile_key(profile) == expected
+
+
+ROOTS = st.sampled_from([0, 1, -2, F(1, 3)])
+BLOCKS = st.one_of(
+    ROOTS.map(simple_block),
+    ROOTS.map(jordan_block),
+    st.just(QUADRATIC_BLOCK),
+    st.just(INFINITY_BLOCK),
+)
+
+
+@st.composite
+def conjugated_block_pencils(draw):
+    """Block pencils (conftest.block_pencil) from simple, double,
+    quadratic and infinite blocks on four roots, so that roots repeat with
+    every corank the blocks allow, conjugated by unimodular matrices with
+    entries of up to 20 digits, and P, Q scaled by rationals."""
+    blocks, size = [], 0
+    while size < 5:
+        block = draw(BLOCKS)
+        if size + len(block[0]) <= 5:
+            blocks.append(block)
+            size += len(block[0])
+    pencil = block_pencil(blocks, random.Random(draw(st.integers(0, 10**6))), draw(st.integers(0, 20)))
+    sp, sq = draw(st.sampled_from([1, F(2, 3), -5])), draw(st.sampled_from([1, F(-7, 4)]))
+    return SymmetricPencil(
+        [[x * sp for x in row] for row in pencil.P], [[x * sq for x in row] for row in pencil.Q]
+    )
+
+
+@settings(max_examples=80)
+@given(conjugated_block_pencils())
+def test_degeneracy_profile_matches_residue_field(pencil):
+    assert repr(degeneracy_profile(pencil)) == repr(residue_field_profile(pencil))
+
+
+@settings(max_examples=40)
+@given(pencil_pairs())
+def test_degeneracy_profile_matches_residue_field_on_random_pencils(pencil):
+    try:
+        spectral_quintic(pencil)
+    except ValueError:
+        return
+    assert repr(degeneracy_profile(pencil)) == repr(residue_field_profile(pencil))
+
+
+@pytest.mark.parametrize(
+    "blocks, minors",
+    [
+        ([*simple_blocks(0, 1, 2, 3), INFINITY_BLOCK], [0]),  # simple roots
+        (STRUCTURED_PENCILS["corank 1 at a double root"][0], range(1, 6)),  # one of five 4x4 minors fails
+        (STRUCTURED_PENCILS["corank 2 at a rational root"][0], [5]),  # k = 2: five 4x4 minors
+        (STRUCTURED_PENCILS["corank 5 at a rational root"][0], [5 + 10 + 10 + 5]),  # k = 2..5
+    ],
+)
+def test_coranks_take_minors_only_up_to_the_multiplicity(blocks, minors):
+    pencil = block_pencil(blocks, random.Random(len(blocks)), 10)
+    with mock.patch.object(pencils, "zpencil_determinant", wraps=binforms.zpencil_determinant) as spy:
+        degeneracy_profile(pencil)
+    assert spy.call_count in minors
 
 
 # ---------------------------------------------------------------------------
