@@ -4,8 +4,8 @@ A form of degree d stores d+1 coefficients, coeffs[i] multiplying x^(d-i) y^i.
 The zero form keeps a nominal degree so graded matrix entries stay degree-tagged.
 Univariate helpers act on dense lists with p[i] the x^i coefficient and no
 trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
-- p- helpers run over Q.  padd, pmul, pderiv and peval keep the coefficient
-  type (int lists stay int), so they serve Z[x] as well;
+- p- helpers run over Q.  padd, pmul, pderiv, peval and pshift keep the
+  coefficient type (int lists stay int), so they serve Z[x] as well;
 - z- helpers run over Z: Yun's squarefree decomposition, and the kernels
   that pinterpolate, pencil_determinant, resultant and discriminant wrap.
   Interpolation takes values at the integer nodes 0..n and expands their
@@ -255,10 +255,10 @@ def _mul_linear_add(p: list, a, c) -> None:
     p[0] = a * p[0] + c
 
 
-def pshift(p, a: Fraction):
-    """p(x + a) by Horner, in place on one list."""
-    a = Fraction(a)
-    out: list[Fraction] = []
+def pshift(p, a):
+    """p(x + a) by Horner, in place on one list; integer p and a give an
+    integer result, as padd and pmul do."""
+    out: list = []
     for c in reversed(p):
         _mul_linear_add(out, a, c)
     return pnorm(out)

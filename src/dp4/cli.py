@@ -51,11 +51,20 @@ class UsageError(Exception):
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}")
+
+
+def _json_int(numeral: str):
+    """A JSON integer as an int; one past the interpreter's digit limit stays
+    a numeral string, which the decoders refuse, naming its field."""
+    try:
+        return int(numeral)
+    except ValueError:
+        return numeral
 
 
 def _decode(decoder, data):
@@ -149,7 +158,7 @@ def _cmd_pencil_analyze(args):
         f = spectral_quintic(pencil)
     except ValueError:
         return {"error": "generically degenerate pencil"}, EXIT_CHECK
-    label = classify_surface(pencil)
+    label = classify_surface(pencil, f)
     tree = {
         "spectral_quintic": serialize.encode_form(f),
         "label": label.label,

@@ -1,6 +1,14 @@
 """Bounded-degree factor search for forms in (s,t;u,v), exact over Q.
 
-Finds a nontrivial factor whose (u,v)-degree is at most a small bound (1 or 2
+A caller that knows the (u,v)-discriminant Delta passes its squarefree
+profile, and the search first asks whether Delta leaves room for a factor:
+a split F = G*H puts Res(G,H)^2 into Delta (disc(G H) = disc(G) disc(H)
+Res(G,H)^2), while the grading of F gives Res(G,H) the (s,t)-degree
+d*A + b*C + b*d*delta (b, d the (u,v)-degrees of G and H, A + k*delta and
+C + k*delta the degrees of their coefficients).  Where every admissible
+split needs more degree than Delta's repeated factors hold, the answer is
+None with nothing specialized (twisted_factor_search).  Otherwise it
+finds a nontrivial factor whose (u,v)-degree is at most a small bound (1 or 2
 in practice: a degree-5 cover splits only as 1+4 or 2+3 at coarsest).  The
 search is not general factorization.  It picks one rational specialization
 sigma = s0 with nonzero leading coefficient and squarefree fiber, which also
@@ -186,7 +194,7 @@ def wdivexact(f, g):
     return [zdivexact(c, lead_power) for c in q]
 
 
-def wevaluate(f, s0: Fraction):
+def wevaluate(f, s0):
     return pnorm([peval(c, s0) for c in f])  # unipoly in w
 
 
@@ -416,7 +424,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     # one good specialization suffices when f is squarefree in w: the leading
     # coefficient and the fiber discriminant vanish at finitely many points
     for k in range(10 * (dmax + 2) + 20):
-        s0 = Fraction((-1) ** k * ((k + 1) // 2))
+        s0 = (-1) ** k * ((k + 1) // 2)
         if peval(f[-1], s0) == 0:
             continue
         fib = wevaluate(f, s0)
@@ -448,10 +456,8 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     candidates = chain(lins, quads, (pmul(a, b) for a, b in pairs))
 
     # f_eps[k]: the coefficient of eps^k in f(s0 + eps, w), f_eps[0] = fib
-    shifted = [pshift(list(map(Fraction, c)), s0) for c in f]
-    f_eps = [
-        pnorm([c[k] if k < len(c) else Fraction(0) for c in shifted]) for k in range(prec)
-    ]
+    shifted = [pshift(c, s0) for c in f]
+    f_eps = [pnorm([c[k] if k < len(c) else 0 for c in shifted]) for k in range(prec)]
     # the leading-coefficient trick: if g0 specializes a primitive factor G
     # of f, then f = G*H over Z[sigma] (Gauss's lemma), the monic lift is
     # G/lc(G), and lc(f) times it is lc(H)*G, of sigma-degree at most
@@ -479,7 +485,7 @@ def _divides(f, g):
 # entry point for coefficient lists
 
 
-def twisted_factor_search(coeff_forms, bound: int, squarefree_delta: bool = False):
+def twisted_factor_search(coeff_forms, bound: int, delta_profile=None):
     """Bounded search for twisted forms whose (u,v)-coefficients are
     (s,t)-forms of varying degrees; coeff_forms[j] multiplies u^(n-j) v^j.
 
@@ -487,14 +493,24 @@ def twisted_factor_search(coeff_forms, bound: int, squarefree_delta: bool = Fals
     pure u or v factor) was found, else a tag pair:
     ("content", BinaryForm), ("u", None), ("v", None), ("factor", WFactor).
 
-    A caller that knows the (u,v)-discriminant Delta to be nonzero and
-    squarefree passes squarefree_delta, and the content gcd is skipped: a
-    content c of degree >= 1 gives disc(c G) = c^(2n-2) disc(G), so c^2
-    would divide Delta."""
+    A caller that knows the (u,v)-discriminant Delta to be nonzero passes
+    its squarefree profile as (degree, multiplicity) pairs, Delta = c *
+    prod P_i^m_i; None means Delta is unknown, and the full path runs.  The
+    profile decides two questions without computing.  A content c of
+    degree >= 1 gives disc(c G) = c^(2n-2) disc(G), so with no P_i of
+    multiplicity >= 2n-2 there is none, and the content gcd is skipped.  A
+    split F = G*H over Q gives disc(G H) = disc(G) disc(H) Res(G,H)^2
+    (Gelfand-Kapranov-Zelevinsky, Discriminants, Resultants and
+    Multidimensional Determinants, ch. 12), with Res(G,H) != 0 since Delta
+    is, so Res(G,H)^2 divides Delta and deg Res(G,H) <= sigma =
+    sum deg(P_i) * floor(m_i/2); _splits_ruled_out compares that with the
+    degree the grading forces on Res(G,H), and where no split of
+    (u,v)-degree <= bound fits, the search returns None without
+    specializing, factoring or lifting anything."""
     if all(c.is_zero for c in coeff_forms):
         raise ValueError("factor search on the zero form")
     n = len(coeff_forms) - 1
-    if not squarefree_delta:
+    if delta_profile is None or n < 2 or _profile_sum(delta_profile, 2 * n - 2):
         content = BinaryForm.zero(0)
         for c in coeff_forms:
             content = form_gcd(content, c)
@@ -504,8 +520,45 @@ def twisted_factor_search(coeff_forms, bound: int, squarefree_delta: bool = Fals
         return ("v", None)
     if coeff_forms[-1].is_zero:
         return ("u", None)
+    if delta_profile is not None and _splits_ruled_out(coeff_forms, bound, delta_profile):
+        return None
     w_coeffs = [coeff_forms[n - k].x_poly() for k in range(n + 1)]
     found = search_w_factor(w_coeffs, bound)
     if found is None:
         return None
     return ("factor", found)
+
+
+def _profile_sum(delta_profile, k: int) -> int:
+    """sum deg(P_i) * floor(m_i / k): the largest degree of a form whose
+    k-th power divides Delta = c * prod P_i^m_i."""
+    return sum(degree * (mult // k) for degree, mult in delta_profile)
+
+
+def _splits_ruled_out(coeff_forms, bound: int, delta_profile) -> bool:
+    """Whether Delta's profile leaves no split F = G*H with 1 <= deg_(u,v) G
+    = b <= bound, for F with nonzero end coefficients c_0 and c_n.
+
+    F is homogeneous for the grading with s, t of weight 1, u of weight 0
+    and v of weight -delta when the nonzero c_j have degrees D_j = D_0 +
+    j*delta; then so are G and H, with g_k of degree A + k*delta and h_k of
+    degree C + k*delta.  c_0 = g_0 h_0 and c_n = g_b h_d (d = n - b) give
+    A + C = D_0, A, C >= 0, A + b*delta >= 0 and C + d*delta >= 0, and
+    Res(G,H), isobaric of weight b*d, has degree d*A + b*C + b*d*delta.  A
+    split needs that degree at most sigma = _profile_sum(delta_profile, 2)
+    (see twisted_factor_search); where the degrees D_j are not of that
+    shape, nothing is ruled out."""
+    n = len(coeff_forms) - 1
+    degrees = [(j, c.degree) for j, c in enumerate(coeff_forms) if not c.is_zero]
+    d0 = degrees[0][1]
+    delta, rest = divmod(degrees[-1][1] - d0, n)
+    if rest or any(deg != d0 + j * delta for j, deg in degrees):
+        return False
+    sigma = _profile_sum(delta_profile, 2)
+    for b in range(1, min(bound, n - 1) + 1):
+        d = n - b
+        for a in range(d0 + 1):
+            c = d0 - a
+            if a + b * delta >= 0 and c + d * delta >= 0 and d * a + b * c + b * d * delta <= sigma:
+                return False
+    return True

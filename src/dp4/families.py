@@ -22,10 +22,17 @@ the squarefree profile, which splits off the roots at 0 and infinity and
 proves the rest squarefree modulo a prime, with Yun's algorithm when that
 proof fails), and a bounded factor search plus a fiber irreducibility
 witness certify the full Galois-group condition.  The certificate proves
-before it computes: a squarefree Delta rules out an (s,t)-content, so the
-search skips its content gcd, and a witness fiber proved squarefree counts
-its roots modulo a small prime, fewer than its degree proving an irreducible
-factor of degree >= 2; only a fiber that count leaves open is factored.
+before it computes.  The search reads Delta's squarefree profile, Delta =
+c * prod P_i^m_i: a split F = G*H puts Res(G,H)^2 into Delta (disc(G H) =
+disc(G) disc(H) Res(G,H)^2), and the grading gives Res(G,H) the degree
+d*A + b*C + b*d*delta for (u,v)-degrees b + d = 5, (s,t)-degrees A + k*delta
+and C + k*delta of the coefficients of G and H, which on every model and
+on the squared example exceeds sum deg(P_i) * floor(m_i/2), so their
+search fiber is never factored; a content c puts c^8 into Delta, so the
+content gcd is skipped when no m_i reaches 8.  A witness fiber proved
+squarefree counts its roots modulo a small prime, fewer than its degree
+proving an irreducible factor of degree >= 2; only a fiber that count
+leaves open is factored.
 The Chern-class identity for the cube of the relative dualizing sheaf is
 verified symbolically in a tiny Chow ring.
 
@@ -243,10 +250,16 @@ def arithmetic_genus(cls: HirzebruchClass) -> int:
 
 @dataclass(frozen=True)
 class DiscriminantReport:
+    """Delta, its degree, whether it is squarefree (simple branching), its
+    number of distinct roots, and its squarefree profile Delta = c * prod
+    P_i^m_i as the (deg P_i, m_i) pairs, empty for a constant Delta: what
+    the bounded factor search reads to rule out a content or a split."""
+
     delta: BinaryForm
     degree: int
     g1_prime: bool
     singular_fiber_count: int
+    profile: tuple[tuple[int, int], ...]
 
 
 @lru_cache(maxsize=CACHE_BOUND)
@@ -273,17 +286,18 @@ def _discriminant_or_none(spec: FamilySpec) -> DiscriminantReport | None:
         return None
     delta = BinaryForm.from_x_poly([Fraction(c, den**8) for c in poly], 2 * h)
     if delta.degree == 0:
-        return DiscriminantReport(delta, 0, True, 0)
+        return DiscriminantReport(delta, 0, True, 0, ())
     return DiscriminantReport(delta, delta.degree, *_branching(delta))
 
 
-def _branching(delta: BinaryForm) -> tuple[bool, int]:
-    """(whether Delta is squarefree, its number of distinct roots) for a
-    nonconstant Delta, from its squarefree profile (which runs Yun's
-    algorithm only when a test modulo a prime does not prove the part of
-    Delta off x and y squarefree)."""
-    profile = squarefree_profile(delta)
-    return all(mult == 1 for _, mult in profile), sum(f.degree for f, _ in profile)
+def _branching(delta: BinaryForm) -> tuple[bool, int, tuple[tuple[int, int], ...]]:
+    """(whether Delta is squarefree, its number of distinct roots, the
+    (degree, multiplicity) pairs of its squarefree profile) for a
+    nonconstant Delta, from that profile (which runs Yun's algorithm only
+    when a test modulo a prime does not prove the part of Delta off x and y
+    squarefree)."""
+    profile = tuple((f.degree, mult) for f, mult in squarefree_profile(delta))
+    return all(mult == 1 for _, mult in profile), sum(deg for deg, _ in profile), profile
 
 
 def discriminant_family(spec: FamilySpec) -> DiscriminantReport:
@@ -323,8 +337,11 @@ def genericity_check(spec: FamilySpec) -> GenericityReport:
     factor of degree >= 2 (ruling out five conjugate sections).  A found
     factor settles the question negatively and no witness is sought, so
     ``witness`` is None whenever ``bounded_factor`` is set; no factor and no
-    witness leaves the result inconclusive (None).  Simple branching lets
-    the search skip its content gcd (squarefree_delta)."""
+    witness leaves the result inconclusive (None).  The search reads Delta's
+    squarefree profile (None when Delta = 0): Res(G,H)^2 divides Delta for
+    a split F = G*H, and c^8 does for a content c, so on every model and on
+    the squared example the profile rules both out and the search fiber is
+    never factored (twisted_factor_search)."""
     sf = spectral_form(spec)
     try:
         disc = discriminant_family(spec)
@@ -332,7 +349,9 @@ def genericity_check(spec: FamilySpec) -> GenericityReport:
         disc = None
     degenerate = disc is None
     g1 = not degenerate and disc.g1_prime
-    factor = twisted_factor_search(list(sf.coefficients), 2, squarefree_delta=g1)
+    factor = twisted_factor_search(
+        list(sf.coefficients), 2, None if degenerate else disc.profile
+    )
     witness = None
     if factor is None:
         for s0, t0 in _witness_points():

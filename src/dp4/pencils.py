@@ -88,9 +88,10 @@ class ProfileRecord:
     corank: int
 
 
-def degeneracy_profile(pencil: SymmetricPencil) -> list[ProfileRecord]:
-    """Per irreducible factor of the spectral quintic: its multiplicity and
-    the corank of the member quadric at a root of that factor.
+def degeneracy_profile(pencil: SymmetricPencil, f: BinaryForm | None = None) -> list[ProfileRecord]:
+    """Per irreducible factor of the spectral quintic f (computed unless the
+    caller has it): its multiplicity and the corank of the member quadric
+    at a root of that factor.
 
     At the root (1:0) the member is P and the corank is 5 - rank(P).  At the
     roots of a primitive integer factor phi of multiplicity m the corank of
@@ -104,7 +105,8 @@ def degeneracy_profile(pencil: SymmetricPencil) -> list[ProfileRecord]:
     Each minor is the pencil determinant of principal submatrices of P and
     Q over one common denominator.
     """
-    f = spectral_quintic(pencil)
+    if f is None:
+        f = spectral_quintic(pencil)
     _, rows = linalg.clear_row_denominators([*pencil.P, *pencil.Q])
     p, q = rows[:5], rows[5:]
 
@@ -136,14 +138,15 @@ class SurfaceLabel:
     profile: tuple[ProfileRecord, ...]
 
 
-def classify_surface(pencil: SymmetricPencil) -> SurfaceLabel:
-    """smooth / one-A1 / boundary-U / outside-U from the degeneracy profile.
+def classify_surface(pencil: SymmetricPencil, f: BinaryForm | None = None) -> SurfaceLabel:
+    """smooth / one-A1 / boundary-U / outside-U from the degeneracy profile
+    (of the spectral quintic f, computed unless the caller has it).
 
     one-A1 means exactly one rational double root with corank 1 and simple
     roots elsewhere.  All other multiplicity-2 patterns (conjugate double
     roots, corank 2, two doubles) are surfaced as boundary-U with raw data.
     """
-    profile = tuple(degeneracy_profile(pencil))
+    profile = tuple(degeneracy_profile(pencil, f))
     if any(rec.multiplicity >= 3 for rec in profile):
         return SurfaceLabel("outside-U", profile)
     doubles = [rec for rec in profile if rec.multiplicity == 2]

@@ -9,6 +9,7 @@ malformed input.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .binforms import BinaryForm
@@ -38,14 +39,24 @@ def encode_rational(x: Fraction) -> str:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def decode_rational(s) -> Fraction:
+def decode_rational(s, what: str = "rational") -> Fraction:
     """A JSON int (not a bool) or a string "p" or "p/q" in decimal digits,
     q nonzero.  Decimals and exponents are refused: Fraction("1e10000000")
-    would build a 33-million-bit integer."""
+    would build a 33-million-bit integer.  So is an integer of more digits
+    than the interpreter converts (sys.get_int_max_str_digits, 4300 by
+    default), naming the field `what`."""
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
-        raise ValueError(f"malformed rational {s!r}")
+        raise ValueError(f"malformed {what} {s!r}")
+    # CPython's own refusal would say "use sys.set_int_max_str_digits()"
+    limit = sys.get_int_max_str_digits()
+    longest = max(map(len, s.lstrip("+-").split("/")))
+    if limit and longest > limit:
+        raise ValueError(
+            f"{what} has an integer of {longest} digits; "
+            f"dp4 reads integers of at most {limit} digits"
+        )
     return Fraction(s)
 
 
@@ -64,7 +75,7 @@ def decode_form(d) -> BinaryForm:
     if not isinstance(d, dict) or "degree" not in d or "coeffs" not in d:
         raise ValueError("binary form needs 'degree' and 'coeffs'")
     degree = _typed(d["degree"], int, "form degree")
-    coeffs = [decode_rational(c) for c in _typed(d["coeffs"], list, "form coefficients")]
+    coeffs = [decode_rational(c, "form coefficient") for c in _typed(d["coeffs"], list, "form coefficients")]
     if len(coeffs) != degree + 1:
         raise ValueError(f"degree {degree} form needs {degree + 1} coefficients")
     return BinaryForm(degree, tuple(coeffs))
@@ -84,7 +95,7 @@ def encode_matrix(m) -> list:
 def decode_matrix(d) -> list[list[Fraction]]:
     if not isinstance(d, list) or not d:
         raise ValueError("matrix must be a nonempty list of rows")
-    rows = [[decode_rational(c) for c in _typed(row, list, "matrix row")] for row in d]
+    rows = [[decode_rational(c, "matrix entry") for c in _typed(row, list, "matrix row")] for row in d]
     width = len(rows[0])
     if any(len(row) != width for row in rows):
         raise ValueError("matrix rows must share a length")
@@ -166,7 +177,10 @@ def decode_curve(d):
         raise ValueError("plane quintic needs 'coeffs'")
     if d.get("degree", 5) != 5:
         raise ValueError("only degree-5 plane curves are supported")
-    coeffs = [decode_rational(c) for c in _typed(d["coeffs"], list, "plane quintic coefficients")]
+    coeffs = [
+        decode_rational(c, "plane quintic coefficient")
+        for c in _typed(d["coeffs"], list, "plane quintic coefficients")
+    ]
     if len(coeffs) != 21:
         raise ValueError("plane quintic needs 21 coefficients")
     return PlaneQuintic(tuple(coeffs))
@@ -186,7 +200,10 @@ def decode_divisor(x) -> list:
     for item in x:
         if not isinstance(item, dict) or "point" not in item:
             raise ValueError("divisor item needs a 'point'")
-        point = tuple(decode_rational(c) for c in _typed(item["point"], list, "divisor point"))
+        point = tuple(
+            decode_rational(c, "divisor point coordinate")
+            for c in _typed(item["point"], list, "divisor point")
+        )
         if len(point) != 3 or all(c == 0 for c in point):
             raise ValueError("divisor points are nonzero projective triples")
         mult = item.get("mult", 1)

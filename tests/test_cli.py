@@ -9,11 +9,12 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import STRUCTURED_PENCILS, block_pencil
 
-from dp4 import cli, models, serialize
+from dp4 import cli, models, pencils, serialize
 from dp4.binforms import BinaryForm
 from dp4.cli import main
 from dp4.pencils import SymmetricPencil, blowup_from_quintic
@@ -137,6 +138,40 @@ def test_quintic_invariants_prints_huge_values_in_full(capsys, tmp_path):
     assert code == cli.EXIT_INPUT == 3
     assert out == ""
     assert err.startswith("error: ") and "internal" not in err
+    # one digit past the limit is refused in dp4's words, naming the field,
+    # as a string, as a fraction's denominator and as a JSON integer (which
+    # json.load alone would refuse with CPython's message, exit 4)
+    numeral = "9" * 4301
+    for text in [f'"{numeral}"', f'"1/{numeral}"', numeral]:
+        path = tmp_path / "past_limit.json"
+        path.write_text('{"degree": 5, "coeffs": ["1", "0", "0", "0", %s, "0"]}' % text)
+        code, out, err = run(capsys, "quintic", "invariants", "--input", str(path))
+        assert code == cli.EXIT_INPUT == 3
+        assert out == ""
+        assert err == (
+            "error: form coefficient has an integer of 4301 digits; "
+            "dp4 reads integers of at most 4300 digits\n"
+        )
+
+
+# Wall bound on one fresh `dp4 quintic invariants` of a random quintic; at
+# 4300 digits, the most the parser accepts (one digit more is refused
+# above), one takes about 1.2 s on 2 cores
+LARGE_QUINTIC_WALL_S = 5
+
+
+@pytest.mark.parametrize("digits", [10, 100, 1000, 4300])
+def test_quintic_invariants_large_coefficients_in_bounded_time(tmp_path, digits):
+    rng = random.Random(digits)
+    coeffs = [rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(6)]
+    path = write_json(tmp_path / "quintic.json", serialize.encode_form(BinaryForm(5, tuple(map(F, coeffs)))))
+    start = time.perf_counter()
+    proc = dp4_process("quintic", "invariants", "--input", path)
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert wall < LARGE_QUINTIC_WALL_S
+    tree = json.loads(proc.stdout)
+    assert tree["stability"] == "all-simple"
 
 
 def test_quintic_invariants_wrong_degree(capsys, tmp_path):
@@ -333,6 +368,20 @@ def test_pencil_analyze_large_entries_in_bounded_time(tmp_path, case, label):
     tree = json.loads(proc.stdout)
     assert tree["label"] == label
     assert sorted((rec["multiplicity"], rec["corank"]) for rec in tree["profile"]) == profile
+
+
+def test_pencil_analyze_takes_one_spectral_quintic(capsys, tmp_path, pencil_file):
+    # classify_surface reads the spectral quintic the command already has;
+    # the output is what it prints when classify_surface computes its own
+    pencil, _ = large_pencil("corank 2 at quadratic roots")
+    paths = [pencil_file, write_json(tmp_path / "structured.json", serialize.encode_pencil(pencil))]
+    for path in paths:
+        with mock.patch.object(pencils, "pencil_determinant", wraps=pencils.pencil_determinant) as dets:
+            code, out, _ = run(capsys, "pencil", "analyze", "--input", path)
+        assert code == 0 and dets.call_count == 1
+        own = cli.classify_surface
+        with mock.patch.object(cli, "classify_surface", lambda pencil, f=None: own(pencil)):
+            assert run(capsys, "pencil", "analyze", "--input", path) == (0, out, "")
 
 
 def test_family_scan_heights(capsys):

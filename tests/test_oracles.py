@@ -554,13 +554,15 @@ def fraction_discriminant(f: BinaryForm) -> Fraction:
     return sign * res / F(d) ** (d - 2)
 
 
-def yun_branching(delta: BinaryForm) -> tuple[bool, int]:
-    """(squarefree, number of distinct roots) of a nonconstant Delta from its
-    squarefree profile by Yun's algorithm over Z alone."""
+def yun_branching(delta: BinaryForm) -> tuple[bool, int, tuple[tuple[int, int], ...]]:
+    """(squarefree, number of distinct roots, the (degree, multiplicity)
+    pairs of the profile) of a nonconstant Delta from its squarefree
+    profile by Yun's algorithm over Z alone."""
     profile = fraction_yun_profile(
         delta, lambda p: psquarefree_decomposition(binforms._primitive_ints(p))
     )
-    return all(mult == 1 for _, mult in profile), sum(f.degree for f, _ in profile)
+    pairs = tuple((f.degree, mult) for f, mult in profile)
+    return all(mult == 1 for _, mult in pairs), sum(deg for deg, _ in pairs), pairs
 
 
 def base_delta_squared_example(seed) -> FamilySpec:
@@ -1245,7 +1247,7 @@ def test_integer_path_builds_nothing_per_fiber(monkeypatch):
     monkeypatch.setattr(BinaryForm, "evaluate", lambda *a: calls.append("evaluate") or evaluate(*a))
     monkeypatch.setattr(SpectralForm, "fiber", lambda *a: calls.append("fiber") or fiber(*a))
     # Delta's squarefree test is not part of the interpolation
-    monkeypatch.setattr(families, "_branching", lambda delta: (True, delta.degree))
+    monkeypatch.setattr(families, "_branching", lambda delta: (True, delta.degree, ((delta.degree, 1),)))
     for spec, sf in zip(specs, sfs):
         monkeypatch.setattr(Fraction, "__new__", counted_new)
         built[0] = 0
@@ -1488,7 +1490,7 @@ def test_delta_matches_sylvester_on_rational_and_zero_delta_specs(make):
 @pytest.mark.parametrize("make", model_and_engineered_specs())
 def test_delta_branching_matches_yun(make):
     rep = uncached_delta(make())
-    assert (rep.g1_prime, rep.singular_fiber_count) == yun_branching(rep.delta)
+    assert (rep.g1_prime, rep.singular_fiber_count, rep.profile) == yun_branching(rep.delta)
 
 
 def lin(a, b) -> BinaryForm:
@@ -1553,7 +1555,7 @@ def test_branching_takes_the_next_prime_past_the_lead(monkeypatch):
     ]:
         monkeypatch.setattr(binforms, "DELTA_PRIMES", tried)
         with yun_spy() as runs:
-            assert families._branching(delta) == (True, 3)
+            assert families._branching(delta) == (True, 3, ((3, 1),))
         assert bool(runs) is yun
 
 
@@ -2744,26 +2746,186 @@ def test_search_fiber_matches_gcd_oracle(make, bound):
 @pytest.mark.parametrize("name", ["h8_ci", "h10_ci", "h10_bundle"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_simple_branching_leaves_no_content(name, seed):
-    # g1 holds on every model, and the content gcd that genericity_check
-    # skips for it is trivial
+    # g1 holds on every model, and the content gcd that Delta's profile
+    # skips is trivial
     spec = build_example(name, seed)
-    assert discriminant_family(spec).g1_prime
+    disc = discriminant_family(spec)
+    assert disc.g1_prime
     coeffs = list(spectral_form(spec).coefficients)
     content = BinaryForm.zero(0)
     for c in coeffs:
         content = binforms.form_gcd(content, c)
     assert content.degree == 0
     with mock.patch.object(factor_search, "form_gcd", wraps=factor_search.form_gcd) as gcds:
-        fast = twisted_factor_search(coeffs, 2, squarefree_delta=True)
+        fast = twisted_factor_search(coeffs, 2, disc.profile)
     assert gcds.call_count == 0
     assert repr(fast) == repr(twisted_factor_search(coeffs, 2))
 
 
 def test_genericity_check_skips_the_content_only_under_simple_branching():
-    for spec, g1 in [(build_example("h10_ci", 1), True), (squared_discriminant_example(1), False)]:
+    # the content gcd runs only where Delta leaves room for a content c,
+    # whose c^8 would divide it: not on a model (Delta squarefree), not on
+    # the squared example (multiplicities 1 and 4), but where Delta = 0
+    for spec, g1, skipped in [
+        (build_example("h10_ci", 1), True, True),
+        (squared_discriminant_example(1), False, True),
+        (equal_matrices_spec(), False, False),
+    ]:
         with mock.patch.object(factor_search, "form_gcd", wraps=factor_search.form_gcd) as gcds:
             assert genericity_check.__wrapped__(spec).g1_prime is g1
-        assert (gcds.call_count == 0) is g1
+        assert (gcds.call_count == 0) is skipped
+
+
+# ---------------------------------------------------------------------------
+# the search bounded by Delta: Res(G,H)^2 divides Delta for a split F = G*H
+
+
+def delta_profile(coeffs, sylvester=True):
+    """The (degree, multiplicity) pairs of the squarefree profile of Delta,
+    the (u,v)-discriminant of sum coeffs[j] u^(5-j) v^j, or None where
+    Delta = 0.  Delta is the Sylvester determinant over (s,t)-forms, or,
+    faster, interpolated from the discriminants of the fibers over (k : 1)
+    at one node past its degree bound 8*D_0 + 20*delta = 4*(D_0 + D_5)."""
+    sf = SpectralForm(tuple(coeffs))
+    if sylvester:
+        delta = sylvester_delta(sf)
+    else:
+        top = 4 * (coeffs[0].degree + coeffs[-1].degree)
+        p = binforms.pinterpolate([discriminant(sf.fiber(F(k), F(1))) for k in range(top + 2)])
+        assert pdeg(p) <= top
+        delta = BinaryForm.from_x_poly(p, top)
+    if delta.is_zero:
+        return None
+    return tuple((f.degree, mult) for f, mult in squarefree_profile(delta))
+
+
+@contextmanager
+def full_search_in_genericity_check():
+    """genericity_check with the search on its full path, Delta unknown."""
+    search = factor_search.twisted_factor_search
+    with mock.patch.object(
+        families, "twisted_factor_search", lambda coeffs, bound, profile=None: search(coeffs, bound)
+    ):
+        yield
+
+
+@pytest.mark.parametrize("name", ["h8_ci", "h10_ci", "h10_bundle", "squared"])
+def test_delta_profile_rules_out_every_split_on_models_and_squared(name):
+    # the smallest degree a split of (u,v)-degree <= 2 forces on Res(G,H)
+    # (2 on h8_ci, 4 on h10_ci and h10_bundle, 8 on squared) exceeds what
+    # Delta's profile holds, so the search specializes nothing, and the
+    # full search and the certificate agree
+    for seed in range(1, 11):
+        spec = squared_discriminant_example(seed) if name == "squared" else build_example(name, seed)
+        coeffs = list(spectral_form(spec).coefficients)
+        profile = discriminant_family(spec).profile
+        assert profile == delta_profile(coeffs)
+        assert factor_search._splits_ruled_out(coeffs, 2, profile)
+        with mock.patch.object(factor_search, "search_w_factor") as search:
+            assert twisted_factor_search(coeffs, 2, profile) is None
+        assert search.call_count == 0
+        assert twisted_factor_search(coeffs, 2) is None
+        with full_search_in_genericity_check():
+            full = genericity_check.__wrapped__(spec)
+        assert repr(genericity_check.__wrapped__(spec)) == repr(full)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_delta_profile_leaves_the_diagonal_search(seed):
+    # the diagonal spectral form is a product of five linear factors, and
+    # Delta holds their resultants squared: the search runs and finds one
+    spec = split_diagonal_example(seed)
+    coeffs = list(spectral_form(spec).coefficients)
+    profile = discriminant_family(spec).profile
+    assert not factor_search._splits_ruled_out(coeffs, 2, profile)
+    found = twisted_factor_search(coeffs, 2, profile)
+    assert found[0] == "factor"
+    assert repr(found) == repr(twisted_factor_search(coeffs, 2))
+    with full_search_in_genericity_check():
+        full = genericity_check.__wrapped__(spec)
+    assert repr(genericity_check.__wrapped__(spec)) == repr(full)
+
+
+@st.composite
+def twisted_products(draw):
+    """The coefficients c_j of F = G*H, G of (u,v)-degree b in {1, 2} and H
+    of degree 5 - b: g_k an (s,t)-form of degree A + k*delta and h_k one of
+    degree C + k*delta, for delta in {0, 1, 2} and A, C in {0, 1, 2}, with
+    small integer coefficients and nonzero end coefficients."""
+    delta, b = draw(st.integers(0, 2)), draw(st.integers(1, 2))
+
+    def factor(n, start):
+        forms = []
+        for k in range(n + 1):
+            degree = start + k * delta
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=degree + 1, max_size=degree + 1))
+            forms.append(BinaryForm(degree, tuple(map(F, coeffs))))
+        assume(not (forms[0].is_zero or forms[-1].is_zero))
+        return forms
+
+    a, c = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    g, h = factor(b, a), factor(5 - b, c)
+    return [
+        sum(
+            (g[k] * h[j - k] for k in range(max(0, j - 5 + b), min(j, b) + 1)),
+            BinaryForm.zero(a + c + j * delta),
+        )
+        for j in range(6)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(twisted_products())
+def test_delta_profile_never_rules_out_a_twisted_product(coeffs):
+    profile = delta_profile(coeffs, sylvester=False)
+    assume(profile is not None)
+    assert not factor_search._splits_ruled_out(coeffs, 2, profile)
+    found = twisted_factor_search(coeffs, 2, profile)
+    assert found is not None and found[0] in ("content", "factor")
+    assert repr(found) == repr(twisted_factor_search(coeffs, 2))
+
+
+@pytest.mark.parametrize("content", [lin(1, 3), lin(1, 0) * lin(1, 1), BinaryForm(2, (F(1), F(0), F(2)))])
+def test_delta_profile_keeps_a_content(content):
+    # disc(c G) = c^8 disc(G): the profile holds c^8, so the content gcd
+    # runs and finds c
+    coeffs = [content * x for x in spectral_form(build_example("h10_ci", 1)).coefficients]
+    profile = delta_profile(coeffs)
+    assert profile == delta_profile(coeffs, sylvester=False)
+    assert max(mult for _, mult in profile) >= 8
+    found = twisted_factor_search(coeffs, 2, profile)
+    assert found[0] == "content" and found[1].degree == content.degree
+    assert repr(found) == repr(twisted_factor_search(coeffs, 2))
+
+
+def test_splits_ruled_out_needs_degrees_linear_in_j():
+    # c_j of degrees 1, 0, 0, 0, 0, 1 fit no grading, so nothing is ruled
+    # out whatever the profile; with degrees 1 + j it is
+    ends = [lin(1, 1), *[BinaryForm.constant(F(1))] * 4, lin(1, 2)]
+    assert not factor_search._splits_ruled_out(ends, 2, ())
+    graded = [BinaryForm(1 + j, tuple(F(1) for _ in range(2 + j))) for j in range(6)]
+    assert factor_search._splits_ruled_out(graded, 2, ())
+    assert not factor_search._splits_ruled_out(graded, 2, ((1, 2 * 99),))
+
+
+def test_integer_search_fibers_carry_no_float():
+    # s0 is an int, so the fiber and its Taylor shift stay integer; each
+    # division in the lift is by a Fraction lead
+    coeffs = list(spectral_form(split_diagonal_example(1)).coefficients)
+    lift = factor_search._hensel_lift
+
+    def checked(f_eps, g0, h0, n):
+        out = lift(f_eps, g0, h0, n)
+        values = [x for p in (*f_eps, g0, h0, *out) for x in p]
+        assert all(isinstance(x, (int, Fraction)) for x in values)
+        assert all(isinstance(x, int) for p in f_eps for x in p)
+        return out
+
+    with mock.patch.object(factor_search, "_hensel_lift", checked):
+        found = twisted_factor_search(coeffs, 2)
+    assert found[0] == "factor"
+    with gcd_first_search():
+        assert repr(twisted_factor_search(coeffs, 2)) == repr(found)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,17 @@ def test_rational_decode_accepts_only_integers_and_quotients():
             decode_rational(bad)
 
 
+def test_rational_decode_names_the_field_past_the_digit_limit():
+    # CPython's own message would say "use sys.set_int_max_str_digits()"
+    assert decode_rational("-" + "9" * 4300) == -(10**4300 - 1)
+    for text in ("9" * 4301, "+" + "9" * 4301, "1/" + "9" * 4301, "0" + "9" * 4300):
+        with pytest.raises(ValueError) as exc:
+            decode_rational(text, "matrix entry")
+        assert str(exc.value) == (
+            "matrix entry has an integer of 4301 digits; dp4 reads integers of at most 4300 digits"
+        )
+
+
 def test_rational_decode_rejects_huge_exponent_quickly():
     # Fraction would expand this to a 3.3-billion-bit integer
     start = time.perf_counter()
