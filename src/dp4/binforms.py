@@ -1,7 +1,9 @@
 """Binary forms over Q with exact dense arithmetic.
 
-A form of degree d stores d+1 coefficients, coeffs[i] multiplying x^(d-i) y^i.
-The zero form keeps a nominal degree so graded matrix entries stay degree-tagged.
+A form of degree d holds d+1 integer numerators over one positive
+denominator, nums[i] / den = coeffs[i] multiplying x^(d-i) y^i, so its
+arithmetic, and every integer kernel that reads a form, runs on ints.  The
+zero form keeps a nominal degree so graded matrix entries stay degree-tagged.
 Univariate helpers act on dense lists with p[i] the x^i coefficient and no
 trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
 - p- helpers run over Q.  padd, pmul, pderiv, peval and pshift keep the
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 
@@ -366,76 +369,87 @@ def psquarefree_decomposition(p: list[int]) -> list[tuple[list[int], int]]:
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous form in two variables; coeffs[i] multiplies x^(d-i) y^i."""
+    """Homogeneous form in two variables over Q, held over Z: nums[i] / den
+    multiplies x^(d-i) y^i, with den > 0 coprime to the nums (1 for the zero
+    form), so equal forms have equal fields.  BinaryForm(d, coeffs) takes
+    Fractions or ints, BinaryForm(d, nums, den) integers over den; either
+    way the form is brought to that shape.  coeffs gives the Fractions."""
 
     degree: int
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("negative degree")
-        if len(self.coeffs) != self.degree + 1:
+        nums, den = self.nums, self.den
+        if len(nums) != self.degree + 1:
             raise ValueError("coefficient count does not match degree")
-        c = self.coeffs
-        if type(c) is not tuple or any(type(x) is not Fraction for x in c):
-            object.__setattr__(self, "coeffs", tuple(Fraction(x) for x in c))
+        if type(nums) is not tuple or not {int}.issuperset(map(type, nums)):
+            lcm, ints = linalg.clear_denominators([Fraction(c) for c in nums])
+            nums, den = tuple(ints), den * lcm
+        g = math.gcd(den, *nums) if den > 0 else -math.gcd(den, *nums)
+        if g != 1 or nums is not self.nums:
+            object.__setattr__(self, "nums", tuple(c // g for c in nums))
+            object.__setattr__(self, "den", den // g)
+
+    @cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     # construction ---------------------------------------------------------
 
     @classmethod
     def zero(cls, degree: int = 0) -> "BinaryForm":
-        return cls(degree, (Fraction(0),) * (degree + 1))
+        return cls(degree, (0,) * (degree + 1))
 
     @classmethod
     def constant(cls, c) -> "BinaryForm":
-        return cls(0, (Fraction(c),))
+        return cls(0, (c,))
 
     @classmethod
     def from_roots(cls, roots, scale=1) -> "BinaryForm":
         """scale * prod (x - r y) over the given rational roots."""
-        f = cls(0, (Fraction(scale),))
+        f = cls.constant(scale)
         for r in roots:
-            f = f * cls(1, (Fraction(1), -Fraction(r)))
+            f = f * cls(1, (1, -Fraction(r)))
         return f
 
     @classmethod
-    def from_x_poly(cls, p: list[Fraction], degree: int) -> "BinaryForm":
-        """Homogenize p(x) = f(x, 1) back to the given degree."""
+    def from_x_poly(cls, p: list, degree: int, den: int = 1) -> "BinaryForm":
+        """Homogenize p(x) = f(x, 1) back to the given degree; p over den."""
         if pdeg(p) > degree:
             raise ValueError("degree too small to homogenize")
-        coeffs = [Fraction(0)] * (degree + 1)
-        for k, c in enumerate(p):
-            coeffs[degree - k] = c
-        return cls(degree, tuple(coeffs))
+        return cls(degree, (0,) * (degree - pdeg(p)) + tuple(reversed(p)), den)
 
     # queries --------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def x_poly(self) -> list[Fraction]:
         """f(x, 1) as a dense univariate polynomial."""
         return pnorm([self.coeffs[self.degree - k] for k in range(self.degree + 1)])
 
+    def zx_poly(self) -> list[int]:
+        """den * f(x, 1) as a dense univariate polynomial over Z."""
+        return pnorm(list(self.nums[::-1]))
+
     def y_valuation(self) -> int:
         """Largest v with y^v dividing f; degree+1 sentinel for the zero form."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                return i
-        return self.degree + 1
+        return next((i for i, c in enumerate(self.nums) if c), self.degree + 1)
 
     def evaluate(self, x0, y0) -> Fraction:
-        """f(x0, y0) by Horner's rule in int: with the coefficients over one
-        denominator D and the point over one denominator L,
-        D*L^d*f(x0, y0) = (D*f)(L*x0, L*y0), and one division ends it."""
-        den, ints = linalg.clear_denominators(self.coeffs)
+        """f(x0, y0) by Horner's rule on the integer numerators: with the
+        point over one denominator L, den*L^d*f(x0, y0) = nums(L*x0, L*y0),
+        and one division ends it."""
         lx, (x, y) = linalg.clear_denominators((Fraction(x0), Fraction(y0)))
         acc, ypow = 0, 1
-        for c in ints:
+        for c in self.nums:
             acc = acc * x + c * ypow
             ypow *= y
-        return Fraction(acc, den * lx**self.degree)
+        return Fraction(acc, self.den * lx**self.degree)
 
     # arithmetic -----------------------------------------------------------
 
@@ -446,26 +460,28 @@ class BinaryForm:
             if other.is_zero:
                 return self
             raise ValueError("degree mismatch in form addition")
-        return BinaryForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        den = math.lcm(self.den, other.den)
+        p, q = den // self.den, den // other.den
+        return BinaryForm(self.degree, tuple(p * a + q * b for a, b in zip(self.nums, other.nums)), den)
 
     def __sub__(self, other: "BinaryForm") -> "BinaryForm":
         return self + (-other)
 
     def __neg__(self) -> "BinaryForm":
-        return BinaryForm(self.degree, tuple(-c for c in self.coeffs))
+        return BinaryForm(self.degree, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         d = self.degree + other.degree
-        out = [Fraction(0)] * (d + 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (d + 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.nums):
                     out[i + j] += a * b
-        return BinaryForm(d, tuple(out))
+        return BinaryForm(d, tuple(out), self.den * other.den)
 
     def scale(self, c) -> "BinaryForm":
-        c = Fraction(c)
-        return BinaryForm(self.degree, tuple(a * c for a in self.coeffs))
+        """c * f for a rational c."""
+        return BinaryForm(self.degree, tuple(a * c.numerator for a in self.nums), self.den * c.denominator)
 
     def power(self, k: int) -> "BinaryForm":
         out = BinaryForm.constant(1)
@@ -474,17 +490,16 @@ class BinaryForm:
         return out
 
     def derivative_x(self) -> "BinaryForm":
-        if self.degree == 0:
+        d = self.degree
+        if d == 0:
             return BinaryForm.zero(0)
-        return BinaryForm(
-            self.degree - 1,
-            tuple(self.coeffs[i] * (self.degree - i) for i in range(self.degree)),
-        )
+        return BinaryForm(d - 1, tuple(map(int.__mul__, self.nums, range(d, 0, -1))), self.den)
 
     def derivative_y(self) -> "BinaryForm":
-        if self.degree == 0:
+        d = self.degree
+        if d == 0:
             return BinaryForm.zero(0)
-        return BinaryForm(self.degree - 1, tuple(self.coeffs[i] * i for i in range(1, self.degree + 1)))
+        return BinaryForm(d - 1, tuple(map(int.__mul__, self.nums[1:], range(1, d + 1))), self.den)
 
     def divexact(self, other: "BinaryForm") -> "BinaryForm":
         """Exact quotient of homogeneous forms; raises if not divisible."""
@@ -505,13 +520,17 @@ class BinaryForm:
         positive first nonzero coefficient."""
         if self.is_zero:
             return Fraction(0), self
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        nums = [c * den for c in self.coeffs]
-        g = math.gcd(*(int(c) for c in nums))
-        lead = next(c for c in nums if c != 0)
-        sign = 1 if lead > 0 else -1
-        content = Fraction(sign * g, den)
-        return content, self.scale(1 / content)
+        g = math.gcd(*self.nums)
+        if next(c for c in self.nums if c) < 0:
+            g = -g
+        return Fraction(g, self.den), BinaryForm(self.degree, tuple(c // g for c in self.nums))
+
+
+def zx_polys(forms) -> tuple[int, list[list[int]]]:
+    """(L, [L * f(x, 1) for f in forms]) as integer polynomials, L the lcm of
+    the denominators of the forms (a list): the forms over one denominator."""
+    den = math.lcm(*(f.den for f in forms))
+    return den, [[c * (den // f.den) for c in f.zx_poly()] for f in forms]
 
 
 def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
@@ -521,8 +540,8 @@ def form_gcd(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     if g.is_zero:
         return f
     v = min(f.y_valuation(), g.y_valuation())
-    p = pgcd(f.x_poly(), g.x_poly())
-    return BinaryForm.from_x_poly(p, pdeg(p) + v)
+    p = zgcd(f.zx_poly(), g.zx_poly())
+    return BinaryForm.from_x_poly(p, pdeg(p) + v, p[-1])
 
 
 def mobius_substitute(f: BinaryForm, m) -> BinaryForm:
@@ -530,21 +549,18 @@ def mobius_substitute(f: BinaryForm, m) -> BinaryForm:
     matrix m = ((a, b), (c, d)).  This is a right action: substituting m1 and
     then m2 equals substituting the single matrix product m1 m2."""
     (a, b), (c, d) = m
-    a, b, c, d = (Fraction(t) for t in (a, b, c, d))
     if a * d - b * c == 0:
         raise ValueError("substitution matrix is singular")
-    lin1 = BinaryForm(1, (a, b))
-    lin2 = BinaryForm(1, (c, d))
-    out = BinaryForm.zero(f.degree)
-    p1 = [BinaryForm.constant(1)]
-    p2 = [BinaryForm.constant(1)]
+    lin1, lin2 = BinaryForm(1, (a, b)), BinaryForm(1, (c, d))
+    p1, p2 = [BinaryForm.constant(1)], [BinaryForm.constant(1)]
     for _ in range(f.degree):
         p1.append(p1[-1] * lin1)
         p2.append(p2[-1] * lin2)
-    for i, cf in enumerate(f.coeffs):
+    out = BinaryForm.zero(f.degree)
+    for i, cf in enumerate(f.nums):
         if cf:
             out = out + (p1[f.degree - i] * p2[i]).scale(cf)
-    return out
+    return out.scale(Fraction(1, f.den))
 
 
 def pencil_determinant(a, b) -> "BinaryForm":
@@ -554,7 +570,7 @@ def pencil_determinant(a, b) -> "BinaryForm":
     n = len(a)
     den, rows = linalg.clear_row_denominators([*a, *b])
     p = zpencil_determinant(rows[:n], rows[n:])
-    return BinaryForm(n, tuple(Fraction(x, den**n) for x in p))
+    return BinaryForm(n, tuple(p), den**n)
 
 
 def zpencil_determinant(a: list[list[int]], b: list[list[int]]) -> list[int]:
@@ -621,23 +637,20 @@ def zresultant(f, g) -> int:
 
 def resultant(f: BinaryForm, g: BinaryForm) -> Fraction:
     """Resultant at the formal degrees, vanishing iff the forms share a root
-    in P^1 (roots at infinity included): zresultant of the integer-scaled
-    forms Df*f and Dg*g, which is Df^deg(g) Dg^deg(f) Res(f, g), divided out
-    once."""
-    df, a = linalg.clear_denominators(f.coeffs)
-    dg, b = linalg.clear_denominators(g.coeffs)
-    return Fraction(zresultant(a, b), df**g.degree * dg**f.degree)
+    in P^1 (roots at infinity included): zresultant of the numerators, which
+    is Df^deg(g) Dg^deg(f) Res(f, g) for the denominators Df and Dg, divided
+    out once."""
+    return Fraction(zresultant(f.nums, g.nums), f.den**g.degree * g.den**f.degree)
 
 
 def discriminant(f: BinaryForm) -> Fraction:
     """Discriminant normalized so a monic split form gives the product of
-    squared root differences: zdiscriminant of the integer-scaled form D*f,
-    which is D^(2d-2) disc(f), divided out once."""
+    squared root differences: zdiscriminant of the numerators, which is
+    D^(2d-2) disc(f) for the denominator D, divided out once."""
     d = f.degree
     if d <= 1:
         return Fraction(1)
-    den, c = linalg.clear_denominators(f.coeffs)
-    return Fraction(zdiscriminant(c), den ** (2 * d - 2))
+    return Fraction(zdiscriminant(f.nums), f.den ** (2 * d - 2))
 
 
 def zdiscriminant(c) -> int:
@@ -683,8 +696,8 @@ def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
     out = []
     v = f.y_valuation()
     if v > 0:
-        out.append((BinaryForm(1, (Fraction(0), Fraction(1))), v))
-    x = _primitive_ints(f.x_poly())
+        out.append((BinaryForm(1, (0, 1)), v))
+    x = _zprimitive(f.zx_poly())
     m = next(i for i, c in enumerate(x) if c)
     r = x[m:]
     if len(r) < 2:
@@ -700,5 +713,7 @@ def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
         else:
             parts[k] = ([0, *parts[k][0]], m)
     for g, k in parts:
-        out.append((BinaryForm.from_x_poly([Fraction(c, g[-1]) for c in g], len(g) - 1), k))
-    return sorted(out, key=lambda t: (t[1], t[0].degree, t[0].coeffs))
+        out.append((BinaryForm.from_x_poly(g, len(g) - 1, g[-1]), k))
+    # only y can share a multiplicity, and it comes first in out and in the
+    # (multiplicity, degree, coeffs) order, so the stable sort needs no coeffs
+    return sorted(out, key=lambda t: (t[1], t[0].degree))

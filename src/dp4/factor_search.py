@@ -69,6 +69,7 @@ from .binforms import (
     pxgcd,
     zdivexact,
     zgcd,
+    zx_polys,
 )
 
 # ---------------------------------------------------------------------------
@@ -411,7 +412,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     Completeness needs one specialization with nonzero leading coefficient and
     squarefree fiber; non-reduced inputs, which have none, are peeled via the
     radical."""
-    f = wnorm(_over_z([list(map(Fraction, c)) for c in coeff_polys]))
+    f = wnorm(_over_z(coeff_polys))
     nw = wdeg(f)
     if nw < 2:
         return None
@@ -428,7 +429,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         if peval(f[-1], s0) == 0:
             continue
         fib = wevaluate(f, s0)
-        if proved_squarefree(_primitive_ints(fib)) or pdeg(pgcd(fib, pderiv(fib))) == 0:
+        if proved_squarefree(_zprimitive(fib)) or pdeg(pgcd(fib, pderiv(fib))) == 0:
             break
     else:
         # a repeated factor of f stays repeated in every fiber where the
@@ -522,8 +523,7 @@ def twisted_factor_search(coeff_forms, bound: int, delta_profile=None):
         return ("u", None)
     if delta_profile is not None and _splits_ruled_out(coeff_forms, bound, delta_profile):
         return None
-    w_coeffs = [coeff_forms[n - k].x_poly() for k in range(n + 1)]
-    found = search_w_factor(w_coeffs, bound)
+    found = search_w_factor(zx_polys(coeff_forms[::-1])[1], bound)
     if found is None:
         return None
     return ("factor", found)

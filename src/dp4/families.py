@@ -60,6 +60,7 @@ from .binforms import (
     zdiscriminant,
     zpencil_determinant,
     zrecover,
+    zx_polys,
 )
 from .factor_search import (
     proves_nonlinear_factor,
@@ -96,7 +97,7 @@ class FamilySpec:
                 raise ValueError("matrices must be 5x5")
             for i in range(5):
                 for j in range(5):
-                    if a[i][j].coeffs != a[j][i].coeffs:
+                    if a[i][j] != a[j][i]:
                         raise ValueError("matrices must be symmetric")
                     expected = self.d[i] + self.d[j] - self.e[k]
                     entry = a[i][j]
@@ -129,8 +130,8 @@ class FamilySpec:
             )
 
     def __hash__(self):
-        # the per-spec memos hash a spec on every lookup, and hashing the
-        # nested Fractions costs far more than the lookup; the value is the
+        # the per-spec memos hash a spec on every lookup, and hashing its 50
+        # nested forms costs far more than the lookup; the value is the
         # dataclass hash, computed once and kept outside the fields
         try:
             return self._hash
@@ -188,8 +189,7 @@ def spectral_form(spec: FamilySpec) -> SpectralForm:
     entries reach.  A zero coefficient keeps the nominal degree
     max(D_j, 0)."""
     expected = [expected_coefficient_degree(spec, j) for j in range(6)]
-    forms = [x.coeffs[::-1] for a in (spec.A1, spec.A2) for row in a for x in row]
-    den, entries = linalg.clear_row_denominators(forms)  # times L, x^i at index i
+    den, entries = zx_polys([x for a in (spec.A1, spec.A2) for row in a for x in row])
     rows = [entries[i : i + 5] for i in range(0, 50, 5)]
     norms = [[sum(map(abs, c)) for c in row] for row in rows]
     bound = math.prod(sum(x + y for x, y in zip(n1, n2)) for n1, n2 in zip(norms[:5], norms[5:]))
@@ -201,10 +201,7 @@ def spectral_form(spec: FamilySpec) -> SpectralForm:
     polys = zrecover(fiber, bound, max(max(expected), 0) + 1)
     if any(p and pdeg(p) > deg for p, deg in zip(polys, expected)):
         raise RuntimeError("spectral coefficient degree violates bookkeeping")
-    coeffs = [
-        BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0))
-        for p, deg in zip(polys, expected)
-    ]
+    coeffs = [BinaryForm.from_x_poly(p, max(deg, 0), den**5) for p, deg in zip(polys, expected)]
     form = SpectralForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
@@ -271,7 +268,7 @@ def _discriminant_or_none(spec: FamilySpec) -> DiscriminantReport | None:
     h = height(spec)
     if h < 0:
         return None  # no nonzero form of degree 2h
-    den, coeffs = linalg.clear_row_denominators([c.coeffs[::-1] for c in sf.coefficients])
+    den, coeffs = zx_polys(sf.coefficients)
     # Delta = +-Res(f_u, f_v)/125, the determinant of the 8x8 Sylvester
     # matrix: four rows of f_u, of 1-norm sum (5-i)|c_i|_1, and four of f_v
     norms = [sum(map(abs, c)) for c in coeffs]
@@ -284,7 +281,7 @@ def _discriminant_or_none(spec: FamilySpec) -> DiscriminantReport | None:
         raise RuntimeError("discriminant degree violates bookkeeping")
     if not poly:
         return None
-    delta = BinaryForm.from_x_poly([Fraction(c, den**8) for c in poly], 2 * h)
+    delta = BinaryForm.from_x_poly(poly, 2 * h, den**8)
     if delta.degree == 0:
         return DiscriminantReport(delta, 0, True, 0, ())
     return DiscriminantReport(delta, delta.degree, *_branching(delta))
@@ -358,7 +355,7 @@ def genericity_check(spec: FamilySpec) -> GenericityReport:
             fiber = sf.fiber(s0, t0)
             if fiber.is_zero:
                 continue
-            if _nonlinear_factor(fiber.x_poly()):
+            if _nonlinear_factor(fiber.zx_poly()):
                 witness = (s0, t0)
                 break
     certified = witness is not None
@@ -595,7 +592,7 @@ def _as_form_matrix(g, degree: int):
             if isinstance(x, BinaryForm):
                 out.append(x)
             elif degree == 0:
-                out.append(BinaryForm.constant(Fraction(x)))
+                out.append(BinaryForm.constant(x))
             else:
                 raise ValueError("non-constant entries must be BinaryForms")
         rows.append(tuple(out))
@@ -671,7 +668,7 @@ def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
                 for k, x in enumerate(u):
                     for n, y in enumerate(v):
                         acc[k + n] += x * y
-            return BinaryForm(len(acc) - 1, tuple(Fraction(x, den) for x in acc))
+            return BinaryForm(len(acc) - 1, tuple(acc), den)
 
         images = [image(cj) for cj in columns]
         out = [[None] * 5 for _ in range(5)]
@@ -692,10 +689,9 @@ def substitute_squared(spec: FamilySpec) -> FamilySpec:
     double and the discriminant becomes the old one in (s^2, t^2)."""
 
     def sq(f: BinaryForm) -> BinaryForm:
-        coeffs = [Fraction(0)] * (2 * f.degree + 1)
-        for i, c in enumerate(f.coeffs):
-            coeffs[2 * i] = c
-        return BinaryForm(2 * f.degree, tuple(coeffs))
+        nums = [0] * (2 * f.degree + 1)
+        nums[::2] = f.nums
+        return BinaryForm(2 * f.degree, tuple(nums), f.den)
 
     d = tuple(2 * x for x in spec.d)
     e = (2 * spec.e[0], 2 * spec.e[1])

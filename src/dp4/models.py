@@ -225,10 +225,10 @@ def random_conic_bundle(seed) -> ConicBundleSpec:
 
 
 def _random_symmetric_constants(rng: Random, size: int):
-    g = [[Fraction(0)] * size for _ in range(size)]
+    g = [[0] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            g[i][j] = g[j][i] = Fraction(rng.randint(-9, 9))
+            g[i][j] = g[j][i] = rng.randint(-9, 9)
     return [list(row) for row in g]
 
 
@@ -236,10 +236,7 @@ def _random_symmetric_forms(rng: Random, size: int, degree: int):
     rows = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(i, size):
-            f = BinaryForm(
-                degree,
-                tuple(Fraction(rng.randint(-9, 9)) for _ in range(degree + 1)),
-            )
+            f = BinaryForm(degree, tuple(rng.randint(-9, 9) for _ in range(degree + 1)))
             rows[i][j] = rows[j][i] = f
     return tuple(tuple(r) for r in rows)
 
@@ -272,12 +269,7 @@ def _make_h10_bundle(rng: Random) -> FamilySpec:
                 if deg < 0:
                     f = BinaryForm.zero(0)
                 else:
-                    f = BinaryForm(
-                        deg,
-                        tuple(
-                            Fraction(rng.randint(-9, 9)) for _ in range(deg + 1)
-                        ),
-                    )
+                    f = BinaryForm(deg, tuple(rng.randint(-9, 9) for _ in range(deg + 1)))
                 rows[i][j] = rows[j][i] = f
         mats.append(tuple(tuple(r) for r in rows))
     return FamilySpec(_BUNDLE_D, _BUNDLE_E, mats[0], mats[1])
@@ -399,16 +391,13 @@ def squared_discriminant_example(seed=1) -> FamilySpec:
     spectral form and Delta are never computed."""
     for attempt in range(RETRY_BOUND):
         rng = _seeded("squared", seed, attempt)
-        gram0 = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(5)]
-            for i in range(5)
-        ]
+        gram0 = [[int(i == j) for j in range(5)] for i in range(5)]
         planted = (0, 0, 1, 2, 3)
         rows = [[None] * 5 for _ in range(5)]
         for i in range(5):
             for j in range(i, 5):
-                tpart = Fraction(planted[i]) if i == j else Fraction(0)
-                f = BinaryForm(1, (Fraction(rng.randint(-9, 9)), tpart))
+                tpart = planted[i] if i == j else 0
+                f = BinaryForm(1, (rng.randint(-9, 9), tpart))
                 rows[i][j] = rows[j][i] = f
         spec = substitute_squared(family_from_quadric_pair(
             ((0, gram0), (1, tuple(tuple(r) for r in rows)))
@@ -418,7 +407,7 @@ def squared_discriminant_example(seed=1) -> FamilySpec:
         except ValueError:
             continue
         # planted double root of the fiber quintic at (0:1)
-        if disc.delta.evaluate(Fraction(0), Fraction(1)) != 0:
+        if disc.delta.evaluate(0, 1) != 0:
             raise RuntimeError("planted degenerate fiber missed")
         return spec
     raise ValueError(f"no usable squared instance in {RETRY_BOUND} attempts")
@@ -429,13 +418,11 @@ def split_diagonal_example(seed=1) -> FamilySpec:
     (u,v)-linear factors, so the irreducibility certificate fails."""
     for attempt in range(RETRY_BOUND):
         rng = _seeded("diagonal", seed, attempt)
-        gram0 = [[Fraction(0)] * 5 for _ in range(5)]
+        gram0 = [[0] * 5 for _ in range(5)]
         rows = [[BinaryForm.zero(1) for _ in range(5)] for _ in range(5)]
         for i in range(5):
-            gram0[i][i] = Fraction(rng.randint(1, 9))
-            rows[i][i] = BinaryForm(
-                1, (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
-            )
+            gram0[i][i] = rng.randint(1, 9)
+            rows[i][i] = BinaryForm(1, (rng.randint(-9, 9), rng.randint(-9, 9)))
         spec = family_from_quadric_pair(
             ((0, gram0), (1, tuple(tuple(r) for r in rows)))
         )

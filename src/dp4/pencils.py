@@ -21,7 +21,6 @@ from itertools import combinations
 from . import linalg
 from .binforms import (
     BinaryForm,
-    _primitive_ints,
     _zprem,
     pdeg,
     pencil_determinant,
@@ -75,7 +74,7 @@ def irreducible_profile(f: BinaryForm):
         if factor.y_valuation() >= 1:
             out.append((factor, mult))
             continue
-        for p, _ in uni_irreducible_factors(list(factor.x_poly())):
+        for p, _ in uni_irreducible_factors(factor.zx_poly()):
             out.append((BinaryForm.from_x_poly(p, pdeg(p)), mult))
     out.sort(key=lambda fm: (fm[1], fm[0].degree, fm[0].coeffs))
     return out
@@ -94,7 +93,8 @@ def degeneracy_profile(pencil: SymmetricPencil, f: BinaryForm | None = None) -> 
     at a root of that factor.
 
     At the root (1:0) the member is P and the corank is 5 - rank(P).  At the
-    roots of a primitive integer factor phi of multiplicity m the corank of
+    roots of an integer factor phi of multiplicity m (the numerators of an
+    irreducible factor monic in x, which are primitive) the corank of
     wP + Q lies between 1 and m, since the pencil is regular (Gantmacher,
     The Theory of Matrices, vol. 2, ch. XII).  For k = 2..m, once the corank
     is known to be at least k - 1, it is at least k exactly when phi divides
@@ -124,7 +124,7 @@ def degeneracy_profile(pencil: SymmetricPencil, f: BinaryForm | None = None) -> 
             # root (1:0): member is P itself
             corank = 5 - linalg.rank(pencil.P)
         else:
-            phi = _primitive_ints(factor.x_poly())
+            phi = factor.zx_poly()
             corank = 1
             while corank < mult and minors_vanish(phi, 5 - corank):
                 corank += 1

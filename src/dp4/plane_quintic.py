@@ -99,7 +99,8 @@ def restrict(curve_coeffs, degree: int, p0, p1) -> BinaryForm:
     """Restriction of a ternary form to the line s*p0 + t*p1 as a binary
     form in (s, t), computed over Z on the form and the points scaled by
     the lcms D, d0, d1 of their denominators: coefficient i (on
-    s^(degree-i) t^i) is divided by D * d0^(degree-i) * d1^i once."""
+    s^(degree-i) t^i) is over D * d0^(degree-i) * d1^i, so the form is the
+    numerators times d0^i * d1^(degree-i) over D * (d0 * d1)^degree."""
     den, coeffs = linalg.clear_denominators(curve_coeffs)
     (d0, q0), (d1, q1) = linalg.clear_denominators(p0), linalg.clear_denominators(p1)
     total = [0] * (degree + 1)
@@ -109,7 +110,8 @@ def restrict(curve_coeffs, degree: int, p0, p1) -> BinaryForm:
                 total[i] += c * x
     return BinaryForm(
         degree,
-        tuple(Fraction(c, den * d0 ** (degree - i) * d1**i) for i, c in enumerate(total)),
+        tuple(c * d0**i * d1 ** (degree - i) for i, c in enumerate(total)),
+        den * (d0 * d1) ** degree,
     )
 
 

@@ -34,14 +34,13 @@ def lin(a, b):
 
 
 def test_binary_form_keeps_exact_coefficients():
-    # a tuple of Fractions is stored as given; anything else is converted
+    # Fractions and ints, in any sequence, come back as a tuple of Fractions
     coeffs = (F(1, 2), F(-3))
-    assert BinaryForm(1, coeffs).coeffs is coeffs
 
     class Sub(Fraction):
         pass
 
-    for given in ([F(1, 2), F(-3)], (F(1, 2), -3), (Sub(1, 2), F(-3))):
+    for given in (coeffs, [F(1, 2), F(-3)], (F(1, 2), -3), (Sub(1, 2), F(-3))):
         got = BinaryForm(1, given).coeffs
         assert type(got) is tuple and got == coeffs
         assert all(type(c) is Fraction for c in got)

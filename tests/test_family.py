@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from conftest import FAMILY_CACHES, clear_family_caches, widened
-from dp4 import binforms, families
+from dp4 import binforms, families, linalg
 from dp4.binforms import BinaryForm, squarefree_profile, zdiscriminant
 from dp4.families import (
     FamilySpec,
@@ -34,6 +34,7 @@ from dp4.families import (
     substitute_squared,
 )
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
+from dp4.quintic import invariants
 from dp4.serialize import decode_family
 
 F = Fraction
@@ -326,6 +327,21 @@ def test_family_report_computes_once(kind):
     clear_family_caches()
     family_report(spec)
     assert computations() == (1, 1)
+
+
+@pytest.mark.parametrize("name", ["h8_ci", "h10_ci", "h10_bundle"])
+def test_integer_forms_clear_no_denominators(name):
+    # a form holds integers over one denominator, so the spectral form and
+    # Delta of an integer model, and the invariants of an integer quintic,
+    # read its numerators and clear nothing
+    spec = build_example(name, seed=1)
+    clear_family_caches()
+    with mock.patch.object(linalg, "clear_denominators", wraps=linalg.clear_denominators) as spy:
+        spectral_form(spec)
+        discriminant_family(spec)
+        invariants(BinaryForm(5, (3, -1, 4, 1, -5, 9)))
+    assert computations() == (1, 1)
+    assert spy.call_count == 0
 
 
 def test_equal_specs_share_hash_and_cache_entry():

@@ -66,13 +66,16 @@ echelon form as Gauss-Jordan over Fraction (it now runs fraction-free over
 Z, one Bareiss elimination shared with rank and the determinant), and the
 corank at each root of the spectral quintic as Gaussian elimination over
 the factor's residue field (it is now read off the principal minors of the
-pencil, pencil determinants over Z tested for divisibility by the factor).
+pencil, pencil determinants over Z tested for divisibility by the factor),
+and BinaryForm's arithmetic on a tuple of Fractions (a form now holds
+integer numerators over one denominator).
 """
 
 import math
 import operator
 import random
 from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -98,6 +101,7 @@ from dp4.biforms import BiForm
 from dp4.binforms import (
     BinaryForm,
     discriminant,
+    mobius_substitute,
     padd,
     pdeg,
     pderiv,
@@ -113,6 +117,7 @@ from dp4.binforms import (
     psquarefree_decomposition,
     psub,
     pxgcd,
+    resultant,
     squarefree_profile,
 )
 from dp4.factor_search import (
@@ -1008,9 +1013,15 @@ def uncached_delta(spec):
 @contextmanager
 def oracle_gcd():
     """Route every binforms gcd through the Fraction Euclidean oracle, and
-    squarefree parts through Yun's algorithm over Q on it."""
+    squarefree parts through Yun's algorithm over Q on it, each monic part
+    scaled to the primitive integer one that psquarefree_decomposition
+    returns."""
+
+    def yun_over_q(p):
+        return [(binforms._primitive_ints(g), k) for g, k in fraction_squarefree_decomposition(p)]
+
     with mock.patch.object(binforms, "pgcd", fraction_pgcd), mock.patch.object(
-        binforms, "psquarefree_decomposition", fraction_squarefree_decomposition
+        binforms, "psquarefree_decomposition", yun_over_q
     ):
         yield
 
@@ -3383,3 +3394,222 @@ def test_chern_sides_match_sympy_numeric():
         assert families.chern_sides(d, e) == sympy_chern_sides(d, e)
         if sum(d) == sum(e):
             assert families.chern_verify(d, e) is sympy_chern_verify(d, e) is True
+
+
+# ---------------------------------------------------------------------------
+# BinaryForm over Z against its arithmetic over Fraction
+
+
+@dataclass(frozen=True)
+class FractionForm:
+    """BinaryForm as it was before it held integers over one denominator:
+    coeffs[i], a Fraction, multiplies x^(d-i) y^i, and the arithmetic runs
+    on the Fractions."""
+
+    degree: int
+    coeffs: tuple
+
+    @property
+    def is_zero(self):
+        return all(c == 0 for c in self.coeffs)
+
+    def x_poly(self):
+        return pnorm([self.coeffs[self.degree - k] for k in range(self.degree + 1)])
+
+    def y_valuation(self):
+        return next((i for i, c in enumerate(self.coeffs) if c), self.degree + 1)
+
+    def evaluate(self, x0, y0):
+        d = self.degree
+        return sum((c * x0 ** (d - i) * y0**i for i, c in enumerate(self.coeffs)), F(0))
+
+    def __add__(self, other):
+        if self.degree != other.degree:
+            if self.is_zero:
+                return other
+            if other.is_zero:
+                return self
+            raise ValueError("degree mismatch in form addition")
+        return FractionForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return FractionForm(self.degree, tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other):
+        d = self.degree + other.degree
+        out = [F(0)] * (d + 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return FractionForm(d, tuple(out))
+
+    def scale(self, c):
+        c = F(c)
+        return FractionForm(self.degree, tuple(a * c for a in self.coeffs))
+
+    def power(self, k):
+        out = FractionForm(0, (F(1),))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def derivative_x(self):
+        d = self.degree
+        if d == 0:
+            return FractionForm(0, (F(0),))
+        return FractionForm(d - 1, tuple(self.coeffs[i] * (d - i) for i in range(d)))
+
+    def derivative_y(self):
+        d = self.degree
+        if d == 0:
+            return FractionForm(0, (F(0),))
+        return FractionForm(d - 1, tuple(self.coeffs[i] * i for i in range(1, d + 1)))
+
+    def divexact(self, other):
+        if self.degree < other.degree or self.y_valuation() < other.y_valuation():
+            raise ValueError("inexact form division")
+        q = pdivexact(self.x_poly(), other.x_poly())
+        out = [F(0)] * (self.degree - other.degree + 1)
+        for k, c in enumerate(q):
+            out[-1 - k] = c
+        return FractionForm(len(out) - 1, tuple(out))
+
+    def integer_primitive(self):
+        if self.is_zero:
+            return F(0), self
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums = [c * den for c in self.coeffs]
+        g = math.gcd(*(int(c) for c in nums))
+        sign = 1 if next(c for c in nums if c) > 0 else -1
+        content = F(sign * g, den)
+        return content, self.scale(1 / content)
+
+
+def fraction_mobius_substitute(f: FractionForm, m) -> FractionForm:
+    (a, b), (c, d) = ((F(x) for x in row) for row in m)
+    lin1, lin2 = FractionForm(1, (a, b)), FractionForm(1, (c, d))
+    out = FractionForm(f.degree, (F(0),) * (f.degree + 1))
+    for i, cf in enumerate(f.coeffs):
+        if cf:
+            out = out + (lin1.power(f.degree - i) * lin2.power(i)).scale(cf)
+    return out
+
+
+def fraction_transvectant(f, g, r: int):
+    """quintic.transvectant run on FractionForms."""
+    m, n = f.degree, g.degree
+    total = FractionForm(m + n - 2 * r, (F(0),) * (m + n - 2 * r + 1))
+    for k in range(r + 1):
+        df, dg = f, g
+        for _ in range(r - k):
+            df, dg = df.derivative_x(), dg.derivative_y()
+        for _ in range(k):
+            df, dg = df.derivative_y(), dg.derivative_x()
+        total = total + (df * dg).scale((-1) ** k * math.comb(r, k))
+    return total.scale(F(math.factorial(m - r) * math.factorial(n - r), math.factorial(m) * math.factorial(n)))
+
+
+def as_fraction_form(f: BinaryForm) -> FractionForm:
+    return FractionForm(f.degree, f.coeffs)
+
+
+def assert_same(form, oracle):
+    assert isinstance(form, BinaryForm)
+    assert (form.degree, form.coeffs) == (oracle.degree, oracle.coeffs)
+    assert form == BinaryForm(oracle.degree, oracle.coeffs)
+
+
+# the most digits in one integer that dp4 parses
+HUGE = 10**4299
+form_coefficients = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=36),
+    st.integers(-(10**6), 10**6),
+    st.builds(lambda s, k: s * (HUGE + k), st.sampled_from((-1, 1)), st.integers(0, 10**6)),
+    st.builds(lambda k, d: F(HUGE + k, d), st.integers(-9, 9), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def form_pairs(draw, max_degree=5):
+    """Two forms of one degree, each a zero form of that nominal degree at
+    times, with Fraction, small, huge and huge-over-small coefficients."""
+    degree = draw(st.integers(0, max_degree))
+
+    def form():
+        if draw(st.integers(0, 5)) == 0:
+            return BinaryForm.zero(degree)
+        return BinaryForm(degree, tuple(draw(form_coefficients) for _ in range(degree + 1)))
+
+    return form(), form()
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_pairs())
+def test_binary_form_is_canonical_over_z(pair):
+    f, g = pair
+    for h in pair:
+        assert h.den > 0 and math.gcd(h.den, *h.nums) == 1
+        assert all(type(c) is int for c in h.nums) and type(h.nums) is tuple
+        assert h.coeffs == tuple(F(c, h.den) for c in h.nums)
+        assert not h.is_zero or h.den == 1
+        for twin in (
+            BinaryForm(h.degree, h.coeffs),
+            BinaryForm(h.degree, tuple(7 * c for c in h.nums), 7 * h.den),
+            BinaryForm(h.degree, tuple(-c for c in h.nums), -h.den),
+        ):
+            assert twin == h and hash(twin) == hash(h) and twin.nums == h.nums
+    assert (f.coeffs == g.coeffs) == (f == g)
+    assert f != g or hash(f) == hash(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(form_pairs(), form_coefficients, st.integers(0, 3))
+def test_binary_form_arithmetic_matches_fraction_oracle(pair, c, k):
+    f, g = pair
+    a, b = as_fraction_form(f), as_fraction_form(g)
+    assert_same(f + g, a + b)
+    assert_same(f - g, a - b)
+    assert_same(-f, -a)
+    assert_same(f * g, a * b)
+    assert_same(f.scale(c), a.scale(c))
+    assert_same(f.power(k), a.power(k))
+    assert_same(f.derivative_x(), a.derivative_x())
+    assert_same(f.derivative_y(), a.derivative_y())
+    assert f.evaluate(c, 3) == a.evaluate(F(c), F(3))
+    assert f.evaluate(F(2, 3), c) == a.evaluate(F(2, 3), F(c))
+    content, primitive = f.integer_primitive()
+    expected_content, expected_primitive = a.integer_primitive()
+    assert content == expected_content
+    assert_same(primitive, expected_primitive)
+    if not g.is_zero:
+        assert_same((f * g).divexact(g), (a * b).divexact(b))
+    # forms of different nominal degree add only when one of them is zero
+    zero = BinaryForm.zero(f.degree + 1)
+    assert f + zero is (zero if f.is_zero else f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(form_pairs(max_degree=3), st.integers(-3, 3), st.integers(-3, 3))
+def test_binary_form_algebra_matches_fraction_oracle(pair, p, q):
+    f, g = pair
+    a, b = as_fraction_form(f), as_fraction_form(g)
+    m = ((1, p), (q, p * q + 1))  # unimodular
+    assert_same(mobius_substitute(f, m), fraction_mobius_substitute(a, m))
+    for r in range(f.degree + 1):
+        assert_same(quintic.transvectant(f, g, r), fraction_transvectant(a, b, r))
+    assert resultant(f, g) == fraction_resultant(a.coeffs, b.coeffs)
+    assert discriminant(f) == fraction_discriminant(a)
+
+
+def test_binary_form_oracle_on_a_huge_quintic():
+    # a quintic with 4300-digit coefficients, and denominators
+    f = BinaryForm(5, (HUGE + 1, -3, F(HUGE - 7, 11), 0, 2, -(HUGE + 13)))
+    g = BinaryForm(5, (1, F(-2, 3), 0, 5, 0, 1))
+    a, b = as_fraction_form(f), as_fraction_form(g)
+    for r in range(6):
+        assert_same(quintic.transvectant(f, g, r), fraction_transvectant(a, b, r))
+    assert_same(mobius_substitute(f, ((2, 1), (1, 1))), fraction_mobius_substitute(a, ((2, 1), (1, 1))))
