@@ -6,8 +6,9 @@ arithmetic, and every integer kernel that reads a form, runs on ints.  The
 zero form keeps a nominal degree so graded matrix entries stay degree-tagged.
 Univariate helpers act on dense lists with p[i] the x^i coefficient and no
 trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
-- p- helpers run over Q.  padd, pmul, pderiv, peval and pshift keep the
-  coefficient type (int lists stay int), so they serve Z[x] as well;
+- p- helpers add, multiply, differentiate, evaluate and shift, keeping the
+  coefficient type (int lists stay int), so they serve Z[x] and Q[x] alike.
+  None of them divides: every division runs over Z or modulo m;
 - z- helpers run over Z: Yun's squarefree decomposition, and the kernels
   that pinterpolate, pencil_determinant, resultant and discriminant wrap.
   Interpolation takes values at the integer nodes 0..n and expands their
@@ -22,7 +23,8 @@ trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
 - m- helpers act on int lists modulo m, remainders in [0, m): the one
   Euclid over F_p, which the squarefreeness test modulo a prime
   (proved_squarefree, used by squarefree_profile and factor_search) and the
-  factorizer over Z (factor_search) share.
+  factorizer over Z (factor_search) share, and the division modulo p^k of
+  factor_search's Hensel lifts.
 """
 
 from __future__ import annotations
@@ -61,11 +63,6 @@ def psub(p, q):
     return padd(p, [-c for c in q])
 
 
-def pscale(p, c: Fraction):
-    c = Fraction(c)
-    return [] if c == 0 else pnorm([x * c for x in p])
-
-
 def pmul(p, q):
     if not p or not q:
         return []
@@ -75,30 +72,6 @@ def pmul(p, q):
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return pnorm(out)
-
-
-def pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("division by zero polynomial")
-    r = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(r) - 1 >= dq and r:
-        c = r[-1] / lead
-        k = len(r) - 1 - dq
-        quo[k] = c
-        for i, b in enumerate(q):
-            r[k + i] -= c * b
-        pnorm(r)
-    return pnorm(quo), r
-
-
-def pdivexact(p, q):
-    quo, rem = pdivmod(p, q)
-    if rem:
-        raise ValueError("inexact polynomial division")
-    return quo
 
 
 def _zprimitive(p: list[int]) -> list[int]:
@@ -182,6 +155,11 @@ def _mmod(a, m):
     return pnorm([c % m for c in a])
 
 
+def _mbalanced(a, m):
+    """a mod m as balanced residues, in (-m/2, m/2]."""
+    return [c - m if 2 * c > m else c for c in _mmod(a, m)]
+
+
 def _mmonic(a, m):
     inv = pow(a[-1], -1, m)
     return [c * inv % m for c in a]
@@ -215,27 +193,6 @@ def _msquarefree(x: list[int], p: int) -> bool:
     reduction keeps the degree, so disc(x) is nonzero mod p, and x is
     squarefree over Q (the lucky-prime test, von zur Gathen-Gerhard ch. 14)."""
     return x[-1] % p != 0 and len(_mgcd(x, pderiv(x), p)) == 1
-
-
-def pgcd(p, q):
-    """Monic gcd over Q: zgcd made monic."""
-    g = zgcd(p, q)
-    return [Fraction(c, g[-1]) for c in g]
-
-
-def pxgcd(a, b):
-    """(g, s, t) with s*a + t*b = g, a gcd over Q (not made monic): the
-    Euclidean algorithm over Q[x], which carries the cofactors the primitive
-    PRS does not."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(s0, pmul(q, s1))
-        t0, t1 = t1, psub(t0, pmul(q, t1))
-    return r0, s0, t0
 
 
 def pderiv(p):
@@ -512,8 +469,11 @@ class BinaryForm:
         vs, vo = self.y_valuation(), other.y_valuation()
         if vs < vo:
             raise ValueError("inexact form division")
-        q = pdivexact(self.x_poly(), other.x_poly())
-        return BinaryForm.from_x_poly(q, self.degree - other.degree)
+        # other(x, 1) is g / other.den times a primitive polynomial, which
+        # divides self.den * self(x, 1) over Z (Gauss's lemma)
+        g = math.gcd(*other.nums)
+        q = zdivexact(self.zx_poly(), [c // g for c in other.zx_poly()])
+        return BinaryForm.from_x_poly([c * other.den for c in q], self.degree - other.degree, self.den * g)
 
     def integer_primitive(self) -> tuple[Fraction, "BinaryForm"]:
         """(content, primitive form) with coprime integer coefficients and

@@ -14,13 +14,16 @@ search is not general factorization.  It picks one rational specialization
 sigma = s0 with nonzero leading coefficient and squarefree fiber, which also
 proves the form squarefree in w (a form with no such point is replaced by its
 radical).  Each candidate fiber factor (a rational root, an irreducible
-quadratic, or a product of two rational roots) is Hensel-lifted to a factor
-of f(s0 + eps, w) mod eps^(dmax+1), dmax the sigma-degree of f.  Multiplied
-by the leading coefficient of f, the lift truncates to a polynomial multiple
-of the factor (the leading-coefficient trick; von zur Gathen-Gerhard, Modern
-Computer Algebra, ch. 15-16), and the candidate is confirmed by exact
-division.  (s,t)-degrees of coefficients may vary with the (u,v)-power, so
-twisted spectral forms are searchable too.
+quadratic, or a product of two rational roots, primitive over Z) is
+Hensel-lifted to a factor of f(s0 + eps, w) mod (eps^(dmax+1), p^k), dmax
+the sigma-degree of f and p the factorizer's small prime for the fiber.
+Multiplied by the leading coefficient of f, the lift truncates to lc(H)*G
+for a factor G of f = G*H (the leading-coefficient trick; von zur
+Gathen-Gerhard, Modern Computer Algebra, ch. 15-16), whose coefficients are
+at most 2^(dmax+b) |f|_2 for b the degree bound (Mahler's measure), so p^k
+above twice that reads it off as balanced residues.  The candidate is
+confirmed by exact division.  (s,t)-degrees of coefficients may
+vary with the (u,v)-power, so twisted spectral forms are searchable too.
 
 The fiber factors come from uni_irreducible_factors, which also serves the
 spectral quintics of pencils and the genericity witnesses of families: an
@@ -43,6 +46,7 @@ from itertools import chain, combinations, product
 from . import linalg
 from .binforms import (
     BinaryForm,
+    _mbalanced,
     _mdivmod,
     _mgcd,
     _mmod,
@@ -54,19 +58,14 @@ from .binforms import (
     padd,
     pdeg,
     pderiv,
-    pdivexact,
-    pdivmod,
     peval,
-    pgcd,
     pmul,
     pnorm,
     primitive_prs,
     proved_squarefree,
-    pscale,
     pshift,
     psquarefree_decomposition,
     psub,
-    pxgcd,
     zdivexact,
     zgcd,
     zx_polys,
@@ -252,7 +251,7 @@ def _zfactor_squarefree(f: list[int]) -> list[list[int]]:
             g = [f[-1]]
             for i in subset:
                 g = _mmod(pmul(g, lifted[i]), m)
-            g = _zprimitive([c - m if 2 * c > m else c for c in g])
+            g = _zprimitive(_mbalanced(g, m))
             try:
                 f = zdivexact(f, g)
             except ValueError:
@@ -385,25 +384,34 @@ def _wfactor(g) -> WFactor:
     return WFactor(tuple(tuple(map(Fraction, c)) for c in g))
 
 
-def _hensel_lift(f_eps, g0, h0, n: int):
-    """Linear eps-adic lift of the fiber factorization f_0 = g0*h0, g0 monic
-    and coprime to h0, to f(s0 + eps, w) = g*h mod eps^n with g monic of the
-    degree of g0.  f_eps[k] is the w-polynomial f_k, the coefficient of
-    eps^k; each order solves g0*h_k + g_k*h0 = f_k - sum_{0<i<k} g_i*h_{k-i}
-    with deg g_k < deg g0.  Returns the eps-series of g's non-leading
-    coefficients, one per w-power below deg g0.  The search needs
-    n = dmax + 1, dmax the sigma-degree of f (see search_w_factor)."""
-    gcd, _, t = pxgcd(g0, h0)
-    t = pscale(t, 1 / gcd[0])  # t*h0 = 1 mod g0
+def _hensel_lift(f_eps, g0, h0, n: int, p: int, m: int):
+    """Linear eps-adic lift of the fiber factorization f_0 = g0*h0 over Z,
+    g0 coprime to h0 modulo p and lc(g0) a unit there, to f(s0 + eps, w) =
+    g*h mod (eps^n, m) with g monic of the degree of g0; m is a power
+    p^(2^k).  g0 is made monic mod m, and t*h0 = 1 mod (g0, p) is lifted by
+    Newton's iteration t <- t*(2 - t*h0) mod (g0, q^2) up to q = m.
+    f_eps[k] is the w-polynomial f_k, the coefficient of eps^k; each order
+    solves g0*h_k + g_k*h0 = f_k - sum_{0<i<k} g_i*h_{k-i} with deg g_k <
+    deg g0 (von zur Gathen-Gerhard, ch. 15).  Returns the eps-series of g's
+    non-leading coefficients, in [0, m), one per w-power below deg g0.  The
+    search needs n = dmax + 1, dmax the sigma-degree of f (see
+    search_w_factor)."""
+    h0 = _mmod([c * g0[-1] for c in h0], m)
+    g0 = _mmonic(g0, m)
+    t = _mxgcd(_mmod(g0, p), _mmod(h0, p), p)[1]
+    q = p
+    while q < m:
+        q *= q
+        t = _mdivmod(pmul(t, psub([2], pmul(t, h0))), g0, q)[1]
     g, h = [g0], [h0]
     for k in range(1, n):
         rhs = f_eps[k]
         for i in range(1, k):
             rhs = psub(rhs, pmul(g[i], h[k - i]))
-        gk = pdivmod(pmul(t, rhs), g0)[1]
+        gk = _mdivmod(pmul(t, rhs), g0, m)[1]
         g.append(gk)
-        h.append(pdivexact(psub(rhs, pmul(gk, h0)), g0))
-    return [[gk[j] if j < len(gk) else Fraction(0) for gk in g] for j in range(pdeg(g0))]
+        h.append(_mdivmod(psub(rhs, pmul(gk, h0)), g0, m)[0])
+    return [[gk[j] if j < len(gk) else 0 for gk in g] for j in range(pdeg(g0))]
 
 
 def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
@@ -411,7 +419,19 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     nonzero).  Returns a primitive factor with 1 <= w-degree <= bound, or None.
     Completeness needs one specialization with nonzero leading coefficient and
     squarefree fiber; non-reduced inputs, which have none, are peeled via the
-    radical."""
+    radical.
+
+    Each candidate g0 is lifted modulo (eps^(dmax+1), m), m = p^(2^k) for
+    p = _small_prime(fib).  The leading-coefficient trick: if g0 specializes
+    a primitive factor G of f, then f = G*H over Z[sigma] (Gauss's lemma),
+    and lc(f) times the monic lift G/lc(G) is lc(H)*G, of sigma-degree
+    <= dmax and w-degree <= bound, so dmax + 1 orders of it, shifted back,
+    are that polynomial modulo m.  Each of its coefficients is at most
+    2^(dmax+bound) M(lc(H)*G) <= 2^(dmax+bound) M(f) <= 2^(dmax+bound) |f|_2
+    (the Mahler measure M is multiplicative, M(lc_w H) <= M(H), and
+    M <= |.|_2), so m > 2^(dmax+bound+1) (floor(|f|_2) + 1) reads it off
+    exactly as balanced residues, and its primitive part is G.  A candidate
+    that specializes no factor fails _divides."""
     f = wnorm(_over_z(coeff_polys))
     nw = wdeg(f)
     if nw < 2:
@@ -429,7 +449,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         if peval(f[-1], s0) == 0:
             continue
         fib = wevaluate(f, s0)
-        if proved_squarefree(_zprimitive(fib)) or pdeg(pgcd(fib, pderiv(fib))) == 0:
+        if proved_squarefree(_zprimitive(fib)) or len(zgcd(fib, pderiv(fib))) == 1:
             break
     else:
         # a repeated factor of f stays repeated in every fiber where the
@@ -446,9 +466,10 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
 
     # candidates: rational fiber roots, then irreducible fiber quadratics and
     # products of two distinct rational fiber roots, each product built only
-    # when the search reaches it.  A factor of f of w-degree <= bound
-    # specializes to one of them, so with none there is nothing to lift.
-    fib_factors = [fac for fac, _ in uni_irreducible_factors(fib)]
+    # when the search reaches it, all primitive over Z.  A factor of f of
+    # w-degree <= bound specializes to one of them, so with none there is
+    # nothing to lift.
+    fib_factors = [_primitive_ints(fac) for fac, _ in uni_irreducible_factors(fib)]
     lins = [fac for fac in fib_factors if pdeg(fac) == 1]
     quads = [fac for fac in fib_factors if pdeg(fac) == 2] if bound >= 2 else []
     pairs = combinations(lins, 2) if bound >= 2 else ()
@@ -459,16 +480,14 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     # f_eps[k]: the coefficient of eps^k in f(s0 + eps, w), f_eps[0] = fib
     shifted = [pshift(c, s0) for c in f]
     f_eps = [pnorm([c[k] if k < len(c) else 0 for c in shifted]) for k in range(prec)]
-    # the leading-coefficient trick: if g0 specializes a primitive factor G
-    # of f, then f = G*H over Z[sigma] (Gauss's lemma), the monic lift is
-    # G/lc(G), and lc(f) times it is lc(H)*G, of sigma-degree at most
-    # deg G + deg H = dmax.  So prec = dmax + 1 orders of lc(f)*g, shifted
-    # back, are that polynomial exactly, and its primitive part is G; a
-    # candidate that specializes no factor fails the division.
+    p = _small_prime(fib)
+    m, top = p, 2 ** (dmax + bound + 1) * (math.isqrt(sum(x * x for c in f for x in c)) + 1)
+    while m <= top:
+        m *= m
     lead = shifted[-1]  # lc_w(f)(s0 + eps)
     for g0 in candidates:
-        lifted = _hensel_lift(f_eps, g0, pdivexact(fib, g0), prec)
-        coeffs = [pshift(pmul(lead, series)[:prec], -s0) for series in lifted]
+        lifted = _hensel_lift(f_eps, g0, zdivexact(fib, g0), prec, p, m)
+        coeffs = [_mbalanced(pshift(pmul(lead, series)[:prec], -s0), m) for series in lifted]
         g_cand = wprimitive(coeffs + [f[-1]])
         if _divides(f, g_cand):
             return _wfactor(g_cand)

@@ -28,7 +28,7 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .binforms import BinaryForm, discriminant, form_gcd, pdivmod, pinterpolate, resultant
+from .binforms import BinaryForm, _zprem, discriminant, form_gcd, pinterpolate, resultant
 
 
 def monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -327,12 +327,14 @@ def h0_linear_system(curve: PlaneQuintic, plus, minus, extra_h: int = 0) -> int:
     rows = []
 
     for p, w, _, residual in lines:
-        rpoly = [residual.coeffs[residual.degree - i] for i in range(residual.degree + 1)]
+        rpoly = residual.zx_poly()
         cond = [[] for _ in range(4)]
         for mono in mons:
             b = _restrict_monomial(mono, p, w)
+            # at its full length deg_f + 1, every fpoly along this line takes
+            # the pseudo-remainder's factor lc^(deg_f - 3): one row scale
             fpoly = [b[deg_f - i] for i in range(deg_f + 1)]
-            rem = pdivmod(fpoly, rpoly)[1]
+            rem = _zprem(fpoly, rpoly)
             for r in range(4):
                 cond[r].append(rem[r] if r < len(rem) else Fraction(0))
         rows.extend(cond)

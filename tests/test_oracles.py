@@ -68,7 +68,11 @@ corank at each root of the spectral quintic as Gaussian elimination over
 the factor's residue field (it is now read off the principal minors of the
 pencil, pencil determinants over Z tested for divisibility by the factor),
 and BinaryForm's arithmetic on a tuple of Fractions (a form now holds
-integer numerators over one denominator).
+integer numerators over one denominator), and the eps-adic lift of each
+search candidate, exact division of forms and the residual-quartic
+conditions of h0_linear_system over Q[x] by the Euclidean algorithm (pxgcd,
+pdivmod, pdivexact; the lift now runs modulo p^k and the divisions run over
+Z).
 """
 
 import math
@@ -81,7 +85,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -96,7 +100,7 @@ from conftest import (
     widened,
 )
 
-from dp4 import binforms, factor_search, families, linalg, lines, models, pencils, quintic
+from dp4 import binforms, factor_search, families, linalg, lines, models, pencils, plane_quintic, quintic
 from dp4.biforms import BiForm
 from dp4.binforms import (
     BinaryForm,
@@ -105,25 +109,20 @@ from dp4.binforms import (
     padd,
     pdeg,
     pderiv,
-    pdivexact,
-    pdivmod,
     peval,
     pencil_determinant,
-    pgcd,
     pinterpolate,
     pmul,
     pnorm,
-    pscale,
     psquarefree_decomposition,
     psub,
-    pxgcd,
     resultant,
     squarefree_profile,
+    zgcd,
 )
 from dp4.factor_search import (
     WFactor,
     _divides,
-    _hensel_lift,
     _over_z,
     _wfactor,
     twisted_factor_search,
@@ -282,6 +281,73 @@ def fraction_delta(spec) -> BinaryForm | None:
     if not poly:
         return None
     return BinaryForm.from_x_poly(poly, 2 * h)
+
+
+def pscale(p, c):
+    c = Fraction(c)
+    return [] if c == 0 else pnorm([x * c for x in p])
+
+
+def pdivmod(p, q):
+    """Quotient and remainder over Q."""
+    if not q:
+        raise ZeroDivisionError("division by zero polynomial")
+    r = list(p)
+    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    dq = len(q) - 1
+    lead = q[-1]
+    while len(r) - 1 >= dq and r:
+        c = r[-1] / lead
+        k = len(r) - 1 - dq
+        quo[k] = c
+        for i, b in enumerate(q):
+            r[k + i] -= c * b
+        pnorm(r)
+    return pnorm(quo), r
+
+
+def pdivexact(p, q):
+    quo, rem = pdivmod(p, q)
+    if rem:
+        raise ValueError("inexact polynomial division")
+    return quo
+
+
+def pgcd(p, q):
+    """Monic gcd over Q: zgcd made monic."""
+    g = zgcd(p, q)
+    return [Fraction(c, g[-1]) for c in g]
+
+
+def pxgcd(a, b):
+    """(g, s, t) with s*a + t*b = g, a gcd over Q (not made monic): the
+    Euclidean algorithm over Q[x]."""
+    r0, r1 = list(a), list(b)
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while r1:
+        q, r = pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, psub(s0, pmul(q, s1))
+        t0, t1 = t1, psub(t0, pmul(q, t1))
+    return r0, s0, t0
+
+
+def fraction_hensel_lift(f_eps, g0, h0, n: int):
+    """The eps-adic lift of factor_search._hensel_lift over Q: g0 monic and
+    coprime to h0, each order solved by the Euclid over Q[x].  Returns the
+    eps-series of g's non-leading coefficients as Fractions."""
+    gcd, _, t = pxgcd(g0, h0)
+    t = pscale(t, 1 / gcd[0])  # t*h0 = 1 mod g0
+    g, h = [g0], [h0]
+    for k in range(1, n):
+        rhs = f_eps[k]
+        for i in range(1, k):
+            rhs = psub(rhs, pmul(g[i], h[k - i]))
+        gk = pdivmod(pmul(t, rhs), g0)[1]
+        g.append(gk)
+        h.append(pdivexact(psub(rhs, pmul(gk, h0)), g0))
+    return [[gk[j] if j < len(gk) else Fraction(0) for gk in g] for j in range(pdeg(g0))]
 
 
 def fraction_pgcd(p, q):
@@ -781,7 +847,7 @@ def _bv_mul(a, b, prec):
     return out
 
 
-_wq_xgcd = binforms.pxgcd
+_wq_xgcd = pxgcd
 
 
 def pade(series, d, n):
@@ -944,7 +1010,7 @@ def pade_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     ]
     for g0 in candidates:
         rats = []
-        for series in _hensel_lift(f_eps, g0, pdivexact(fib, g0), prec):
+        for series in fraction_hensel_lift(f_eps, g0, pdivexact(fib, g0), prec):
             rat = pade(series, dmax, prec)
             if rat is None:
                 break
@@ -1012,17 +1078,14 @@ def uncached_delta(spec):
 
 @contextmanager
 def oracle_gcd():
-    """Route every binforms gcd through the Fraction Euclidean oracle, and
-    squarefree parts through Yun's algorithm over Q on it, each monic part
-    scaled to the primitive integer one that psquarefree_decomposition
-    returns."""
+    """Route squarefree parts through Yun's algorithm over Q on the Fraction
+    Euclidean oracle, each monic part scaled to the primitive integer one
+    that psquarefree_decomposition returns."""
 
     def yun_over_q(p):
         return [(binforms._primitive_ints(g), k) for g, k in fraction_squarefree_decomposition(p)]
 
-    with mock.patch.object(binforms, "pgcd", fraction_pgcd), mock.patch.object(
-        binforms, "psquarefree_decomposition", yun_over_q
-    ):
+    with mock.patch.object(binforms, "psquarefree_decomposition", yun_over_q):
         yield
 
 
@@ -1593,10 +1656,10 @@ def test_pgcd_zero_and_constant_cases():
     p = [F(2), F(-3), F(1)]  # (x - 1)(x - 2)
     for a, b in [([], []), (p, []), ([], p), ([F(3)], p), (p, [F(-1, 2)]),
                  ([F(0), F(0)], p), ([F(5)], [F(7)])]:
-        assert binforms.pgcd(a, b) == fraction_pgcd(pnorm(list(a)), pnorm(list(b)))
-    assert binforms.pgcd([], []) == []
-    assert binforms.pgcd(p, []) == p
-    assert binforms.pgcd([F(3)], p) == [F(1)]
+        assert pgcd(a, b) == fraction_pgcd(pnorm(list(a)), pnorm(list(b)))
+    assert pgcd([], []) == []
+    assert pgcd(p, []) == p
+    assert pgcd([F(3)], p) == [F(1)]
 
 
 def test_pgcd_rational_coefficients():
@@ -1604,8 +1667,8 @@ def test_pgcd_rational_coefficients():
     g = [F(-1, 3), F(1, 2)]
     p = pmul(g, [F(5), F(3, 7)])
     q = pmul(g, [F(-1, 9), F(0), F(1)])
-    assert binforms.pgcd(p, q) == [F(-2, 3), F(1)]
-    assert binforms.pgcd(p, q) == fraction_pgcd(p, q)
+    assert pgcd(p, q) == [F(-2, 3), F(1)]
+    assert pgcd(p, q) == fraction_pgcd(p, q)
 
 
 polys = st.lists(rationals, max_size=6).map(lambda c: pnorm(list(c)))
@@ -1615,8 +1678,8 @@ polys = st.lists(rationals, max_size=6).map(lambda c: pnorm(list(c)))
 @given(polys, polys, polys)
 def test_pgcd_matches_oracle(a, b, g):
     p, q = pmul(a, g), pmul(b, g)
-    assert binforms.pgcd(p, q) == fraction_pgcd(p, q)
-    assert binforms.pgcd(q, p) == fraction_pgcd(p, q)
+    assert pgcd(p, q) == fraction_pgcd(p, q)
+    assert pgcd(q, p) == fraction_pgcd(p, q)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1624,7 +1687,7 @@ def test_pgcd_matches_oracle(a, b, g):
 def test_pgcd_with_derivative_matches_oracle(a, b):
     # repeated roots: p = a^2 b shares a with p'
     p = pmul(pmul(a, a), b)
-    assert binforms.pgcd(p, pderiv(p)) == fraction_pgcd(p, pderiv(p))
+    assert pgcd(p, pderiv(p)) == fraction_pgcd(p, pderiv(p))
 
 
 # ---------------------------------------------------------------------------
@@ -2920,16 +2983,16 @@ def test_splits_ruled_out_needs_degrees_linear_in_j():
 
 
 def test_integer_search_fibers_carry_no_float():
-    # s0 is an int, so the fiber and its Taylor shift stay integer; each
-    # division in the lift is by a Fraction lead
+    # s0 is an int, so the fiber and its Taylor shift stay integer, and the
+    # lift runs modulo m on ints: every series lies in [0, m)
     coeffs = list(spectral_form(split_diagonal_example(1)).coefficients)
     lift = factor_search._hensel_lift
 
-    def checked(f_eps, g0, h0, n):
-        out = lift(f_eps, g0, h0, n)
-        values = [x for p in (*f_eps, g0, h0, *out) for x in p]
-        assert all(isinstance(x, (int, Fraction)) for x in values)
-        assert all(isinstance(x, int) for p in f_eps for x in p)
+    def checked(f_eps, g0, h0, n, p, m):
+        out = lift(f_eps, g0, h0, n, p, m)
+        values = [x for q in (*f_eps, g0, h0, *out) for x in q]
+        assert all(type(x) is int for x in [*values, n, p, m])
+        assert all(0 <= x < m for series in out for x in series)
         return out
 
     with mock.patch.object(factor_search, "_hensel_lift", checked):
@@ -2937,6 +3000,68 @@ def test_integer_search_fibers_carry_no_float():
     assert found[0] == "factor"
     with gcd_first_search():
         assert repr(twisted_factor_search(coeffs, 2)) == repr(found)
+
+
+def planted_lift_case(g_factors, h, s0):
+    """(f, f_eps, fib, g0) for f = G*H over Z[sigma][w], G the product of
+    g_factors, specialized at sigma = s0: the inputs of one lift."""
+    g = [[1]]
+    for fac in g_factors:
+        g = wmul(g, fac)
+    f = wmul(g, h)
+    fib = wevaluate(f, s0)
+    shifted = [binforms.pshift(c, s0) for c in f]
+    dmax = max(pdeg(c) for c in f)
+    f_eps = [pnorm([c[k] if k < len(c) else 0 for c in shifted]) for k in range(dmax + 1)]
+    return f, f_eps, fib, binforms._primitive_ints(wevaluate(g, s0))
+
+
+def residue(x: Fraction, m: int) -> int:
+    return x.numerator * pow(x.denominator, -1, m) % m
+
+
+big_ints = st.integers(-(10**300), 10**300)
+sigma_polys = st.lists(big_ints, min_size=1, max_size=3).map(pnorm)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.lists(sigma_polys, min_size=2, max_size=2), min_size=1, max_size=2),
+    st.lists(sigma_polys, min_size=3, max_size=4),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+@example(
+    [[[3, 10**299 + 7], [5 * 10**299, 2]], [[-(10**300) + 1], [7, 0, 10**250]]],
+    [[1, 1], [10**300 - 3], [2, -5, 9]],
+    -2,
+)
+def test_modular_lift_matches_fraction_lift(g_factors, h, s0):
+    # planted G*H, G linear or a product of two linears (a pair candidate),
+    # with entries up to 300 digits, at a nonzero s0: the lift modulo m is
+    # the Fraction lift's series reduced modulo m
+    g_factors = [wnorm(fac) for fac in g_factors]
+    h = wnorm(h)
+    assume(all(wdeg(fac) == 1 for fac in g_factors) and wdeg(h) >= 2)
+    f, f_eps, fib, g0 = planted_lift_case(g_factors, h, s0)
+    assume(pdeg(fib) == wdeg(f) and len(zgcd(fib, pderiv(fib))) == 1)
+    p = factor_search._small_prime(fib)
+    m = p**8
+    h0 = binforms.zdivexact(fib, g0)
+    got = factor_search._hensel_lift(f_eps, g0, h0, len(f_eps), p, m)
+    monic = [F(c, g0[-1]) for c in g0]
+    want = fraction_hensel_lift(f_eps, monic, pdivexact(fib, monic), len(f_eps))
+    assert got == [[residue(x, m) for x in series] for series in want]
+    assert factor_search.search_w_factor(f, len(g_factors)) is not None
+
+
+def test_search_reads_a_factor_wider_than_2_to_the_200():
+    # lc(H)*G has coefficients above 2^200, so m must pass them; the
+    # non-monic G = 3^130 (sigma + 1) w - 2^210 sigma^2 is recovered whole
+    g = [[0, 0, -(2**210)], [3**130, 3**130]]
+    h = [[5, 1], [-7], [1, 2, 3]]
+    lead_h_g = wmul([h[-1]], g)
+    assert max(abs(x) for c in lead_h_g for x in c) > 2**200
+    assert factor_search.search_w_factor(wmul(g, h), 2) == _wfactor(wprimitive(g))
 
 
 # ---------------------------------------------------------------------------
@@ -3243,6 +3368,24 @@ def test_smoothness_certificate_matches_groebner(name):
     assert curve.is_smooth() == groebner_is_smooth(curve)
     if not name.startswith("random"):
         assert curve.is_smooth() == (name in CERTIFIED)
+
+
+@pytest.mark.parametrize("extra_h", [0, 1])
+@pytest.mark.parametrize("scale", [1, 7, F(1, 3)])
+@pytest.mark.parametrize(
+    "fixture, eta",
+    [(pencil_fixture, lambda fx: fx.eta(0, 1)), (quadrilateral_fixture, lambda fx: fx.eta("12|34"))],
+    ids=["pencil", "quadrilateral"],
+)
+def test_h0_linear_system_matches_pdivmod_oracle(fixture, eta, scale, extra_h):
+    # each line's residual-quartic conditions as pseudo-remainders over Z
+    # give the rank the remainders over Q gave, on the curve at any scale
+    fx = fixture()
+    curve = PlaneQuintic(tuple(scale * c for c in fx.curve.coeffs))
+    plus, minus = eta(fx)
+    fast = plane_quintic.h0_linear_system(curve, plus, minus, extra_h)
+    with mock.patch.object(plane_quintic, "_zprem", lambda a, b: pdivmod(a, b)[1]):
+        assert plane_quintic.h0_linear_system(curve, plus, minus, extra_h) == fast
 
 
 # ---------------------------------------------------------------------------
