@@ -8,7 +8,10 @@ Univariate helpers act on dense lists with p[i] the x^i coefficient and no
 trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
 - p- helpers add, multiply, differentiate, evaluate and shift, keeping the
   coefficient type (int lists stay int), so they serve Z[x] and Q[x] alike.
-  None of them divides: every division runs over Z or modulo m;
+  pmonomials evaluates ternary monomials at three of them, cut to n
+  coefficients: at a point, along a line and on a branch series, for
+  plane_quintic and the blow-up of pencils.  None of them divides: every
+  division runs over Z or modulo m;
 - z- helpers run over Z: Yun's squarefree decomposition, and the kernels
   that pinterpolate, pencil_determinant, resultant and discriminant wrap.
   Interpolation takes values at the integer nodes 0..n and expands their
@@ -72,6 +75,25 @@ def pmul(p, q):
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return pnorm(out)
+
+
+def pmonomials(coords, monos, n=None):
+    """The values of the exponent triples monos at the three polynomials
+    coords in t: a point is three constants, a line three linear
+    polynomials, a branch three series.  Each product is cut to its first
+    n coefficients (kept whole when n is None) and keeps the coefficient
+    type, as pmul does."""
+
+    def mul(p, q):
+        return pmul(p, q) if n is None else pnorm(pmul(p, q)[:n])
+
+    powers = []
+    for v, c in enumerate(coords):
+        row = [[1]]
+        for _ in range(max((m[v] for m in monos), default=0)):
+            row.append(mul(row[-1], c))
+        powers.append(row)
+    return [mul(mul(powers[0][i], powers[1][j]), powers[2][k]) for i, j, k in monos]
 
 
 def _zprimitive(p: list[int]) -> list[int]:

@@ -9,7 +9,8 @@ principal minors of the pencil, over Z) classify the surface, and a quintic
 with rational roots can be rebuilt into a pencil by blowing up the plane
 along five points of a conic (projection from a line identifies the surface
 with that blow-up, and the identification is validated through the moduli
-point of the spectral quintic).
+point of the spectral quintic); the blow-up's conditions and cubic products
+run over Z.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .binforms import (
     _zprem,
     pdeg,
     pencil_determinant,
+    pmonomials,
     zpencil_determinant,
 )
 from .factor_search import uni_irreducible_factors
@@ -176,19 +178,6 @@ _SEXTIC_MONOMIALS = [
 ]
 
 
-def _eval_monomial_row(rho: Fraction, monomials):
-    """Row of monomial values at the conic point (rho^2, rho, 1)."""
-    return [rho ** (2 * a + b) for a, b, _ in monomials]
-
-
-def _derivative_row(rho: Fraction, monomials):
-    """d/drho of each monomial along the conic parameterization."""
-    return [
-        (2 * a + b) * rho ** (2 * a + b - 1) if 2 * a + b else Fraction(0)
-        for a, b, _ in monomials
-    ]
-
-
 @dataclass(frozen=True)
 class BlowupModel:
     parameters: tuple[Fraction, ...]
@@ -204,7 +193,9 @@ def blowup_from_quintic(parameters) -> tuple[BlowupModel, SymmetricPencil]:
     present the image as a pencil of quadrics.
 
     A repeated parameter contributes its point with a first-order condition
-    along the conic; three equal parameters are rejected.
+    along the conic; three equal parameters are rejected.  For rho = p/q
+    the rows are the cubic monomials at ((p + qt)^2, (p + qt)q, q^2): q^6
+    times their value and derivative at (rho^2, rho, 1), over Z.
     """
     rs = tuple(Fraction(r) for r in parameters)
     if len(rs) != 5:
@@ -217,30 +208,25 @@ def blowup_from_quintic(parameters) -> tuple[BlowupModel, SymmetricPencil]:
 
     rows = []
     for rho in sorted(mults):
-        rows.append(_eval_monomial_row(rho, _CUBIC_MONOMIALS))
-        if mults[rho] == 2:
-            rows.append(_derivative_row(rho, _CUBIC_MONOMIALS))
+        p, q = rho.numerator, rho.denominator
+        conic = [[p * p, 2 * p * q, q * q], [p * q, q * q], [q * q]]
+        values = pmonomials(conic, _CUBIC_MONOMIALS, mults[rho])
+        rows.extend([v[r] if r < len(v) else 0 for v in values] for r in range(mults[rho]))
     cubics = linalg.kernel_basis(rows)
     if len(cubics) != 5:
         raise RuntimeError("cubic system dimension != 5")
 
-    products = {}
+    # over one common denominator d, every product is d^2 times the
+    # rational one, so the relation matrix keeps its kernel
+    _, zcubics = linalg.clear_row_denominators(cubics)
     pairs = [(i, j) for i in range(5) for j in range(i, 5)]
-    for i, j in pairs:
-        coeffs = {}
-        for (a1, b1, c1), x in zip(_CUBIC_MONOMIALS, cubics[i]):
-            if not x:
-                continue
-            for (a2, b2, c2), y in zip(_CUBIC_MONOMIALS, cubics[j]):
-                if not y:
-                    continue
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                coeffs[key] = coeffs.get(key, Fraction(0)) + x * y
-        products[(i, j)] = coeffs
-    relation_matrix = [
-        [products[pair].get(mono, Fraction(0)) for pair in pairs]
-        for mono in _SEXTIC_MONOMIALS
-    ]
+    row_of = {mono: r for r, mono in enumerate(_SEXTIC_MONOMIALS)}
+    relation_matrix = [[0] * len(pairs) for _ in _SEXTIC_MONOMIALS]
+    for col, (i, j) in enumerate(pairs):
+        for (a1, b1, c1), x in zip(_CUBIC_MONOMIALS, zcubics[i]):
+            for (a2, b2, c2), y in zip(_CUBIC_MONOMIALS, zcubics[j]):
+                if x and y:
+                    relation_matrix[row_of[a1 + a2, b1 + b2, c1 + c2]][col] += x * y
     relations = linalg.kernel_basis(relation_matrix)
     if len(relations) != 2:
         raise RuntimeError("quadric relation dimension != 2")

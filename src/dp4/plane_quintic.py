@@ -7,7 +7,9 @@ the parity q(eta) = (h^0(theta + eta) + h^0(theta)) mod 2 is computed by
 exact interpolation: sections of theta + eta are realized as plane forms
 constrained by auxiliary lines through the positive part and power-series
 vanishing conditions at the negative part, and h^0 falls out as a kernel
-dimension minus the quintic multiples.
+dimension minus the quintic multiples.  The form and its monomials meet
+a point, a line and a branch series through one evaluator,
+binforms.pmonomials, and the branch series gains one order per step.
 
 Two fixtures are bundled, both built by solving exact linear systems for
 quintics with prescribed tangent lines.  The pencil fixture has three
@@ -28,7 +30,18 @@ from functools import lru_cache
 from math import comb
 
 from . import linalg
-from .binforms import BinaryForm, _zprem, discriminant, form_gcd, pinterpolate, resultant
+from .binforms import (
+    BinaryForm,
+    _zprem,
+    discriminant,
+    form_gcd,
+    padd,
+    pinterpolate,
+    pmonomials,
+    pnorm,
+    psub,
+    resultant,
+)
 
 
 def monomials(degree: int) -> list[tuple[int, int, int]]:
@@ -89,10 +102,19 @@ class PlaneQuintic:
 SMOOTHNESS_CENTRES = range(1, 7)
 
 
+def _form_at(coeffs, degree: int, coords, n=None) -> list:
+    """A ternary form at three polynomials in t, the sum of c * pmonomials
+    over monomials(degree), as a p-list cut to n coefficients."""
+    terms = [(c, m) for c, m in zip(coeffs, monomials(degree)) if c]
+    total: list = []
+    for (c, _), value in zip(terms, pmonomials(coords, [m for _, m in terms], n)):
+        total = padd(total, [c * x for x in value])
+    return total
+
+
 def _evaluate(coeffs, degree: int, point) -> Fraction:
-    x, y, z = (Fraction(v) for v in point)
-    terms = (c * x**i * y**j * z**k for c, (i, j, k) in zip(coeffs, monomials(degree)) if c)
-    return sum(terms, Fraction(0))
+    value = _form_at(coeffs, degree, [[v] for v in point])
+    return Fraction(value[0]) if value else Fraction(0)
 
 
 def restrict(curve_coeffs, degree: int, p0, p1) -> BinaryForm:
@@ -103,11 +125,8 @@ def restrict(curve_coeffs, degree: int, p0, p1) -> BinaryForm:
     numerators times d0^i * d1^(degree-i) over D * (d0 * d1)^degree."""
     den, coeffs = linalg.clear_denominators(curve_coeffs)
     (d0, q0), (d1, q1) = linalg.clear_denominators(p0), linalg.clear_denominators(p1)
-    total = [0] * (degree + 1)
-    for c, mono in zip(coeffs, monomials(degree)):
-        if c:
-            for i, x in enumerate(_restrict_monomial(mono, q0, q1)):
-                total[i] += c * x
+    total = _form_at(coeffs, degree, [[a, b] for a, b in zip(q0, q1)])
+    total += [0] * (degree + 1 - len(total))
     return BinaryForm(
         degree,
         tuple(c * d0**i * d1 ** (degree - i) for i, c in enumerate(total)),
@@ -128,67 +147,15 @@ def _on_line(covector, point) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series over Q (dense lists of fixed length)
-
-
-def strunc(a, n):
-    out = list(a[:n])
-    out += [Fraction(0)] * (n - len(out))
-    return out
-
-
-def sadd(a, b):
-    return [x + y for x, y in zip(a, b)]
-
-
-def ssub(a, b):
-    return [x - y for x, y in zip(a, b)]
-
-
-def smul(a, b, n):
-    out = [Fraction(0)] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            for j, y in enumerate(b[: n - i]):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
-def sinv(a, n):
-    if a[0] == 0:
-        raise ZeroDivisionError("series not invertible")
-    out = [Fraction(0)] * n
-    out[0] = 1 / a[0]
-    for k in range(1, n):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            if i < len(a) and a[i]:
-                acc += a[i] * out[k - i]
-        out[k] = -acc * out[0]
-    return out
-
-
-def _series_powers(series, degree: int, n: int):
-    """powers[v][e]: the truncated series of coordinate v to the power e,
-    for e up to degree."""
-    powers = []
-    for s in series:
-        row = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
-        for _ in range(degree):
-            row.append(smul(row[-1], s, n))
-        powers.append(row)
-    return powers
-
-
-# ---------------------------------------------------------------------------
 # branch expansion at a smooth rational point
 
 
 def _branch_series(curve: PlaneQuintic, point, order: int):
     """Power-series parametrization of the curve branch at a smooth rational
-    point: returns three coefficient lists (x(t), y(t), z(t)) truncated to
-    the requested order, with the free coordinate moving linearly in t."""
+    point: three p-lists (x(t), y(t), z(t)), exact modulo t^order, with the
+    free coordinate moving linearly in t.  Each step y <- y - F(y)/F_y(point)
+    clears the lowest nonzero order of F(y): along the branch F_y is
+    F_y(point), nonzero at a smooth point, plus higher orders."""
     pt = [Fraction(v) for v in point]
     iz = next(i for i in range(3) if pt[i] != 0)
     pt = [v / pt[iz] for v in pt]
@@ -199,24 +166,17 @@ def _branch_series(curve: PlaneQuintic, point, order: int):
         raise ValueError("unsupported divisor presentation: singular point")
     ix = next(i for i in others if i != iy)
 
-    n = order
     series = [None, None, None]
-    series[iz] = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    series[ix] = [pt[ix], Fraction(1)] + [Fraction(0)] * (n - 2)
-    y = [pt[iy]] + [Fraction(0)] * (n - 1)
-    # Newton iteration on the defining equation, solving for the iy series
-    for _ in range(n.bit_length() + 2):
-        series[iy] = y
-        val = _eval_series(curve.coeffs, 5, series, n)
-        dval = _eval_series(_partial(curve.coeffs, iy), 4, series, n)
-        if all(v == 0 for v in val):
-            break
-        y = strunc(ssub(y, smul(val, sinv(dval, n), n)), n)
-    series[iy] = y
-    check = _eval_series(curve.coeffs, 5, series, n)
-    if any(v != 0 for v in check):
-        raise RuntimeError("branch expansion did not converge")
-    return series
+    series[iz] = [Fraction(1)]
+    series[ix] = [pt[ix], Fraction(1)]
+    series[iy] = pnorm([pt[iy]])
+    # F(point) = 0, so order - 1 steps leave F(y) zero modulo t^order
+    for _ in range(order):
+        value = _form_at(curve.coeffs, 5, series, order)
+        if not value:
+            return series
+        series[iy] = psub(series[iy], [v / grad[iy] for v in value])
+    raise RuntimeError("branch expansion did not converge")
 
 
 def _partial(coeffs, var: int):
@@ -228,16 +188,6 @@ def _partial(coeffs, var: int):
         lowered[var] -= 1
         out[tuple(lowered)] = out.get(tuple(lowered), Fraction(0)) + c * mono[var]
     return [out.get(m, Fraction(0)) for m in monomials(4)]
-
-
-def _eval_series(coeffs, degree: int, series, n: int):
-    total = [Fraction(0)] * n
-    powers = _series_powers(series, degree, n)
-    for c, (i, j, k) in zip(coeffs, monomials(degree)):
-        if c:
-            term = smul(smul(powers[0][i], powers[1][j], n), powers[2][k], n)
-            total = sadd(total, [c * v for v in term])
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +279,19 @@ def h0_linear_system(curve: PlaneQuintic, plus, minus, extra_h: int = 0) -> int:
     for p, w, _, residual in lines:
         rpoly = residual.zx_poly()
         cond = [[] for _ in range(4)]
-        for mono in mons:
-            b = _restrict_monomial(mono, p, w)
+        # each monomial on the line w + x*p, a polynomial in x
+        for value in pmonomials([[a, b] for a, b in zip(w, p)], mons):
             # at its full length deg_f + 1, every fpoly along this line takes
             # the pseudo-remainder's factor lc^(deg_f - 3): one row scale
-            fpoly = [b[deg_f - i] for i in range(deg_f + 1)]
+            fpoly = value + [Fraction(0)] * (deg_f + 1 - len(value))
             rem = _zprem(fpoly, rpoly)
             for r in range(4):
                 cond[r].append(rem[r] if r < len(rem) else Fraction(0))
         rows.extend(cond)
 
     for q, mult in minus:
-        n = mult + 2
-        powers = _series_powers(_branch_series(curve, q, n), deg_f, n)
-        terms = [smul(smul(powers[0][i], powers[1][j], n), powers[2][k], n) for i, j, k in mons]
-        rows.extend([term[r] for term in terms] for r in range(mult))
+        values = pmonomials(_branch_series(curve, q, mult), mons, mult)
+        rows.extend([v[r] if r < len(v) else Fraction(0) for v in values] for r in range(mult))
 
     rank = linalg.rank(rows)
     v1 = len(mons) - rank
@@ -351,19 +299,6 @@ def h0_linear_system(curve: PlaneQuintic, plus, minus, extra_h: int = 0) -> int:
     if deg_f >= 5:
         v0 = (deg_f - 4) * (deg_f - 3) // 2
     return v1 - v0
-
-
-def _restrict_monomial(mono, p0, p1):
-    coeffs = [1]
-    for power, a, b in zip(mono, p0, p1):
-        for _ in range(power):
-            nxt = [0] * (len(coeffs) + 1)
-            for idx, c in enumerate(coeffs):
-                nxt[idx] += c * a
-                nxt[idx + 1] += c * b
-            coeffs = nxt
-    assert len(coeffs) == sum(mono) + 1
-    return coeffs
 
 
 def theta_quadratic_form(curve: PlaneQuintic, plus, minus) -> int:

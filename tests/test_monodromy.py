@@ -13,7 +13,9 @@ from dp4.monodromy import (
     torsion_orbit_label,
 )
 from dp4.plane_quintic import (
+    PlaneQuintic,
     is_principal,
+    monomials,
     pencil_fixture,
     quadrilateral_fixture,
     theta_quadratic_form,
@@ -235,3 +237,59 @@ def test_fixture_curves_are_smooth_and_contain_points():
         assert fq.curve.contains(p)
     for p in fq.tangents:
         assert fq.curve.contains(p)
+
+
+# three-digit integer matrices of determinant 1
+UNIMODULAR = (
+    ((-922, 187, 437), (956, -557, -324), (-967, 782, 250)),
+    ((115, -508, 661), (-546, -397, -992), (-535, -957, -538)),
+)
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _moved(curve, m):
+    """The curve F(m^-1 x) through the points m p of F, as a PlaneQuintic:
+    m^-1 is the adjugate of m, whose columns are cross products of its rows."""
+    cols = (_cross(m[1], m[2]), _cross(m[2], m[0]), _cross(m[0], m[1]))
+    inverse = [[col[i] for col in cols] for i in range(3)]
+    assert [[sum(m[i][k] * inverse[k][j] for k in range(3)) for j in range(3)] for i in range(3)] == [
+        [int(i == j) for j in range(3)] for i in range(3)
+    ]
+    total = {}
+    for c, mono in zip(curve.coeffs, monomials(5)):
+        term = {(0, 0, 0): c}
+        for row, power in zip(inverse, mono):
+            for _ in range(power):
+                product = {}
+                for e, x in term.items():
+                    for v, a in enumerate(row):
+                        key = tuple(k + (v == w) for w, k in enumerate(e))
+                        product[key] = product.get(key, 0) + x * a
+                term = product
+        for e, x in term.items():
+            total[e] = total.get(e, 0) + x
+    return PlaneQuintic(tuple(total.get(mono, 0) for mono in monomials(5)))
+
+
+def _move(m, p):
+    return tuple(sum(a * x for a, x in zip(row, p)) for row in m)
+
+
+@pytest.mark.parametrize("m", UNIMODULAR, ids=["m1", "m2"])
+@pytest.mark.parametrize(
+    "fixture, eta",
+    [(pencil_fixture, lambda fx: fx.eta(0, 1)), (quadrilateral_fixture, lambda fx: fx.eta("12|34"))],
+    ids=["pencil", "quadrilateral"],
+)
+def test_answers_are_invariant_under_unimodular_coordinates(fixture, eta, m):
+    fx = fixture()
+    curve = _moved(fx.curve, m)
+    plus, minus = eta(fx)
+    moved_plus, moved_minus = ([(_move(m, p), k) for p, k in div] for div in (plus, minus))
+    assert all(curve.contains(p) for p, _ in moved_plus + moved_minus)
+    assert curve.is_smooth() == fx.curve.is_smooth()
+    assert is_principal(curve, moved_plus, moved_minus) == is_principal(fx.curve, plus, minus)
+    assert theta_quadratic_form(curve, moved_plus, moved_minus) == theta_quadratic_form(fx.curve, plus, minus)

@@ -72,7 +72,12 @@ integer numerators over one denominator), and the eps-adic lift of each
 search candidate, exact division of forms and the residual-quartic
 conditions of h0_linear_system over Q[x] by the Euclidean algorithm (pxgcd,
 pdivmod, pdivexact; the lift now runs modulo p^k and the divisions run over
-Z).
+Z), and the branch series of a plane quintic as Newton's iteration on
+truncated series (strunc, sadd, ssub, smul, sinv), a monomial on a line one
+linear factor at a time, and the blow-up's conditions as Fraction powers of
+rho with Fraction cubic products (the series now gains one order per step,
+and every one of these evaluations runs through binforms.pmonomials, the
+blow-up's over Z).
 """
 
 import math
@@ -112,6 +117,7 @@ from dp4.binforms import (
     peval,
     pencil_determinant,
     pinterpolate,
+    pmonomials,
     pmul,
     pnorm,
     psquarefree_decomposition,
@@ -152,17 +158,7 @@ from dp4.families import (
 from dp4.lines import SignedPermutation
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
 from dp4.pencils import ProfileRecord, SymmetricPencil, degeneracy_profile, irreducible_profile, spectral_quintic
-from dp4.plane_quintic import (
-    PlaneQuintic,
-    monomials,
-    pencil_fixture,
-    quadrilateral_fixture,
-    sadd,
-    sinv,
-    smul,
-    ssub,
-    strunc,
-)
+from dp4.plane_quintic import PlaneQuintic, monomials, pencil_fixture, quadrilateral_fixture
 from dp4.quintic import _raw_invariants, disc_as_invariant, syzygy_coefficients, syzygy_monomials
 
 F = Fraction
@@ -779,6 +775,44 @@ def fraction_wdivexact(f, g):
     for _ in range(k):
         lead_power = pmul(lead_power, g[-1])
     return [pdivexact(c, lead_power) for c in q]
+
+
+def strunc(a, n):
+    out = list(a[:n])
+    out += [Fraction(0)] * (n - len(out))
+    return out
+
+
+def sadd(a, b):
+    return [x + y for x, y in zip(a, b)]
+
+
+def ssub(a, b):
+    return [x - y for x, y in zip(a, b)]
+
+
+def smul(a, b, n):
+    out = [Fraction(0)] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[: n - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def sinv(a, n):
+    if a[0] == 0:
+        raise ZeroDivisionError("series not invertible")
+    out = [Fraction(0)] * n
+    out[0] = 1 / a[0]
+    for k in range(1, n):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            if i < len(a) and a[i]:
+                acc += a[i] * out[k - i]
+        out[k] = -acc * out[0]
+    return out
 
 
 def _shift_coeffs(f, s0):
@@ -3386,6 +3420,182 @@ def test_h0_linear_system_matches_pdivmod_oracle(fixture, eta, scale, extra_h):
     fast = plane_quintic.h0_linear_system(curve, plus, minus, extra_h)
     with mock.patch.object(plane_quintic, "_zprem", lambda a, b: pdivmod(a, b)[1]):
         assert plane_quintic.h0_linear_system(curve, plus, minus, extra_h) == fast
+
+
+# ---------------------------------------------------------------------------
+# one monomial evaluator: pmonomials against one monomial at a time, the
+# branch series against Newton's iteration, and the blow-up over Z against
+# its Fraction rows
+
+
+def restrict_monomial(mono, p0, p1):
+    """One monomial on the line p0 + t*p1, coefficient i on t^i: one
+    linear factor at a time."""
+    coeffs = [1]
+    for power, a, b in zip(mono, p0, p1):
+        for _ in range(power):
+            nxt = [0] * (len(coeffs) + 1)
+            for idx, c in enumerate(coeffs):
+                nxt[idx] += c * a
+                nxt[idx + 1] += c * b
+            coeffs = nxt
+    return coeffs
+
+
+def series_monomial(mono, series, n):
+    """One monomial at three series modulo t^n, one factor at a time."""
+    out = strunc([Fraction(1)], n)
+    for power, s in zip(mono, series):
+        for _ in range(power):
+            out = smul(out, s, n)
+    return out
+
+
+def series_powers(series, degree: int, n: int):
+    powers = []
+    for s in series:
+        row = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
+        for _ in range(degree):
+            row.append(smul(row[-1], s, n))
+        powers.append(row)
+    return powers
+
+
+def eval_series(coeffs, degree: int, series, n: int):
+    total = [Fraction(0)] * n
+    powers = series_powers(series, degree, n)
+    for c, (i, j, k) in zip(coeffs, monomials(degree)):
+        if c:
+            term = smul(smul(powers[0][i], powers[1][j], n), powers[2][k], n)
+            total = sadd(total, [c * v for v in term])
+    return total
+
+
+def newton_branch_series(curve, point, order: int):
+    """The branch series plane_quintic._branch_series replaces: Newton's
+    iteration on the curve's equation, dividing by the series F_y."""
+    pt = [Fraction(v) for v in point]
+    iz = next(i for i in range(3) if pt[i] != 0)
+    pt = [v / pt[iz] for v in pt]
+    grad = curve.gradient(pt)
+    others = [i for i in range(3) if i != iz]
+    iy = next(i for i in others if grad[i] != 0)
+    ix = next(i for i in others if i != iy)
+
+    n = order
+    series = [None, None, None]
+    series[iz] = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    series[ix] = [pt[ix], Fraction(1)] + [Fraction(0)] * (n - 2)
+    y = [pt[iy]] + [Fraction(0)] * (n - 1)
+    for _ in range(n.bit_length() + 2):
+        series[iy] = y
+        val = eval_series(curve.coeffs, 5, series, n)
+        dval = eval_series(plane_quintic._partial(curve.coeffs, iy), 4, series, n)
+        if all(v == 0 for v in val):
+            break
+        y = strunc(ssub(y, smul(val, sinv(dval, n), n)), n)
+    series[iy] = y
+    assert all(v == 0 for v in eval_series(curve.coeffs, 5, series, n))
+    return [strunc(s, n) for s in series]
+
+
+def fraction_blowup(parameters):
+    """(cubic basis, pencil) of blowup_from_quintic on Fraction rows: the
+    value and the derivative of each cubic monomial at (rho^2, rho, 1),
+    and the cubic products over Fraction."""
+    cubic_monos, sextic_monos = pencils._CUBIC_MONOMIALS, pencils._SEXTIC_MONOMIALS
+    rs = [Fraction(r) for r in parameters]
+    rows = []
+    for rho in sorted(set(rs)):
+        rows.append([rho ** (2 * a + b) for a, b, _ in cubic_monos])
+        if rs.count(rho) == 2:
+            rows.append(
+                [(2 * a + b) * rho ** (2 * a + b - 1) if 2 * a + b else Fraction(0) for a, b, _ in cubic_monos]
+            )
+    cubics = linalg.kernel_basis(rows)
+    pairs = [(i, j) for i in range(5) for j in range(i, 5)]
+    products = {}
+    for i, j in pairs:
+        coeffs = {}
+        for m1, x in zip(cubic_monos, cubics[i]):
+            for m2, y in zip(cubic_monos, cubics[j]):
+                key = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
+                coeffs[key] = coeffs.get(key, Fraction(0)) + x * y
+        products[(i, j)] = coeffs
+    relations = linalg.kernel_basis(
+        [[products[pair].get(mono, Fraction(0)) for pair in pairs] for mono in sextic_monos]
+    )
+    grams = []
+    for rel in relations:
+        g = [[Fraction(0)] * 5 for _ in range(5)]
+        for (i, j), q in zip(pairs, rel):
+            g[i][j] = g[j][i] = q if i == j else q / 2
+        grams.append(g)
+    return tuple(tuple(c) for c in cubics), SymmetricPencil(*grams)
+
+
+coordinates = st.one_of(st.integers(-10**6, 10**6), rationals)
+integer_points = st.tuples(*[st.integers(-10**6, 10**6)] * 3)
+points = st.one_of(integer_points, st.tuples(coordinates, coordinates, coordinates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), points, points, st.one_of(st.none(), st.integers(1, 9)))
+def test_pmonomials_match_one_monomial_at_a_time_on_lines(degree, p0, p1, n):
+    mons = monomials(degree)
+    got = pmonomials([pnorm([a, b]) for a, b in zip(p0, p1)], mons, n)
+    assert got == [pnorm(restrict_monomial(m, p0, p1)[:n]) for m in mons]
+    if all(type(v) is int for v in p0 + p1):
+        assert all(type(x) is int for value in got for x in value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.tuples(*[st.lists(rationals, max_size=9).map(pnorm)] * 3),
+    st.integers(1, 9),
+)
+def test_pmonomials_match_one_monomial_at_a_time_on_series(degree, series, n):
+    mons = monomials(degree)
+    assert pmonomials(series, mons, n) == [pnorm(series_monomial(m, series, n)) for m in mons]
+
+
+def special_points(fx):
+    """The rational points a bundled fixture is built on."""
+    if hasattr(fx, "pairs"):
+        return [fx.center, *(p for pair in fx.pairs for p in pair)]
+    return [*fx.vertices.values(), *fx.tangents]
+
+
+@pytest.mark.parametrize("fixture", [pencil_fixture, quadrilateral_fixture], ids=["pencil", "quadrilateral"])
+def test_branch_series_matches_newton_oracle(fixture):
+    # one order per step gives Newton's series, to every order, at every
+    # special point of both fixtures
+    fx = fixture()
+    for q in special_points(fx):
+        for order in range(1, 9):
+            got = plane_quintic._branch_series(fx.curve, q, order)
+            assert [strunc(s, order) for s in got] == newton_branch_series(fx.curve, q, order)
+
+
+blowup_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@st.composite
+def blowup_roots(draw):
+    """Five roots with up to two doubles and denominators up to 10^6."""
+    distinct = draw(st.lists(blowup_rationals, min_size=3, max_size=5, unique=True))
+    return draw(st.permutations(distinct + distinct[: 5 - len(distinct)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(blowup_roots())
+@example([F(999_999, 1_000_000), F(999_999, 1_000_000), F(-1, 999_983), F(-1, 999_983), F(0)])
+def test_integer_blowup_matches_fraction_rows(roots):
+    model, pencil = pencils.blowup_from_quintic(roots)
+    cubics, oracle = fraction_blowup(roots)
+    assert repr(pencil) == repr(oracle)
+    assert repr(model.cubic_basis) == repr(cubics)
 
 
 # ---------------------------------------------------------------------------

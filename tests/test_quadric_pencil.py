@@ -3,11 +3,13 @@ profile, surface classification, and the conic blow-up round trip."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dp4 import linalg
 from dp4.binforms import BinaryForm, mobius_substitute
 from dp4.linalg import det, mat_mul, transpose
 from dp4.pencils import (
@@ -218,6 +220,16 @@ def test_blowup_model_dimensions():
             assert (x, y, z) == (r * r, r, 1)
         # pencil is a valid symmetric pencil with nonzero spectral form
         assert not spectral_quintic(pencil).is_zero
+
+
+def test_blowup_rows_products_and_relations_hold_only_integers():
+    # for rho = p/q the rows are q^6 times the rational conditions, and the
+    # cubics multiply over one denominator: neither kernel reads a Fraction
+    with mock.patch.object(linalg, "kernel_basis", wraps=linalg.kernel_basis) as spy:
+        blowup_from_quintic([F(1, 2), F(1, 2), F(-3, 7), 5, F(11, 13)])
+    rows, relation_matrix = (call.args[0] for call in spy.call_args_list)
+    assert (len(rows), len(relation_matrix)) == (5, 28)
+    assert all(type(x) is int for m in (rows, relation_matrix) for row in m for x in row)
 
 
 def test_roundtrip_simple_and_double():
