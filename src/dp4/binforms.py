@@ -21,13 +21,17 @@ trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
   value at a power of two, read off in base-2^b digits (Kronecker
   substitution), when the digits are at most PACK_BITS wide, else by
   interpolation; it serves pencil determinants and the family spectral
-  form and Delta.  Gcds run the primitive PRS and resultants the
-  subresultant PRS, both on one pseudo-remainder (_zprem);
+  form and Delta.  zgcd, the one gcd over Z[x], is the heuristic gcd: the
+  integer gcd of two values at 2^w read off in base-2^w digits, the same
+  Kronecker substitution, checked by exact division and backed by the
+  primitive PRS.  Every squarefreeness test (proved_squarefree, used by
+  squarefree_profile and factor_search) is one zgcd with the derivative.
+  Resultants run the subresultant PRS; both PRSs share one
+  pseudo-remainder (_zprem);
 - m- helpers act on int lists modulo m, remainders in [0, m): the one
-  Euclid over F_p, which the squarefreeness test modulo a prime
-  (proved_squarefree, used by squarefree_profile and factor_search) and the
-  factorizer over Z (factor_search) share, and the division modulo p^k of
-  factor_search's Hensel lifts.
+  Euclid over F_p, which zgcd's coprimality proof on wide inputs
+  (_mcoprime) and the factorizer over Z (factor_search) share, and the
+  division modulo p^k of factor_search's Hensel lifts.
 """
 
 from __future__ import annotations
@@ -105,8 +109,10 @@ def _zprimitive(p: list[int]) -> list[int]:
 
 def _primitive_ints(p) -> list[int]:
     """A nonzero rational polynomial (or integer list) scaled to coprime
-    integer coefficients, signs kept."""
-    return _zprimitive(linalg.clear_denominators(p)[1])
+    integer coefficients, signs kept; an integer list clears nothing."""
+    if not {int}.issuperset(map(type, p)):
+        p = linalg.clear_denominators(p)[1]
+    return _zprimitive(p)
 
 
 def _zprem(a: list[int], b: list[int]) -> list[int]:
@@ -130,8 +136,8 @@ def primitive_prs(a, b, prem, primitive):
     the nonzero primitive polynomials a and b (Collins 1967, Brown-Traub
     1971): a gcd of a and b over the fraction field, up to a unit.  Every
     pseudo-remainder prem(a, b) is made primitive before it divides, so
-    coefficients stay as small as the gcd's own.  The one gcd algorithm of
-    the library, run over Z[x] here and over Z[sigma][w] in factor_search.
+    coefficients stay as small as the gcd's own.  The gcd over Z[sigma][w]
+    in factor_search, and over Z[x] where zgcd's heuristic gives up.
     Resultants take the subresultant PRS instead (zresultant): dividing out
     whole contents loses the scale that makes each term a subresultant, and
     the subresultant PRS keeps it at the price of larger coefficients, which
@@ -144,15 +150,70 @@ def primitive_prs(a, b, prem, primitive):
 
 def zgcd(p, q) -> list[int]:
     """Primitive gcd over Z[x] of two rational or integer polynomials, with
-    positive leading coefficient ([] when both vanish): the primitive PRS
-    over Z, blind to integer contents."""
+    positive leading coefficient ([] when both vanish), blind to integer
+    contents: the heuristic gcd on their primitive parts (_zheugcd), and the
+    primitive PRS over Z where it gives up."""
     a, b = pnorm(list(p)), pnorm(list(q))
     if not a or not b:
         a = a or b
         g = _primitive_ints(a) if a else a
     else:
-        g = primitive_prs(_primitive_ints(a), _primitive_ints(b), _zprem, _zprimitive)
+        a, b = _primitive_ints(a), _primitive_ints(b)
+        g = _zheugcd(a, b) or primitive_prs(a, b, _zprem, _zprimitive)
     return [-c for c in g] if g and g[-1] < 0 else g
+
+
+# The widest coefficient, in bits, at which zgcd starts with the heuristic
+# gcd: above HEU_BITS it first tries to prove its inputs coprime modulo a
+# prime, because math.gcd of the two values at 2^w, like CPython's division,
+# is quadratic in their length, while the proof reduces each coefficient
+# once.  Measured per call on random squarefree integer polynomials and
+# their derivatives (BENCH_heugcd.json), the two cost the same near 340 bits
+# at degree 36, 370 at degree 20 and 430-450 at degrees 5 and 10.
+HEU_BITS = 384
+
+
+def _zheugcd(a: list[int], b: list[int]) -> list[int] | None:
+    """The primitive gcd of the primitive a and b by the heuristic gcd
+    (GCDHEU; Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989;
+    Geddes-Czapor-Labahn, Algorithms for Computer Algebra, 7.7), or None
+    when four widths fail.  For 2^w >= 2 min(|a|_inf, |b|_inf) + 2, every
+    root of a common factor C of degree >= 1 lies within |a|_inf + 1 <=
+    2^(w-1) of 0 (Cauchy's bound on the narrower input), so |C(2^w)| >
+    2^(w-1).  Then h = gcd(a(2^w), b(2^w)), a multiple of C(2^w), has a
+    balanced base-2^w digit expansion g with g(2^w) = h, and:
+    - a constant g means h < 2^(w-1), so a and b are coprime;
+    - otherwise the primitive part of g is the gcd as soon as it divides
+      both a and b (the theorem of the paper above), and a wider w is tried
+      when it does not.
+    Inputs wider than HEU_BITS first try a coprimality proof modulo a
+    prime (_mcoprime)."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    na, nb = max(map(abs, a)), max(map(abs, b))
+    if max(na, nb).bit_length() > HEU_BITS and _mcoprime(a, b):
+        return [1]
+    w = min(na, nb).bit_length() + 2
+    for _ in range(4):
+        g = _zprimitive(_zdigits(math.gcd(_zpack(a, w), _zpack(b, w)), w))
+        if len(g) == 1:
+            return [1]
+        try:
+            zdivexact(a, g)
+            zdivexact(b, g)
+        except ValueError:
+            w *= 2
+            continue
+        return g
+    return None
+
+
+def _zpack(a: list[int], w: int) -> int:
+    """a(2^w) by Horner's rule on shifts."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << w) + c
+    return acc
 
 
 def zdivexact(p: list[int], q: list[int]) -> list[int]:
@@ -215,6 +276,20 @@ def _msquarefree(x: list[int], p: int) -> bool:
     reduction keeps the degree, so disc(x) is nonzero mod p, and x is
     squarefree over Q (the lucky-prime test, von zur Gathen-Gerhard ch. 14)."""
     return x[-1] % p != 0 and len(_mgcd(x, pderiv(x), p)) == 1
+
+
+# The primes that zgcd's coprimality proof (_mcoprime) reduces modulo: the
+# first one dividing neither leading coefficient is used.
+DELTA_PRIMES = (1000003, 1000033, 1000037)
+
+
+def _mcoprime(a: list[int], b: list[int]) -> bool:
+    """Whether a and b are proved coprime over Q modulo the first of
+    DELTA_PRIMES dividing neither leading coefficient: a common factor of
+    degree >= 1 keeps its degree there (its lead divides both leads) and
+    divides the gcd over F_p.  False proves nothing."""
+    p = next((q for q in DELTA_PRIMES if a[-1] % q and b[-1] % q), None)
+    return p is not None and len(_mgcd(a, b, p)) == 1
 
 
 def pderiv(p):
@@ -647,17 +722,10 @@ def zdiscriminant(c) -> int:
     return sign * _zexact(zresultant(fx, fy), d ** (d - 2))
 
 
-# The primes that proved_squarefree reduces modulo: the first one not
-# dividing the leading coefficient is used.
-DELTA_PRIMES = (1000003, 1000033, 1000037)
-
-
 def proved_squarefree(x: list[int]) -> bool:
-    """Whether _msquarefree proves a nonconstant integer x squarefree modulo
-    the first of DELTA_PRIMES that does not divide lc(x).  False proves
-    nothing: x may still be squarefree, and the exact path decides."""
-    p = next((q for q in DELTA_PRIMES if x[-1] % q), None)
-    return p is not None and _msquarefree(x, p)
+    """Whether the nonconstant integer polynomial x is squarefree over Q:
+    gcd(x, x') = 1 (zgcd)."""
+    return len(zgcd(x, pderiv(x))) == 1
 
 
 def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
@@ -667,11 +735,11 @@ def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
     of factor^multiplicity recovers f up to a nonzero constant.  Ordered by
     (multiplicity, degree, coefficients).
 
-    The roots at (1 : 0) and (0 : 1) are split off first, as y^v and x^m.  The
-    rest r is proved squarefree modulo a prime (proved_squarefree), and only
-    when that proof fails does Yun's algorithm run on r.  Yun's factors hold
-    every root of one multiplicity, so x joins the factor of multiplicity m,
-    and stands alone when there is none.
+    The roots at (1 : 0) and (0 : 1) are split off first, as y^v and x^m.
+    One gcd with its derivative tests the rest r (proved_squarefree), and
+    only when r is not squarefree does Yun's algorithm run on it.  Yun's
+    factors hold every root of one multiplicity, so x joins the factor of
+    multiplicity m, and stands alone when there is none.
     """
     if f.is_zero:
         raise ValueError("squarefree profile of the zero form")

@@ -29,11 +29,12 @@ The fiber factors come from uni_irreducible_factors, which also serves the
 spectral quintics of pencils and the genericity witnesses of families: an
 exact factorizer over Q for degree at most 5, Zassenhaus's method over Z
 (factor modulo a small prime, Hensel-lift, recombine by trial division).
-A proof modulo a prime goes before each exact squarefreeness step: a
-polynomial that binforms.proved_squarefree accepts skips Yun's algorithm
-before it is factored, and a search fiber it accepts skips the gcd with its
-derivative.  proves_nonlinear_factor counts roots modulo the factorizer's
-small prime, which proves a factor of degree >= 2 without factoring.
+Every squarefreeness step is one gcd with the derivative (binforms.zgcd,
+the heuristic gcd over Z): a polynomial that binforms.proved_squarefree
+accepts skips Yun's algorithm before it is factored, and a search fiber
+must pass it.  proves_nonlinear_factor counts roots modulo the
+factorizer's small prime, which proves a factor of degree >= 2 without
+factoring.
 """
 
 from __future__ import annotations
@@ -449,7 +450,7 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         if peval(f[-1], s0) == 0:
             continue
         fib = wevaluate(f, s0)
-        if proved_squarefree(_zprimitive(fib)) or len(zgcd(fib, pderiv(fib))) == 1:
+        if len(zgcd(fib, pderiv(fib))) == 1:
             break
     else:
         # a repeated factor of f stays repeated in every fiber where the

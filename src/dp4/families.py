@@ -17,10 +17,10 @@ their coefficients: from the pencil determinant of the one fiber over
 (2^b : 1), and from the discriminant of the one spectral fiber there, when
 the base-2^b digits are narrow; otherwise from the fibers over (k : 1) at
 the integer nodes k, one more than the degree needs.  Squarefreeness of
-Delta is the simple-branching flag (read off
-the squarefree profile, which splits off the roots at 0 and infinity and
-proves the rest squarefree modulo a prime, with Yun's algorithm when that
-proof fails), and a bounded factor search plus a fiber irreducibility
+Delta is the simple-branching flag (read off the squarefree profile,
+which splits off the roots at 0 and infinity and tests the rest by one gcd
+with its derivative over Z, with Yun's algorithm when it is not
+squarefree), and a bounded factor search plus a fiber irreducibility
 witness certify the full Galois-group condition.  The certificate proves
 before it computes.  The search reads Delta's squarefree profile, Delta =
 c * prod P_i^m_i: a split F = G*H puts Res(G,H)^2 into Delta (disc(G H) =
@@ -291,8 +291,7 @@ def _branching(delta: BinaryForm) -> tuple[bool, int, tuple[tuple[int, int], ...
     """(whether Delta is squarefree, its number of distinct roots, the
     (degree, multiplicity) pairs of its squarefree profile) for a
     nonconstant Delta, from that profile (which runs Yun's algorithm only
-    when a test modulo a prime does not prove the part of Delta off x and y
-    squarefree)."""
+    when the part of Delta off x and y is not squarefree)."""
     profile = tuple((f.degree, mult) for f, mult in squarefree_profile(delta))
     return all(mult == 1 for _, mult in profile), sum(deg for deg, _ in profile), profile
 

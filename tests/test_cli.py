@@ -324,6 +324,27 @@ def test_family_analyze_large_entries_in_bounded_time(tmp_path, name):
     assert tree["discriminant_degree"] == 2 * tree["height"]
 
 
+# Wall bound on one fresh `dp4 family analyze` of the diagonal family with
+# 100-digit entries; its Delta is not squarefree, so Yun's algorithm runs on
+# it, and such a run takes under 1 s on 2 cores
+LARGE_DIAGONAL_WALL_S = 2
+
+
+def test_family_analyze_diagonal_large_entries_in_bounded_time(tmp_path):
+    # the perturbed matrices stay diagonal, so every gcd of Yun's algorithm
+    # on Delta has 100-digit-scale coefficients
+    spec = models.split_diagonal_example(1)
+    path = write_json(tmp_path / "wide.json", perturbed_tree(spec, 100, random.Random(100)))
+    start = time.perf_counter()
+    proc = dp4_process("family", "analyze", "--input", path)
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert wall < LARGE_DIAGONAL_WALL_S
+    tree = json.loads(proc.stdout)
+    assert tree["discriminant_degree"] == 2 * tree["height"]
+    assert tree["g1_prime"] is False
+
+
 # Wall bound on one fresh `dp4 pencil analyze` of a random pencil with
 # 300-digit entries, or of a structured pencil conjugated to entries of about
 # 480 digits; each takes under 1 s on 2 cores

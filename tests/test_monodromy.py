@@ -2,6 +2,8 @@
 parity on plane quintics, and the component classifier."""
 
 import itertools
+import random
+import time
 
 import pytest
 
@@ -276,6 +278,31 @@ def _moved(curve, m):
 
 def _move(m, p):
     return tuple(sum(a * x for a, x in zip(row, p)) for row in m)
+
+
+def _unimodular(digits, rng):
+    """A determinant-1 integer matrix with entries of about the given number
+    of digits: a unit lower times a unit upper triangular matrix."""
+    half = 10 ** (digits // 2)
+    r = [rng.randrange(-half, half) for _ in range(6)]
+    lower = ((1, 0, 0), (r[0], 1, 0), (r[1], r[2], 1))
+    upper = ((1, r[3], r[4]), (0, 1, r[5]), (0, 0, 1))
+    return tuple(tuple(sum(lower[i][k] * upper[k][j] for k in range(3)) for j in range(3)) for i in range(3))
+
+
+# Bound on one is_smooth of the pencil fixture moved by a matrix with
+# 100-digit entries (coefficients of about 3300 bits); it takes under 0.1 s
+# on 2 cores
+LARGE_SMOOTHNESS_S = 1
+
+
+def test_is_smooth_on_large_coordinates_in_bounded_time():
+    # the two degree-16 resultant forms of the moved curve have
+    # coefficients of thousands of bits; zgcd proves them coprime
+    curve = _moved(pencil_fixture().curve, _unimodular(100, random.Random(100)))
+    start = time.perf_counter()
+    assert curve.is_smooth()
+    assert time.perf_counter() - start < LARGE_SMOOTHNESS_S
 
 
 @pytest.mark.parametrize("m", UNIMODULAR, ids=["m1", "m2"])

@@ -30,8 +30,8 @@ Sylvester determinant over Fraction (it now runs by the subresultant PRS
 over Z on the integer-scaled forms, and discriminants and the fiber
 discriminants of Delta with it), the squarefree profile and the
 simple-branching flag of Delta as Yun's algorithm alone on all of f(x, 1)
-(the profile now splits off the roots at 0 and infinity and first proves
-the rest squarefree modulo a prime), Yun's algorithm itself over Fraction
+(the profile now splits off the roots at 0 and infinity and first tests
+the rest by one gcd with its derivative), Yun's algorithm itself over Fraction
 (it now runs over Z), the h8_ci congruence C^T Q C as sums of BinaryForm
 products (it now runs on integer coefficient lists), and the spectral form
 and Delta of a family interpolated from Fraction fibers, BinaryForm.evaluate
@@ -52,7 +52,7 @@ quadric takes the congruence entries i <= j), the squared
 example's planted root checked on the base family's Delta (it is now checked
 on the squared family's own), and Yun's algorithm before every
 factorization, a gcd with the derivative before every search fiber and a
-full factorization of every witness fiber (a proof modulo a prime now goes
+full factorization of every witness fiber (a squarefreeness test now goes
 first, and a root count modulo a small prime stands in for the witness's
 factorization), and each lifted fiber factor of the bounded factor search
 recovered by Pade approximation from a lift to order 2*dmax + 2 (it is now
@@ -1643,28 +1643,65 @@ def test_branching_planted_deltas(delta, squarefree, yun):
     with yun_spy() as runs:
         assert families._branching(delta) == yun_branching(delta)
     assert families._branching(delta)[0] is squarefree
-    # Yun's algorithm runs only where the test modulo a prime decides nothing
+    # Yun's algorithm runs only where the part off x and y is not squarefree
     assert bool(runs) is yun
 
 
+@contextmanager
+def euclid_spy():
+    """The primes of the Euclids over F_p that binforms runs."""
+    primes = []
+    mgcd = binforms._mgcd
+
+    def spy(a, b, p):
+        primes.append(p)
+        return mgcd(a, b, p)
+
+    with mock.patch.object(binforms, "_mgcd", spy):
+        yield primes
+
+
+def heuristic_spy():
+    """A mock that counts the values at 2^w that zgcd's heuristic gcd takes."""
+    return mock.patch.object(binforms, "_zpack", wraps=binforms._zpack)
+
+
+# a linear factor whose root is past HEU_BITS: a form that carries it is
+# wide, so zgcd first tries its coprimality proof modulo a prime
+WIDE = lin(1, 2 ** (binforms.HEU_BITS + 1) + 3)
+# squarefree forms: the lead P0 divides, a part that is not squarefree
+# modulo P0, and one that x (x - P0) is not squarefree modulo P0 but x is
+# split off first; each with DELTA_PRIMES, the prime zgcd's proof takes and
+# whether the heuristic gcd decides once it is wide
+NEXT_PRIME_CASES = [
+    (lin(P0, -1) * lin(1, -2) * lin(1, 3), binforms.DELTA_PRIMES, binforms.DELTA_PRIMES[1], False),
+    # no prime past the lead: the heuristic gcd decides
+    (lin(P0, -1) * lin(1, -2) * lin(1, 3), binforms.DELTA_PRIMES[:1], None, True),
+    # only the first prime past the lead is tried
+    (lin(1, -1) * lin(1, -1 - P0) * lin(1, 1), binforms.DELTA_PRIMES, P0, True),
+    (lin(1, -1) * lin(1, -1 - P0) * lin(1, 1), binforms.DELTA_PRIMES[1:], binforms.DELTA_PRIMES[1], False),
+    (lin(1, 0) * lin(1, -P0) * lin(1, 1), binforms.DELTA_PRIMES, P0, False),
+]
+
+
 def test_branching_takes_the_next_prime_past_the_lead(monkeypatch):
-    primes = binforms.DELTA_PRIMES
-    lead = lin(P0, -1) * lin(1, -2) * lin(1, 3)
-    # an unlucky prime: (x - 1)(x - 1 - P0) is not squarefree mod P0
-    unlucky = lin(1, -1) * lin(1, -1 - P0) * lin(1, 1)
-    # x (x - P0) is not squarefree mod P0 either, but x is split off first
-    at_zero = lin(1, 0) * lin(1, -P0) * lin(1, 1)
-    for delta, tried, yun in [
-        (lead, primes, False),
-        (lead, primes[:1], True),  # no prime past the lead: Yun decides
-        (unlucky, primes, True),  # only the first prime past the lead is tried
-        (unlucky, primes[1:], False),
-        (at_zero, primes, False),
-    ]:
+    for delta, tried, prime, heuristic in NEXT_PRIME_CASES:
         monkeypatch.setattr(binforms, "DELTA_PRIMES", tried)
-        with yun_spy() as runs:
+        with yun_spy() as runs, euclid_spy() as euclids, heuristic_spy() as packs:
+            assert families._branching(delta * WIDE) == (True, 4, ((4, 1),))
+        assert not runs  # squarefree: Yun's algorithm never runs
+        assert euclids == ([] if prime is None else [prime])
+        assert bool(packs.call_count) is heuristic
+
+
+def test_branching_below_heu_bits_runs_no_euclid_mod_p(monkeypatch):
+    # the narrow twins: whatever the primes, the heuristic gcd decides and
+    # no Euclid over F_p runs
+    for delta, tried, _, _ in NEXT_PRIME_CASES:
+        monkeypatch.setattr(binforms, "DELTA_PRIMES", tried)
+        with yun_spy() as runs, euclid_spy() as euclids, heuristic_spy() as packs:
             assert families._branching(delta) == (True, 3, ((3, 1),))
-        assert bool(runs) is yun
+        assert not runs and not euclids and packs.call_count
 
 
 @settings(max_examples=150, deadline=None)
@@ -1722,6 +1759,107 @@ def test_pgcd_with_derivative_matches_oracle(a, b):
     # repeated roots: p = a^2 b shares a with p'
     p = pmul(pmul(a, a), b)
     assert pgcd(p, pderiv(p)) == fraction_pgcd(p, pderiv(p))
+
+
+def prs_gcd(p, q):
+    """zgcd by the primitive PRS alone: the oracle of the heuristic gcd."""
+    a, b = binforms._primitive_ints(p), binforms._primitive_ints(q)
+    g = binforms.primitive_prs(a, b, binforms._zprem, binforms._zprimitive)
+    return [-c for c in g] if g[-1] < 0 else g
+
+
+# coefficient widths in bits: narrow, on both sides of HEU_BITS, and 300 digits
+GCD_WIDTHS = [4, 60, binforms.HEU_BITS - 24, binforms.HEU_BITS + 24, 997]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_zgcd_matches_primitive_prs_on_planted_factors(data):
+    # a common factor g planted in two products, all entries of one width
+    # and of either sign, leads included
+    bits = data.draw(st.sampled_from(GCD_WIDTHS))
+    poly = st.lists(st.integers(-(2**bits), 2**bits), min_size=1, max_size=5).map(pnorm).filter(bool)
+    g, a, b = data.draw(poly), data.draw(poly), data.draw(poly)
+    p, q = pmul(a, g), pmul(b, g)
+    assert zgcd(p, q) == prs_gcd(p, q)
+    assert zgcd(q, p) == prs_gcd(p, q)
+
+
+@pytest.mark.parametrize("bits", GCD_WIDTHS)
+def test_zgcd_tries_the_proof_mod_p_only_past_heu_bits(bits):
+    # x with a coefficient of the given width is squarefree, x (x + 1)^2 is
+    # not: past HEU_BITS both take one Euclid over F_p, and only the one
+    # that it does not prove coprime goes on to the heuristic gcd
+    rng = random.Random(bits)
+    for _ in range(10):
+        x = [rng.randrange(-(2**bits), 2**bits) for _ in range(7)]
+        x[1] = 2 ** (bits - 1) + 1
+        for p, coprime in [(x, True), (pmul(x, [1, 2, 1]), False)]:
+            with euclid_spy() as euclids, heuristic_spy() as packs:
+                g = zgcd(p, pderiv(p))
+            assert g == prs_gcd(p, pderiv(p))
+            assert (len(g) == 1) is coprime
+            parts = binforms._zprimitive(p) + binforms._zprimitive(pderiv(p))
+            wide = max(map(abs, parts)).bit_length() > binforms.HEU_BITS
+            assert wide is (bits > binforms.HEU_BITS)
+            assert len(euclids) == wide
+            assert bool(packs.call_count) is (not wide or not coprime)
+
+
+def test_zgcd_falls_back_to_the_primitive_prs():
+    # every check of the heuristic gcd failing, four widths are tried, and
+    # then the primitive PRS gives the gcd
+    g = [3, -5, 7]
+    p, q = pmul(g, [1, 2]), pmul(g, [-4, 0, 9])
+    expected = prs_gcd(p, q)
+    assert expected == g
+    with (
+        mock.patch.object(binforms, "zdivexact", side_effect=ValueError),
+        mock.patch.object(binforms, "primitive_prs", wraps=binforms.primitive_prs) as prs,
+        heuristic_spy() as packs,
+    ):
+        assert zgcd(p, q) == expected
+    assert prs.call_count == 1 and packs.call_count == 8
+
+
+@pytest.mark.parametrize(
+    "p, q, first, wrong, expected",
+    [
+        # squarefree, yet at w = 7 the gcd 972 reads off as 2x - 13
+        ([-4, 20, 5, -25, -1, 5], pderiv([-4, 20, 5, -25, -1, 5]), 7, [-13, 2], [1]),
+        # the gcd with p' is 2x + 1, yet at w = 9 it reads off as x^2 - 32x + 240
+        ([0, -16, -66, -67, 12, 20], pderiv([0, -16, -66, -67, 12, 20]), 9, [240, -32, 1], [1, 2]),
+        # coprime, and at w = 3 the candidate divides only one of the two
+        ([-1, -1], [17, -1], 3, [1, 1], [1]),
+        ([-16, -19], [-1, 1], 3, [-1, 1], [1]),
+    ],
+)
+def test_zgcd_widens_where_the_first_width_fails(p, q, first, wrong, expected):
+    a, b = binforms._zprimitive(p), binforms._zprimitive(q)
+    h = math.gcd(binforms._zpack(a, first), binforms._zpack(b, first))
+    assert binforms._zprimitive(binforms._zdigits(h, first)) == wrong
+    with heuristic_spy() as packs:
+        assert zgcd(p, q) == expected == prs_gcd(p, q)
+    assert [w for (_, w), _ in packs.call_args_list] == [first, first, 2 * first, 2 * first]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(st.integers(-9, 9), min_size=2, max_size=4).filter(any),
+                       st.integers(1, 3)), min_size=1, max_size=4),
+    st.sampled_from([0, 1, 2]),
+)
+def test_proved_squarefree_matches_yun(factors, wide_power):
+    # small factors with multiplicities, times a power of a linear factor
+    # whose root is past HEU_BITS
+    p = [3 ** (binforms.HEU_BITS // 2), 1]
+    p = [1] if wide_power == 0 else p if wide_power == 1 else pmul(p, p)
+    for coeffs, mult in factors:
+        for _ in range(mult):
+            p = pmul(p, pnorm(list(coeffs)))
+    assume(pdeg(p) >= 1)
+    squarefree = all(k == 1 for _, k in fraction_squarefree_decomposition(p))
+    assert binforms.proved_squarefree(p) is squarefree
 
 
 # ---------------------------------------------------------------------------
@@ -1784,8 +1922,9 @@ def test_squared_delta_is_the_base_delta_in_squares():
 def test_yun_over_z_on_the_squared_delta():
     # the squared example's Delta is x^4 q and its base's x^2 q', q and q'
     # squarefree: the profile splits x off and proves the rest squarefree
-    # modulo a prime, so Yun's algorithm is not reached on either; the
-    # diagonal example's Delta has repeated roots elsewhere and reaches it.
+    # by one gcd with its derivative, so Yun's algorithm is not reached on
+    # either; the diagonal example's Delta has repeated roots elsewhere and
+    # reaches it.
     # The base spec is the one squared_discriminant_example squares.
     bases = []
 
@@ -1838,14 +1977,19 @@ def test_squarefree_profile_matches_oracle(factors, y_power, scale):
         (X.power(2), False),
         (X * Y.power(3), False),
         (X.power(2) * lin(P0, -1) * lin(1, 5), False),  # P0 divides the lead
-        (X * lin(1, -1) * lin(1, -1 - P0), True),  # not squarefree mod P0
+        # not squarefree mod P0: past HEU_BITS the proof modulo P0 fails and
+        # the heuristic gcd decides, below it no Euclid over F_p runs
+        (X * lin(1, -1) * lin(1, -1 - P0) * WIDE, False),
+        (X * lin(1, -1) * lin(1, -1 - P0), False),
     ],
 )
 def test_squarefree_profile_roots_at_zero_and_infinity(f, yun):
-    with yun_spy() as runs:
+    with yun_spy() as runs, euclid_spy() as euclids:
         profile = squarefree_profile(f)
     assert profile == fraction_yun_profile(f)
     assert bool(runs) is yun
+    wide = max(map(abs, f.nums)).bit_length() > binforms.HEU_BITS
+    assert euclids == ([P0] if wide else [])
 
 
 @settings(max_examples=150, deadline=None)
@@ -2694,16 +2838,15 @@ def test_factor_search_matches_sympy_factorizer(make):
 
 
 # ---------------------------------------------------------------------------
-# proofs modulo a prime before Yun's algorithm, the gcd with the derivative
+# squarefreeness tests before Yun's algorithm, the gcd with the derivative
 # and the witness's factorization
 
 
 @contextmanager
 def nothing_proved_mod_p():
-    """Every test modulo a prime in factor_search and families fails, so
+    """Every squarefreeness proof in factor_search and families fails, so
     the exact paths it skips run: Yun's algorithm before each
-    factorization, pgcd(fib, fib') for each search fiber and the full
-    factorization of each witness fiber."""
+    factorization and the full factorization of each witness fiber."""
     with mock.patch.object(factor_search, "proved_squarefree", lambda x: False):
         yield
 
@@ -2713,7 +2856,7 @@ def assert_yun_path_matches(p):
         factor_search, "psquarefree_decomposition", wraps=psquarefree_decomposition
     ) as yun:
         fast = uni_irreducible_factors(p)
-    # Yun's algorithm runs only where the proof modulo a prime fails
+    # Yun's algorithm runs only where the squarefreeness proof fails
     assert (yun.call_count == 0) == binforms.proved_squarefree(binforms._primitive_ints(p))
     with nothing_proved_mod_p():
         assert uni_irreducible_factors(p) == fast
@@ -2828,7 +2971,7 @@ def test_seed_1_witnesses_factor_no_fiber(name):
 
 @pytest.mark.parametrize("make, bound", factor_search_inputs())
 def test_search_fiber_matches_gcd_oracle(make, bound):
-    # the proof modulo a prime accepts the specialization s0 that the gcd
+    # the squarefreeness proofs accept the specialization s0 that the gcd
     # with the derivative accepts, so the same fiber is factored
     coeffs = make()
 
