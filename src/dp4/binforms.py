@@ -24,8 +24,9 @@ trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
   form and Delta.  zgcd, the one gcd over Z[x], is the heuristic gcd: the
   integer gcd of two values at 2^w read off in base-2^w digits, the same
   Kronecker substitution, checked by exact division and backed by the
-  primitive PRS.  Every squarefreeness test (proved_squarefree, used by
-  squarefree_profile and factor_search) is one zgcd with the derivative.
+  primitive PRS.  Every squarefreeness test is one zgcd with the
+  derivative: Yun's first gcd, which ends the algorithm where it is 1, and
+  proved_squarefree before factor_search's root count.
   Resultants run the subresultant PRS; both PRSs share one
   pseudo-remainder (_zprem);
 - m- helpers act on int lists modulo m, remainders in [0, m): the one
@@ -397,11 +398,16 @@ def _zexact(n: int, d: int) -> int:
 def psquarefree_decomposition(p: list[int]) -> list[tuple[list[int], int]]:
     """Yun's algorithm over Z (Yun 1976): [(g, k)] with p = c * prod g^k for
     a primitive integer p, the g primitive, squarefree and pairwise coprime
-    with positive leading coefficient, k ascending.  Every gcd is primitive,
-    so each division is exact over Z by Gauss's lemma."""
+    with positive leading coefficient, k ascending.  Its first gcd, with the
+    derivative, is the squarefreeness test: where it is 1, p itself (its
+    lead made positive) is returned at once, so a squarefree p costs that
+    one zgcd.  Every gcd is primitive, so each division is exact over Z by
+    Gauss's lemma."""
     if len(p) < 2:
         return []
     a = zgcd(p, pderiv(p))
+    if len(a) == 1:
+        return [(p if p[-1] > 0 else [-c for c in p], 1)]
     b = zdivexact(p, a)
     c = zdivexact(pderiv(p), a)
     out = []
@@ -735,11 +741,11 @@ def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
     of factor^multiplicity recovers f up to a nonzero constant.  Ordered by
     (multiplicity, degree, coefficients).
 
-    The roots at (1 : 0) and (0 : 1) are split off first, as y^v and x^m.
-    One gcd with its derivative tests the rest r (proved_squarefree), and
-    only when r is not squarefree does Yun's algorithm run on it.  Yun's
-    factors hold every root of one multiplicity, so x joins the factor of
-    multiplicity m, and stands alone when there is none.
+    The roots at (1 : 0) and (0 : 1) are split off first, as y^v and x^m,
+    and Yun's algorithm runs on the rest r: its first gcd, with the
+    derivative, is the squarefreeness test, so a squarefree r costs one
+    zgcd.  Yun's factors hold every root of one multiplicity, so x joins
+    the factor of multiplicity m, and stands alone when there is none.
     """
     if f.is_zero:
         raise ValueError("squarefree profile of the zero form")
@@ -749,13 +755,7 @@ def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:
         out.append((BinaryForm(1, (0, 1)), v))
     x = _zprimitive(f.zx_poly())
     m = next(i for i, c in enumerate(x) if c)
-    r = x[m:]
-    if len(r) < 2:
-        parts = []
-    elif proved_squarefree(r):
-        parts = [(r, 1)]
-    else:
-        parts = psquarefree_decomposition(r)
+    parts = psquarefree_decomposition(x[m:])
     if m:
         k = next((i for i, (_, mult) in enumerate(parts) if mult == m), None)
         if k is None:

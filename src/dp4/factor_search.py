@@ -27,14 +27,18 @@ vary with the (u,v)-power, so twisted spectral forms are searchable too.
 
 The fiber factors come from uni_irreducible_factors, which also serves the
 spectral quintics of pencils and the genericity witnesses of families: an
-exact factorizer over Q for degree at most 5, Zassenhaus's method over Z
-(factor modulo a small prime, Hensel-lift, recombine by trial division).
-Every squarefreeness step is one gcd with the derivative (binforms.zgcd,
-the heuristic gcd over Z): a polynomial that binforms.proved_squarefree
-accepts skips Yun's algorithm before it is factored, and a search fiber
-must pass it.  proves_nonlinear_factor counts roots modulo the
-factorizer's small prime, which proves a factor of degree >= 2 without
-factoring.
+exact factorizer over Q for degree at most 5.  Yun's algorithm
+(binforms.psquarefree_decomposition) splits off repeated factors; its
+first gcd with the derivative (binforms.zgcd, the heuristic gcd over Z) is
+the squarefreeness test, so a squarefree polynomial takes that one gcd, and
+a search fiber must pass the same test.  Each squarefree part is factored
+modulo its smallest good odd prime p, rational roots first: every root mod
+p is Newton-lifted p-adically and read off as a linear factor (Loos 1983).
+What is left has no rational root, so it is irreducible up to degree 3, and
+only a rootless quartic or quintic goes through Zassenhaus's method (factor
+modulo p, Hensel-lift, recombine by trial division).
+proves_nonlinear_factor counts the roots modulo the same p with the same
+root finder, which proves a factor of degree >= 2 without factoring.
 """
 
 from __future__ import annotations
@@ -200,9 +204,11 @@ def wevaluate(f, s0):
 
 
 # ---------------------------------------------------------------------------
-# fiber factorization over Q (exact, over Z and Z/p^k): Zassenhaus's method
-# (J. Number Theory 1, 1969) with Cantor-Zassenhaus splitting mod p (Math.
-# Comp. 36, 1981); von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14-15.
+# fiber factorization over Q (exact, over Z and Z/p^k): rational roots first,
+# each root mod p Newton-lifted p-adically (Loos, SIAM J. Comput. 12, 1983),
+# then Zassenhaus's method (J. Number Theory 1, 1969) with Cantor-Zassenhaus
+# splitting mod p (Math. Comp. 36, 1981) on a rootless cofactor of degree 4
+# or 5; von zur Gathen-Gerhard, Modern Computer Algebra, ch. 14-15.
 # The m- helpers (binforms) act on int unipolys modulo m.
 
 MAX_FACTOR_DEGREE = 5
@@ -217,23 +223,72 @@ def uni_irreducible_factors(p) -> list[tuple[list[Fraction], int]]:
     p = _primitive_ints(pnorm(list(p)))
     if pdeg(p) > MAX_FACTOR_DEGREE:
         raise ValueError(f"factoring over Q needs degree <= {MAX_FACTOR_DEGREE}, got {pdeg(p)}")
-    if len(p) > 1 and proved_squarefree(p):
-        parts = [(p if p[-1] > 0 else [-c for c in p], 1)]  # as Yun's algorithm gives it
-    else:
-        parts = psquarefree_decomposition(p)
-    found = [(g, mult) for part, mult in parts for g in _zfactor_squarefree(part)]
+    found = [(g, mult) for part, mult in psquarefree_decomposition(p) for g in _zfactor_squarefree(part)]
     found.sort(key=lambda gm: (len(gm[0]), gm[1], gm[0][::-1]))
     return [([Fraction(c, g[-1]) for c in g], mult) for g, mult in found]
 
 
 def _zfactor_squarefree(f: list[int]) -> list[list[int]]:
     """Irreducible factors over Z of a primitive squarefree f with positive
-    leading coefficient: factor mod the smallest good odd prime p, lift the
-    factors past twice lc(f) times the Mignotte bound 2^n |f|_2 on the
-    coefficients of a factor, and recombine them by trial division."""
+    leading coefficient, rational roots first.  For p = _small_prime(f), a
+    rational root a/b has b | lc(f), prime to p, so it reduces to a root of
+    f mod p, a simple one since f is squarefree mod p.  Each root mod p is
+    lifted to the root r of f modulo m = p^(2^k) above it (_lift_root),
+    with m > 2 (|lc(f)| + |f|_inf), past twice the integer lc(f) * a/b
+    (Cauchy's bound); so lc(f) * r read as a balanced residue is that
+    integer, and the linear factor it gives is confirmed by exact division.
+    The cofactor has no rational root: of degree 2 or 3 it is irreducible,
+    and from degree 4 Zassenhaus's method factors it modulo the same p (its
+    lead divides lc(f))."""
     if len(f) == 2:
         return [f]
-    lead, p = f[-1], _small_prime(f)
+    lead, p, df = f[-1], _small_prime(f), pderiv(f)
+    m = p
+    while m <= 2 * (lead + max(map(abs, f))):
+        m *= m
+    linear, rest = [], f
+    for r in _mroots(f, p):
+        c = lead * _lift_root(f, df, r, p, m) % m
+        if 2 * c > m:
+            c -= m
+        g = _zprimitive([-c, lead])
+        try:
+            rest = zdivexact(rest, g)
+        except ValueError:  # r lifts to no rational root
+            continue
+        linear.append(g)
+    if len(rest) <= 4:
+        return linear + ([rest] if len(rest) > 1 else [])
+    return linear + _zassenhaus(rest, p)
+
+
+def _mroots(f, p):
+    """The roots of f in F_p, by evaluation at 0..p-1."""
+    f = _mmod(f, p)
+    return [x for x in range(p) if peval(f, x) % p == 0]
+
+
+def _lift_root(f, df, r, p, m):
+    """The root of f modulo m = p^(2^k) above its simple root r mod p, df =
+    f': Newton's iteration r <- r - f(r) s mod q^2 from q = p, with s =
+    1/f'(r) mod q lifted alongside by s <- s (2 - f'(r) s), so no inverse
+    is taken past p (von zur Gathen-Gerhard, Algorithm 9.22)."""
+    q, s = p, pow(peval(df, r), -1, p)
+    while q < m:
+        q *= q
+        r = (r - peval(f, r) * s) % q
+        if q < m:
+            s = s * (2 - peval(df, r) * s) % q
+    return r
+
+
+def _zassenhaus(f: list[int], p: int) -> list[list[int]]:
+    """Irreducible factors over Z of a primitive squarefree f with positive
+    leading coefficient, p an odd prime not dividing lc(f) with f squarefree
+    mod p: factor mod p, lift the factors past twice lc(f) times the
+    Mignotte bound 2^n |f|_2 on the coefficients of a factor, and recombine
+    them by trial division."""
+    lead = f[-1]
     modular = _factor_mod_p(_mmonic(f, p), p)
     if len(modular) == 1:
         return [f]
@@ -280,13 +335,12 @@ def proves_nonlinear_factor(f: list[int]) -> bool:
     proved squarefree (proved_squarefree); then, p its smallest good odd
     prime, a factor of f of degree 1 over Q divides it over Z with a lead
     prime to p (Gauss's lemma) and gives a root mod p, distinct since f is
-    squarefree mod p.  So fewer than deg f roots mod p, deg gcd(f, x^p - x)
-    over F_p, prove a factor of degree >= 2.  False proves nothing."""
+    squarefree mod p.  So fewer than deg f roots mod p (_mroots, the root
+    finder of the factorizer, whose count is deg gcd(f, x^p - x) over F_p)
+    prove a factor of degree >= 2.  False proves nothing."""
     if not proved_squarefree(f):
         return False
-    p = _small_prime(f)
-    monic = _mmonic(f, p)
-    return len(_mgcd(monic, psub(_mpowmod([0, 1], p, monic, p), [0, 1]), p)) < len(f)
+    return len(_mroots(f, _small_prime(f))) < pdeg(f)
 
 
 def _factor_mod_p(f, p):

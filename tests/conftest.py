@@ -5,11 +5,14 @@ written to an example database, so every run tries the same examples.
 The family steps are memoized per spec, and the model builds per (name,
 seed); every test starts with empty caches,
 so a spy or an oracle context sees the computation rather than a cached
-result left by an earlier test.  BIG_PRIMES are shared by the kernel tests;
+result left by an earlier test.  Every test runs under a SIGALRM time
+limit (TEST_TIME_LIMIT_S), so code that hangs fails its test instead of
+stalling the suite.  BIG_PRIMES are shared by the kernel tests;
 widened specs and the recover_widths spy by the tests that take
 binforms.zrecover to both of its sides, and block pencils by the tests of
 coranks on large conjugated pencils."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -41,6 +44,23 @@ def clear_family_caches():
 @pytest.fixture(autouse=True)
 def fresh_family_caches():
     clear_family_caches()
+
+
+# Wall seconds after which a test fails: about 25 times the slowest test,
+# which takes 4-5 s on 2 cores (pytest --durations=5)
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 # a scale that puts every zrecover of a model family past PACK_BITS

@@ -345,6 +345,25 @@ def test_family_analyze_diagonal_large_entries_in_bounded_time(tmp_path):
     assert tree["g1_prime"] is False
 
 
+# Wall bound on one fresh `dp4 family analyze` of the diagonal family with
+# 300-digit entries: Yun's algorithm on its Delta takes most of it, the
+# factor search's fiber the rest, and such a run takes about 1.1 s on 2 cores
+LARGE_DIAGONAL_300_WALL_S = 4
+
+
+def test_family_analyze_diagonal_300_digit_entries_in_bounded_time(tmp_path):
+    spec = models.split_diagonal_example(1)
+    path = write_json(tmp_path / "wide.json", perturbed_tree(spec, 300, random.Random(300)))
+    start = time.perf_counter()
+    proc = dp4_process("family", "analyze", "--input", path)
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert wall < LARGE_DIAGONAL_300_WALL_S
+    tree = json.loads(proc.stdout)
+    assert tree["discriminant_degree"] == 2 * tree["height"]
+    assert tree["g1_prime"] is False and tree["g2_prime"] is False
+
+
 # Wall bound on one fresh `dp4 pencil analyze` of a random pencil with
 # 300-digit entries, or of a structured pencil conjugated to entries of about
 # 480 digits; each takes under 1 s on 2 cores

@@ -447,23 +447,30 @@ def test_squared_item_computes_one_spectral_form_and_one_delta():
 @pytest.mark.parametrize("kind", ["h8_ci", "h10_ci", "h10_bundle", "squared", "diagonal"])
 def test_pipeline_item_runs_yun_only_on_non_squarefree_delta(monkeypatch, kind):
     # one family_pipeline item each: every distinct Delta gets one squarefree
-    # profile; Yun's algorithm runs only on the diagonal example's Delta, the
-    # one whose repeated roots are not at (0 : 1) or (1 : 0): the models'
-    # Delta, and the part of the squared example's Delta off x, are proved
-    # squarefree modulo a prime
+    # profile; Yun's algorithm runs past its first gcd, the squarefreeness
+    # test, only on the diagonal example's Delta, the one whose repeated
+    # roots are not at (0 : 1) or (1 : 0): the models' Delta, and the part
+    # of the squared example's Delta off x, are proved squarefree by that
+    # one gcd with the derivative
     from dp4 import binforms, models
 
-    profiled, yun = [], []
+    profiled, gcds = [], []
 
     def spy(f):
         profiled.append(f)
         return squarefree_profile(f)
 
-    def yun_spy(p):
-        yun.append(p)
-        return decomposition(p)
+    def counted_gcd(p, q):
+        gcds[-1] += 1
+        return gcd(p, q)
 
-    decomposition = binforms.psquarefree_decomposition
+    def yun_spy(p):
+        gcds.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(binforms, "zgcd", counted_gcd)
+            return decomposition(p)
+
+    decomposition, gcd = binforms.psquarefree_decomposition, binforms.zgcd
     monkeypatch.setattr(families, "squarefree_profile", spy)
     monkeypatch.setattr(binforms, "psquarefree_decomposition", yun_spy)
     if kind in ("squared", "diagonal"):
@@ -474,10 +481,11 @@ def test_pipeline_item_runs_yun_only_on_non_squarefree_delta(monkeypatch, kind):
         models.verify_example(kind, 1)
     assert profiled
     assert len(set(profiled)) == len(profiled) == computations()[1]
+    runs_on = [n for n in gcds if n > 1]
     if kind == "diagonal":
-        assert len(yun) == len(profiled)
+        assert len(runs_on) == len(profiled)
     else:
-        assert yun == []
+        assert runs_on == []
 
 
 def test_squared_substitution_fails_g1():

@@ -77,7 +77,11 @@ truncated series (strunc, sadd, ssub, smul, sinv), a monomial on a line one
 linear factor at a time, and the blow-up's conditions as Fraction powers of
 rho with Fraction cubic products (the series now gains one order per step,
 and every one of these evaluations runs through binforms.pmonomials, the
-blow-up's over Z).
+blow-up's over Z), and the factorization of each squarefree part as
+Zassenhaus's method on all of it and the witness's root count as deg
+gcd(f, x^p - x) over F_p (the rational roots are now Newton-lifted
+p-adically first, with Zassenhaus's method only on a rootless quartic or
+quintic, and the roots are counted by evaluation at 0..p-1).
 """
 
 import math
@@ -1110,16 +1114,17 @@ def uncached_delta(spec):
     return families._discriminant_or_none.__wrapped__(spec)
 
 
+def yun_over_q(p):
+    """Yun's algorithm over Q on the Fraction Euclidean oracle, each monic
+    part scaled to the primitive integer one that psquarefree_decomposition
+    returns."""
+    return [(binforms._primitive_ints(g), k) for g, k in fraction_squarefree_decomposition(p)]
+
+
 @contextmanager
-def oracle_gcd():
-    """Route squarefree parts through Yun's algorithm over Q on the Fraction
-    Euclidean oracle, each monic part scaled to the primitive integer one
-    that psquarefree_decomposition returns."""
-
-    def yun_over_q(p):
-        return [(binforms._primitive_ints(g), k) for g, k in fraction_squarefree_decomposition(p)]
-
-    with mock.patch.object(binforms, "psquarefree_decomposition", yun_over_q):
+def oracle_gcd(module=binforms):
+    """Route the squarefree parts that module takes through yun_over_q."""
+    with mock.patch.object(module, "psquarefree_decomposition", yun_over_q):
         yield
 
 
@@ -1611,19 +1616,27 @@ P0 = binforms.DELTA_PRIMES[0]
 
 
 @contextmanager
-def yun_spy():
-    """The integer polynomials that binforms' Yun's algorithm runs on."""
+def yun_gcds(module=binforms):
+    """The number of zgcd calls of each run of Yun's algorithm that module
+    makes, in run order: 1, its squarefreeness test, on a squarefree
+    input, more where the algorithm runs on, 0 on a constant."""
     runs = []
+    gcd = binforms.zgcd
+
+    def counted(p, q):
+        runs[-1] += 1
+        return gcd(p, q)
 
     def spy(p):
-        runs.append(p)
-        return psquarefree_decomposition(p)
+        runs.append(0)
+        with mock.patch.object(binforms, "zgcd", counted):
+            return psquarefree_decomposition(p)
 
-    with mock.patch.object(binforms, "psquarefree_decomposition", spy):
+    with mock.patch.object(module, "psquarefree_decomposition", spy):
         yield runs
 
 
-PLANTED_DELTAS = [  # (Delta, squarefree, whether Yun's algorithm runs)
+PLANTED_DELTAS = [  # (Delta, squarefree, whether Yun's algorithm runs past its test)
     (lin(1, -2).power(2) * lin(3, 1) * lin(2, 5), False, True),  # a repeated factor
     (Y.power(2) * lin(1, -1) * lin(1, 1), False, False),  # y^2, split off
     (Y * lin(F(1, 2), -3) * lin(1, 4), True, False),  # a simple root at y = 0
@@ -1640,11 +1653,13 @@ PLANTED_DELTAS = [  # (Delta, squarefree, whether Yun's algorithm runs)
     ids=[f"delta{i}-{sq}" for i, (_, sq, _) in enumerate(PLANTED_DELTAS)],
 )
 def test_branching_planted_deltas(delta, squarefree, yun):
-    with yun_spy() as runs:
-        assert families._branching(delta) == yun_branching(delta)
-    assert families._branching(delta)[0] is squarefree
-    # Yun's algorithm runs only where the part off x and y is not squarefree
-    assert bool(runs) is yun
+    with yun_gcds() as runs:
+        fast = families._branching(delta)
+    assert fast == yun_branching(delta)
+    assert fast[0] is squarefree
+    # Yun's algorithm runs once, on the part off x and y, and past its one
+    # gcd with the derivative only where that part is not squarefree
+    assert len(runs) == 1 and (runs[0] > 1) is yun
 
 
 @contextmanager
@@ -1687,9 +1702,9 @@ NEXT_PRIME_CASES = [
 def test_branching_takes_the_next_prime_past_the_lead(monkeypatch):
     for delta, tried, prime, heuristic in NEXT_PRIME_CASES:
         monkeypatch.setattr(binforms, "DELTA_PRIMES", tried)
-        with yun_spy() as runs, euclid_spy() as euclids, heuristic_spy() as packs:
+        with yun_gcds() as runs, euclid_spy() as euclids, heuristic_spy() as packs:
             assert families._branching(delta * WIDE) == (True, 4, ((4, 1),))
-        assert not runs  # squarefree: Yun's algorithm never runs
+        assert runs == [1]  # squarefree: one gcd with the derivative
         assert euclids == ([] if prime is None else [prime])
         assert bool(packs.call_count) is heuristic
 
@@ -1699,9 +1714,9 @@ def test_branching_below_heu_bits_runs_no_euclid_mod_p(monkeypatch):
     # no Euclid over F_p runs
     for delta, tried, _, _ in NEXT_PRIME_CASES:
         monkeypatch.setattr(binforms, "DELTA_PRIMES", tried)
-        with yun_spy() as runs, euclid_spy() as euclids, heuristic_spy() as packs:
+        with yun_gcds() as runs, euclid_spy() as euclids, heuristic_spy() as packs:
             assert families._branching(delta) == (True, 3, ((3, 1),))
-        assert not runs and not euclids and packs.call_count
+        assert runs == [1] and not euclids and packs.call_count
 
 
 @settings(max_examples=150, deadline=None)
@@ -1922,9 +1937,9 @@ def test_squared_delta_is_the_base_delta_in_squares():
 def test_yun_over_z_on_the_squared_delta():
     # the squared example's Delta is x^4 q and its base's x^2 q', q and q'
     # squarefree: the profile splits x off and proves the rest squarefree
-    # by one gcd with its derivative, so Yun's algorithm is not reached on
-    # either; the diagonal example's Delta has repeated roots elsewhere and
-    # reaches it.
+    # by one gcd with its derivative, so Yun's algorithm stops at its test
+    # on either; the diagonal example's Delta has repeated roots elsewhere
+    # and runs on.
     # The base spec is the one squared_discriminant_example squares.
     bases = []
 
@@ -1938,10 +1953,10 @@ def test_yun_over_z_on_the_squared_delta():
     assert_yun_over_z_matches_oracle(delta.x_poly())
     diagonal = uncached_delta(split_diagonal_example(1)).delta
     for f, x_mult, yun in [(delta, 4, False), (bases[-1], 2, False), (diagonal, None, True)]:
-        with yun_spy() as runs:
+        with yun_gcds() as runs:
             profile = squarefree_profile(f)
         assert profile == fraction_yun_profile(f)
-        assert bool(runs) is yun
+        assert len(runs) == 1 and (runs[0] > 1) is yun
         if x_mult:
             assert (X, x_mult) in profile
             assert all(mult == 1 for g, mult in profile if g != X)
@@ -1984,10 +1999,10 @@ def test_squarefree_profile_matches_oracle(factors, y_power, scale):
     ],
 )
 def test_squarefree_profile_roots_at_zero_and_infinity(f, yun):
-    with yun_spy() as runs, euclid_spy() as euclids:
+    with yun_gcds() as runs, euclid_spy() as euclids:
         profile = squarefree_profile(f)
     assert profile == fraction_yun_profile(f)
-    assert bool(runs) is yun
+    assert len(runs) == 1 and (runs[0] > 1) is yun
     wide = max(map(abs, f.nums)).bit_length() > binforms.HEU_BITS
     assert euclids == ([P0] if wide else [])
 
@@ -2812,13 +2827,30 @@ def test_uni_irreducible_factors_planted(p):
 
 def test_uni_irreducible_factors_prime_choice():
     # 3 divides the lead and 5, 7 divide the discriminant of x(x - 5)(x - 7)
-    # (3x - 1): the modular step runs mod 11
+    # (3x - 1): the roots are found mod 11, and the split quartic leaves
+    # nothing for Zassenhaus's method
     p = pmul(pmul([0, 3], [-5, 1]), pmul([-7, 1], [-1, 3]))
-    with mock.patch.object(
+    with mock.patch.object(factor_search, "_mroots", wraps=factor_search._mroots) as roots, mock.patch.object(
         factor_search, "_factor_mod_p", wraps=factor_search._factor_mod_p
-    ) as spy:
+    ) as modular:
         assert_factors_match(p)
-    assert [call.args[1] for call in spy.call_args_list] == [11]
+    assert [call.args[1] for call in roots.call_args_list] == [11]
+    assert modular.call_count == 0
+
+
+def test_uni_irreducible_factors_prime_choice_quartic_cofactor():
+    # 3, 5 and 7 divide the lead of (105x - 1)(x^4 + 1), which is
+    # squarefree mod 11: the root 1/105 is found mod 11, and the quartic
+    # cofactor, with no root mod 11 but split into quadratics there, is
+    # factored mod 11 and recombined to itself
+    p = pmul([-1, 105], [1, 0, 0, 0, 1])
+    with mock.patch.object(factor_search, "_mroots", wraps=factor_search._mroots) as roots, mock.patch.object(
+        factor_search, "_factor_mod_p", wraps=factor_search._factor_mod_p
+    ) as modular:
+        assert_factors_match(p)
+    assert [call.args[1] for call in roots.call_args_list] == [11]
+    assert [call.args[1] for call in modular.call_args_list] == [11]
+    assert [len(u) - 1 for u in factor_search._factor_mod_p([1, 0, 0, 0, 1], 11)] == [2, 2]
 
 
 def test_uni_irreducible_factors_rejects_degree_6():
@@ -2844,21 +2876,20 @@ def test_factor_search_matches_sympy_factorizer(make):
 
 @contextmanager
 def nothing_proved_mod_p():
-    """Every squarefreeness proof in factor_search and families fails, so
-    the exact paths it skips run: Yun's algorithm before each
-    factorization and the full factorization of each witness fiber."""
+    """The witness's squarefreeness proof fails, so its root count proves
+    nothing and every witness fiber is factored in full."""
     with mock.patch.object(factor_search, "proved_squarefree", lambda x: False):
         yield
 
 
 def assert_yun_path_matches(p):
-    with mock.patch.object(
-        factor_search, "psquarefree_decomposition", wraps=psquarefree_decomposition
-    ) as yun:
+    with yun_gcds(factor_search) as runs:
         fast = uni_irreducible_factors(p)
-    # Yun's algorithm runs only where the squarefreeness proof fails
-    assert (yun.call_count == 0) == binforms.proved_squarefree(binforms._primitive_ints(p))
-    with nothing_proved_mod_p():
+    # Yun's algorithm runs once, and its first gcd, with the derivative, is
+    # the only one a squarefree input takes
+    squarefree = all(k == 1 for _, k in fraction_squarefree_decomposition(p))
+    assert len(runs) == 1 and (runs[0] == 1) is squarefree
+    with oracle_gcd(factor_search):
         assert uni_irreducible_factors(p) == fast
 
 
@@ -2951,6 +2982,148 @@ def test_root_count_takes_the_prime_past_the_lead():
     assert factor_search._small_prime(pmul([0, 1], pmul([-3, 1], [-6, 1]))) == 5
 
 
+# ---------------------------------------------------------------------------
+# rational roots first: the p-adic root path against Zassenhaus's method
+# alone, and the witness's root count against deg gcd(f, x^p - x)
+
+
+def zassenhaus_factor_squarefree(f):
+    """The factorization of a squarefree part that _zfactor_squarefree
+    replaces: Zassenhaus's method on all of f, modulo the same prime."""
+    if len(f) == 2:
+        return [f]
+    return factor_search._zassenhaus(f, factor_search._small_prime(f))
+
+
+def assert_roots_first_matches_zassenhaus(p):
+    """Each squarefree part of p factors as Zassenhaus's method alone
+    factors it, and uni_irreducible_factors gives the same list either way;
+    Zassenhaus's method runs only on a cofactor of degree 4 or 5 with no
+    rational root."""
+    parts = [part for part, _ in psquarefree_decomposition(binforms._primitive_ints(p))]
+    slow = [sorted(zassenhaus_factor_squarefree(part)) for part in parts]
+    with mock.patch.object(factor_search, "_zassenhaus", wraps=factor_search._zassenhaus) as zassenhaus:
+        fast = [sorted(factor_search._zfactor_squarefree(part)) for part in parts]
+    assert fast == slow
+    for call in zassenhaus.call_args_list:
+        cofactor = call.args[0]
+        assert pdeg(cofactor) in (4, 5)
+        assert all(pdeg(g) >= 2 for g in zassenhaus_factor_squarefree(cofactor))
+    fast = uni_irreducible_factors(p)
+    with mock.patch.object(factor_search, "_zfactor_squarefree", zassenhaus_factor_squarefree):
+        assert uni_irreducible_factors(p) == fast
+
+
+@settings(max_examples=300, deadline=None)
+@given(fiber_polys())
+def test_roots_first_matches_zassenhaus_on_fiber_polys(p):
+    # leads that 3, 5 and 7 divide, repeated factors, and fully split fibers
+    assert_roots_first_matches_zassenhaus(p)
+
+
+divisors_of_105 = st.sampled_from([1, 3, 5, 7, 15, 21, 35, 105])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-30, 30), divisors_of_105), min_size=1, max_size=5),
+    st.lists(st.integers(-9, 9), min_size=0, max_size=4),
+    st.integers(0, 1),
+)
+def test_roots_first_matches_zassenhaus_on_roots_with_denominators(roots, cofactor, x_power):
+    # rational roots a/b, b dividing the lead through 3, 5 and 7, times a
+    # random cofactor and at times x (f(0) = 0)
+    p = [0] * x_power + [1]
+    for a, b in roots:
+        p = pmul(p, [-a, b])
+    if cofactor and cofactor[-1] and pdeg(p) + len(cofactor) - 1 <= 5:
+        p = pmul(p, cofactor)
+    assume(1 <= pdeg(p) <= 5)
+    assert_roots_first_matches_zassenhaus(p)
+
+
+huge = st.integers(-(10**300), 10**300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(huge, huge.filter(bool)), min_size=1, max_size=3),
+    st.lists(huge, min_size=3, max_size=3),
+)
+def test_roots_first_matches_zassenhaus_on_300_digit_coefficients(roots, quadratic):
+    # roots a/b with 300-digit a and b, times a 300-digit quadratic
+    p = [1]
+    for a, b in roots:
+        p = pmul(p, [-a, b])
+    if quadratic[-1]:
+        p = pmul(p, quadratic)
+    assume(pdeg(p) <= 5)
+    assert_roots_first_matches_zassenhaus(p)
+
+
+ROOTS_FIRST_CASES = {
+    # f(0) = 0
+    "x(x-1)(2x+3)": pmul(pmul([0, 1], [-1, 1]), [3, 2]),
+    "x(3x-2)(x2+x+1)": pmul(pmul([0, 1], [-2, 3]), [1, 1, 1]),
+    "x(x4+1)": pmul([0, 1], [1, 0, 0, 0, 1]),
+    # one linear factor times an irreducible quartic: Zassenhaus still runs
+    "(7x-3)(x4-10x2+1)": pmul([-3, 7], [1, 0, -10, 0, 1]),
+    "(x+2)(x4+x+1)": pmul([2, 1], [1, 1, 0, 0, 1]),
+    # 1 + 2 + 2 and 2 + 3 splits: the cofactor is a rootless quartic or quintic
+    "(x-5)(x2+1)(x2+2)": pmul(pmul([-5, 1], [1, 0, 1]), [2, 0, 1]),
+    "(3x+1)(x2-2)(5x2+x+1)": pmul(pmul([1, 3], [-2, 0, 1]), [1, 1, 5]),
+    "(x2+x+1)(x3-2)": pmul([1, 1, 1], [-2, 0, 0, 1]),
+    "(2x2+3)(5x3-x+7)": pmul([3, 0, 2], [7, -1, 0, 5]),
+    # a rootless cubic cofactor needs no Zassenhaus
+    "(x-1)(x+1)(x3-x-1)": pmul(pmul([-1, 1], [1, 1]), [-1, -1, 0, 1]),
+    "x5-x-1": [-1, -1, 0, 0, 0, 1],
+}
+
+
+@pytest.mark.parametrize("p", ROOTS_FIRST_CASES.values(), ids=ROOTS_FIRST_CASES.keys())
+def test_roots_first_matches_zassenhaus_planted(p):
+    assert_roots_first_matches_zassenhaus(p)
+    assert_factors_match(p)
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_roots_first_matches_zassenhaus_on_diagonal_fibers(seed):
+    # the diagonal search fiber splits into five rational roots: no
+    # Zassenhaus, and the factors are its
+    coeffs = list(spectral_form(split_diagonal_example(seed)).coefficients)
+    fibers = []
+    factors = factor_search.uni_irreducible_factors
+
+    def spy(p):
+        fibers.append(list(p))
+        return factors(p)
+
+    with mock.patch.object(factor_search, "uni_irreducible_factors", spy):
+        assert twisted_factor_search(coeffs, 2)[0] == "factor"
+    assert fibers
+    for fib in fibers:
+        with mock.patch.object(factor_search, "_zassenhaus") as zassenhaus:
+            assert [pdeg(g) for g, _ in uni_irreducible_factors(fib)] == [1] * pdeg(fib)
+        assert zassenhaus.call_count == 0
+        assert_roots_first_matches_zassenhaus(fib)
+
+
+def gcd_root_count(f, p):
+    """The number of roots of f mod p that _mroots replaces in the
+    witness: deg gcd(f, x^p - x) over F_p, for p not dividing lc(f)."""
+    monic = binforms._mmonic(f, p)
+    return len(binforms._mgcd(monic, psub(factor_search._mpowmod([0, 1], p, monic, p), [0, 1]), p)) - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(fiber_polys(), st.sampled_from([3, 5, 7, 11, 13, 101]))
+def test_root_count_matches_gcd_with_x_to_the_p(p, prime):
+    # x^p - x is the product of the x - r over F_p, and squarefree there,
+    # so the gcd has one linear factor per distinct root
+    assume(p[-1] % prime)
+    assert len(factor_search._mroots(p, prime)) == gcd_root_count(p, prime)
+
+
 @pytest.mark.parametrize("make", model_and_engineered_specs())
 def test_witness_matches_factorization_oracle(make):
     spec = make()
@@ -2969,28 +3142,48 @@ def test_seed_1_witnesses_factor_no_fiber(name):
     assert rep.irreducible_certified and factorizations.call_count == 0
 
 
+def prs_fiber(coeff_polys, bound):
+    """The fiber search_w_factor factors, at the first specialization s0 in
+    its order with nonzero leading coefficient and a fiber that the
+    primitive PRS (prs_gcd) proves coprime to its derivative; None where
+    the search returns before factoring or finds no such s0."""
+    f = wnorm(_over_z(coeff_polys))
+    if wdeg(f) < 2 or min(bound, wdeg(f) - 1) < 1:
+        return None
+    dmax = max(max(pdeg(c) for c in f), 0)
+    for k in range(10 * (dmax + 2) + 20):
+        s0 = (-1) ** k * ((k + 1) // 2)
+        fib = wevaluate(f, s0)
+        if peval(f[-1], s0) != 0 and len(prs_gcd(fib, pderiv(fib))) == 1:
+            return fib
+    return None
+
+
 @pytest.mark.parametrize("make, bound", factor_search_inputs())
 def test_search_fiber_matches_gcd_oracle(make, bound):
-    # the squarefreeness proofs accept the specialization s0 that the gcd
-    # with the derivative accepts, so the same fiber is factored
+    # each search, the radical's included, factors the fiber at the
+    # specialization s0 that the primitive PRS accepts, and the answer is
+    # the gcd-first oracle's
     coeffs = make()
+    searches, fast_fibers = [], []
+    search, factors = factor_search.search_w_factor, factor_search.uni_irreducible_factors
 
-    def fibers():
-        seen = []
+    def search_spy(coeff_polys, bound):
+        searches.append((coeff_polys, bound))
+        return search(coeff_polys, bound)
 
-        def spy(p):
-            seen.append(list(p))
-            return uni_irreducible_factors(p)
+    def factor_spy(p):
+        fast_fibers.append(list(p))
+        return factors(p)
 
-        return seen, mock.patch.object(factor_search, "uni_irreducible_factors", spy)
-
-    fast_fibers, spy = fibers()
-    with spy:
+    with mock.patch.object(factor_search, "search_w_factor", search_spy), mock.patch.object(
+        factor_search, "uni_irreducible_factors", factor_spy
+    ):
         fast = twisted_factor_search(coeffs, bound)
-    slow_fibers, spy = fibers()
-    with spy, nothing_proved_mod_p():
-        slow = twisted_factor_search(coeffs, bound)
+    slow_fibers = [fib for fib in (prs_fiber(*call) for call in searches) if fib is not None]
     assert fast_fibers == slow_fibers
+    with gcd_first_search():
+        slow = twisted_factor_search(coeffs, bound)
     assert repr(fast) == repr(slow)
 
 
