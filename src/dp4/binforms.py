@@ -25,8 +25,7 @@ trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
   integer gcd of two values at 2^w read off in base-2^w digits, the same
   Kronecker substitution, checked by exact division and backed by the
   primitive PRS.  Every squarefreeness test is one zgcd with the
-  derivative: Yun's first gcd, which ends the algorithm where it is 1, and
-  proved_squarefree before factor_search's root count.
+  derivative: Yun's first gcd, which ends the algorithm where it is 1.
   Resultants run the subresultant PRS; both PRSs share one
   pseudo-remainder (_zprem);
 - m- helpers act on int lists modulo m, remainders in [0, m): the one
@@ -488,10 +487,6 @@ class BinaryForm:
     def is_zero(self) -> bool:
         return not any(self.nums)
 
-    def x_poly(self) -> list[Fraction]:
-        """f(x, 1) as a dense univariate polynomial."""
-        return pnorm([self.coeffs[self.degree - k] for k in range(self.degree + 1)])
-
     def zx_poly(self) -> list[int]:
         """den * f(x, 1) as a dense univariate polynomial over Z."""
         return pnorm(list(self.nums[::-1]))
@@ -542,12 +537,6 @@ class BinaryForm:
     def scale(self, c) -> "BinaryForm":
         """c * f for a rational c."""
         return BinaryForm(self.degree, tuple(a * c.numerator for a in self.nums), self.den * c.denominator)
-
-    def power(self, k: int) -> "BinaryForm":
-        out = BinaryForm.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def derivative_x(self) -> "BinaryForm":
         d = self.degree
@@ -726,12 +715,6 @@ def zdiscriminant(c) -> int:
     fy = [c[i] * i for i in range(1, d + 1)]
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * _zexact(zresultant(fx, fy), d ** (d - 2))
-
-
-def proved_squarefree(x: list[int]) -> bool:
-    """Whether the nonconstant integer polynomial x is squarefree over Q:
-    gcd(x, x') = 1 (zgcd)."""
-    return len(zgcd(x, pderiv(x))) == 1
 
 
 def squarefree_profile(f: BinaryForm) -> list[tuple[BinaryForm, int]]:

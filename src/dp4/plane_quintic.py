@@ -386,17 +386,21 @@ def _tangent_target(alpha, beta):
 
 
 def _solve_with_mix(rows, rhs, kmix):
-    part = linalg.solve(rows, rhs)
-    if part is None:
+    """The solution of rows x = rhs that vanishes at the free columns, plus
+    the combination kmix of the kernel basis of rows: one kernel of
+    [rows | -rhs], whose vectors over the denominator d are the kernel of
+    rows, then, where the system is consistent, d (x, 1) at free column n."""
+    n = len(rows[0])
+    d, kern = linalg.kernel_basis([[*row, -b] for row, b in zip(rows, rhs)])
+    if not kern or kern[-1][n] != d:
         raise RuntimeError("fixture system inconsistent")
-    kern = linalg.kernel_basis(rows)
-    if len(kern) != len(kmix):
+    if len(kern) != len(kmix) + 1:
         raise RuntimeError("fixture kernel dimension changed")
-    vec = list(part)
+    vec = kern[-1][:n]
     for kv, w in zip(kern, kmix):
-        for idx in range(len(vec)):
-            vec[idx] += Fraction(w) * kv[idx]
-    return vec
+        for idx in range(n):
+            vec[idx] += w * kv[idx]
+    return [Fraction(x, d) for x in vec]
 
 
 @lru_cache(maxsize=1)

@@ -9,8 +9,9 @@ result left by an earlier test.  Every test runs under a SIGALRM time
 limit (TEST_TIME_LIMIT_S), so code that hangs fails its test instead of
 stalling the suite.  BIG_PRIMES are shared by the kernel tests;
 widened specs and the recover_widths spy by the tests that take
-binforms.zrecover to both of its sides, and block pencils by the tests of
-coranks on large conjugated pencils."""
+binforms.zrecover to both of its sides, block pencils by the tests of
+coranks on large conjugated pencils, and power and x_poly by the tests that
+build forms as products or read them as univariate polynomials."""
 
 import signal
 from fractions import Fraction
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import settings
 
 from dp4 import binforms, families, models
+from dp4.binforms import BinaryForm, pnorm
 from dp4.linalg import mat_mul, transpose
 from dp4.pencils import SymmetricPencil
 
@@ -61,6 +63,20 @@ def time_limit():
     yield
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+def power(f, k):
+    """f^k for a BinaryForm f, by repeated multiplication."""
+    out = BinaryForm.constant(1)
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def x_poly(f):
+    """f(x, 1) for a BinaryForm f, as a dense list of Fractions with the x^i
+    coefficient at index i."""
+    return pnorm([f.coeffs[f.degree - k] for k in range(f.degree + 1)])
 
 
 # a scale that puts every zrecover of a model family past PACK_BITS

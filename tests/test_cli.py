@@ -13,6 +13,7 @@ from unittest import mock
 
 import pytest
 from conftest import STRUCTURED_PENCILS, block_pencil
+from test_monodromy import _move, _moved, _unimodular
 
 from dp4 import cli, models, pencils, serialize
 from dp4.binforms import BinaryForm
@@ -408,6 +409,37 @@ def test_pencil_analyze_large_entries_in_bounded_time(tmp_path, case, label):
     tree = json.loads(proc.stdout)
     assert tree["label"] == label
     assert sorted((rec["multiplicity"], rec["corank"]) for rec in tree["profile"]) == profile
+
+
+# Wall bounds on one fresh `dp4 classify --height 10` of a bundled fixture
+# moved by a unimodular matrix with entries of the given number of digits.
+# Measured on 2 cores: the pencil fixture at 100 digits in 0.8-1.0 s; the
+# quadrilateral fixture at 20 digits in 2.0-2.6 s.  The quadrilateral grows
+# fastest: 10.4 s at 50 digits and 42 s at 100, nearly all of it
+# linalg.rank's fraction-free elimination of h0_linear_system's conditions.
+LARGE_CLASSIFY = {
+    "pencil": (pencil_fixture, lambda fx: fx.eta(0, 1), 100, 5, "W-component-A"),
+    "quadrilateral": (quadrilateral_fixture, lambda fx: fx.eta("12|34"), 20, 10, "W-component-B"),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_CLASSIFY)
+def test_classify_h10_on_moved_curves_in_bounded_time(tmp_path, name):
+    fixture, eta, digits, bound_s, label = LARGE_CLASSIFY[name]
+    fx = fixture()
+    m = _unimodular(digits, random.Random(digits))
+    plus, minus = ([(_move(m, p), k) for p, k in div] for div in eta(fx))
+    curve = write_json(tmp_path / "curve.json", serialize.encode_curve(_moved(fx.curve, m)))
+    eta_path = write_json(tmp_path / "eta.json", {
+        "plus": serialize.encode_divisor(plus),
+        "minus": serialize.encode_divisor(minus),
+    })
+    start = time.perf_counter()
+    proc = dp4_process("classify", "--height", "10", "--quintic", curve, "--eta", eta_path)
+    wall = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert wall < bound_s
+    assert json.loads(proc.stdout)["label"] == label
 
 
 def test_pencil_analyze_takes_one_spectral_quintic(capsys, tmp_path, pencil_file):

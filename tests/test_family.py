@@ -520,9 +520,7 @@ def test_split_diagonal_fails_g2():
 def test_split_diagonal_skips_witness_search(seed):
     # a found factor settles g2; the fiber witness would go unused
     spec = split_diagonal_example(seed)
-    with mock.patch.object(
-        families, "uni_irreducible_factors", wraps=families.uni_irreducible_factors
-    ) as spy:
+    with mock.patch.object(families, "_zfactor_squarefree", wraps=families._zfactor_squarefree) as spy:
         gen = genericity_check.__wrapped__(spec)
     assert gen.bounded_factor is not None
     assert gen.witness is None

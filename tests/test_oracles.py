@@ -47,23 +47,28 @@ each of D+2 nodes (it now takes max(D_j + 2, 1) values of coefficient j,
 one determinant each), interpolation as the Lagrange form over Fraction and
 the Taylor shift as Horner's rule with a general product per step (both now
 expand by one synthetic multiplication in place), the h8_ci elimination as
-rank, kernel_basis and two solve calls (it is now one rref, and a symmetric
-quadric takes the congruence entries i <= j), the squared
-example's planted root checked on the base family's Delta (it is now checked
-on the squared family's own), and Yun's algorithm before every
+rank, kernel_basis and two solve calls over Fraction (it is now one integer
+kernel, and a symmetric quadric takes the congruence entries i <= j), the
+squared example's planted root checked on the base family's Delta (it is now
+checked on the squared family's own), and Yun's algorithm before every
 factorization, a gcd with the derivative before every search fiber and a
 full factorization of every witness fiber (a squarefreeness test now goes
-first, and a root count modulo a small prime stands in for the witness's
-factorization), and each lifted fiber factor of the bounded factor search
-recovered by Pade approximation from a lift to order 2*dmax + 2 (it is now
+first, the witness's being Yun's first gcd, and a root count modulo a small
+prime on each squarefree part stands in for the witness's factorization),
+and each lifted fiber factor of the bounded factor search recovered by Pade
+approximation from a lift to order 2*dmax + 2 (it is now
 the leading-coefficient trick on a lift to order dmax + 1), and the spectral
 form of a family as max(D_j + 2, 1) values of coefficient j, r determinants
 at each node for its r unknown coefficients (it is now read off the
 base-2^b digits of one fiber's pencil determinant, itself one determinant,
 when the coefficients are narrow, and interpolated from the fibers at
-k = 0..D+1 otherwise, as node_spectral_form does), and the reduced row
-echelon form as Gauss-Jordan over Fraction (it now runs fraction-free over
-Z, one Bareiss elimination shared with rank and the determinant), and the
+k = 0..D+1 otherwise, as node_spectral_form does), and the kernel and the
+solutions of linear systems read off the reduced row echelon form by
+Gauss-Jordan over Fraction (the kernel now comes out as integer vectors
+over one denominator from a fraction-free Gauss-Jordan over Z, one Bareiss
+elimination shared with rank and the determinant, and a system is solved
+as the kernel of [a | -b]), the characteristic polynomial over Fraction
+(it now runs on integer matrices), and the
 corank at each root of the spectral quintic as Gaussian elimination over
 the factor's residue field (it is now read off the principal minors of the
 pencil, pencil determinants over Z tested for divisibility by the factor),
@@ -104,9 +109,11 @@ from conftest import (
     STRUCTURED_PENCILS,
     block_pencil,
     jordan_block,
+    power,
     simple_block,
     simple_blocks,
     widened,
+    x_poly,
 )
 
 from dp4 import binforms, factor_search, families, linalg, lines, models, pencils, plane_quintic, quintic
@@ -392,7 +399,7 @@ def fraction_yun_profile(f: BinaryForm, decomposition=fraction_squarefree_decomp
     v = f.y_valuation()
     if v > 0:
         out.append((BinaryForm(1, (F(0), F(1))), v))
-    for g, k in decomposition(f.x_poly()):
+    for g, k in decomposition(x_poly(f)):
         out.append((BinaryForm.from_x_poly([F(c, g[-1]) for c in g], len(g) - 1), k))
     return sorted(out, key=lambda t: (t[1], t[0].degree, t[0].coeffs))
 
@@ -544,6 +551,36 @@ def fraction_rref(m):
     return r, pivots
 
 
+def fraction_kernel_basis(m):
+    """Basis of the right kernel over Fraction, one vector per free column
+    in free-column order, with 1 at its free column: read off fraction_rref."""
+    ncols = len(m[0]) if m else 0
+    r, pivots = fraction_rref([[Fraction(x) for x in row] for row in m])
+    basis = []
+    for j in range(ncols):
+        if j not in pivots:
+            v = [Fraction(0)] * ncols
+            v[j] = Fraction(1)
+            for i, p in enumerate(pivots):
+                v[p] = -r[i][j]
+            basis.append(v)
+    return basis
+
+
+def fraction_solve(a, b):
+    """The solution of a x = b over Fraction that vanishes at the free
+    columns, or None when the system is inconsistent: read off fraction_rref
+    of [a | b]."""
+    ncols = len(a[0]) if a else 0
+    r, pivots = fraction_rref([[*map(Fraction, row), Fraction(bv)] for row, bv in zip(a, b)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, p in enumerate(pivots):
+        x[p] = r[i][ncols]
+    return x
+
+
 class QuotientField:
     """Arithmetic in Q[w]/(phi) for irreducible phi, elements as unipolys."""
 
@@ -582,7 +619,7 @@ def residue_field_profile(pencil: SymmetricPencil) -> list[ProfileRecord]:
         if factor.y_valuation() >= 1:
             corank = 5 - len(fraction_rref([list(row) for row in pencil.P])[1])
         else:
-            field = QuotientField(factor.x_poly())
+            field = QuotientField(x_poly(factor))
             w = field.reduce([F(0), F(1)])
             m = [
                 [field.add(field.mul(w, [pencil.P[i][j]]), [pencil.Q[i][j]]) for j in range(5)]
@@ -670,9 +707,9 @@ def binaryform_family_from_linear_plus_quadrics(alpha, beta, q1, q2):
     m = [alpha, beta]
     if linalg.rank([row[:] for row in m]) < 2:
         raise ValueError("elimination impossible: bilinear form has rank < 2")
-    kern = linalg.kernel_basis([row[:] for row in m])
-    p = linalg.solve([row[:] for row in m], [Fraction(1), Fraction(0)])
-    q = linalg.solve([row[:] for row in m], [Fraction(0), Fraction(1)])
+    kern = fraction_kernel_basis(m)
+    p = fraction_solve(m, [Fraction(1), Fraction(0)])
+    q = fraction_solve(m, [Fraction(0), Fraction(1)])
     joint = binforms._primitive_ints([*p, *q])
     p, q = joint[:6], joint[6:]
     columns = [[BinaryForm(1, (-q[i], p[i])) for i in range(6)]]
@@ -900,7 +937,7 @@ def pade(series, d, n):
             if 0 <= k - i < len(series):
                 row[d + 1 + i] -= series[k - i]
         rows.append(row)
-    for vec in linalg.kernel_basis(rows):
+    for vec in fraction_kernel_basis(rows):
         a = pnorm(list(vec[: d + 1]))
         b = pnorm(list(vec[d + 1 :]))
         if b:
@@ -1077,7 +1114,7 @@ def fit_syzygy_coefficients() -> tuple[Fraction, ...]:
         rhs.append(j18 * j18)
     if linalg.rank([row[:] for row in rows[: len(monos) + 8]]) < len(monos):
         raise RuntimeError("syzygy fit underdetermined")
-    sol = linalg.solve(rows, rhs)
+    sol = fraction_solve(rows, rhs)
     if sol is None:
         raise RuntimeError("syzygy fit inconsistent")
     return tuple(sol)
@@ -1098,7 +1135,7 @@ def fit_disc_as_invariant() -> tuple[Fraction, Fraction]:
         row, d = sample()
         rows.append(row)
         rhs.append(d)
-    sol = linalg.solve(rows, rhs)
+    sol = fraction_solve(rows, rhs)
     if sol is None:
         raise RuntimeError("discriminant fit inconsistent")
     c1, c2 = sol
@@ -1397,7 +1434,7 @@ def bump_entry(spec):
     # entry (0,0) of A1 one degree too high, symmetric, past validation
     f = spec.A1[0][0]
     bumped = f * BinaryForm(1, (F(0), F(1))) + BinaryForm.from_roots([0] * (f.degree + 1))
-    assert pdeg(bumped.x_poly()) == f.degree + 1
+    assert pdeg(x_poly(bumped)) == f.degree + 1
     rows = [list(row) for row in spec.A1]
     rows[0][0] = bumped
     object.__setattr__(spec, "A1", tuple(tuple(row) for row in rows))
@@ -1637,13 +1674,13 @@ def yun_gcds(module=binforms):
 
 
 PLANTED_DELTAS = [  # (Delta, squarefree, whether Yun's algorithm runs past its test)
-    (lin(1, -2).power(2) * lin(3, 1) * lin(2, 5), False, True),  # a repeated factor
-    (Y.power(2) * lin(1, -1) * lin(1, 1), False, False),  # y^2, split off
+    (power(lin(1, -2), 2) * lin(3, 1) * lin(2, 5), False, True),  # a repeated factor
+    (power(Y, 2) * lin(1, -1) * lin(1, 1), False, False),  # y^2, split off
     (Y * lin(F(1, 2), -3) * lin(1, 4), True, False),  # a simple root at y = 0
     (lin(P0, -1) * lin(1, -2) * lin(1, 3), True, False),  # P0 divides the lead
     # x (x - P0) is not squarefree mod P0, but x is split off first
     (lin(1, 0) * lin(1, -P0) * lin(1, 1), True, False),
-    (lin(P0, 1).power(2) * lin(1, 1), False, True),
+    (power(lin(P0, 1), 2) * lin(1, 1), False, True),
 ]
 
 
@@ -1727,9 +1764,9 @@ def test_branching_below_heu_bits_runs_no_euclid_mod_p(monkeypatch):
     st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(lambda c: c != 0),
 )
 def test_branching_matches_yun(factors, y_power, scale):
-    f = BinaryForm.constant(scale) * Y.power(y_power)
+    f = BinaryForm.constant(scale) * power(Y, y_power)
     for coeffs, mult in factors:
-        f = f * BinaryForm(len(coeffs) - 1, tuple(F(c) for c in coeffs)).power(mult)
+        f = f * power(BinaryForm(len(coeffs) - 1, tuple(F(c) for c in coeffs)), mult)
     assume(f.degree > 0)
     assert families._branching(f) == yun_branching(f)
 
@@ -1864,7 +1901,7 @@ def test_zgcd_widens_where_the_first_width_fails(p, q, first, wrong, expected):
                        st.integers(1, 3)), min_size=1, max_size=4),
     st.sampled_from([0, 1, 2]),
 )
-def test_proved_squarefree_matches_yun(factors, wide_power):
+def test_yun_first_gcd_decides_squarefreeness(factors, wide_power):
     # small factors with multiplicities, times a power of a linear factor
     # whose root is past HEU_BITS
     p = [3 ** (binforms.HEU_BITS // 2), 1]
@@ -1874,7 +1911,12 @@ def test_proved_squarefree_matches_yun(factors, wide_power):
             p = pmul(p, pnorm(list(coeffs)))
     assume(pdeg(p) >= 1)
     squarefree = all(k == 1 for _, k in fraction_squarefree_decomposition(p))
-    assert binforms.proved_squarefree(p) is squarefree
+    with yun_gcds() as runs:
+        parts = binforms.psquarefree_decomposition(binforms._zprimitive(p))
+    # Yun's first gcd, with the derivative, decides: a squarefree p takes
+    # that one gcd and comes back whole
+    assert (runs == [1]) is squarefree
+    assert all(k == 1 for _, k in parts) is squarefree
 
 
 # ---------------------------------------------------------------------------
@@ -1950,7 +1992,7 @@ def test_yun_over_z_on_the_squared_delta():
     with mock.patch.object(models, "substitute_squared", capture):
         delta = uncached_delta(squared_discriminant_example(1)).delta
     assert delta.degree == 40
-    assert_yun_over_z_matches_oracle(delta.x_poly())
+    assert_yun_over_z_matches_oracle(x_poly(delta))
     diagonal = uncached_delta(split_diagonal_example(1)).delta
     for f, x_mult, yun in [(delta, 4, False), (bases[-1], 2, False), (diagonal, None, True)]:
         with yun_gcds() as runs:
@@ -1977,21 +2019,21 @@ def test_squarefree_profile_matches_oracle(factors, y_power, scale):
     f = BinaryForm.constant(scale)
     for coeffs, mult in factors:
         factor = BinaryForm(len(coeffs) - 1, tuple(F(c) for c in coeffs))
-        f = f * factor.power(mult)
-    f = f * BinaryForm(1, (F(0), F(1))).power(y_power)
+        f = f * power(factor, mult)
+    f = f * power(BinaryForm(1, (F(0), F(1))), y_power)
     assert squarefree_profile(f) == fraction_yun_profile(f)
 
 
 @pytest.mark.parametrize(
     "f, yun",
     [
-        (X.power(2) * lin(1, -3).power(2) * lin(1, 1), True),  # x joins (x - 3)^2
-        (Y.power(2) * X.power(2) * lin(1, -1).power(2), True),
-        (X.power(3) * lin(1, 2).power(2), True),  # no other cube: x alone
-        (Y.power(2) * X.power(2) * lin(1, -1) * lin(2, 1), False),
-        (X.power(2), False),
-        (X * Y.power(3), False),
-        (X.power(2) * lin(P0, -1) * lin(1, 5), False),  # P0 divides the lead
+        (power(X, 2) * power(lin(1, -3), 2) * lin(1, 1), True),  # x joins (x - 3)^2
+        (power(Y, 2) * power(X, 2) * power(lin(1, -1), 2), True),
+        (power(X, 3) * power(lin(1, 2), 2), True),  # no other cube: x alone
+        (power(Y, 2) * power(X, 2) * lin(1, -1) * lin(2, 1), False),
+        (power(X, 2), False),
+        (X * power(Y, 3), False),
+        (power(X, 2) * lin(P0, -1) * lin(1, 5), False),  # P0 divides the lead
         # not squarefree mod P0: past HEU_BITS the proof modulo P0 fails and
         # the heuristic gcd decides, below it no Euclid over F_p runs
         (X * lin(1, -1) * lin(1, -1 - P0) * WIDE, False),
@@ -2019,9 +2061,9 @@ def test_squarefree_profile_splits_zero_and_infinity_like_yun(factors, x_power, 
     # roots at (0 : 1) and (1 : 0) whose multiplicities often match those of
     # finite roots, a lead that P0 divides, and a part that is squarefree but
     # not modulo P0
-    f = BinaryForm.constant(scale) * X.power(x_power) * Y.power(y_power)
+    f = BinaryForm.constant(scale) * power(X, x_power) * power(Y, y_power)
     for coeffs, mult in factors:
-        f = f * BinaryForm(len(coeffs) - 1, tuple(F(c) for c in coeffs)).power(mult)
+        f = f * power(BinaryForm(len(coeffs) - 1, tuple(F(c) for c in coeffs)), mult)
     if extra is not None:
         f = f * extra
     assert squarefree_profile(f) == fraction_yun_profile(f)
@@ -2030,7 +2072,7 @@ def test_squarefree_profile_splits_zero_and_infinity_like_yun(factors, x_power, 
 def test_squarefree_profile_pure_y_and_constant():
     y = BinaryForm(1, (F(0), F(1)))
     x_minus_half = BinaryForm(1, (F(1), F(-1, 2)))
-    f = y.power(3) * x_minus_half.power(2)
+    f = power(y, 3) * power(x_minus_half, 2)
     prof = squarefree_profile(f)
     assert prof == fraction_yun_profile(f)
     assert (y, 3) in prof
@@ -2084,11 +2126,12 @@ def test_det_small_cases():
 
 
 @settings(max_examples=60)
-@given(rational_matrices())
+@given(rational_matrices().map(lambda m: [linalg.clear_denominators(row)[1] for row in m]))
 def test_charpoly_matches_oracle(m):
+    # integer matrices: each row of a rational one scaled to integers
     fast = linalg.charpoly([row[:] for row in m])
-    assert all(type(c) is Fraction for c in fast)
-    assert fast == fraction_charpoly([row[:] for row in m])
+    assert all(type(c) is int for c in fast)
+    assert fast == fraction_charpoly([[F(x) for x in row] for row in m])
 
 
 # ---------------------------------------------------------------------------
@@ -2118,31 +2161,45 @@ def rank_deficient_systems(draw):
     return m, b
 
 
-@settings(max_examples=150)
-@given(rank_deficient_systems())
-def test_rref_matches_gauss_jordan_over_fraction(system):
-    m, _ = system
+@settings(max_examples=200)
+@given(rank_deficient_systems().map(lambda system: system[0]))
+@example([])
+@example([[F(-1), F(1)]])  # the last pivot is negative
+@example([[F(2), F(4)]])  # the gcd of the vectors divides d
+@example([[F(0)] * 3, [F(0)] * 3])
+@example([[F(2), F(1)], [F(1), F(3)]])  # no free column
+@example([[F(0), F(-3, 2), F(1)], [F(0)] * 3])
+def test_kernel_basis_matches_gauss_jordan_over_fraction(m):
     before = repr(m)
-    assert repr(linalg.rref(m)) == repr(fraction_rref(m))
+    d, basis = linalg.kernel_basis(m)
+    assert (d, basis) == linalg.clear_row_denominators(fraction_kernel_basis(m))
+    assert d > 0 and all(type(x) is int for v in basis for x in v)
     assert repr(m) == before
 
 
 @settings(max_examples=150)
-@given(rank_deficient_systems())
-def test_rank_kernel_and_solve_match_gauss_jordan_over_fraction(system):
+@given(rank_deficient_systems(), st.lists(st.integers(-3, 3), min_size=7, max_size=7))
+def test_rank_kernel_and_solve_match_gauss_jordan_over_fraction(system, mix):
+    # a system is solved as the kernel of [m | -b] (plane_quintic's
+    # _solve_with_mix), plus a combination of the kernel of m
     m, b = system
-    fast = linalg.kernel_basis(m), linalg.solve(m, b)
-    with mock.patch.object(linalg, "rref", fraction_rref):
-        slow = linalg.kernel_basis(m), linalg.solve(m, b)
-    assert repr(fast) == repr(slow)
-    kernel, x = fast
+    kernel = fraction_kernel_basis(m)
     rank = linalg.rank(m)
     assert rank == len(fraction_rref(m)[1])
-    assert rank + len(kernel) == (len(m[0]) if m else 0)
-    for v in kernel:
-        assert all(sum(a * y for a, y in zip(row, v)) == 0 for row in m)
-    if x is not None:
-        assert all(sum(a * y for a, y in zip(row, x)) == bv for row, bv in zip(m, b))
+    assert rank + len(linalg.kernel_basis(m)[1]) == (len(m[0]) if m else 0)
+    if not m:
+        return
+    kmix = mix[: len(kernel)]
+    x = fraction_solve(m, b)
+    if x is None:
+        with pytest.raises(RuntimeError, match="inconsistent"):
+            plane_quintic._solve_with_mix(m, b, kmix)
+        return
+    expected = [xi + sum(w * v[i] for w, v in zip(kmix, kernel)) for i, xi in enumerate(x)]
+    assert plane_quintic._solve_with_mix(m, b, kmix) == expected
+    for wrong in [kmix + [1]] + ([kmix[:-1]] if kmix else []):
+        with pytest.raises(RuntimeError, match="kernel dimension"):
+            plane_quintic._solve_with_mix(m, b, wrong)
 
 
 @st.composite
@@ -2174,21 +2231,25 @@ def test_zdet_matches_gaussian_elimination_and_det(m):
 
 
 def test_elimination_edge_shapes():
-    assert linalg.rref([]) == ([], []) and linalg.rank([]) == 0 and linalg.kernel_basis([]) == []
+    assert linalg.rank([]) == 0 and linalg.kernel_basis([]) == (1, [])
     assert linalg.zdet([]) == 1 and linalg.zdet([[0, 5], [0, 7]]) == 0
     row = [[F(0), F(2, 3), F(-4, 3)]]
-    assert linalg.rref(row) == ([[0, 1, -2]], [1])
-    assert linalg.kernel_basis(row) == [[1, 0, 0], [0, 2, 1]]
+    assert linalg.kernel_basis(row) == (1, [[1, 0, 0], [0, 2, 1]])
+    assert linalg.kernel_basis([[F(1, 2), F(1, 3)]]) == (3, [[-2, 3]])
+    assert linalg.kernel_basis([[F(-1), F(1)]]) == (1, [[1, 1]])
     column = [[F(0)], [F(3)], [F(-1, 2)]]
-    assert linalg.rref(column) == ([[1], [0], [0]], [0])
-    assert linalg.solve(column, [F(0), F(6), F(-1)]) == [2]
-    assert linalg.solve(column, [F(1), F(6), F(-1)]) is None
+    assert linalg.kernel_basis(column) == (1, [])
+    assert plane_quintic._solve_with_mix(column, [F(0), F(6), F(-1)], []) == [2]
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        plane_quintic._solve_with_mix(column, [F(1), F(6), F(-1)], [])
     zero = [[F(0)] * 4 for _ in range(3)]
     assert linalg.rank(zero) == 0
-    assert linalg.kernel_basis(zero) == [[int(i == j) for j in range(4)] for i in range(4)]
-    assert linalg.solve(zero, [F(0)] * 3) == [0] * 4 and linalg.solve(zero, [F(0), F(1), F(0)]) is None
+    assert linalg.kernel_basis(zero) == (1, [[int(i == j) for j in range(4)] for i in range(4)])
+    assert plane_quintic._solve_with_mix(zero, [F(0)] * 3, [0] * 4) == [0] * 4
+    with pytest.raises(RuntimeError, match="inconsistent"):
+        plane_quintic._solve_with_mix(zero, [F(0), F(1), F(0)], [0] * 4)
     for m in (row, column, zero):
-        assert repr(linalg.rref(m)) == repr(fraction_rref(m))
+        assert linalg.kernel_basis(m) == linalg.clear_row_denominators(fraction_kernel_basis(m))
 
 
 # ---------------------------------------------------------------------------
@@ -2876,9 +2937,9 @@ def test_factor_search_matches_sympy_factorizer(make):
 
 @contextmanager
 def nothing_proved_mod_p():
-    """The witness's squarefreeness proof fails, so its root count proves
-    nothing and every witness fiber is factored in full."""
-    with mock.patch.object(factor_search, "proved_squarefree", lambda x: False):
+    """The witness's root count proves nothing, so every squarefree part of
+    every witness fiber is factored in full."""
+    with mock.patch.object(families, "proves_nonlinear_factor", lambda f: False):
         yield
 
 
@@ -2940,20 +3001,21 @@ def has_nonlinear_factor(p) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(fiber_polys())
 def test_root_count_witness_matches_factorization(p):
-    # fewer roots mod p than the degree only where a factor of degree >= 2
-    # exists, and the witness decision is the full factorization's
-    proved = factor_search.proves_nonlinear_factor(p)
+    # fewer roots mod p than the degree of a squarefree part only where a
+    # factor of degree >= 2 exists, and the witness decision is the full
+    # factorization's
+    parts = [g for g, _ in psquarefree_decomposition(binforms._zprimitive(p))]
+    proved = any(map(factor_search.proves_nonlinear_factor, parts))
     assert not proved or has_nonlinear_factor(p)
-    if not binforms.proved_squarefree(p):
-        assert not proved
     assert families._nonlinear_factor([F(c) for c in p]) == has_nonlinear_factor(p)
 
 
-WITNESS_CASES = {  # (polynomial, proved by the root count, oracle)
+WITNESS_CASES = {  # (polynomial, proved by the root count on Yun's parts, oracle)
     "x5-x-1": ([-1, -1, 0, 0, 0, 1], True, True),
     "split": (pmul(pmul([0, 1], [-1, 1]), pmul(pmul([1, 1], [-2, 1]), [2, 1])), False, False),
     "mixed": (pmul(pmul([1, 0, 1], [-3, 1]), pmul([5, 1], [-1, 2])), True, True),
-    "repeated": (pmul(pmul([-1, 1], [-1, 1]), [1, 0, 1]), False, True),
+    # Yun's part x^2 + 1 has no root mod 3
+    "repeated": (pmul(pmul([-1, 1], [-1, 1]), [1, 0, 1]), True, True),
     # 3, 5, 7 divide the lead, so the root count runs mod 11, where x^2 + 1
     # has no root and a split cubic keeps its three
     "lead105-quadratic": (pmul([105], pmul([1, 0, 1], [-1, 1])), True, True),
@@ -2966,14 +3028,27 @@ WITNESS_CASES = {  # (polynomial, proved by the root count, oracle)
     "p, proved, nonlinear", WITNESS_CASES.values(), ids=WITNESS_CASES.keys()
 )
 def test_root_count_witness_planted(p, proved, nonlinear):
-    assert factor_search.proves_nonlinear_factor(p) is proved
+    # the root count sees only squarefree input: the parts of Yun's
+    # decomposition, never a repeated factor
+    parts = [g for g, _ in psquarefree_decomposition(p)]
+    assert any(map(factor_search.proves_nonlinear_factor, parts)) is proved
     assert has_nonlinear_factor(p) is nonlinear
-    with mock.patch.object(
-        families, "uni_irreducible_factors", wraps=uni_irreducible_factors
+    derivative_gcds = []
+    gcd = binforms.zgcd
+
+    def spy(a, b):
+        if b == pderiv(a):
+            derivative_gcds.append(a)
+        return gcd(a, b)
+
+    with mock.patch.object(binforms, "zgcd", spy), mock.patch.object(
+        families, "_zfactor_squarefree", wraps=factor_search._zfactor_squarefree
     ) as factorizations:
         assert families._nonlinear_factor([F(c) for c in p]) is nonlinear
-    # only a fiber the root count leaves open is factored
-    assert factorizations.call_count == (not proved)
+    # one squarefreeness gcd per fiber, Yun's first, and only the parts of a
+    # fiber the root count leaves open are factored
+    assert len(derivative_gcds) == 1
+    assert factorizations.call_count == (0 if proved else len(parts))
 
 
 def test_root_count_takes_the_prime_past_the_lead():
@@ -3137,7 +3212,7 @@ def test_witness_matches_factorization_oracle(make):
 def test_seed_1_witnesses_factor_no_fiber(name):
     # every seed-1 model's first witness fiber is settled by the root count
     spec = build_example(name, 1)
-    with mock.patch.object(families, "uni_irreducible_factors") as factorizations:
+    with mock.patch.object(families, "_zfactor_squarefree") as factorizations:
         rep = genericity_check.__wrapped__(spec)
     assert rep.irreducible_certified and factorizations.call_count == 0
 
@@ -3848,7 +3923,7 @@ def fraction_blowup(parameters):
             rows.append(
                 [(2 * a + b) * rho ** (2 * a + b - 1) if 2 * a + b else Fraction(0) for a, b, _ in cubic_monos]
             )
-    cubics = linalg.kernel_basis(rows)
+    cubics = fraction_kernel_basis(rows)
     pairs = [(i, j) for i in range(5) for j in range(i, 5)]
     products = {}
     for i, j in pairs:
@@ -3858,7 +3933,7 @@ def fraction_blowup(parameters):
                 key = tuple(e1 + e2 for e1, e2 in zip(m1, m2))
                 coeffs[key] = coeffs.get(key, Fraction(0)) + x * y
         products[(i, j)] = coeffs
-    relations = linalg.kernel_basis(
+    relations = fraction_kernel_basis(
         [[products[pair].get(mono, Fraction(0)) for pair in pairs] for mono in sextic_monos]
     )
     grams = []
@@ -4265,7 +4340,7 @@ def test_binary_form_arithmetic_matches_fraction_oracle(pair, c, k):
     assert_same(-f, -a)
     assert_same(f * g, a * b)
     assert_same(f.scale(c), a.scale(c))
-    assert_same(f.power(k), a.power(k))
+    assert_same(power(f, k), a.power(k))
     assert_same(f.derivative_x(), a.derivative_x())
     assert_same(f.derivative_y(), a.derivative_y())
     assert f.evaluate(c, 3) == a.evaluate(F(c), F(3))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import power
 from dp4 import linalg
 from dp4.binforms import BinaryForm, mobius_substitute
 from dp4.linalg import det, mat_mul, transpose
@@ -51,7 +52,7 @@ def test_spectral_quintic_diagonal():
 def test_spectral_quintic_equal_members():
     pencil = SymmetricPencil(diag([1] * 5), diag([1] * 5))
     f = spectral_quintic(pencil)
-    expect = BinaryForm(1, (F(1), F(1))).power(5)
+    expect = power(BinaryForm(1, (F(1), F(1))), 5)
     assert f == expect
 
 
