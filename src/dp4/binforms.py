@@ -73,7 +73,8 @@ def psub(p, q):
 def pmul(p, q):
     if not p or not q:
         return []
-    out = [p[-1] * q[-1] * 0] * (len(p) + len(q) - 1)
+    # a zero of the product's type, without multiplying two long leads
+    out = [p[-1] * 0 * q[-1]] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -537,18 +538,6 @@ class BinaryForm:
     def scale(self, c) -> "BinaryForm":
         """c * f for a rational c."""
         return BinaryForm(self.degree, tuple(a * c.numerator for a in self.nums), self.den * c.denominator)
-
-    def derivative_x(self) -> "BinaryForm":
-        d = self.degree
-        if d == 0:
-            return BinaryForm.zero(0)
-        return BinaryForm(d - 1, tuple(map(int.__mul__, self.nums, range(d, 0, -1))), self.den)
-
-    def derivative_y(self) -> "BinaryForm":
-        d = self.degree
-        if d == 0:
-            return BinaryForm.zero(0)
-        return BinaryForm(d - 1, tuple(map(int.__mul__, self.nums[1:], range(1, d + 1))), self.den)
 
     def divexact(self, other: "BinaryForm") -> "BinaryForm":
         """Exact quotient of homogeneous forms; raises if not divisible."""

@@ -1,14 +1,16 @@
 """Invariants of binary quintics and the weighted moduli point.
 
 The four integral invariants J4, J8, J12, J18 are realized as transvectant
-expressions scaled to primitive integer coefficient vectors (the scale
-factors below are the contents of the raw expressions as polynomials in the
-quintic coefficients; a slow symbolic test re-derives them).  The square of
-the odd invariant J18 is a weighted form of degree 36 in (J4, J8, J12), and
-the discriminant is a linear combination of J4^2 and J8.  The coefficients of
-both identities are frozen literals, re-derived by a test oracle (an exact
-fit on sampled quintics); the J18^2 relation is checked on every
-construction of an InvariantVector.
+expressions scaled to primitive integer coefficient vectors (the _CONTENT_J*
+factors are the contents of the raw expressions as polynomials in the
+quintic coefficients; a test re-derives those of J4, J8 and J12, and the
+oracle fits and the benchmark digests pin J18's).  Each transvectant is one
+sum of integer convolutions, by the coefficient formula (Olver, Classical
+Invariant Theory, ch. 5).  The square of the odd invariant J18 is a weighted
+form of degree 36 in (J4, J8, J12), and the discriminant is a linear
+combination of J4^2 and J8.  The coefficients of both identities are frozen
+literals, re-derived by a test oracle (an exact fit on sampled quintics);
+the J18^2 relation is checked on integers on every InvariantVector.
 
 Points of the moduli space carry weights (1, 2, 3) on (J4, J8, J12).  The
 canonical representative is exact over Q: scale J4 to 1 when possible, else
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
-from .binforms import BinaryForm, resultant, squarefree_profile
+from .binforms import BinaryForm, padd, pmul, resultant, squarefree_profile
 
 # contents of the raw transvectant expressions on the generic integer quintic
 _CONTENT_J4 = Fraction(2, 625)
@@ -37,29 +39,24 @@ def transvectant(f: BinaryForm, g: BinaryForm, r: int) -> BinaryForm:
 
     (f,g)_r = (m-r)!(n-r)!/(m!n!) * sum_k (-1)^k C(r,k)
               d^r f/dx^(r-k)dy^k * d^r g/dx^k dy^(r-k);
-    bilinear, of degree m+n-2r, and (g,f)_r = (-1)^r (f,g)_r.
+    bilinear, of degree m+n-2r, and (g,f)_r = (-1)^r (f,g)_r.  The mixed
+    partial d^r/dx^(r-k)dy^k sends x^(m-i) y^i to
+    perm(m-i, r-k) perm(i, k) x^(m-i-r+k) y^(i-k), so each term of the sum
+    is one convolution of the integer numerators.
     """
     m, n = f.degree, g.degree
     if r < 0 or r > min(m, n):
         raise ValueError(f"transvectant index {r} out of range for degrees {m}, {n}")
-    scale = Fraction(
-        math.factorial(m - r) * math.factorial(n - r),
-        math.factorial(m) * math.factorial(n),
-    )
-    total = BinaryForm.zero(m + n - 2 * r)
+    out: list[int] = []
     for k in range(r + 1):
-        df = f
-        for _ in range(r - k):
-            df = df.derivative_x()
-        for _ in range(k):
-            df = df.derivative_y()
-        dg = g
-        for _ in range(k):
-            dg = dg.derivative_x()
-        for _ in range(r - k):
-            dg = dg.derivative_y()
-        total = total + (df * dg).scale((-1) ** k * math.comb(r, k))
-    return total.scale(scale)
+        sign = (-1) ** k * math.comb(r, k)
+        fs, gs = enumerate(f.nums[k : m - r + k + 1], k), enumerate(g.nums[r - k : n - k + 1], r - k)
+        df = [sign * math.perm(m - i, r - k) * math.perm(i, k) * c for i, c in fs]
+        dg = [math.perm(n - i, k) * math.perm(i, r - k) * c for i, c in gs]
+        out = padd(out, pmul(df, dg))
+    d = m + n - 2 * r
+    scale = Fraction(math.factorial(m - r) * math.factorial(n - r), math.factorial(m) * math.factorial(n))
+    return BinaryForm(d, tuple(out) + (0,) * (d + 1 - len(out)), f.den * g.den).scale(scale)
 
 
 def _raw_invariants(f: BinaryForm):
@@ -115,11 +112,20 @@ class InvariantVector:
     J18: Fraction
 
     def __post_init__(self):
-        coeffs = syzygy_coefficients()
-        total = Fraction(0)
-        for (a, b, c), coeff in zip(syzygy_monomials(), coeffs):
-            total += coeff * self.J4**a * self.J8**b * self.J12**c
-        if total != self.J18 * self.J18:
+        # The relation is weighted homogeneous of degree 36, so with D the lcm
+        # of the denominators the integers D^2 J4, D^4 J8, D^6 J12, D^9 J18
+        # satisfy it too; 15625 clears the denominators of its coefficients.
+        values = (self.J4, self.J8, self.J12, self.J18)
+        d = math.lcm(*(x.denominator for x in values))
+        j4, j8, j12, j18 = (
+            x.numerator * (d**e // x.denominator) for x, e in zip(values, (2, 4, 6, 9))
+        )
+        total = sum(
+            15625 * w.numerator // w.denominator * j4**a * j8**b * j12**c
+            for (a, b, c), w in zip(syzygy_monomials(), syzygy_coefficients())
+            if w
+        )
+        if total != 15625 * j18 * j18:
             raise ValueError("invariant values violate the J18^2 relation")
 
     def as_tuple(self):

@@ -1,8 +1,10 @@
-"""Mutation sweep over the integer kernel and its callers.
+"""Mutation sweep over the fast exact paths of src/dp4.
 
     python tests/mutants.py [mutant name ...]
 
-Each mutant below is one textual replacement in one file of src/dp4.  For
+Each mutant below is one small textual replacement in one file of src/dp4
+(a dropped sign, factor or check, an off-by-one, a flipped branch) on a
+path that a slower exact oracle or a property test should guard.  For
 each, src, tests, perfbench and pyproject.toml are copied to a temporary
 directory, the mutant is applied to the copy, and pytest runs there on the
 test functions whose source names the mutated function.  A mutant is
@@ -80,6 +82,48 @@ MUTANTS = [
         "_solve_with_mix",
         "    if len(kern) != len(kmix) + 1:\n",
         "    if False:\n",
+    ),
+    (
+        "transvectant without the (-1)^k sign",
+        "quintic.py",
+        "transvectant",
+        "sign = (-1) ** k * math.comb(r, k)",
+        "sign = math.comb(r, k)",
+    ),
+    (
+        "perm(i + 1, k) in the transvectant",
+        "quintic.py",
+        "transvectant",
+        "math.perm(i, k)",
+        "math.perm(i + 1, k)",
+    ),
+    (
+        "transvectant without the classical scale",
+        "quintic.py",
+        "transvectant",
+        "f.den * g.den).scale(scale)",
+        "f.den * g.den)",
+    ),
+    (
+        "J18^2 check without its 15625 factor",
+        "quintic.py",
+        "invariants",
+        "if total != 15625 * j18 * j18:",
+        "if total != j18 * j18:",
+    ),
+    (
+        "J18 cleared with weight 8",
+        "quintic.py",
+        "invariants",
+        "zip(values, (2, 4, 6, 9))",
+        "zip(values, (2, 4, 6, 8))",
+    ),
+    (
+        "j18 for j18 * j18 in the check",
+        "quintic.py",
+        "invariants",
+        "if total != 15625 * j18 * j18:",
+        "if total != 15625 * j18:",
     ),
 ]
 

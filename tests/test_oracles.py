@@ -86,7 +86,11 @@ blow-up's over Z), and the factorization of each squarefree part as
 Zassenhaus's method on all of it and the witness's root count as deg
 gcd(f, x^p - x) over F_p (the rational roots are now Newton-lifted
 p-adically first, with Zassenhaus's method only on a rootless quartic or
-quintic, and the roots are counted by evaluation at 0..p-1).
+quintic, and the roots are counted by evaluation at 0..p-1), and the
+transvectant as repeated partial derivatives of FractionForms and the J18^2
+relation summed over Fraction powers of the invariants (the transvectant is
+now one sum of integer convolutions by the coefficient formula, and the
+relation is checked on the invariants cleared to integers).
 """
 
 import math
@@ -170,7 +174,7 @@ from dp4.lines import SignedPermutation
 from dp4.models import build_example, split_diagonal_example, squared_discriminant_example
 from dp4.pencils import ProfileRecord, SymmetricPencil, degeneracy_profile, irreducible_profile, spectral_quintic
 from dp4.plane_quintic import PlaneQuintic, monomials, pencil_fixture, quadrilateral_fixture
-from dp4.quintic import _raw_invariants, disc_as_invariant, syzygy_coefficients, syzygy_monomials
+from dp4.quintic import InvariantVector, _raw_invariants, disc_as_invariant, syzygy_coefficients, syzygy_monomials
 
 F = Fraction
 
@@ -651,14 +655,15 @@ def fraction_resultant(f, g) -> Fraction:
     return fraction_det(sylvester_matrix([F(c) for c in f], [F(c) for c in g]))
 
 
-def fraction_discriminant(f: BinaryForm) -> Fraction:
+def fraction_discriminant(f) -> Fraction:
     """(-1)^(d(d-1)/2) Res(f_x, f_y) / d^(d-2) with the resultant the
-    determinant of the Sylvester matrix over Fraction."""
-    d = f.degree
+    determinant of the Sylvester matrix over Fraction, for a BinaryForm or a
+    FractionForm f; the partials are taken on its Fraction coefficients."""
+    d, c = f.degree, f.coeffs
     if d <= 1:
         return F(1)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    res = fraction_resultant(f.derivative_x().coeffs, f.derivative_y().coeffs)
+    res = fraction_resultant([c[i] * (d - i) for i in range(d)], [c[i] * i for i in range(1, d + 1)])
     return sign * res / F(d) ** (d - 2)
 
 
@@ -1236,6 +1241,30 @@ def test_disc_as_invariant_matches_fit():
     frozen = disc_as_invariant()
     assert all(type(c) is Fraction for c in frozen)
     assert fit_disc_as_invariant() == frozen
+
+
+def test_invariant_contents_rederived_on_the_generic_quintic():
+    # J4, J8 and J12 of the generic quintic over QQ[a0..a5] by the oracle
+    # transvectant: the content of each, the gcd of the numerators of its
+    # coefficients over the lcm of their denominators, is the content of
+    # the raw integer expression times its classical scale.  J18's generic
+    # resultant is too slow to expand here; its constant is pinned by the
+    # syzygy fit above and the benchmark digests.
+    from sympy import QQ
+    from sympy.polys.rings import ring
+
+    _, *a = ring("a0:6", QQ)
+    f = FractionForm(5, tuple(a))
+    i2 = fraction_transvectant(f, f, 4)
+    j3 = fraction_transvectant(f, i2, 2)
+    a6 = fraction_transvectant(j3, j3, 2)
+    for raw, content in (
+        (fraction_transvectant(i2, i2, 2), quintic._CONTENT_J4),
+        (fraction_transvectant(a6, i2, 2), quintic._CONTENT_J8),
+        (fraction_transvectant(a6, a6, 2), quintic._CONTENT_J12),
+    ):
+        cs = raw.coeffs[0].coeffs()
+        assert F(math.gcd(*(int(c.numerator) for c in cs)), math.lcm(*(int(c.denominator) for c in cs))) == content
 
 
 # ---------------------------------------------------------------------------
@@ -4341,8 +4370,6 @@ def test_binary_form_arithmetic_matches_fraction_oracle(pair, c, k):
     assert_same(f * g, a * b)
     assert_same(f.scale(c), a.scale(c))
     assert_same(power(f, k), a.power(k))
-    assert_same(f.derivative_x(), a.derivative_x())
-    assert_same(f.derivative_y(), a.derivative_y())
     assert f.evaluate(c, 3) == a.evaluate(F(c), F(3))
     assert f.evaluate(F(2, 3), c) == a.evaluate(F(2, 3), F(c))
     content, primitive = f.integer_primitive()
@@ -4377,3 +4404,53 @@ def test_binary_form_oracle_on_a_huge_quintic():
     for r in range(6):
         assert_same(quintic.transvectant(f, g, r), fraction_transvectant(a, b, r))
     assert_same(mobius_substitute(f, ((2, 1), (1, 1))), fraction_mobius_substitute(a, ((2, 1), (1, 1))))
+
+
+# ---------------------------------------------------------------------------
+# the J18^2 relation over integers against its sum over Fraction
+
+
+def fraction_syzygy_holds(j4, j8, j12, j18) -> bool:
+    """The check InvariantVector replaces: the J18^2 relation summed over
+    Fraction powers of the values."""
+    total = F(0)
+    for (a, b, c), coeff in zip(syzygy_monomials(), syzygy_coefficients()):
+        total += coeff * j4**a * j8**b * j12**c
+    return total == j18 * j18
+
+
+def integer_syzygy_holds(j4, j8, j12, j18) -> bool:
+    try:
+        InvariantVector(j4, j8, j12, j18)
+    except ValueError as exc:
+        assert "J18" in str(exc)
+        return False
+    return True
+
+
+def assert_check_matches_oracle(f: BinaryForm):
+    j4, j8, j12, j18 = _raw_invariants(f)
+    for value in (j18, j18 + 1, 2 * j18, -j18):
+        holds = fraction_syzygy_holds(j4, j8, j12, value)
+        assert integer_syzygy_holds(j4, j8, j12, value) is holds
+        assert holds is (value * value == j18 * j18)
+
+
+# nearly every draw has a 4300-digit coefficient and takes about 1.5 s;
+# the small quintics run below
+@settings(max_examples=4, deadline=None)
+@given(st.lists(form_coefficients, min_size=6, max_size=6))
+def test_invariant_vector_check_matches_fraction_oracle(coeffs):
+    assert_check_matches_oracle(BinaryForm(5, tuple(coeffs)))
+
+
+def test_invariant_vector_check_matches_fraction_oracle_on_small_quintics():
+    x5_y5, j4_zero = BinaryForm(5, (1, 0, 0, 0, 0, 1)), BinaryForm(5, (-1, -1, 0, 1, -2, 0))
+    assert _raw_invariants(x5_y5)[1:] == (0, 0, 0)
+    assert _raw_invariants(j4_zero)[0] == 0
+    rng = random.Random(33)
+    forms = [x5_y5, j4_zero, j4_zero.scale(F(2, 3))]
+    for _ in range(40):
+        forms.append(BinaryForm(5, tuple(F(rng.randint(-50, 50), rng.randint(1, 36)) for _ in range(6))))
+    for f in forms:
+        assert_check_matches_oracle(f)
