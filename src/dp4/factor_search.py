@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 
-from . import linalg
 from .binforms import (
     BinaryForm,
     _mbalanced,
@@ -77,8 +76,8 @@ from .binforms import (
 
 # ---------------------------------------------------------------------------
 # polynomials in w over Z[sigma]: list indexed by w-power, entries integer
-# unipolys in sigma (wadd, wmul, wevaluate and _divides take rational
-# entries too)
+# unipolys in sigma.  _wprem and wdivexact are binforms._zprem and
+# zdivexact with sigma-polynomials for coefficients.
 
 
 def wnorm(f):
@@ -91,69 +90,16 @@ def wdeg(f):
     return len(f) - 1
 
 
-def wadd(f, g):
-    n = max(len(f), len(g))
-    out = [[] for _ in range(n)]
-    for i, c in enumerate(f):
-        out[i] = padd(out[i], c)
-    for i, c in enumerate(g):
-        out[i] = padd(out[i], c)
-    return wnorm(out)
-
-
-def wsub(f, g):
-    return wadd(f, [[-x for x in c] for c in g])
-
-
-def wmul(f, g):
-    if not f or not g:
-        return []
-    out = [[] for _ in range(len(f) + len(g) - 1)]
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = padd(out[i + j], pmul(a, b))
-    return wnorm(out)
-
-
-def wmul_poly(f, p):
-    return wnorm([pmul(c, p) for c in f])
-
-
 def wderiv(f):
     return wnorm([[x * i for x in f[i]] for i in range(1, len(f))])
 
 
-def wpseudo_divmod(f, g):
-    """(q, r, k) with lc(g)^k * f = q*g + r and deg_w r < deg_w g."""
-    if not g:
-        raise ZeroDivisionError("pseudo-division by zero")
-    lead = g[-1]
-    r = [list(c) for c in f]
-    wnorm(r)
-    q: list[list[int]] = []
-    k = 0
-    dg = wdeg(g)
-    while wdeg(r) >= dg and r:
-        k += 1
-        shift = wdeg(r) - dg
-        top = r[-1]
-        r = wmul_poly(r, lead)
-        q = wmul_poly(q, lead)
-        term = [[] for _ in range(shift)] + [top]
-        q = wadd(q, term)
-        r = wsub(r, wmul(term, g))
-    return q, r, k
-
-
 def wprimitive(f):
-    """f over Q[sigma] divided by its content: coprime integer coefficients,
+    """f over Z[sigma] divided by its content: coprime integer coefficients,
     no common factor in sigma (the content over Z[sigma] comes from zgcd),
     and a positive leading leading-coefficient."""
     if not f:
         return f
-    f = _over_z(f)
     g: list[int] = []
     for c in f:
         g = zgcd(g, c)
@@ -167,12 +113,6 @@ def wprimitive(f):
     return [[x // n for x in c] for c in f]
 
 
-def _over_z(f):
-    """f over Q[sigma] times the lcm of its denominators: the same
-    polynomial up to a positive scalar, over Z[sigma]."""
-    return linalg.clear_row_denominators(f)[1]
-
-
 def wgcd(f, g):
     """gcd over Q(sigma), returned primitive over Z[sigma]: the primitive
     PRS over Z[sigma][w]."""
@@ -183,19 +123,36 @@ def wgcd(f, g):
 
 
 def _wprem(f, g):
-    return wpseudo_divmod(f, g)[1]
+    """The pseudo-remainder lc(g)^(deg f - deg g + 1) * f mod g over
+    Z[sigma][w] (f itself when deg f < deg g): each quotient term scales
+    the remainder by lc(g) instead of dividing."""
+    r = list(f)
+    dg = wdeg(g)
+    lead = g[-1]
+    for k in reversed(range(len(f) - dg)):
+        c = r[k + dg]
+        r = [pmul(x, lead) for x in r[: k + dg]]
+        if c:
+            for i in range(dg):
+                r[k + i] = psub(r[k + i], pmul(c, g[i]))
+    return wnorm(r)
 
 
 def wdivexact(f, g):
-    """Exact quotient in Z[sigma][w]; raises unless g divides f there (as
-    it does when g is primitive and divides f over Q(sigma))."""
-    q, r, k = wpseudo_divmod(f, g)
-    if r:
+    """Exact quotient in Z[sigma][w]; raises ValueError unless g divides f
+    there.  For a primitive g that is g dividing f over Q(sigma) (Gauss's
+    lemma)."""
+    r = list(f)
+    dg = wdeg(g)
+    quo = [[] for _ in range(max(len(r) - dg, 0))]
+    for k in reversed(range(len(quo))):
+        c = quo[k] = zdivexact(r[k + dg], g[-1])
+        if c:
+            for i, y in enumerate(g):
+                r[k + i] = psub(r[k + i], pmul(c, y))
+    if any(r):
         raise ValueError("inexact division in w")
-    lead_power = [1]
-    for _ in range(k):
-        lead_power = pmul(lead_power, g[-1])
-    return [zdivexact(c, lead_power) for c in q]
+    return quo
 
 
 def wevaluate(f, s0):
@@ -467,11 +424,11 @@ def _hensel_lift(f_eps, g0, h0, n: int, p: int, m: int):
 
 
 def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
-    """Core search on f(sigma, w) = sum coeff_polys[k] w^k (top coefficient
-    nonzero).  Returns a primitive factor with 1 <= w-degree <= bound, or None.
-    Completeness needs one specialization with nonzero leading coefficient and
-    squarefree fiber; non-reduced inputs, which have none, are peeled via the
-    radical.
+    """Core search on f(sigma, w) = sum coeff_polys[k] w^k over Z[sigma]
+    (top coefficient nonzero).  Returns a primitive factor with 1 <= w-degree
+    <= bound, or None.  Completeness needs one specialization with nonzero
+    leading coefficient and squarefree fiber; non-reduced inputs, which have
+    none, are peeled via the radical.
 
     Each candidate g0 is lifted modulo (eps^(dmax+1), m), m = p^(2^k) for
     p = _small_prime(fib).  The leading-coefficient trick: if g0 specializes
@@ -483,8 +440,8 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
     (the Mahler measure M is multiplicative, M(lc_w H) <= M(H), and
     M <= |.|_2), so m > 2^(dmax+bound+1) (floor(|f|_2) + 1) reads it off
     exactly as balanced residues, and its primitive part is G.  A candidate
-    that specializes no factor fails _divides."""
-    f = wnorm(_over_z(coeff_polys))
+    that specializes no factor is refused by wdivexact."""
+    f = wnorm(list(coeff_polys))
     nw = wdeg(f)
     if nw < 2:
         return None
@@ -541,16 +498,12 @@ def search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         lifted = _hensel_lift(f_eps, g0, zdivexact(fib, g0), prec, p, m)
         coeffs = [_mbalanced(pshift(pmul(lead, series)[:prec], -s0), m) for series in lifted]
         g_cand = wprimitive(coeffs + [f[-1]])
-        if _divides(f, g_cand):
-            return _wfactor(g_cand)
+        try:
+            wdivexact(f, g_cand)
+        except ValueError:
+            continue
+        return _wfactor(g_cand)
     return None
-
-
-def _divides(f, g):
-    if not g or wdeg(g) < 1:
-        return False
-    _, r, _ = wpseudo_divmod(f, g)
-    return not r
 
 
 # ---------------------------------------------------------------------------

@@ -141,9 +141,6 @@ class FamilySpec:
             object.__setattr__(self, "_hash", hash((self.d, self.e, self.A1, self.A2)))
             return self._hash
 
-    def matrix(self, k: int):
-        return self.A1 if k == 0 else self.A2
-
 
 def height(spec: FamilySpec) -> int:
     """h = -2*sum(d) = -2*(e1 + e2)."""

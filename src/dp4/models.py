@@ -94,9 +94,6 @@ class ConicBundleSpec:
                         f"expected {expected}"
                     )
 
-    def entry(self, i: int, j: int) -> BiForm:
-        return self.entries[i][j]
-
     def det(self) -> BiForm:
         (a11, a12, a13), (_, a22, a23), (_, _, a33) = self.entries
         return (
@@ -116,18 +113,6 @@ class ConicBundleReport:
     branch_degree: int
     residual_degree: int | None
     branch_squarefree: bool
-
-
-def _divides(d: BinaryForm, f: BinaryForm) -> bool:
-    if d.is_zero:
-        return f.is_zero
-    if f.is_zero:
-        return True
-    try:
-        f.divexact(d)
-    except ValueError:
-        return False
-    return True
 
 
 def conic_symbols(spec: ConicBundleSpec) -> dict:
@@ -161,11 +146,13 @@ def conic_report(spec: ConicBundleSpec) -> ConicBundleReport:
     det = spec.det()
     d0, d1, d2 = (det.uv_coefficient(j) for j in range(3))
     branch = d1 * d1 - (d0 * d2).scale(4)
-    divides = _divides(q, branch)
-    if branch.is_zero or not divides:
-        residual = None
-    else:
-        residual = branch.divexact(q)
+    residual = None
+    if not branch.is_zero:
+        try:
+            residual = branch.divexact(q)
+        except (ValueError, ZeroDivisionError):  # q is zero or does not divide
+            pass
+    divides = branch.is_zero or residual is not None
     squarefree = (
         not branch.is_zero
         and all(mult == 1 for _, mult in squarefree_profile(branch))

@@ -125,6 +125,34 @@ MUTANTS = [
         "if total != 15625 * j18 * j18:",
         "if total != 15625 * j18:",
     ),
+    (
+        "_wprem without its lc(g) scaling",
+        "factor_search.py",
+        "_wprem",
+        "r = [pmul(x, lead) for x in r[: k + dg]]",
+        "r = r[: k + dg]",
+    ),
+    (
+        "range(dg - 1) in _wprem",
+        "factor_search.py",
+        "_wprem",
+        "            for i in range(dg):\n                r[k + i] = psub(",
+        "            for i in range(dg - 1):\n                r[k + i] = psub(",
+    ),
+    (
+        "wdivexact without its remainder check",
+        "factor_search.py",
+        "wdivexact",
+        '    if any(r):\n        raise ValueError("inexact division in w")\n',
+        "",
+    ),
+    (
+        "search_w_factor accepts a candidate undivided",
+        "factor_search.py",
+        "search_w_factor",
+        "            wdivexact(f, g_cand)\n",
+        "            pass\n",
+    ),
 ]
 
 

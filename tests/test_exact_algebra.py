@@ -17,7 +17,7 @@ from dp4.binforms import (
     squarefree_profile,
 )
 from dp4.biforms import BiForm
-from dp4.factor_search import WFactor, twisted_factor_search, wpseudo_divmod
+from dp4.factor_search import WFactor, twisted_factor_search
 from dp4 import factor_search, linalg
 
 F = Fraction
@@ -213,12 +213,14 @@ def assert_result_divides(coeffs, found, bound):
         assert coeffs[0].is_zero
     else:
         # a WFactor of w-degree in [1, bound] with zero pseudo-remainder on
-        # f(sigma, w) = sum coeffs[n - k] w^k
+        # f(sigma, w) = sum coeffs[n - k] w^k, by the Fraction oracle
+        from test_oracles import fraction_wpseudo_divmod
+
         assert tag == "factor"
         assert 1 <= len(factor.w_coeffs) - 1 <= bound
         n = len(coeffs) - 1
         f_w = [x_poly(coeffs[n - k]) for k in range(n + 1)]
-        _, rem, _ = wpseudo_divmod(f_w, [list(c) for c in factor.w_coeffs])
+        _, rem, _ = fraction_wpseudo_divmod(f_w, [list(c) for c in factor.w_coeffs])
         assert rem == []
 
 
@@ -372,7 +374,7 @@ def test_factor_search_lc_with_content():
     # content too, and the primitive part of the truncated product drops it
     coeffs = uv_coefficients(biform([1], [3]) * G_LIN * H_LEAD)
     n = len(coeffs) - 1
-    found = factor_search.search_w_factor([x_poly(coeffs[n - k]) for k in range(n + 1)], 2)
+    found = factor_search.search_w_factor([coeffs[n - k].zx_poly() for k in range(n + 1)], 2)
     assert repr(("factor", found)) == repr(wfactor([-2, 1], [1, 1]))
 
 

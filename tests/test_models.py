@@ -2,9 +2,11 @@
 catalog of reference fibrations at heights 8 and 10."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from dp4 import models
 from dp4.biforms import BiForm
 from dp4.binforms import BinaryForm
 from dp4.families import discriminant_family, genericity_check, height, spectral_class
@@ -100,6 +102,23 @@ def test_branch_and_residual_degrees():
     assert rep.branch_degree == 10
     assert rep.branch_divides
     assert rep.residual_degree == 8
+
+
+def test_branch_divisibility_edge_cases():
+    # the zero spec: q = 0 and a zero branch, which counts as divisible,
+    # with no residual
+    rows = [[None] * 3 for _ in range(3)]
+    for (i, j), (m, n) in models._CONIC_BIDEGREES.items():
+        rows[i][j] = rows[j][i] = biform_const(m, n)
+    rep = conic_report(ConicBundleSpec(tuple(tuple(r) for r in rows)))
+    assert rep.branch_divides and rep.residual_degree is None and not rep.det_nonzero
+    # a zero q divides no nonzero branch; no spec has one (q = 0 makes the
+    # branch -4 q w^2 = 0), so the symbols are patched
+    spec = random_conic_bundle(9)
+    sym = dict(conic_symbols(spec), q=BinaryForm.zero(2))
+    with mock.patch.object(models, "conic_symbols", return_value=sym):
+        rep = conic_report(spec)
+    assert rep.branch_degree == 10 and not rep.branch_divides and rep.residual_degree is None
 
 
 def test_catalog_names_and_kinds():

@@ -90,7 +90,12 @@ quintic, and the roots are counted by evaluation at 0..p-1), and the
 transvectant as repeated partial derivatives of FractionForms and the J18^2
 relation summed over Fraction powers of the invariants (the transvectant is
 now one sum of integer convolutions by the coefficient formula, and the
-relation is checked on the invariants cleared to integers).
+relation is checked on the invariants cleared to integers), and the
+pseudo-division over Z[sigma][w] with its quotient, behind the factor
+search's candidate check, its exact division and its PRS step, on
+coefficients over Q[sigma] (the PRS step is now remainder-only, the
+candidate check and the exact division one exact division over
+Z[sigma][w], and the search takes Z[sigma][w] only).
 """
 
 import math
@@ -143,22 +148,16 @@ from dp4.binforms import (
 )
 from dp4.factor_search import (
     WFactor,
-    _divides,
-    _over_z,
     _wfactor,
     twisted_factor_search,
     uni_irreducible_factors,
-    wadd,
     wdeg,
     wderiv,
     wdivexact,
     wevaluate,
     wgcd,
-    wmul,
-    wmul_poly,
     wnorm,
     wprimitive,
-    wsub,
 )
 from dp4.families import (
     FamilySpec,
@@ -760,6 +759,36 @@ def fraction_charpoly(m) -> list[Fraction]:
     return coeffs
 
 
+def wadd(f, g):
+    n = max(len(f), len(g))
+    out = [[] for _ in range(n)]
+    for i, c in enumerate(f):
+        out[i] = padd(out[i], c)
+    for i, c in enumerate(g):
+        out[i] = padd(out[i], c)
+    return wnorm(out)
+
+
+def wsub(f, g):
+    return wadd(f, [[-x for x in c] for c in g])
+
+
+def wmul(f, g):
+    if not f or not g:
+        return []
+    out = [[] for _ in range(len(f) + len(g) - 1)]
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] = padd(out[i + j], pmul(a, b))
+    return wnorm(out)
+
+
+def wmul_poly(f, p):
+    return wnorm([pmul(c, p) for c in f])
+
+
 def fraction_wpseudo_divmod(f, g):
     """(q, r, k) with lc(g)^k * f = q*g + r and deg_w r < deg_w g."""
     if not g:
@@ -821,6 +850,26 @@ def fraction_wdivexact(f, g):
     for _ in range(k):
         lead_power = pmul(lead_power, g[-1])
     return [pdivexact(c, lead_power) for c in q]
+
+
+def fraction_divides(f, g):
+    """Whether g, of w-degree >= 1, divides f over Q(sigma): a zero
+    pseudo-remainder."""
+    if not g or wdeg(g) < 1:
+        return False
+    _, r, _ = fraction_wpseudo_divmod(f, g)
+    return not r
+
+
+def _over_z(f):
+    """f over Q[sigma] times the lcm of its denominators: the same
+    polynomial up to a positive scalar, over Z[sigma]."""
+    return linalg.clear_row_denominators(f)[1]
+
+
+def rational_wprimitive(f):
+    """wprimitive on f over Q[sigma]: its denominators cleared first."""
+    return wprimitive(_over_z(f))
 
 
 def strunc(a, n):
@@ -1007,8 +1056,8 @@ def gcd_first_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
         if cand is None:
             continue
         a, b = cand
-        g_cand = wprimitive([pscale(fraction_pshift(a, -s0), -1), fraction_pshift(b, -s0)])
-        if _divides(f, g_cand):
+        g_cand = rational_wprimitive([pscale(fraction_pshift(a, -s0), -1), fraction_pshift(b, -s0)])
+        if fraction_divides(f, g_cand):
             return _wfactor(g_cand)
 
     # degree-2 candidates: irreducible fiber quadratics and products of two
@@ -1039,8 +1088,8 @@ def gcd_first_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
                 pdivexact(pmul(a1, den), b1),
                 den,
             ]
-            g_cand = wprimitive([fraction_pshift(c, -s0) for c in g_cand])
-            if _divides(f, g_cand):
+            g_cand = rational_wprimitive([fraction_pshift(c, -s0) for c in g_cand])
+            if fraction_divides(f, g_cand):
                 return _wfactor(g_cand)
     return None
 
@@ -1100,8 +1149,8 @@ def pade_search_w_factor(coeff_polys, bound: int) -> WFactor | None:
             for _, b in rats:
                 den = pmul(den, pdivexact(b, pgcd(den, b)))
             coeffs = [pdivexact(pmul(a, den), b) for a, b in rats] + [den]
-            g_cand = wprimitive([binforms.pshift(c, -s0) for c in coeffs])
-            if _divides(f, g_cand):
+            g_cand = rational_wprimitive([binforms.pshift(c, -s0) for c in coeffs])
+            if fraction_divides(f, g_cand):
                 return _wfactor(g_cand)
     return None
 
@@ -2619,18 +2668,24 @@ def test_wgcd_matches_oracle(pair):
 
 @settings(max_examples=200)
 @given(w_polys, w_polys.filter(bool))
-def test_wpseudo_divmod_matches_oracle(f, g):
-    q, r, k = factor_search.wpseudo_divmod(f, g)
-    assert all(type(v) is int for p in (q, r) for c in p for v in c)
-    assert (q, r, k) == fraction_wpseudo_divmod(to_fractions(f), to_fractions(g))
+def test_wprem_matches_oracle(f, g):
+    # _wprem scales by lc(g) once per quotient term, deg f - deg g + 1 times,
+    # where the oracle scales only at the k steps it takes
+    r = factor_search._wprem(f, g)
+    assert all(type(v) is int for c in r for v in c)
+    _, want, k = fraction_wpseudo_divmod(to_fractions(f), to_fractions(g))
+    lead_power = [1]
+    for _ in range(max(wdeg(f) - wdeg(g) + 1, 0) - k):
+        lead_power = pmul(lead_power, g[-1])
+    assert r == wmul_poly(want, lead_power)
 
 
 @settings(max_examples=200)
 @given(w_polys.filter(bool), st.integers(1, 12), sigma_polys.filter(bool))
-def test_wprimitive_matches_oracle(f, den, content):
-    # non-integral rational input with a sigma-content
-    f = [[F(x, den) for x in c] for c in wmul_poly(f, content)]
-    assert factor_search.wprimitive(f) == fraction_wprimitive(f)
+def test_wprimitive_matches_oracle(f, n, content):
+    # integer input with an integer content n and a sigma-content
+    f = wmul_poly(f, [n * x for x in content])
+    assert factor_search.wprimitive(f) == fraction_wprimitive(to_fractions(f))
 
 
 @settings(max_examples=200)
@@ -2641,6 +2696,33 @@ def test_wdivexact_matches_oracle(a, g):
     fast = factor_search.wdivexact(f, g)
     assert fast == fraction_wdivexact(to_fractions(f), to_fractions(g))
     assert wmul(fast, g) == f
+
+
+@settings(max_examples=300)
+@given(w_polys, w_polys.filter(bool), w_polys)
+def test_wdivexact_refuses_what_the_oracle_refuses(a, g, e):
+    # for a primitive g, wdivexact divides f = a*g + e exactly when the
+    # pseudo-remainder over Q(sigma) is zero, and raises ValueError otherwise
+    g = factor_search.wprimitive(g)
+    f = wadd(wmul(a, g), e)
+    _, r, _ = fraction_wpseudo_divmod(to_fractions(f), to_fractions(g))
+    if r:
+        with pytest.raises(ValueError, match="inexact"):
+            factor_search.wdivexact(f, g)
+    else:
+        assert wmul(factor_search.wdivexact(f, g), g) == f
+
+
+def test_wdivexact_refuses_a_divisor_over_q_sigma_only():
+    # f = (1 + w)^2 and (1 + sigma w) (1 + w): 2g and sigma*g divide them
+    # over Q(sigma) but not over Z[sigma], where only g does
+    g = [[1], [1]]
+    for f in (wmul(g, g), wmul([[1], [0, 1]], g)):
+        assert wmul(factor_search.wdivexact(f, g), g) == f
+        for scaled in (wmul_poly(g, [2]), wmul_poly(g, [0, 1]), wmul_poly(g, [3, 2])):
+            assert not fraction_wpseudo_divmod(to_fractions(f), to_fractions(scaled))[1]
+            with pytest.raises(ValueError, match="inexact"):
+                factor_search.wdivexact(f, scaled)
 
 
 def test_wgcd_zero_and_constant_cases():
@@ -2656,13 +2738,14 @@ def test_wgcd_zero_and_constant_cases():
 
 @contextmanager
 def oracle_w_gcd():
-    """Route the factor search's gcd, pseudo-division, primitive part and
-    exact division through the Fraction oracles."""
+    """Route the factor search's gcd, primitive part and exact division
+    (its candidate check too) through the Fraction oracles.  The primitive
+    part has integer coefficients, handed back as ints: the search takes
+    Z[sigma][w] only, the radical's included."""
     with mock.patch.multiple(
         factor_search,
         wgcd=fraction_wgcd,
-        wpseudo_divmod=fraction_wpseudo_divmod,
-        wprimitive=fraction_wprimitive,
+        wprimitive=lambda f: [[int(x) for x in c] for c in fraction_wprimitive(f)],
         wdivexact=fraction_wdivexact,
     ):
         yield
@@ -2675,6 +2758,20 @@ def test_factor_search_matches_fraction_oracle(make):
     with oracle_w_gcd():
         slow = twisted_factor_search(list(sf.coefficients), 2)
     assert repr(fast) == repr(slow)
+
+
+def test_radical_path_matches_fraction_oracle():
+    # the non-reduced forms take the radical: the PRS of wgcd and the exact
+    # division by the gcd, against the Fraction oracles
+    from test_exact_algebra import NON_REDUCED, uv_coefficients
+
+    for case in NON_REDUCED:
+        f, bound, _ = case.values
+        coeffs = uv_coefficients(f)
+        fast = twisted_factor_search(coeffs, bound)
+        with oracle_w_gcd():
+            slow = twisted_factor_search(coeffs, bound)
+        assert repr(fast) == repr(slow)
 
 
 # ---------------------------------------------------------------------------
