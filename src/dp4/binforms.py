@@ -8,10 +8,10 @@ Univariate helpers act on dense lists with p[i] the x^i coefficient and no
 trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
 - p- helpers add, multiply, differentiate, evaluate and shift, keeping the
   coefficient type (int lists stay int), so they serve Z[x] and Q[x] alike.
-  pmonomials evaluates ternary monomials at three of them, cut to n
-  coefficients: at a point, along a line and on a branch series, for
-  plane_quintic and the blow-up of pencils.  None of them divides: every
-  division runs over Z or modulo m;
+  pmonomials evaluates ternary monomials (the exponent triples of
+  monomials) at three of them, cut to n coefficients: at a point, along a
+  line and on a branch series, for plane_quintic and the blow-up of
+  pencils.  None of them divides: every division runs over Z or modulo m;
 - z- helpers run over Z: Yun's squarefree decomposition, and the kernels
   that pinterpolate, pencil_determinant, resultant and discriminant wrap.
   Interpolation takes values at the integer nodes 0..n and expands their
@@ -32,6 +32,9 @@ trailing zeros; [] is the zero polynomial.  Their prefix names the ring:
   Euclid over F_p, which zgcd's coprimality proof on wide inputs
   (_mcoprime) and the factorizer over Z (factor_search) share, and the
   division modulo p^k of factor_search's Hensel lifts.
+A form in a second pair of variables (u,v) whose coefficients are forms in
+(s,t) is a BiForm, a tuple of BinaryForms: the spectral form of a family
+and the entries of a conic bundle, whose arithmetic is BinaryForm's.
 """
 
 from __future__ import annotations
@@ -80,6 +83,16 @@ def pmul(p, q):
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return pnorm(out)
+
+
+def monomials(degree: int) -> list[tuple[int, int, int]]:
+    """Exponent triples of ternary monomials, x-power then y-power
+    descending; degree 5 gives the 21 quintic monomials."""
+    return [
+        (i, j, degree - i - j)
+        for i in range(degree, -1, -1)
+        for j in range(degree - i, -1, -1)
+    ]
 
 
 def pmonomials(coords, monos, n=None):
@@ -565,6 +578,60 @@ class BinaryForm:
         if next(c for c in self.nums if c) < 0:
             g = -g
         return Fraction(g, self.den), BinaryForm(self.degree, tuple(c // g for c in self.nums))
+
+
+@dataclass(frozen=True)
+class BiForm:
+    """A form in (u,v) of degree n whose coefficients are (s,t)-forms:
+    coefficients[j] multiplies u^(n-j) v^j.  A conic entry has n+1
+    coefficients of one degree m, its bidegree (m, n); the spectral form
+    det(u*A1 + v*A2) has degrees varying linearly in j.  Each operation is
+    BinaryForm's on the coefficients, a product the convolution of their
+    products, and a zero coefficient keeps its nominal degree."""
+
+    coefficients: tuple[BinaryForm, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.coefficients) - 1
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c.is_zero for c in self.coefficients)
+
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(c.degree for c in self.coefficients)
+
+    def fiber(self, s0, t0) -> BinaryForm:
+        """The form in (u,v) over the base point (s0 : t0)."""
+        return BinaryForm(self.n, tuple(c.evaluate(s0, t0) for c in self.coefficients))
+
+    def __add__(self, other: "BiForm") -> "BiForm":
+        if self.n != other.n:
+            if self.is_zero:
+                return other
+            if other.is_zero:
+                return self
+            raise ValueError("bidegree mismatch in biform addition")
+        return BiForm(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
+
+    def __sub__(self, other: "BiForm") -> "BiForm":
+        return self + (-other)
+
+    def __neg__(self) -> "BiForm":
+        return BiForm(tuple(-c for c in self.coefficients))
+
+    def __mul__(self, other: "BiForm") -> "BiForm":
+        f, g = self.coefficients, other.coefficients
+        out = []
+        for k in range(self.n + other.n + 1):
+            terms = [f[i] * g[k - i] for i in range(max(0, k - other.n), min(k, self.n) + 1)]
+            out.append(sum(terms[1:], terms[0]))
+        return BiForm(tuple(out))
+
+    def scale(self, c) -> "BiForm":
+        """c * f for a rational c."""
+        return BiForm(tuple(x.scale(c) for x in self.coefficients))
 
 
 def zx_polys(forms) -> tuple[int, list[list[int]]]:

@@ -7,8 +7,8 @@ height is h = -2*sum(d), and sum(d) = e_1 + e_2 is enforced (both sides
 compute the same pushforward degree).
 
 The spectral form det(u*A1 + v*A2) is a quintic in (u,v) whose (s,t)
-coefficient degrees vary linearly with the (u,v)-power, so it gets a
-dedicated type rather than a BiForm; a zero coefficient carries the nominal
+coefficient degrees vary linearly with the (u,v)-power, a binforms.BiForm
+like the conic entries of models; a zero coefficient carries the nominal
 degree max(expected, 0).  Its (u,v)-discriminant has degree exactly 2h
 whenever nonzero (every term of the determinant expansion has the same
 isobaric weight).  Both run in int with one division per output
@@ -52,6 +52,7 @@ from fractions import Fraction
 
 from . import linalg
 from .binforms import (
+    BiForm,
     BinaryForm,
     _primitive_ints,
     pdeg,
@@ -152,27 +153,8 @@ def expected_coefficient_degree(spec: FamilySpec, j: int) -> int:
     return 2 * sum(spec.d) - (5 - j) * spec.e[0] - j * spec.e[1]
 
 
-@dataclass(frozen=True)
-class SpectralForm:
-    """det(u*A1 + v*A2): coefficients[j] is the (s,t)-form on u^(5-j) v^j;
-    the six degrees vary linearly in j when e_1 != e_2."""
-
-    coefficients: tuple[BinaryForm, ...]
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coefficients)
-
-    def fiber(self, s0, t0) -> BinaryForm:
-        """The quintic in (u,v) over the base point (s0 : t0)."""
-        return BinaryForm(5, tuple(c.evaluate(s0, t0) for c in self.coefficients))
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(c.degree for c in self.coefficients)
-
-
 @lru_cache(maxsize=CACHE_BOUND)
-def spectral_form(spec: FamilySpec) -> SpectralForm:
+def spectral_form(spec: FamilySpec) -> BiForm:
     """det(u*A1 + v*A2) over one common denominator L of the entries: the
     six (s,t)-coefficients of det(u*L*A1 + v*L*A2), each a polynomial in x
     = s/t, recovered by zrecover from zpencil_determinant of the integer
@@ -201,7 +183,7 @@ def spectral_form(spec: FamilySpec) -> SpectralForm:
     if any(p and pdeg(p) > deg for p, deg in zip(polys, expected)):
         raise RuntimeError("spectral coefficient degree violates bookkeeping")
     coeffs = [BinaryForm.from_x_poly(p, max(deg, 0), den**5) for p, deg in zip(polys, expected)]
-    form = SpectralForm(tuple(coeffs))
+    form = BiForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
     return form

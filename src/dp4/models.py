@@ -2,7 +2,8 @@
 
 Height 8 has two routes: a complete intersection in P^1 x P^5 of one
 (1,1)-form with two constant quadrics, and a conic fibration over
-P^1 x P^1 inside P(O^2 + O(-1,-1)).  Height 10 likewise: a complete
+P^1 x P^1 inside P(O^2 + O(-1,-1)), a symmetric 3x3 matrix of
+binforms.BiForm entries.  Height 10 likewise: a complete
 intersection in P^1 x P^4 of a constant quadric with an (s,t)-linear
 one, and a rank-5 bundle presentation with splitting degrees
 (0,-1,-1,-1,-2).  Bundle routes are validated through the degree of the
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from random import Random
 
-from .biforms import BiForm
-from .binforms import BinaryForm, squarefree_profile
+from .binforms import BiForm, BinaryForm, squarefree_profile
 from .families import (
     CACHE_BOUND,
     FamilySpec,
@@ -70,9 +70,10 @@ class ConicBundleSpec:
     P^1 x P^1 inside P(O^2 + O(-1,-1)).
 
     Bidegrees, as ((s,t)-degree, (u,v)-degree): the upper-left 2x2 block
-    has (1, 0), the off-corner entries (2, 1), the corner (3, 2).  The
-    base-line degree of det(A) in (u, v) is then 2 and the fiber-line
-    degree in (s, t) is 5.
+    has (1, 0), the off-corner entries (2, 1), the corner (3, 2).  An entry
+    of bidegree (m, n) is a BiForm of n+1 coefficients, each of degree m.
+    The base-line degree of det(A) in (u, v) is then 2 and the fiber-line
+    degree in (s, t) is 5.  det is computed once per spec.
     """
 
     entries: tuple[tuple[BiForm, ...], ...]
@@ -84,16 +85,17 @@ class ConicBundleSpec:
         object.__setattr__(self, "entries", tuple(tuple(row) for row in e))
         for i in range(3):
             for j in range(3):
-                if self.entries[i][j].grid != self.entries[j][i].grid:
+                entry = self.entries[i][j]
+                if entry != self.entries[j][i]:
                     raise ValueError("matrix must be symmetric")
-                expected = _CONIC_BIDEGREES[(min(i, j), max(i, j))]
-                got = (self.entries[i][j].m, self.entries[i][j].n)
-                if got != expected:
+                m, n = _CONIC_BIDEGREES[(min(i, j), max(i, j))]
+                if entry.degrees() != (m,) * (n + 1):
                     raise ValueError(
-                        f"entry ({i + 1},{j + 1}) has bidegree {got}, "
-                        f"expected {expected}"
+                        f"entry ({i + 1},{j + 1}) has (s,t)-degrees "
+                        f"{entry.degrees()}, expected bidegree {(m, n)}"
                     )
 
+    @cached_property
     def det(self) -> BiForm:
         (a11, a12, a13), (_, a22, a23), (_, _, a33) = self.entries
         return (
@@ -122,12 +124,12 @@ def conic_symbols(spec: ConicBundleSpec) -> dict:
     (a11, a12, a13), (_, a22, a23), _ = spec.entries
     rem = (a12 * a23 * a13).scale(2) - a11 * (a23 * a23) - a22 * (a13 * a13)
     return {
-        "q": (a11 * a22 - a12 * a12).uv_coefficient(0),
-        "a": rem.uv_coefficient(0),
-        "b": rem.uv_coefficient(1).scale(Fraction(1, 2)),
-        "c": rem.uv_coefficient(2),
-        "w": a13.uv_coefficient(0) * a23.uv_coefficient(1)
-        - a13.uv_coefficient(1) * a23.uv_coefficient(0),
+        "q": (a11 * a22 - a12 * a12).coefficients[0],
+        "a": rem.coefficients[0],
+        "b": rem.coefficients[1].scale(Fraction(1, 2)),
+        "c": rem.coefficients[2],
+        "w": a13.coefficients[0] * a23.coefficients[1]
+        - a13.coefficients[1] * a23.coefficients[0],
     }
 
 
@@ -143,8 +145,8 @@ def conic_report(spec: ConicBundleSpec) -> ConicBundleReport:
     sym = conic_symbols(spec)
     a, b, c, q, w = sym["a"], sym["b"], sym["c"], sym["q"], sym["w"]
     identity = (a * c - b * b) == q * w * w
-    det = spec.det()
-    d0, d1, d2 = (det.uv_coefficient(j) for j in range(3))
+    det = spec.det
+    d0, d1, d2 = det.coefficients
     branch = d1 * d1 - (d0 * d2).scale(4)
     residual = None
     if not branch.is_zero:
@@ -161,7 +163,7 @@ def conic_report(spec: ConicBundleSpec) -> ConicBundleReport:
         identity=identity,
         branch_divides=divides,
         det_nonzero=not det.is_zero,
-        det_degree_st=det.m,
+        det_degree_st=d0.degree,
         det_degree_uv=det.n,
         branch_degree=branch.degree,
         residual_degree=None if residual is None else residual.degree,
@@ -191,14 +193,10 @@ def _rng_of(seed) -> Random:
 
 
 def _random_biform(rng: Random, m: int, n: int) -> BiForm:
-    return BiForm(
-        m,
-        n,
-        tuple(
-            tuple(Fraction(rng.randint(-9, 9)) for _ in range(n + 1))
-            for _ in range(m + 1)
-        ),
-    )
+    """Integers drawn s-power by s-power, u-power by u-power within each,
+    then read as n+1 (s,t)-forms of degree m."""
+    rows = [[rng.randint(-9, 9) for _ in range(n + 1)] for _ in range(m + 1)]
+    return BiForm(tuple(BinaryForm(m, tuple(r[j] for r in rows)) for j in range(n + 1)))
 
 
 def random_conic_bundle(seed) -> ConicBundleSpec:
@@ -286,7 +284,7 @@ def build_example(name: str, seed=1):
             spec = random_conic_bundle(_seeded(name, seed, attempt))
             rep = conic_report(spec)
             if rep.branch_squarefree and rep.branch_divides:
-                return ConicBundleExample(spec, spec.det())
+                return ConicBundleExample(spec, spec.det)
         raise ValueError(
             f"{name}: no generic instance in {RETRY_BOUND} attempts"
         )

@@ -23,6 +23,7 @@ from . import linalg
 from .binforms import (
     BinaryForm,
     _zprem,
+    monomials,
     pdeg,
     pencil_determinant,
     pmonomials,
@@ -170,12 +171,9 @@ def classify_surface(pencil: SymmetricPencil, f: BinaryForm | None = None) -> Su
 # blow-up model: five points on a conic in the plane
 
 
-_CUBIC_MONOMIALS = [
-    (a, b, 3 - a - b) for a in range(4) for b in range(4 - a)
-]
-_SEXTIC_MONOMIALS = [
-    (a, b, 6 - a - b) for a in range(7) for b in range(7 - a)
-]
+# x-power then y-power ascending: the blow-up's row order
+_CUBIC_MONOMIALS = monomials(3)[::-1]
+_SEXTIC_MONOMIALS = monomials(6)[::-1]
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .binforms import (
     _zprem,
     discriminant,
     form_gcd,
+    monomials,
     padd,
     pinterpolate,
     pmonomials,
@@ -42,16 +43,6 @@ from .binforms import (
     psub,
     resultant,
 )
-
-
-def monomials(degree: int) -> list[tuple[int, int, int]]:
-    """Exponent triples of ternary monomials, x-power then y-power
-    descending; degree 5 gives the 21 quintic monomials."""
-    return [
-        (i, j, degree - i - j)
-        for i in range(degree, -1, -1)
-        for j in range(degree - i, -1, -1)
-    ]
 
 
 _QUINTIC_MONOMIALS = monomials(5)

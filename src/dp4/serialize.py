@@ -82,9 +82,12 @@ def decode_form(d) -> BinaryForm:
 
 
 def encode_biform(f) -> dict:
+    """A biform of bidegree (m, n) as its grid: grid[a][b] multiplies
+    s^(m-a) t^a u^(n-b) v^b, the transpose of its coefficients' rows."""
+    m = f.coefficients[0].degree
     return {
-        "bidegree": [f.m, f.n],
-        "grid": [[encode_rational(c) for c in row] for row in f.grid],
+        "bidegree": [m, f.n],
+        "grid": [[encode_rational(c.coeffs[a]) for c in f.coefficients] for a in range(m + 1)],
     }
 
 

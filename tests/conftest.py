@@ -11,7 +11,8 @@ stalling the suite.  BIG_PRIMES are shared by the kernel tests;
 widened specs and the recover_widths spy by the tests that take
 binforms.zrecover to both of its sides, block pencils by the tests of
 coranks on large conjugated pencils, and power and x_poly by the tests that
-build forms as products or read them as univariate polynomials."""
+build forms as products or read them as univariate polynomials, and
+grid_biform by the tests that write biforms as grids."""
 
 import signal
 from fractions import Fraction
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import settings
 
 from dp4 import binforms, families, models
-from dp4.binforms import BinaryForm, pnorm
+from dp4.binforms import BiForm, BinaryForm, pnorm
 from dp4.linalg import mat_mul, transpose
 from dp4.pencils import SymmetricPencil
 
@@ -77,6 +78,13 @@ def x_poly(f):
     """f(x, 1) for a BinaryForm f, as a dense list of Fractions with the x^i
     coefficient at index i."""
     return pnorm([f.coeffs[f.degree - k] for k in range(f.degree + 1)])
+
+
+def grid_biform(rows):
+    """The biform whose s^(m-a) t^a u^(n-b) v^b coefficient is rows[a][b]:
+    coefficient b of the result is column b of the grid."""
+    m = len(rows) - 1
+    return BiForm(tuple(BinaryForm(m, tuple(r[b] for r in rows)) for b in range(len(rows[0]))))
 
 
 # a scale that puts every zrecover of a model family past PACK_BITS

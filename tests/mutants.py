@@ -153,6 +153,27 @@ MUTANTS = [
         "            wdivexact(f, g_cand)\n",
         "            pass\n",
     ),
+    (
+        "shifted convolution index in BiForm.__mul__",
+        "binforms.py",
+        "biform",
+        "terms = [f[i] * g[k - i] for i",
+        "terms = [f[i] * g[k - i - 1] for i",
+    ),
+    (
+        "encode_biform writes the grid untransposed",
+        "serialize.py",
+        "encode_biform",
+        "[[encode_rational(c.coeffs[a]) for c in f.coefficients] for a in range(m + 1)]",
+        "[[encode_rational(x) for x in c.coeffs] for c in f.coefficients]",
+    ),
+    (
+        "ConicBundleSpec checks the first coefficient's degree only",
+        "models.py",
+        "ConicBundleSpec",
+        "if entry.degrees() != (m,) * (n + 1):",
+        "if entry.degrees()[:1] != (m,):",
+    ),
 ]
 
 

@@ -900,4 +900,3 @@ def test_commands_load_only_the_modules_they_use(tmp_path, pencil_file, quintic_
         assert ("dp4.lines" in modules) == command.startswith("lines"), command
         assert ("dp4.monodromy" in modules) == command.startswith("classify"), command
         assert "dp4.checks" not in modules, command
-    assert "dp4.biforms" not in loaded["quintic invariants"]

@@ -7,7 +7,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import power, x_poly
+from conftest import grid_biform, power, x_poly
 from dp4.binforms import (
     BinaryForm,
     discriminant,
@@ -16,7 +16,6 @@ from dp4.binforms import (
     resultant,
     squarefree_profile,
 )
-from dp4.biforms import BiForm
 from dp4.factor_search import WFactor, twisted_factor_search
 from dp4 import factor_search, linalg
 
@@ -197,7 +196,7 @@ def test_form_gcd_basic():
 
 
 def uv_coefficients(f):
-    return [f.uv_coefficient(j) for j in range(f.n + 1)]
+    return list(f.coefficients)
 
 
 def assert_result_divides(coeffs, found, bound):
@@ -225,14 +224,12 @@ def assert_result_divides(coeffs, found, bound):
 
 
 def random_biform(rng, m, n, size):
-    return BiForm(
-        m, n, tuple(tuple(F(rng.randint(-size, size)) for _ in range(n + 1)) for _ in range(m + 1))
-    )
+    return grid_biform([[rng.randint(-size, size) for _ in range(n + 1)] for _ in range(m + 1)])
 
 
-L = BiForm(1, 1, ((F(1), F(0)), (F(0), F(-1))))  # s u - t v
-M = BiForm(1, 1, ((F(2), F(1)), (F(1), F(3))))  # 2 s u + s v + t u + 3 t v
-U = BiForm(0, 1, ((F(1), F(0)),))
+L = grid_biform([[1, 0], [0, -1]])  # s u - t v
+M = grid_biform([[2, 1], [1, 3]])  # 2 s u + s v + t u + 3 t v
+U = grid_biform([[1, 0]])
 
 
 def planted_linear_cases():
@@ -246,13 +243,7 @@ def planted_linear_cases():
 
 def irreducible_case():
     # s u^5 - t v^5 has no factor of (u,v)-degree <= 2
-    grid_rows = []
-    for a in range(2):
-        row = [F(0)] * 6
-        grid_rows.append(row)
-    grid_rows[0][0] = F(1)
-    grid_rows[1][5] = F(-1)
-    return uv_coefficients(BiForm(1, 5, tuple(tuple(r) for r in grid_rows)))
+    return uv_coefficients(grid_biform([[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -1]]))
 
 
 def product_cases():
@@ -327,7 +318,7 @@ def test_factor_search_non_reduced(f, bound, expected):
 
 
 def biform(*rows):
-    return BiForm(len(rows) - 1, len(rows[0]) - 1, tuple(tuple(F(x) for x in r) for r in rows))
+    return grid_biform(rows)
 
 
 # Planted factors G that the leading-coefficient trick must recover whole,
@@ -419,22 +410,22 @@ def test_det_and_charpoly_agree():
 
 def test_biform_coefficient_convention():
     # grid[a][b] multiplies s^(m-a) t^a u^(n-b) v^b
-    f = BiForm(1, 1, ((F(2), F(0)), (F(0), F(3))))
+    f = grid_biform([[2, 0], [0, 3]])
     # f = 2 s u + 3 t v
-    assert f.uv_coefficient(0) == BinaryForm(1, (F(2), F(0)))
-    assert f.uv_coefficient(1) == BinaryForm(1, (F(0), F(3)))
+    assert f.coefficients == (BinaryForm(1, (F(2), F(0))), BinaryForm(1, (F(0), F(3))))
+    assert f.fiber(1, 2) == BinaryForm(1, (2, 6))
 
 
 def test_biform_product_degrees():
     rng = random.Random(112)
-    f = BiForm(1, 2, tuple(tuple(F(rng.randint(-3, 3)) for _ in range(3)) for _ in range(2)))
-    g = BiForm(2, 1, tuple(tuple(F(rng.randint(-3, 3)) for _ in range(2)) for _ in range(3)))
+    f = random_biform(rng, 1, 2, 3)
+    g = random_biform(rng, 2, 1, 3)
     h = f * g
-    assert (h.m, h.n) == (3, 3)
+    assert (h.degrees(), h.n) == ((3,) * 4, 3)
     # the u^(3-k) v^k part of a product collects the products of the parts
     for k in range(4):
         parts = [
-            f.uv_coefficient(i) * g.uv_coefficient(k - i)
+            f.coefficients[i] * g.coefficients[k - i]
             for i in range(max(0, k - 1), min(2, k) + 1)
         ]
-        assert h.uv_coefficient(k) == sum(parts[1:], parts[0])
+        assert h.coefficients[k] == sum(parts[1:], parts[0])

@@ -2,13 +2,14 @@
 catalog of reference fibrations at heights 8 and 10."""
 
 from fractions import Fraction
+from functools import cached_property
 from unittest import mock
 
 import pytest
 
+from conftest import grid_biform
 from dp4 import models
-from dp4.biforms import BiForm
-from dp4.binforms import BinaryForm
+from dp4.binforms import BiForm, BinaryForm
 from dp4.families import discriminant_family, genericity_check, height, spectral_class
 from dp4.models import (
     CATALOG,
@@ -30,8 +31,7 @@ F = Fraction
 
 
 def biform_const(m, n, value=0):
-    grid = tuple(tuple(F(value) for _ in range(n + 1)) for _ in range(m + 1))
-    return BiForm(m, n, grid)
+    return grid_biform([[F(value)] * (n + 1) for _ in range(m + 1)])
 
 
 def test_conic_spec_rejects_wrong_bidegree():
@@ -41,9 +41,18 @@ def test_conic_spec_rejects_wrong_bidegree():
     for (i, j), (m, n) in degs.items():
         f = biform_const(m, n, 1)
         rows[i][j] = rows[j][i] = f
-    rows[0][0] = rows[0][0] = biform_const(2, 0, 1)
+    ConicBundleSpec(tuple(tuple(r) for r in rows))
+    wrong = [list(r) for r in rows]
+    wrong[0][0] = biform_const(2, 0, 1)
     with pytest.raises(ValueError, match="bidegree"):
-        ConicBundleSpec(tuple(tuple(r) for r in rows))
+        ConicBundleSpec(tuple(tuple(r) for r in wrong))
+    # a twisted entry: its first coefficient has the expected degree 2, its
+    # second degree 1
+    twisted = BiForm((BinaryForm(2, (1, 1, 1)), BinaryForm(1, (1, 1))))
+    wrong = [list(r) for r in rows]
+    wrong[0][2] = wrong[2][0] = twisted
+    with pytest.raises(ValueError, match="bidegree"):
+        ConicBundleSpec(tuple(tuple(r) for r in wrong))
 
 
 def test_conic_spec_rejects_asymmetric():
@@ -76,8 +85,7 @@ def test_rank_drop_case():
     rows = [list(r) for r in spec.entries]
     for i, j in ((0, 2), (1, 2)):
         f = rows[i][j]
-        grid = tuple((row[0], F(0)) for row in f.grid)
-        g = BiForm(f.m, f.n, grid)
+        g = BiForm((f.coefficients[0], BinaryForm.zero(2)))
         rows[i][j] = rows[j][i] = g
     spec2 = ConicBundleSpec(tuple(tuple(r) for r in rows))
     sym = conic_symbols(spec2)
@@ -88,9 +96,9 @@ def test_rank_drop_case():
 
 def test_det_bidegree():
     spec = random_conic_bundle(7)
-    det = spec.det()
+    det = spec.det
     # degree 5 along the fiber line (s,t), 2 along the base line (u,v)
-    assert (det.m, det.n) == (5, 2)
+    assert det.degrees() == (5, 5, 5)
     rep = conic_report(spec)
     assert rep.det_degree_st == 5
     assert rep.det_degree_uv == 2
@@ -174,7 +182,25 @@ def test_build_h8_conic():
     rep = conic_report(ex.spec)
     assert rep.identity and rep.branch_divides
     assert rep.branch_squarefree
-    assert ex.discriminant == ex.spec.det()
+    assert ex.discriminant == ex.spec.det
+
+
+def test_conic_det_computed_once_per_spec(monkeypatch):
+    # building a conic example and verifying it compute det(A) once for
+    # each drawn spec: the build's report, the example and the verification
+    # read the one value
+    drawn, computed = [], []
+    draw, det = models.random_conic_bundle, ConicBundleSpec.det.func
+    counted = cached_property(lambda spec: computed.append(spec) or det(spec))
+    counted.__set_name__(ConicBundleSpec, "det")
+    monkeypatch.setattr(ConicBundleSpec, "det", counted)
+    monkeypatch.setattr(models, "random_conic_bundle", lambda rng: drawn.append(draw(rng)) or drawn[-1])
+    # positional seeds, as src calls them: the build memo keys on them
+    ex = build_example("h8_conic", 1)
+    assert verify_example("h8_conic", 1)["ok"]
+    assert ex.discriminant == det(ex.spec)
+    assert drawn[-1] is ex.spec
+    assert [id(spec) for spec in computed] == [id(spec) for spec in drawn]
 
 
 def test_build_deterministic():

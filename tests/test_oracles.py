@@ -35,7 +35,7 @@ the rest by one gcd with its derivative), Yun's algorithm itself over Fraction
 (it now runs over Z), the h8_ci congruence C^T Q C as sums of BinaryForm
 products (it now runs on integer coefficient lists), and the spectral form
 and Delta of a family interpolated from Fraction fibers, BinaryForm.evaluate
-into pencil_determinant and SpectralForm.fiber into discriminant (both now
+into pencil_determinant and the spectral form's fiber into discriminant (both now
 run on integer-scaled entries at integer nodes and divide once), and the
 16-line symmetry group as a backtracking search over all incidence-preserving
 permutations of the lines (it is now generated by the five simple
@@ -95,7 +95,9 @@ pseudo-division over Z[sigma][w] with its quotient, behind the factor
 search's candidate check, its exact division and its PRS step, on
 coefficients over Q[sigma] (the PRS step is now remainder-only, the
 candidate check and the exact division one exact division over
-Z[sigma][w], and the search takes Z[sigma][w] only).
+Z[sigma][w], and the search takes Z[sigma][w] only), and the biform as a
+grid of Fractions with a quadruple-loop product (it is now a tuple of
+BinaryForm coefficients in (u,v), its product their convolution).
 """
 
 import math
@@ -117,6 +119,7 @@ from conftest import (
     QUADRATIC_BLOCK,
     STRUCTURED_PENCILS,
     block_pencil,
+    grid_biform,
     jordan_block,
     power,
     simple_block,
@@ -126,8 +129,8 @@ from conftest import (
 )
 
 from dp4 import binforms, factor_search, families, linalg, lines, models, pencils, plane_quintic, quintic
-from dp4.biforms import BiForm
 from dp4.binforms import (
+    BiForm,
     BinaryForm,
     discriminant,
     mobius_substitute,
@@ -162,7 +165,6 @@ from dp4.factor_search import (
 from dp4.families import (
     FamilySpec,
     Poly,
-    SpectralForm,
     discriminant_family,
     expected_coefficient_degree,
     genericity_check,
@@ -220,7 +222,7 @@ def column_mixing_spectral_quintic(pencil: SymmetricPencil) -> BinaryForm:
     return f
 
 
-def column_mixing_spectral_form(spec) -> SpectralForm:
+def column_mixing_spectral_form(spec) -> BiForm:
     """Column-mixing expansion: the u^(5-k) v^k coefficient sums, over all
     k-subsets T of columns, the determinant taking columns T from A2 and the
     rest from A1; every summand has the same (s,t)-degree."""
@@ -231,7 +233,7 @@ def column_mixing_spectral_form(spec) -> SpectralForm:
         if not total.is_zero and total.degree != expected:
             raise RuntimeError("spectral coefficient degree violates bookkeeping")
         coeffs.append(total)
-    form = SpectralForm(tuple(coeffs))
+    form = BiForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
     return form
@@ -253,7 +255,7 @@ def sylvester_delta(sf) -> BinaryForm:
     return _det_forms(syl).scale(Fraction(1, 125))
 
 
-def fraction_spectral_form(spec) -> SpectralForm:
+def fraction_spectral_form(spec) -> BiForm:
     """det(u*A1 + v*A2) interpolated from Fraction fibers: every entry
     evaluated at (k, 1) by BinaryForm.evaluate, each fiber quintic the
     pencil_determinant of the two Fraction matrices."""
@@ -270,7 +272,7 @@ def fraction_spectral_form(spec) -> SpectralForm:
         if p and pdeg(p) > deg:
             raise RuntimeError("spectral coefficient degree violates bookkeeping")
         coeffs.append(BinaryForm.from_x_poly(p, max(deg, 0)))
-    form = SpectralForm(tuple(coeffs))
+    form = BiForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
     return form
@@ -278,7 +280,7 @@ def fraction_spectral_form(spec) -> SpectralForm:
 
 def fraction_delta(spec) -> BinaryForm | None:
     """Delta interpolated from the discriminants of the Fraction fibers
-    SpectralForm.fiber(k, 1) of fraction_spectral_form; None where Delta = 0
+    BiForm.fiber(k, 1) of fraction_spectral_form; None where Delta = 0
     (h < 0 included)."""
     sf = fraction_spectral_form(spec)
     h = height(spec)
@@ -430,7 +432,7 @@ def fraction_lagrange(values) -> list[Fraction]:
     return out
 
 
-def node_spectral_form(spec) -> SpectralForm:
+def node_spectral_form(spec) -> BiForm:
     """det(u*A1 + v*A2), each (s,t)-coefficient interpolated over Z from the
     fiber quintics det(u*L*A1(k,1) + v*L*A2(k,1)) at k = 0..D+1 and divided
     by L^5 once, L the common denominator of the entries.  D is the largest
@@ -452,13 +454,13 @@ def node_spectral_form(spec) -> SpectralForm:
         if p and pdeg(p) > deg:
             raise RuntimeError("spectral coefficient degree violates bookkeeping")
         coeffs.append(BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0)))
-    form = SpectralForm(tuple(coeffs))
+    form = BiForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
     return form
 
 
-def unknowns_spectral_form(spec) -> SpectralForm:
+def unknowns_spectral_form(spec) -> BiForm:
     """det(u*A1 + v*A2), each (s,t)-coefficient interpolated over Z from its
     values at the nodes (k : 1), k = 0, 1, ..., and divided by L^5 once, L
     the common denominator of the entries.  Coefficient j takes
@@ -500,7 +502,7 @@ def unknowns_spectral_form(spec) -> SpectralForm:
         BinaryForm.from_x_poly([Fraction(c, den**5) for c in p], max(deg, 0))
         for p, deg in zip(polys, expected)
     ]
-    form = SpectralForm(tuple(coeffs))
+    form = BiForm(tuple(coeffs))
     if form.is_zero:
         raise ValueError("generically degenerate family")
     return form
@@ -1459,21 +1461,21 @@ def test_integer_path_matches_fraction_path_rescaled(r1, r2):
 
 def test_integer_path_builds_nothing_per_fiber(monkeypatch):
     # the spectral form and Delta run on int from the entries to the output
-    # coefficients: no BinaryForm.evaluate, no SpectralForm.fiber, and at
+    # coefficients: no BinaryForm.evaluate, no BiForm.fiber, and at
     # most three Fractions per output coefficient (the Fraction path builds
     # more than fifty per fiber)
     calls = []
     built = [0]
     specs = [build_example("h10_ci", 1), squared_discriminant_example(1)]
     sfs = [spectral_form(spec) for spec in specs]
-    evaluate, fiber, new = BinaryForm.evaluate, SpectralForm.fiber, Fraction.__new__
+    evaluate, fiber, new = BinaryForm.evaluate, BiForm.fiber, Fraction.__new__
 
     def counted_new(cls, *args, **kwargs):
         built[0] += 1
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(BinaryForm, "evaluate", lambda *a: calls.append("evaluate") or evaluate(*a))
-    monkeypatch.setattr(SpectralForm, "fiber", lambda *a: calls.append("fiber") or fiber(*a))
+    monkeypatch.setattr(BiForm, "fiber", lambda *a: calls.append("fiber") or fiber(*a))
     # Delta's squarefree test is not part of the interpolation
     monkeypatch.setattr(families, "_branching", lambda delta: (True, delta.degree, ((delta.degree, 1),)))
     for spec, sf in zip(specs, sfs):
@@ -2842,8 +2844,7 @@ def biform_products(draw):
 
     def biform(m, n):
         row = st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1)
-        rows = draw(st.lists(row, min_size=m + 1, max_size=m + 1))
-        return BiForm(m, n, tuple(tuple(F(x) for x in r) for r in rows))
+        return grid_biform(draw(st.lists(row, min_size=m + 1, max_size=m + 1)))
 
     g = biform(draw(st.integers(1, 3)), draw(st.integers(1, 2)))
     h = biform(draw(st.integers(1, 3)), 3)
@@ -2854,7 +2855,7 @@ def biform_products(draw):
 @settings(max_examples=40, deadline=None)
 @given(biform_products())
 def test_factor_search_matches_pade_oracle_on_products(f):
-    coeffs = [f.uv_coefficient(j) for j in range(f.n + 1)]
+    coeffs = list(f.coefficients)
     fast = twisted_factor_search(coeffs, 2)
     with pade_search():
         slow = twisted_factor_search(coeffs, 2)
@@ -3431,7 +3432,7 @@ def delta_profile(coeffs, sylvester=True):
     Delta = 0.  Delta is the Sylvester determinant over (s,t)-forms, or,
     faster, interpolated from the discriminants of the fibers over (k : 1)
     at one node past its degree bound 8*D_0 + 20*delta = 4*(D_0 + D_5)."""
-    sf = SpectralForm(tuple(coeffs))
+    sf = BiForm(tuple(coeffs))
     if sylvester:
         delta = sylvester_delta(sf)
     else:
@@ -4039,8 +4040,10 @@ def newton_branch_series(curve, point, order: int):
 def fraction_blowup(parameters):
     """(cubic basis, pencil) of blowup_from_quintic on Fraction rows: the
     value and the derivative of each cubic monomial at (rho^2, rho, 1),
-    and the cubic products over Fraction."""
-    cubic_monos, sextic_monos = pencils._CUBIC_MONOMIALS, pencils._SEXTIC_MONOMIALS
+    and the cubic products over Fraction.  The monomials are listed here,
+    x-power then y-power ascending, so the rows' order is checked too."""
+    cubic_monos = [(a, b, 3 - a - b) for a in range(4) for b in range(4 - a)]
+    sextic_monos = [(a, b, 6 - a - b) for a in range(7) for b in range(7 - a)]
     rs = [Fraction(r) for r in parameters]
     rows = []
     for rho in sorted(set(rs)):
@@ -4551,3 +4554,143 @@ def test_invariant_vector_check_matches_fraction_oracle_on_small_quintics():
         forms.append(BinaryForm(5, tuple(F(rng.randint(-50, 50), rng.randint(1, 36)) for _ in range(6))))
     for f in forms:
         assert_check_matches_oracle(f)
+
+
+# ---------------------------------------------------------------------------
+# biforms on BinaryForm coefficients against the Fraction grid
+
+
+@dataclass(frozen=True)
+class FractionBiForm:
+    """The biform BiForm replaces: bidegree (m, n), grid[a][b] multiplying
+    s^(m-a) t^a u^(n-b) v^b, a Fraction grid with a quadruple-loop product.
+    Like BinaryForm, an all-zero grid keeps its nominal bidegree."""
+
+    m: int  # degree in (s, t)
+    n: int  # degree in (u, v)
+    grid: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        if self.m < 0 or self.n < 0:
+            raise ValueError("negative bidegree")
+        if len(self.grid) != self.m + 1 or any(len(r) != self.n + 1 for r in self.grid):
+            raise ValueError("grid dimensions do not match bidegree")
+        object.__setattr__(self, "grid", tuple(tuple(Fraction(c) for c in r) for r in self.grid))
+
+    @classmethod
+    def zero(cls, m: int, n: int) -> "FractionBiForm":
+        return cls(m, n, tuple((Fraction(0),) * (n + 1) for _ in range(m + 1)))
+
+    @classmethod
+    def of(cls, f: BiForm) -> "FractionBiForm":
+        """The grid of a biform whose coefficients share one degree."""
+        m = f.coefficients[0].degree
+        return cls(m, f.n, tuple(tuple(c.coeffs[a] for c in f.coefficients) for a in range(m + 1)))
+
+    @property
+    def is_zero(self) -> bool:
+        return all(c == 0 for r in self.grid for c in r)
+
+    def biform(self) -> BiForm:
+        return grid_biform(self.grid)
+
+    def __add__(self, other: "FractionBiForm") -> "FractionBiForm":
+        if (self.m, self.n) != (other.m, other.n):
+            if self.is_zero:
+                return other
+            if other.is_zero:
+                return self
+            raise ValueError("bidegree mismatch in biform addition")
+        grid = tuple(
+            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.grid, other.grid)
+        )
+        return FractionBiForm(self.m, self.n, grid)
+
+    def __neg__(self) -> "FractionBiForm":
+        return FractionBiForm(self.m, self.n, tuple(tuple(-c for c in r) for r in self.grid))
+
+    def __sub__(self, other: "FractionBiForm") -> "FractionBiForm":
+        return self + (-other)
+
+    def __mul__(self, other: "FractionBiForm") -> "FractionBiForm":
+        m, n = self.m + other.m, self.n + other.n
+        out = [[Fraction(0)] * (n + 1) for _ in range(m + 1)]
+        for a, row in enumerate(self.grid):
+            for b, c in enumerate(row):
+                if c:
+                    for a2, row2 in enumerate(other.grid):
+                        for b2, c2 in enumerate(row2):
+                            if c2:
+                                out[a + a2][b + b2] += c * c2
+        return FractionBiForm(m, n, tuple(tuple(r) for r in out))
+
+    def scale(self, c) -> "FractionBiForm":
+        c = Fraction(c)
+        return FractionBiForm(self.m, self.n, tuple(tuple(x * c for x in r) for r in self.grid))
+
+
+small_rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 6))
+bidegree_parts = st.integers(0, 3)
+
+
+@st.composite
+def fraction_biform_pairs(draw):
+    """Two Fraction-grid biforms of one bidegree with rational entries;
+    about a quarter of the sides are instead a zero grid of a nominal
+    bidegree of their own."""
+
+    def side(m, n):
+        if draw(st.integers(0, 3)) == 0:
+            return FractionBiForm.zero(draw(bidegree_parts), draw(bidegree_parts))
+        row = st.lists(small_rationals, min_size=n + 1, max_size=n + 1)
+        return FractionBiForm(m, n, tuple(map(tuple, draw(st.lists(row, min_size=m + 1, max_size=m + 1)))))
+
+    m, n = draw(bidegree_parts), draw(bidegree_parts)
+    return side(m, n), side(m, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fraction_biform_pairs(), small_rationals)
+@example((FractionBiForm.zero(2, 1), FractionBiForm.zero(0, 3)), F(0))
+@example((FractionBiForm(1, 1, ((1, 0), (0, -1))), FractionBiForm.zero(3, 0)), F(-1, 2))
+def test_biform_arithmetic_matches_fraction_grid(pair, c):
+    f, g = pair
+    a, b = f.biform(), g.biform()
+    assert a == FractionBiForm.of(a).biform() and FractionBiForm.of(a) == f
+    assert a.is_zero is f.is_zero
+    assert a + b == (f + g).biform()
+    assert a - b == (f - g).biform()
+    assert -a == (-f).biform()
+    assert a * b == (f * g).biform()
+    assert b * a == (g * f).biform()
+    assert a.scale(c) == f.scale(c).biform()
+
+
+def test_biform_addition_refuses_what_the_grid_refuses():
+    # nonzero biforms of different (u,v)-degrees, or of different
+    # (s,t)-degrees in one coefficient, do not add
+    pairs = [
+        (FractionBiForm(1, 1, ((1, 2), (3, 4))), FractionBiForm(1, 2, ((1, 0, 0), (0, 0, 1)))),
+        (FractionBiForm(1, 1, ((1, 2), (3, 4))), FractionBiForm(2, 1, ((1, 0), (0, 0), (0, 1)))),
+    ]
+    for f, g in pairs:
+        with pytest.raises(ValueError, match="mismatch"):
+            f + g
+        with pytest.raises(ValueError, match="mismatch"):
+            f.biform() + g.biform()
+
+
+def test_conic_det_matches_fraction_grid():
+    # det(A) and the branch symbols of the conic route on BinaryForm
+    # coefficients against the same expansion on Fraction grids
+    for seed in range(1, 21):
+        spec = models.random_conic_bundle(seed)
+        (a11, a12, a13), (_, a22, a23), (_, _, a33) = (
+            [FractionBiForm.of(x) for x in row] for row in spec.entries
+        )
+        det = a11 * (a22 * a33 - a23 * a23) - a12 * (a12 * a33 - a23 * a13) + a13 * (a12 * a23 - a22 * a13)
+        assert spec.det == det.biform()
+        rem = (a12 * a23 * a13).scale(2) - a11 * (a23 * a23) - a22 * (a13 * a13)
+        sym = models.conic_symbols(spec)
+        assert (sym["a"], sym["b"].scale(2), sym["c"]) == rem.biform().coefficients
+        assert sym["q"] == (a11 * a22 - a12 * a12).biform().coefficients[0]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp4.biforms import BiForm
+from conftest import grid_biform
 from dp4.binforms import BinaryForm
 from dp4.families import FamilySpec
 from dp4.models import build_example
@@ -128,7 +128,8 @@ def test_form_roundtrip():
 
 def test_encode_biform_tree():
     # the discriminant tree that `examples build h8_conic` prints
-    f = BiForm(1, 2, ((F(0), F(1), F(-2)), (F(1, 3), F(0), F(5))))
+    f = grid_biform([[F(0), F(1), F(-2)], [F(1, 3), F(0), F(5)]])
+    assert f.coefficients[0] == BinaryForm(1, (0, F(1, 3)))
     assert encode_biform(f) == {
         "bidegree": [1, 2],
         "grid": [["0", "1", "-2"], ["1/3", "0", "5"]],
